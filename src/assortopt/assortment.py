@@ -11,12 +11,12 @@ the distribution of purchases inside an optimal assortment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .axioms import check_axioms
 from .errors import BoundCUnavailable, GroundSetTooLarge, NonPositiveRevenue, RegularityViolation
-from .models import ChoiceModel, TightExampleModel, demand, enumerate_subsets, evaluate_revenue
+from .models import ChoiceModel, TightExampleModel, demand, evaluate_revenue, offer_rows
 
 RTOL = 1e-9
 
@@ -109,17 +109,21 @@ def revenue_ordered(instance: AssortmentInstance) -> RevenueOrderedResult:
 def brute_force_optimum(instance: AssortmentInstance, guard: int = 20) -> AssortmentSolution:
     """Exact optimum by enumerating every subset (the empty set included).
 
-    Revenue ties are broken toward the lexicographically smallest subset, so
-    the result is deterministic.
+    Reads one row of choice probabilities per offer set and keeps none of
+    them; revenues are summed in ascending product order, as in
+    :func:`assortopt.models.evaluate_revenue`.  Revenue ties are broken
+    toward the lexicographically smallest subset, so the result is
+    deterministic.
     """
     if instance.n > guard:
         raise GroundSetTooLarge(f"n={instance.n} exceeds the enumeration guard {guard}")
+    revenue = instance.revenue
     best_key: tuple[int, ...] = ()
     best_set: frozenset[int] = frozenset()
     best_revenue = 0
     first = True
-    for subset in enumerate_subsets(instance.n, guard):
-        value = instance.assortment_revenue(subset) if subset else 0
+    for subset, _, row in offer_rows(instance.model, guard):
+        value = sum(p * revenue[x - 1] for x, p in zip(subset, row)) if subset else 0
         if first or value > best_revenue or (value == best_revenue and subset < best_key):
             best_key = subset
             best_set = frozenset(subset)
@@ -156,8 +160,9 @@ class BoundReport:
     n_masses: tuple[float, ...] | None = None
 
 
-def _bound_c(instance: AssortmentInstance, optimal: AssortmentSolution):
-    """Purchase-mass bound w.r.t. an optimal assortment; raises if nothing sells."""
+def _bound_c(instance: AssortmentInstance, optimal: AssortmentSolution) -> dict:
+    """The BoundReport fields of the purchase-mass bound w.r.t. an optimal
+    assortment; raises if nothing sells."""
     levels = instance.levels
     k = len(levels)
     S = optimal.assortment
@@ -171,7 +176,13 @@ def _bound_c(instance: AssortmentInstance, optimal: AssortmentSolution):
     padded = masses + [0.0]
     total = sum((padded[i] - padded[i + 1]) / padded[i] for i in range(ell))
     nu = masses[0] / masses[ell - 1]
-    return 1.0 / total, 1.0 / (1.0 + math.log(nu)), nu, ell, tuple(masses)
+    return dict(
+        bound_c_exact=1.0 / total,
+        bound_c_log=1.0 / (1.0 + math.log(nu)),
+        nu=nu,
+        ell=ell,
+        n_masses=tuple(masses),
+    )
 
 
 def compute_bounds(instance: AssortmentInstance, optimal: AssortmentSolution | None = None) -> BoundReport:
@@ -202,27 +213,15 @@ def compute_bounds(instance: AssortmentInstance, optimal: AssortmentSolution | N
     if optimal is None:
         return report
     try:
-        c_exact, c_log, nu, ell, masses = _bound_c(instance, optimal)
+        return replace(report, **_bound_c(instance, optimal))
     except BoundCUnavailable:
         return report
-    return BoundReport(
-        n_levels=k,
-        bound_a=report.bound_a,
-        bound_b_exact=report.bound_b_exact,
-        bound_b_log=report.bound_b_log,
-        lambda_tilde=lambda_tilde,
-        bound_c_exact=c_exact,
-        bound_c_log=c_log,
-        nu=nu,
-        ell=ell,
-        n_masses=masses,
-    )
 
 
 def require_optimal_bound(instance: AssortmentInstance, optimal: AssortmentSolution):
     """As compute_bounds with an optimum, but BoundCUnavailable propagates."""
-    _bound_c(instance, optimal)
-    return compute_bounds(instance, optimal)
+    bound_c = _bound_c(instance, optimal)
+    return replace(compute_bounds(instance), **bound_c)
 
 
 def check_technical_bound(

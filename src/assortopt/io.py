@@ -25,6 +25,7 @@ from .models import (
     TabularModel,
     TightExampleModel,
     enumerate_subsets,
+    offer_rows,
 )
 from .multiperiod import MultiPeriodInstance
 from .stackelberg import GraphicMatroid, StackelbergInstance
@@ -75,12 +76,8 @@ def model_to_dict(model: ChoiceModel, guard: int = 20) -> dict:
     if isinstance(model, TightExampleModel):
         return {"type": "tight_example", "k": model.k, "epsilon": model.epsilon}
     # Anything else (including the lazy reduction models) ships as a table.
-    tabular = model if isinstance(model, TabularModel) else model.to_tabular(guard)
-    rows = []
-    for subset in enumerate_subsets(tabular.n, guard):
-        members = frozenset(subset)
-        rows.append([list(subset), [float(tabular.evaluate(x, members)) for x in subset]])
-    return {"type": "tabular", "n": tabular.n, "rows": rows}
+    rows = [[list(subset), [float(p) for p in row]] for subset, _, row in offer_rows(model, guard)]
+    return {"type": "tabular", "n": model.n, "rows": rows}
 
 
 def model_from_dict(data: dict) -> ChoiceModel:

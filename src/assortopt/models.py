@@ -58,6 +58,23 @@ def enumerate_subsets(n: int, guard: int = 20) -> list[tuple[int, ...]]:
     return out
 
 
+def offer_rows(model: "ChoiceModel", guard: int = 20):
+    """Yield (S, mask, row) for every offer set S, in canonical order.
+
+    S is a sorted tuple as in :func:`enumerate_subsets`, mask has bit x-1
+    set for each x in S, and row[i] = P(S[i], S).  Rows are produced one at
+    a time, so a caller that does not keep them never holds the whole table.
+    """
+    n = model.n
+    if n > guard:
+        raise GroundSetTooLarge(f"n={n} exceeds the enumeration guard {guard}")
+    products = range(1, n + 1)
+    bits = [1 << i for i in range(n)]
+    for size in range(n + 1):
+        for subset, chosen in zip(itertools.combinations(products, size), itertools.combinations(bits, size)):
+            yield subset, sum(chosen), model._choice_row(subset)
+
+
 class ChoiceModel:
     """Base class: a system of choice probabilities over ProductSet(n)."""
 
@@ -87,6 +104,11 @@ class ChoiceModel:
         """Probability of x in S, for x guaranteed to be a member of S."""
         raise NotImplementedError
 
+    def _choice_row(self, subset: tuple[int, ...]) -> tuple:
+        """P(x, S) for each x of a sorted offer set S, in that order."""
+        members = frozenset(subset)
+        return tuple(self.evaluate(x, members) for x in subset)
+
     def _as_subset(self, S: Iterable[int]) -> Subset:
         members = frozenset(S)
         bad = [x for x in members if x not in self._products]
@@ -96,10 +118,7 @@ class ChoiceModel:
 
     def to_tabular(self, guard: int = 20) -> "TabularModel":
         """Materialise the model as an explicit table over all 2^n offer sets."""
-        table = {}
-        for subset in enumerate_subsets(self.n, guard):
-            members = frozenset(subset)
-            table[members] = {x: self.evaluate(x, members) for x in subset}
+        table = {frozenset(subset): dict(zip(subset, row)) for subset, _, row in offer_rows(self, guard)}
         return TabularModel(self.n, table, validate=False)
 
 
@@ -172,6 +191,12 @@ class MnlModel(ChoiceModel):
         denom = 1.0 + sum(self._weights[y - 1] for y in sorted(S))
         return self._weights[x - 1] / denom
 
+    def _choice_row(self, subset: tuple[int, ...]) -> tuple:
+        # One denominator per offer set, summed in the same ascending order
+        # as _member_probability, so every probability is the same float.
+        denom = 1.0 + sum(self._weights[y - 1] for y in subset)
+        return tuple(self._weights[x - 1] / denom for x in subset)
+
 
 class MixedMnlModel(ChoiceModel):
     """Finite mixture of MNL classes: evaluate = sum_c weight_c * MNL_c."""
@@ -198,6 +223,10 @@ class MixedMnlModel(ChoiceModel):
 
     def _member_probability(self, x: int, S: Subset) -> float:
         return sum(w * m._member_probability(x, S) for w, m in zip(self._weights, self._models))
+
+    def _choice_row(self, subset: tuple[int, ...]) -> tuple:
+        rows = [m._choice_row(subset) for m in self._models]
+        return tuple(sum(w * p for w, p in zip(self._weights, column)) for column in zip(*rows))
 
 
 class StochasticPreferenceModel(ChoiceModel):
@@ -252,6 +281,10 @@ class StochasticPreferenceModel(ChoiceModel):
 
     def _member_probability(self, x: int, S: Subset) -> float:
         return self._winner_weights(S).get(x, 0.0)
+
+    def _choice_row(self, subset: tuple[int, ...]) -> tuple:
+        winners = self._winner_weights(frozenset(subset))
+        return tuple(winners.get(x, 0.0) for x in subset)
 
     def evaluate(self, x: int, S: Iterable[int]):
         members = self._as_subset(S)

@@ -1,5 +1,6 @@
 """Axiom checkers: the counterexample table, constructed violators, guards."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -114,6 +115,23 @@ class TestDemandSubmodularity:
         assert not result.passed
         assert result.witness == (frozenset({1}), frozenset({1, 2}), 3)
         assert abs(result.gap - 0.05) <= 1e-12
+
+    def test_exact_table_reports_first_witness_of_maximal_gap(self):
+        # The maximal gap 1/3 is not a float, so a running maximum rounded
+        # to float would let a later triple attaining it replace the first.
+        third, quarter = Fraction(1, 3), Fraction(1, 4)
+        rows = {(): {}}
+        for subset in ((1,), (2,), (3,)):
+            rows[subset] = {x: third for x in subset}
+        for subset in ((1, 2), (1, 3), (2, 3)):
+            rows[subset] = {x: quarter for x in subset}
+        rows[(1, 2, 3)] = {1: third, 2: third, 3: third}
+        exact = check_demand_submodularity(TabularModel(3, rows))
+        rounded = check_demand_submodularity(
+            TabularModel(3, {s: {x: float(p) for x, p in row.items()} for s, row in rows.items()})
+        )
+        assert exact.witness == rounded.witness == (frozenset({1}), frozenset({1, 2}), 3)
+        assert exact.gap == float(third)
 
     def test_random_mnl_passes(self):
         # Random-utility demand is submodular; exhaustive check on n <= 6.

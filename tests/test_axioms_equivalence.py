@@ -1,0 +1,261 @@
+"""The superset-transform checkers and the streamed brute force agree with
+the plain 3^n pair scans and the per-(x, S) oracle they replaced.
+
+The reference functions below are the straightforward implementations:
+every pair S subset of S' is scanned in canonical order and every
+probability is read through ``evaluate``.  They are kept here only as the
+specification the fast code must reproduce, verdict, witness and gap alike.
+"""
+
+import itertools
+from fractions import Fraction
+from random import Random
+
+import pytest
+
+from assortopt import (
+    AssortmentInstance,
+    AssortmentSolution,
+    AxiomReport,
+    CheckResult,
+    MnlModel,
+    TabularModel,
+    brute_force_optimum,
+    check_axioms,
+    check_demand_submodularity,
+    check_purchase_monotonicity,
+)
+from assortopt.axioms import ATOL
+from assortopt.models import enumerate_subsets
+
+
+def _ref_tabulate(model):
+    subsets = [frozenset(s) for s in enumerate_subsets(model.n)]
+    probs = {S: {x: model.evaluate(x, S) for x in sorted(S)} for S in subsets}
+    return subsets, probs
+
+
+def _ref_superset_pairs(n, subsets):
+    for S in subsets:
+        rest = sorted(set(range(1, n + 1)) - S)
+        for size in range(len(rest) + 1):
+            for extra in itertools.combinations(rest, size):
+                yield S, S | frozenset(extra)
+
+
+def ref_check_axioms(model, atol=ATOL):
+    subsets, probs = _ref_tabulate(model)
+
+    nonnegativity = CheckResult(True)
+    for S in subsets:
+        for x in sorted(S):
+            p = probs[S][x]
+            if p < -atol:
+                nonnegativity = CheckResult(False, (x, S), float(-p))
+                break
+        else:
+            p0 = 1 - sum(probs[S].values())
+            if p0 < -atol:
+                nonnegativity = CheckResult(False, (0, S), float(-p0))
+        if not nonnegativity.passed:
+            break
+
+    unavailable_zero = CheckResult(True)
+    for S in subsets:
+        for x in range(1, model.n + 1):
+            if x in S:
+                continue
+            p = model.evaluate(x, S)
+            if abs(p) > atol:
+                unavailable_zero = CheckResult(False, (x, S), float(abs(p)))
+                break
+        if not unavailable_zero.passed:
+            break
+
+    substochastic = CheckResult(True)
+    for S in subsets:
+        total = sum(probs[S].values())
+        if total > 1 + atol:
+            substochastic = CheckResult(False, (S,), float(total - 1))
+            break
+
+    regularity = CheckResult(True)
+    sold = {S: sum(probs[S].values()) for S in subsets}
+    for S, larger in _ref_superset_pairs(model.n, subsets):
+        for x in sorted(S):
+            drop = probs[larger][x] - probs[S][x]
+            if drop > atol:
+                regularity = CheckResult(False, (x, S, larger), float(drop))
+                break
+        else:
+            zero_drop = (1 - sold[larger]) - (1 - sold[S])
+            if zero_drop > atol:
+                regularity = CheckResult(False, (0, S, larger), float(zero_drop))
+        if not regularity.passed:
+            break
+
+    return AxiomReport(nonnegativity, unavailable_zero, substochastic, regularity)
+
+
+def ref_purchase_monotonicity(model, atol=ATOL):
+    subsets, probs = _ref_tabulate(model)
+    sold = {S: sum(probs[S].values()) for S in subsets}
+    for S, larger in _ref_superset_pairs(model.n, subsets):
+        if sold[S] > sold[larger] + atol:
+            return CheckResult(False, (S, larger), float(sold[S] - sold[larger]))
+    return CheckResult(True)
+
+
+def ref_demand_submodularity(model, atol=ATOL):
+    """The pair scan with its running maximum kept exact."""
+    subsets, probs = _ref_tabulate(model)
+    sold = {S: sum(probs[S].values()) for S in subsets}
+    worst_gap, witness = 0, None
+    for S, larger in _ref_superset_pairs(model.n, subsets):
+        for x in range(1, model.n + 1):
+            gain_small = sold[S | {x}] - sold[S]
+            gain_large = sold[larger | {x}] - sold[larger]
+            gap = gain_large - gain_small
+            if gap > atol and gap > worst_gap:
+                worst_gap, witness = gap, (S, larger, x)
+    if witness is None:
+        return CheckResult(True)
+    return CheckResult(False, witness, float(worst_gap))
+
+
+def ref_brute_force(instance):
+    best_key, best_set, best_revenue, first = (), frozenset(), 0, True
+    for subset in enumerate_subsets(instance.n):
+        value = instance.assortment_revenue(subset) if subset else 0
+        if first or value > best_revenue or (value == best_revenue and subset < best_key):
+            best_key, best_set, best_revenue, first = subset, frozenset(subset), value, False
+    return AssortmentSolution(best_set, best_revenue, "brute-force")
+
+
+def _perturbed_table(rng, n, exact, scale=60):
+    """An MNL-like table on a coarse grid with a few entries nudged, so that
+    regularity, monotonicity and submodularity fail often, ties are common,
+    and the first violation lands anywhere in the scan.  The default grid
+    step 1/60 is not a binary fraction, so float tables round and exact
+    gaps are not floats."""
+    weights = [rng.randint(1, 4) for _ in range(n)]
+    rate = rng.choice((0.0, 0.02, 0.1, 0.4))
+    rows = {}
+    for subset in enumerate_subsets(n):
+        denom = 1 + sum(weights[x - 1] for x in subset)
+        row = {}
+        for x in subset:
+            units = round(scale * weights[x - 1] / denom)
+            if rng.random() < rate:
+                units += rng.choice((-3, -1, 1, 2, 5))
+            if rng.random() < rate / 8:
+                units = rng.choice((-2, scale + 3))
+            row[x] = Fraction(units, scale) if exact else units / scale
+        rows[subset] = row
+    return TabularModel(n, rows, validate=False)
+
+
+def _same(a, b):
+    """Equal as results and, for revenues, of the same numeric type."""
+    return a == b and type(getattr(a, "revenue", None)) is type(getattr(b, "revenue", None))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+def test_random_tables_match_pair_scans(exact):
+    rng = Random(2024 + exact)
+    failures = {"regularity": 0, "monotonicity": 0, "submodularity": 0}
+    for _ in range(150):
+        model = _perturbed_table(rng, rng.randint(0, 6), exact)
+        report = check_axioms(model)
+        assert report == ref_check_axioms(model)
+        monotone = check_purchase_monotonicity(model)
+        assert monotone == ref_purchase_monotonicity(model)
+        submodular = check_demand_submodularity(model)
+        assert submodular == ref_demand_submodularity(model)
+        failures["regularity"] += not report.regularity.passed
+        failures["monotonicity"] += not monotone.passed
+        failures["submodularity"] += not submodular.passed
+    # The perturbation really exercises the failure branches.
+    assert all(count >= 30 for count in failures.values()), failures
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+def test_random_brute_force_matches_oracle_with_ties(exact):
+    rng = Random(77 + exact)
+    ties = 0
+    for _ in range(120):
+        n = rng.randint(0, 6)
+        model = _perturbed_table(rng, n, exact, scale=8)
+        revenue = [rng.choice((1, 2, 2, 4)) for _ in range(n)]
+        instance = AssortmentInstance(model, revenue)
+        expected = ref_brute_force(instance)
+        assert _same(brute_force_optimum(instance), expected)
+        values = [instance.assortment_revenue(s) for s in enumerate_subsets(n) if s]
+        ties += values.count(expected.revenue) > 1
+    assert ties >= 20
+
+
+def test_mnl_brute_force_matches_oracle():
+    rng = Random(5)
+    for _ in range(30):
+        n = rng.randint(0, 8)
+        model = MnlModel([rng.gauss(0, 1.5) for _ in range(n)])
+        instance = AssortmentInstance(model, [rng.uniform(0.5, 9.5) for _ in range(n)])
+        assert _same(brute_force_optimum(instance), ref_brute_force(instance))
+
+
+@pytest.mark.parametrize("model", [TabularModel(0, {(): {}}), MnlModel([]), MnlModel([0.3])], ids=repr)
+def test_empty_and_single_catalogues(model):
+    assert check_axioms(model) == ref_check_axioms(model)
+    assert check_purchase_monotonicity(model) == ref_purchase_monotonicity(model)
+    assert check_demand_submodularity(model) == ref_demand_submodularity(model)
+    instance = AssortmentInstance(model, [1.0] * model.n)
+    assert _same(brute_force_optimum(instance), ref_brute_force(instance))
+
+
+def test_regularity_witness_on_no_purchase_branch():
+    # Every member's share falls, but total demand falls too: the
+    # no-purchase option gains 0.1 when 2 joins {1}.
+    rows = {(): {}, (1,): {1: 0.3}, (2,): {2: 0.5}, (1, 2): {1: 0.1, 2: 0.1}}
+    model = TabularModel(2, rows)
+    report = check_axioms(model)
+    assert report == ref_check_axioms(model)
+    assert report.regularity.witness == (0, frozenset({1}), frozenset({1, 2}))
+    assert report.regularity.gap == pytest.approx(0.1)
+
+
+def test_member_witness_precedes_no_purchase_on_the_same_pair():
+    # From {1, 2} to {1, 2, 3} product 1 gains 0.1 and the no-purchase
+    # option gains 0.15; the members of S are reported first.
+    rows = {
+        (): {},
+        (1,): {1: 0.5},
+        (2,): {2: 0.5},
+        (3,): {3: 0.5},
+        (1, 2): {1: 0.2, 2: 0.5},
+        (1, 3): {1: 0.3, 3: 0.3},
+        (2, 3): {2: 0.3, 3: 0.3},
+        (1, 2, 3): {1: 0.3, 2: 0.1, 3: 0.15},
+    }
+    model = TabularModel(3, rows)
+    report = check_axioms(model)
+    assert report == ref_check_axioms(model)
+    assert report.regularity.witness == (1, frozenset({1, 2}), frozenset({1, 2, 3}))
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+def test_regularity_witness_at_second_to_last_offer_set(exact):
+    n = 5
+    weights = [1, 2, 3, 4, 5]
+    one = Fraction(1) if exact else 1.0
+    rows = {
+        subset: {x: one * weights[x - 1] / (1 + sum(weights[y - 1] for y in subset)) for x in subset}
+        for subset in enumerate_subsets(n)
+    }
+    tail, full = tuple(range(2, n + 1)), tuple(range(1, n + 1))
+    rows[full][2] = rows[tail][2] + one / 1000
+    model = TabularModel(n, rows, validate=False)
+    assert enumerate_subsets(n)[-2] == tail
+    report = check_axioms(model)
+    assert report == ref_check_axioms(model)
+    assert report.regularity.witness == (2, frozenset(tail), frozenset(full))
