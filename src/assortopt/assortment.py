@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .axioms import check_axioms
@@ -59,6 +60,55 @@ class AssortmentInstance:
 
     def assortment_revenue(self, S: Iterable[int]):
         return evaluate_revenue(self._model, self._revenue, S)
+
+    @cached_property
+    def ladder(self) -> "RevenueLadder":
+        """The nested revenue-ordered offer sets, built on first use and then
+        kept: the instance is read-only, so the ladder never goes stale."""
+        return revenue_ladder(self)
+
+
+@dataclass(frozen=True)
+class RevenueLadder:
+    """Products re-indexed by non-increasing revenue, plus the per-threshold
+    offer sets and their one-period statistics.
+
+    levels are the distinct revenues r_1 < ... < r_k; prefix l contains the
+    j(l) products priced at least r_l, so larger indices mean smaller sets.
+    expected_revenue[l-1] and purchase_probability[l-1] are the one-period
+    revenue and sale probability of offering prefix l.
+    """
+
+    order: tuple[int, ...]
+    levels: tuple
+    prefix_sizes: tuple[int, ...]
+    prefixes: tuple[frozenset, ...]
+    expected_revenue: tuple[float, ...]
+    purchase_probability: tuple[float, ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.levels)
+
+
+def revenue_ladder(instance: AssortmentInstance) -> RevenueLadder:
+    """Precompute the nested revenue-ordered assortments of an instance.
+
+    Callers that hold an instance read the cached ``instance.ladder``."""
+    order = tuple(sorted(range(1, instance.n + 1), key=lambda x: (-instance.revenue_of(x), x)))
+    levels = instance.levels
+    prefix_sizes = []
+    prefixes = []
+    expected = []
+    sold = []
+    for level in levels:
+        size = sum(1 for x in order if instance.revenue_of(x) >= level)
+        members = frozenset(order[:size])
+        prefix_sizes.append(size)
+        prefixes.append(members)
+        expected.append(float(instance.assortment_revenue(members)))
+        sold.append(float(demand(instance.model, members)))
+    return RevenueLadder(order, levels, tuple(prefix_sizes), tuple(prefixes), tuple(expected), tuple(sold))
 
 
 @dataclass(frozen=True)

@@ -209,6 +209,8 @@ class MixedMnlModel(ChoiceModel):
         if any(m.n != n for m in models):
             raise ValueError("all mixture components must share the product count")
         weights = tuple(float(w) for w, _ in components)
+        if not all(math.isfinite(w) for w in weights):
+            raise ValueError(f"mixture weights must be finite, got {weights}")
         if any(w < 0 for w in weights):
             raise ValueError("mixture weights must be nonnegative")
         if abs(sum(weights) - 1.0) > 1e-9:
@@ -248,6 +250,8 @@ class StochasticPreferenceModel(ChoiceModel):
             order = tuple(order)
             if frozenset(order) != expected or len(order) != n + 1:
                 raise ValueError(f"{order} is not a permutation of 0..{n}")
+            if not math.isfinite(weight):
+                raise ValueError(f"ranking weight {weight} is not finite")
             if weight < 0:
                 raise ValueError("ranking weights must be nonnegative")
             pos = [0] * (n + 1)

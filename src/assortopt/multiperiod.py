@@ -6,62 +6,29 @@ inventory q.  The value recursion is
 
     J_t(q, l) = sum_x P(x, A_l) * (r(x) + J_{t-1}(q-1)) + P(0, A_l) * J_{t-1}(q)
 
-with J = 0 once t or q hits zero, J_t(q) = max_l J_t(q, l), and l*_t(q) the
-least maximising threshold index.  For regular models l* is monotone in both
-state variables (nesting by fare order).
+with J = 0 once t or q hits zero and J_t(q) = max_l J_t(q, l).  Writing
+R_l and P_l for the one-period revenue and sale probability of A_l and
+delta = -(J_{t-1}(q) - J_{t-1}(q-1)) for the negated marginal value of a
+unit, J_t(q, l) = J_{t-1}(q) + R_l + P_l * delta.  The offset J_{t-1}(q) is
+common to every threshold, so the DP scores the levels on R_l + P_l * delta
+alone, takes l*_t(q) as the least maximising level under a relative
+tolerance at that scale, and sets J_t(q) = J_{t-1}(q) + max_l (R_l + P_l *
+delta).  That is the static problem with every revenue shifted by delta,
+which ``lstar_delta`` solves with the same function, so the two agree on
+every cell.  For regular models l* is monotone in both state variables
+(nesting by fare order).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .assortment import AssortmentInstance
+# revenue_ladder is re-exported for the callers that import it from here.
+from .assortment import AssortmentInstance, RevenueLadder, revenue_ladder  # noqa: F401
 from .axioms import check_axioms
 from .errors import DeltaOutOfRange
-from .models import demand
 
 RTOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RevenueLadder:
-    """Products re-indexed by non-increasing revenue, plus the per-threshold
-    offer sets and their one-period statistics.
-
-    levels are the distinct revenues r_1 < ... < r_k; prefix l contains the
-    j(l) products priced at least r_l, so larger indices mean smaller sets.
-    expected_revenue[l-1] and purchase_probability[l-1] are the one-period
-    revenue and sale probability of offering prefix l.
-    """
-
-    order: tuple[int, ...]
-    levels: tuple
-    prefix_sizes: tuple[int, ...]
-    prefixes: tuple[frozenset, ...]
-    expected_revenue: tuple[float, ...]
-    purchase_probability: tuple[float, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.levels)
-
-
-def revenue_ladder(instance: AssortmentInstance) -> RevenueLadder:
-    """Precompute the nested revenue-ordered assortments of an instance."""
-    order = tuple(sorted(range(1, instance.n + 1), key=lambda x: (-instance.revenue_of(x), x)))
-    levels = instance.levels
-    prefix_sizes = []
-    prefixes = []
-    expected = []
-    sold = []
-    for level in levels:
-        size = sum(1 for x in order if instance.revenue_of(x) >= level)
-        members = frozenset(order[:size])
-        prefix_sizes.append(size)
-        prefixes.append(members)
-        expected.append(float(instance.assortment_revenue(members)))
-        sold.append(float(demand(instance.model, members)))
-    return RevenueLadder(order, levels, tuple(prefix_sizes), tuple(prefixes), tuple(expected), tuple(sold))
 
 
 class MultiPeriodInstance:
@@ -75,7 +42,6 @@ class MultiPeriodInstance:
         self._base = base
         self._horizon = horizon
         self._capacity = capacity
-        self._ladder = revenue_ladder(base)
 
     @property
     def base(self) -> AssortmentInstance:
@@ -91,25 +57,25 @@ class MultiPeriodInstance:
 
     @property
     def ladder(self) -> RevenueLadder:
-        return self._ladder
+        return self._base.ladder
 
 
 @dataclass(frozen=True)
 class DpTable:
     """Tabulated values of the capacity DP.
 
-    value[t][q] holds J_t(q); value_by_level[t][q][l-1] holds J_t(q, l);
-    lstar[t][q] is the least l attaining the cell maximum under the relative
-    equality tolerance (1 on boundary cells, where every choice is
-    worthless).  regularity_ok is None when the model was too large to
-    check.
+    value[t][q] holds J_t(q) = J_{t-1}(q) + max_l (R_l + P_l * delta) with
+    delta = -marginal(t-1, q); lstar[t][q] is the least l whose score
+    R_l + P_l * delta is within the relative tolerance of that maximum (1 on
+    boundary cells, where every choice is worthless).  The tolerance scales
+    with the score, not with J, so it does not grow with the horizon.
+    regularity_ok is None when the model was too large to check.
     """
 
     horizon: int
     capacity: int
     k: int
     value: tuple[tuple[float, ...], ...]
-    value_by_level: tuple[tuple[tuple[float, ...], ...], ...]
     lstar: tuple[tuple[int, ...], ...]
     regularity_ok: bool | None
 
@@ -128,46 +94,45 @@ def _argmin_level(values, best: float, rtol: float) -> int:
     raise AssertionError("the maximum is always within tolerance of itself")
 
 
+def _best_level(ladder: RevenueLadder, delta: float, rtol: float) -> tuple[int, float]:
+    """The least level maximising R_l + P_l * delta within tolerance, and
+    that maximum."""
+    scores = [r + p * delta for r, p in zip(ladder.expected_revenue, ladder.purchase_probability)]
+    best = max(scores)
+    return _argmin_level(scores, best, rtol), best
+
+
 def solve_dp(
     instance: MultiPeriodInstance,
     rtol: float = RTOL,
     check_regularity: bool = True,
     guard: int = 20,
 ) -> DpTable:
-    """Tabulate J, the per-threshold values, and the least optimal thresholds.
+    """Tabulate J and the least optimal thresholds.
 
     The monotonicity guarantees assume a regular model, so the table records a
     regularity verdict (a warning flag, not an error: the DP itself is well
     defined regardless).
     """
     ladder = instance.ladder
-    T, Q, k = instance.horizon, instance.capacity, ladder.k
+    T, Q = instance.horizon, instance.capacity
     regularity_ok: bool | None = None
     if check_regularity and instance.base.n <= guard:
         regularity_ok = check_axioms(instance.base.model, guard=guard).regularity.passed
 
     value = [[0.0] * (Q + 1) for _ in range(T + 1)]
-    by_level = [[[0.0] * k for _ in range(Q + 1)] for _ in range(T + 1)]
     lstar = [[1] * (Q + 1) for _ in range(T + 1)]
     for t in range(1, T + 1):
+        previous, row, choice = value[t - 1], value[t], lstar[t]
         for q in range(1, Q + 1):
-            cell = []
-            for level in range(k):
-                sell = ladder.purchase_probability[level]
-                gained = ladder.expected_revenue[level]
-                cell.append(
-                    gained + sell * value[t - 1][q - 1] + (1.0 - sell) * value[t - 1][q]
-                )
-            best = max(cell)
-            value[t][q] = best
-            by_level[t][q] = cell
-            lstar[t][q] = _argmin_level(cell, best, rtol)
+            # The same float DpTable.marginal(t - 1, q) returns, negated.
+            choice[q], best = _best_level(ladder, -(previous[q] - previous[q - 1]), rtol)
+            row[q] = previous[q] + best
     return DpTable(
         horizon=T,
         capacity=Q,
-        k=k,
+        k=ladder.k,
         value=tuple(tuple(row) for row in value),
-        value_by_level=tuple(tuple(tuple(cell) for cell in row) for row in by_level),
         lstar=tuple(tuple(row) for row in lstar),
         regularity_ok=regularity_ok,
     )
@@ -220,14 +185,11 @@ def lstar_delta(instance: AssortmentInstance, delta: float, rtol: float = RTOL) 
 
     The shift must keep the top revenue nonnegative.  As delta grows the
     result can only decrease (larger assortments become optimal), which is
-    what makes the DP thresholds monotone.
+    what makes the DP thresholds monotone.  With delta = -marginal(t-1, q)
+    this is the choice ``solve_dp`` makes at cell (t, q).
     """
-    ladder = revenue_ladder(instance)
+    ladder = instance.ladder
     top = ladder.levels[-1]
     if top + delta < -rtol * max(1.0, top):
         raise DeltaOutOfRange(f"shift {delta} drives the top revenue {top} negative")
-    values = [
-        ladder.expected_revenue[level] + ladder.purchase_probability[level] * delta
-        for level in range(ladder.k)
-    ]
-    return _argmin_level(values, max(values), rtol)
+    return _best_level(ladder, delta, rtol)[0]

@@ -87,6 +87,12 @@ class TestMixedMnl:
         with pytest.raises(ValueError):
             MixedMnlModel([(0.5, [0.0]), (0.6, [1.0])])
 
+    @pytest.mark.parametrize("weights", [(math.nan,), (math.nan, 1.0), (math.inf, 1.0)])
+    def test_rejects_non_finite_weights(self, weights):
+        # NaN compares false with both "< 0" and "sum differs from 1".
+        with pytest.raises(ValueError, match="finite"):
+            MixedMnlModel([(w, [float(i)]) for i, w in enumerate(weights)])
+
 
 class TestStochasticPreference:
     def test_hand_computed_probabilities(self):
@@ -104,6 +110,12 @@ class TestStochasticPreference:
             StochasticPreferenceModel(2, [(1.0, (1, 2))])
         with pytest.raises(ValueError):
             StochasticPreferenceModel(2, [(0.9, (0, 1, 2))])
+
+    @pytest.mark.parametrize("weights", [(math.nan,), (math.nan, 1.0), (math.inf, 1.0)])
+    def test_rejects_non_finite_weights(self, weights):
+        orders = [(0, 1, 2), (2, 1, 0)]
+        with pytest.raises(ValueError, match="finite"):
+            StochasticPreferenceModel(2, list(zip(weights, orders)))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(min_value=1, max_value=4))

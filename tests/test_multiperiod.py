@@ -209,6 +209,59 @@ class TestLstarAgreement:
                     shift = -table.marginal(t - 1, q)
                     assert table.lstar[t][q] == lstar_delta(instance.base, shift)
 
+    def test_tie_rule_ignores_the_continuation_value(self):
+        # Threshold 6 beats 5 by 9.4e-8 at (t, q) = (49, 40); a slack scaled by
+        # J_t(q) ~ 350 instead of by the ~1.7 of the shifted static problem
+        # swallows that difference.
+        rng = Random(2)
+        utilities = [rng.gauss(0, 1.5) for _ in range(8)]
+        revenue = [rng.uniform(0.5, 9.5) for _ in range(8)]
+        base = AssortmentInstance(MnlModel(utilities), revenue)
+        table = solve_dp(MultiPeriodInstance(base, 60, 60))
+        assert table.lstar[49][40] == 6
+        disagreeing = [
+            (t, q)
+            for t in range(1, 61)
+            for q in range(1, 61)
+            if table.lstar[t][q] != lstar_delta(base, -table.marginal(t - 1, q))
+        ]
+        assert disagreeing == []
+
+    def test_long_horizons(self):
+        rng = Random(80)
+        families = ["stochastic_preference", "mnl", "mixed_mnl", "mallows", "hfam"]
+        for i in range(40):
+            instance = random_multiperiod(
+                rng, family=families[i % 5], n_max=8, horizon_max=80, capacity_max=80
+            )
+            table = solve_dp(instance)
+            for t in range(1, table.horizon + 1):
+                for q in range(1, table.capacity + 1):
+                    assert table.lstar[t][q] == lstar_delta(instance.base, -table.marginal(t - 1, q))
+
+
+class CountingMnl(MnlModel):
+    def __init__(self, utilities):
+        super().__init__(utilities)
+        self.calls = 0
+
+    def evaluate(self, x, S):
+        self.calls += 1
+        return super().evaluate(x, S)
+
+
+def test_ladder_is_built_once_per_instance():
+    counts = []
+    for size in (5, 50):
+        model = CountingMnl([0.8, 0.1, -0.5, 0.3])
+        base = AssortmentInstance(model, [4.0, 2.0, 1.0, 3.0])
+        table = solve_dp(MultiPeriodInstance(base, size, size))
+        for t in range(1, size + 1):
+            for q in range(1, size + 1):
+                lstar_delta(base, -table.marginal(t - 1, q))
+        counts.append(model.calls)
+    assert counts[0] == counts[1] > 0
+
 
 def test_multiperiod_instance_validation():
     with pytest.raises(ValueError):
