@@ -31,6 +31,8 @@ class AssortmentInstance:
         for x, r in enumerate(revenue, start=1):
             if not r > 0:
                 raise NonPositiveRevenue(f"revenue of product {x} is {r}; must be > 0")
+            if isinstance(r, float) and not math.isfinite(r):
+                raise ValueError(f"revenue of product {x} is {r}; must be finite")
         self._model = model
         self._revenue = tuple(revenue)
 

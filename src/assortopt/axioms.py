@@ -17,11 +17,25 @@ first violating S in the canonical order of
 then scanned pair by pair, in the order of the full pair scan, to report the
 same witness and gap it would.  Probabilities are compared with an absolute
 tolerance of 1e-9; strict violations beyond tolerance fail.
+
+Exact tables (every entry an int or a Fraction, at least one a Fraction,
+as the pricing reductions produce) are integer-scaled: with D the lcm of
+all denominators, each entry p is read as the int p * D and 1 as D.  A test
+v > t on the table's values becomes the int test v * D > floor(t * D), which
+is exact, and each reported gap is converted back, so verdicts, witnesses
+and gaps are those of the Fraction arithmetic at a fraction of its cost.
+Float tables are not scaled.
+
+unavailable_zero holds by construction for every model that keeps
+:meth:`ChoiceModel.evaluate`, which returns 0.0 for an unoffered product;
+only a model that overrides ``evaluate`` is scanned over all (x, S) with x
+not in S.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,12 +85,39 @@ class AxiomReport:
 
 
 def _table(model: ChoiceModel, guard: int):
-    """The rows of every offer set in canonical order, and sold indexed by mask."""
+    """The rows of every offer set in canonical order, sold indexed by mask,
+    and the scale D of the table (None unless it is integer-scaled).
+
+    A table whose entries are all int or Fraction, at least one of them a
+    Fraction, is returned as the ints p * D, with D the lcm of all its
+    denominators; 1 becomes D.
+    """
     rows = list(offer_rows(model, guard))
+    entries = [p for _, _, row in rows for p in row]
+    scale = None
+    if any(isinstance(p, Fraction) for p in entries) and all(isinstance(p, (int, Fraction)) for p in entries):
+        denominators = {p.denominator for p in entries}
+        scale = math.lcm(*denominators)
+        factors = {d: scale // d for d in denominators}
+        rows = [
+            (subset, mask, tuple(p.numerator * factors[p.denominator] for p in row))
+            for subset, mask, row in rows
+        ]
     sold = [0] * (1 << model.n)
     for _, mask, row in rows:
         sold[mask] = sum(row)
-    return rows, sold
+    return rows, sold, scale
+
+
+def _threshold(value: float, scale: int | None):
+    """value on the table's scale: itself for an unscaled table, else
+    floor(value * D), so that v > threshold is exact for every int v."""
+    return value if scale is None else math.floor(Fraction(value) * scale)
+
+
+def _magnitude(value, scale: int | None) -> float:
+    """A table value (or difference) as the float a report carries."""
+    return float(value) if scale is None else float(Fraction(value, scale))
 
 
 def _superset_extreme(values: list, n: int, pick) -> list:
@@ -114,42 +155,44 @@ def check_axioms(model: ChoiceModel, guard: int = 20, atol: float = ATOL) -> Axi
     at-most-one-purchase axiom, and (x, S, S') for regularity.
     """
     n = model.n
-    rows, sold = _table(model, guard)
-    # On exact tables atol is converted once, not in every comparison; each
-    # comparison is exact either way, so verdicts do not depend on it.
-    tol = Fraction(atol) if any(isinstance(value, Fraction) for value in sold) else atol
+    rows, sold, scale = _table(model, guard)
+    one, tol = scale or 1, _threshold(atol, scale)
 
     nonnegativity = CheckResult(True)
     for subset, mask, row in rows:
         for x, p in zip(subset, row):
             if p < -tol:
-                nonnegativity = CheckResult(False, (x, frozenset(subset)), float(-p))
+                nonnegativity = CheckResult(False, (x, frozenset(subset)), _magnitude(-p, scale))
                 break
         else:
-            p0 = 1 - sold[mask]
+            p0 = one - sold[mask]
             if p0 < -tol:
-                nonnegativity = CheckResult(False, (0, frozenset(subset)), float(-p0))
+                nonnegativity = CheckResult(False, (0, frozenset(subset)), _magnitude(-p0, scale))
         if not nonnegativity.passed:
             break
 
+    # ChoiceModel.evaluate returns 0.0 for an unoffered product, so only a
+    # model that overrides evaluate can fail this check.
     unavailable_zero = CheckResult(True)
-    for subset, _, _ in rows:
-        S = frozenset(subset)
-        for x in range(1, n + 1):
-            if x in S:
-                continue
-            p = model.evaluate(x, S)
-            if abs(p) > atol:
-                unavailable_zero = CheckResult(False, (x, S), float(abs(p)))
+    if type(model).evaluate is not ChoiceModel.evaluate:
+        for subset, _, _ in rows:
+            S = frozenset(subset)
+            for x in range(1, n + 1):
+                if x in S:
+                    continue
+                p = model.evaluate(x, S)
+                if abs(p) > atol:
+                    unavailable_zero = CheckResult(False, (x, S), float(abs(p)))
+                    break
+            if not unavailable_zero.passed:
                 break
-        if not unavailable_zero.passed:
-            break
 
     substochastic = CheckResult(True)
+    cap = _threshold(1 + atol, scale)
     for subset, mask, _ in rows:
         total = sold[mask]
-        if total > 1 + atol:
-            substochastic = CheckResult(False, (frozenset(subset),), float(total - 1))
+        if total > cap:
+            substochastic = CheckResult(False, (frozenset(subset),), _magnitude(total - one, scale))
             break
 
     # Regularity: S violates iff some x in S has max_{S'} P(x, S') - P(x, S)
@@ -167,7 +210,7 @@ def check_axioms(model: ChoiceModel, guard: int = 20, atol: float = ATOL) -> Axi
                 flagged[mask] = True
     least = _superset_extreme(sold, n, min)
     for mask, (low, total) in enumerate(zip(least, sold)):
-        if (1 - low) - (1 - total) > tol:
+        if (one - low) - (one - total) > tol:
             flagged[mask] = True
 
     regularity = CheckResult(True)
@@ -179,10 +222,10 @@ def check_axioms(model: ChoiceModel, guard: int = 20, atol: float = ATOL) -> Axi
             for larger_mask, larger in _supersets(subset, mask, n):
                 for x, p in zip(subset, row):
                     yield x, larger, columns[x - 1][larger_mask] - p
-                yield 0, larger, (1 - sold[larger_mask]) - (1 - sold[mask])
+                yield 0, larger, (one - sold[larger_mask]) - (one - sold[mask])
 
         x, larger, drop = next(found for found in drops() if found[2] > tol)
-        regularity = CheckResult(False, (x, frozenset(subset), larger), float(drop))
+        regularity = CheckResult(False, (x, frozenset(subset), larger), _magnitude(drop, scale))
 
     return AxiomReport(nonnegativity, unavailable_zero, substochastic, regularity)
 
@@ -193,9 +236,10 @@ def check_purchase_monotonicity(model: ChoiceModel, guard: int = 20, atol: float
     The witness on failure is the pair (S, S').  Regular models always pass.
     """
     n = model.n
-    rows, sold = _table(model, guard)
+    rows, sold, scale = _table(model, guard)
+    tol = _threshold(atol, scale)
     least = _superset_extreme(sold, n, min)
-    flagged = [total > low + atol for total, low in zip(sold, least)]
+    flagged = [total > low + tol for total, low in zip(sold, least)]
     first = _first_flagged(rows, flagged)
     if first is None:
         return CheckResult(True)
@@ -203,9 +247,9 @@ def check_purchase_monotonicity(model: ChoiceModel, guard: int = 20, atol: float
     larger_mask, larger = next(
         (larger_mask, larger)
         for larger_mask, larger in _supersets(subset, mask, n)
-        if sold[mask] > sold[larger_mask] + atol
+        if sold[mask] > sold[larger_mask] + tol
     )
-    return CheckResult(False, (frozenset(subset), larger), float(sold[mask] - sold[larger_mask]))
+    return CheckResult(False, (frozenset(subset), larger), _magnitude(sold[mask] - sold[larger_mask], scale))
 
 
 def check_demand_submodularity(model: ChoiceModel, guard: int = 20, atol: float = ATOL) -> CheckResult:
@@ -217,7 +261,7 @@ def check_demand_submodularity(model: ChoiceModel, guard: int = 20, atol: float 
     Random-utility models pass; regularity alone does not imply a pass.
     """
     n = model.n
-    rows, sold = _table(model, guard)
+    rows, sold, scale = _table(model, guard)
 
     # worst is kept exact; flagged marks the offer sets S whose gap reaches it.
     worst = 0
@@ -234,7 +278,7 @@ def check_demand_submodularity(model: ChoiceModel, guard: int = 20, atol: float 
             for mask, gap in enumerate(gaps):
                 if gap == worst:
                     flagged[mask] = True
-    if not worst > atol:
+    if not worst > _threshold(atol, scale):
         return CheckResult(True)
 
     subset, mask, _ = _first_flagged(rows, flagged)
@@ -248,4 +292,4 @@ def check_demand_submodularity(model: ChoiceModel, guard: int = 20, atol: float 
         for x in range(1, n + 1)
         if gain(larger_mask, x) - gain(mask, x) == worst
     )
-    return CheckResult(False, witness, float(worst))
+    return CheckResult(False, witness, _magnitude(worst, scale))

@@ -58,7 +58,7 @@ USAGE_ERROR = 2
 
 def _emit(data: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(data, sort_keys=True))
+        print(json.dumps(data, sort_keys=True, allow_nan=False))
     else:
         for key, value in data.items():
             print(f"{key}: {value}")

@@ -90,15 +90,24 @@ class ChoiceModel:
         return self._products.n
 
     def evaluate(self, x: int, S: Iterable[int]):
-        """Probability of choosing x (a product or 0) from the offer set S."""
+        """Probability of choosing x (a product or 0) from the offer set S.
+
+        Subclasses customise _member_probability, _no_purchase and
+        _choice_row rather than this method, so that an unoffered product
+        always gets 0.0; check_axioms relies on that.
+        """
         members = self._as_subset(S)
         if x == 0:
-            return 1 - sum(self._member_probability(y, members) for y in sorted(members))
+            return self._no_purchase(members)
         if x not in self._products:
             raise ValueError(f"product {x} outside catalogue 1..{self.n}")
         if x not in members:
             return 0.0
         return self._member_probability(x, members)
+
+    def _no_purchase(self, S: Subset):
+        """Probability of choosing nothing from S."""
+        return 1 - sum(self._member_probability(y, S) for y in sorted(S))
 
     def _member_probability(self, x: int, S: Subset):
         """Probability of x in S, for x guaranteed to be a member of S."""
@@ -165,11 +174,18 @@ class TabularModel(ChoiceModel):
                     raise ValueError(f"table is missing the offer set {list(subset)}")
         self._table = normalised
 
-    def _member_probability(self, x: int, S: Subset):
+    def _row(self, S: Subset) -> dict[int, float]:
         row = self._table.get(S)
         if row is None:
             raise ValueError(f"offer set {sorted(S)} not covered by the table")
-        return row.get(x, 0.0)
+        return row
+
+    def _member_probability(self, x: int, S: Subset):
+        return self._row(S).get(x, 0.0)
+
+    def _choice_row(self, subset: tuple[int, ...]) -> tuple:
+        row = self._row(frozenset(subset))
+        return tuple(row.get(x, 0.0) for x in subset)
 
 
 class MnlModel(ChoiceModel):
@@ -181,6 +197,8 @@ class MnlModel(ChoiceModel):
     def __init__(self, mean_utilities: Sequence[float]):
         super().__init__(len(mean_utilities))
         self._utilities = tuple(float(v) for v in mean_utilities)
+        if not all(map(math.isfinite, self._utilities)):
+            raise ValueError(f"mean utilities must be finite, got {self._utilities}")
         self._weights = tuple(math.exp(v) for v in self._utilities)
 
     @property
@@ -290,15 +308,8 @@ class StochasticPreferenceModel(ChoiceModel):
         winners = self._winner_weights(frozenset(subset))
         return tuple(winners.get(x, 0.0) for x in subset)
 
-    def evaluate(self, x: int, S: Iterable[int]):
-        members = self._as_subset(S)
-        if x == 0:
-            return self._winner_weights(members).get(0, 0.0)
-        if x not in self._products:
-            raise ValueError(f"product {x} outside catalogue 1..{self.n}")
-        if x not in members:
-            return 0.0
-        return self._member_probability(x, members)
+    def _no_purchase(self, S: Subset) -> float:
+        return self._winner_weights(S).get(0, 0.0)
 
 
 def kendall_distance(a: Sequence[int], b: Sequence[int]) -> int:
@@ -329,6 +340,8 @@ class MallowsModel(ChoiceModel):
         n = len(order) - 1
         if frozenset(order) != frozenset(range(n + 1)):
             raise ValueError(f"{order} is not a permutation of 0..{n}")
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
         if theta < 0:
             raise ValueError("theta must be nonnegative")
         super().__init__(n)

@@ -189,6 +189,8 @@ def lstar_delta(instance: AssortmentInstance, delta: float, rtol: float = RTOL) 
     this is the choice ``solve_dp`` makes at cell (t, q).
     """
     ladder = instance.ladder
+    if not ladder.levels:
+        raise ValueError("l* is undefined for an empty catalogue")
     top = ladder.levels[-1]
     if top + delta < -rtol * max(1.0, top):
         raise DeltaOutOfRange(f"shift {delta} drives the top revenue {top} negative")

@@ -448,6 +448,13 @@ class StackelbergChoiceModel(ChoiceModel):
             return Fraction(1, blue_count)
         return Fraction(0)
 
+    def _choice_row(self, subset: tuple[int, ...]) -> tuple:
+        if not subset:
+            return ()
+        selection = self._selection(frozenset(subset))
+        share, zero = Fraction(1, len(self._instance.blue)), Fraction(0)
+        return tuple(share if self._pairs[x - 1] in selection else zero for x in subset)
+
 
 def reduce_to_assortment(instance: StackelbergInstance, guard: int = 20) -> AssortmentInstance:
     """Restate the pricing problem as an assortment problem.

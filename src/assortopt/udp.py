@@ -299,6 +299,10 @@ class _ReducedUdpModel(ChoiceModel):
     def _member_probability(self, x: int, S: Subset):
         return self._distribution(S).get(x, Fraction(0))
 
+    def _choice_row(self, subset: tuple[int, ...]) -> tuple:
+        distribution, zero = self._distribution(frozenset(subset)), Fraction(0)
+        return tuple(distribution.get(x, zero) for x in subset)
+
     def _consumer_average(self, S: Subset) -> dict[int, Fraction]:
         raise NotImplementedError
 
@@ -344,15 +348,15 @@ class RankPricingChoiceModel(_ReducedUdpModel):
         instance = self._instance
         m = instance.m
         floor = self._catalogue.floor_prices(S, instance.n)
-        totals: dict[int, Fraction] = {}
+        buyers: dict[int, int] = {}
         for consumer in instance.consumers:
             for x in consumer.ranking:
                 price = floor[x - 1]
                 if price <= consumer.valuations[x - 1]:
                     where = self._catalogue.index[(x, price)]
-                    totals[where] = totals.get(where, Fraction(0)) + Fraction(1, m)
+                    buyers[where] = buyers.get(where, 0) + 1
                     break
-        return totals
+        return {where: Fraction(count, m) for where, count in buyers.items()}
 
 
 def _reduce(instance, model_cls, guard: int) -> AssortmentInstance:

@@ -50,6 +50,10 @@ class TestInstance:
         with pytest.raises(NonPositiveRevenue):
             AssortmentInstance(MnlModel([0.0]), [-1.0])
 
+    def test_rejects_infinite_revenue(self):
+        with pytest.raises(ValueError, match="finite"):
+            AssortmentInstance(MnlModel([0.0, 0.0]), [1.0, math.inf])
+
 
 class TestRevenueOrdered:
     def test_single_product(self):

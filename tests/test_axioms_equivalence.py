@@ -25,7 +25,7 @@ from assortopt import (
     check_demand_submodularity,
     check_purchase_monotonicity,
 )
-from assortopt.axioms import ATOL
+from assortopt.axioms import ATOL, _table
 from assortopt.models import enumerate_subsets
 
 
@@ -259,3 +259,182 @@ def test_regularity_witness_at_second_to_last_offer_set(exact):
     report = check_axioms(model)
     assert report == ref_check_axioms(model)
     assert report.regularity.witness == (2, frozenset(tail), frozenset(full))
+
+
+# Exact tables: entries are int or Fraction, so the checkers compare the
+# integers p * D with D the lcm of the table's denominators.
+
+PRIMES = (999_983, 1_000_003, 1_000_033, 104_729, 7_919)
+
+
+def _scale_of(model):
+    return _table(model, 20)[2]
+
+
+def _coprime_table(rng, n):
+    """A perturbed MNL-like exact table whose entries have large pairwise
+    coprime denominators, so D is a product of several of them."""
+    weights = [rng.randint(1, 4) for _ in range(n)]
+    rate = rng.choice((0.0, 0.05, 0.3))
+    rows = {}
+    for subset in enumerate_subsets(n):
+        denom = 1 + sum(weights[x - 1] for x in subset)
+        row = {}
+        for x in subset:
+            q = rng.choice(PRIMES)
+            units = round(q * weights[x - 1] / denom)
+            if rng.random() < rate:
+                units += rng.choice((-q // 50, -1, 1, q // 40))
+            row[x] = Fraction(units, q)
+        rows[subset] = row
+    return TabularModel(n, rows, validate=False)
+
+
+def test_coprime_denominator_tables_match_pair_scans():
+    rng = Random(4242)
+    failures = {"regularity": 0, "monotonicity": 0, "submodularity": 0}
+    for _ in range(60):
+        model = _coprime_table(rng, rng.randint(1, 5))
+        assert _scale_of(model) is not None
+        report = check_axioms(model)
+        assert report == ref_check_axioms(model)
+        monotone = check_purchase_monotonicity(model)
+        assert monotone == ref_purchase_monotonicity(model)
+        submodular = check_demand_submodularity(model)
+        assert submodular == ref_demand_submodularity(model)
+        failures["regularity"] += not report.regularity.passed
+        failures["monotonicity"] += not monotone.passed
+        failures["submodularity"] += not submodular.passed
+    assert all(count >= 10 for count in failures.values()), failures
+
+
+def _two_products(p1, p2, p12_1, p12_2):
+    """The table P(1, {1}) = p1, P(2, {2}) = p2, P(., {1, 2}) = (p12_1, p12_2)."""
+    rows = {(): {}, (1,): {1: p1}, (2,): {2: p2}, (1, 2): {1: p12_1, 2: p12_2}}
+    return TabularModel(2, rows, validate=False)
+
+
+def test_integer_and_float_tables_are_not_scaled():
+    assert _scale_of(_two_products(1, 0, 1, 0)) is None
+    assert _scale_of(_two_products(0.5, 0.5, 0.25, 0.25)) is None
+    assert _scale_of(_two_products(Fraction(1, 2), 0.25, 0, 0)) is None
+
+
+TOL = Fraction(ATOL)
+CAP = Fraction(1 + ATOL)  # the float 1 + ATOL, read exactly
+
+
+@pytest.mark.parametrize("excess", [0, 1], ids=["at_atol", "one_unit_above"])
+def test_regularity_rise_at_the_tolerance(excess):
+    # P(1, .) rises by ATOL (+ 1/D) from {1} to {1, 2}; the entry 1/D pins
+    # the table's scale to D.
+    D = 3 * TOL.denominator
+    unit = Fraction(1, D)
+    model = _two_products(Fraction(1, 3), unit, Fraction(1, 3) + TOL + excess * unit, unit)
+    assert _scale_of(model) == D
+    report = check_axioms(model)
+    assert report == ref_check_axioms(model)
+    if excess:
+        witness = (1, frozenset({1}), frozenset({1, 2}))
+        assert report.regularity == CheckResult(False, witness, float(TOL + unit))
+    else:
+        assert report.regularity.passed
+
+
+@pytest.mark.parametrize("excess", [0, 1], ids=["at_atol", "one_unit_above"])
+def test_negative_entry_at_the_tolerance(excess):
+    D = 7 * TOL.denominator
+    unit = Fraction(1, D)
+    model = _two_products(-TOL - excess * unit, unit, Fraction(2, 7), Fraction(3, 7))
+    assert _scale_of(model) == D
+    report = check_axioms(model)
+    assert report == ref_check_axioms(model)
+    if excess:
+        assert report.nonnegativity == CheckResult(False, (1, frozenset({1})), float(TOL + unit))
+    else:
+        assert report.nonnegativity.passed
+
+
+def test_negative_exact_entries_fail_nonnegativity():
+    model = _two_products(Fraction(1, 3), Fraction(-5, 11), Fraction(1, 3), Fraction(1, 11))
+    report = check_axioms(model)
+    assert report == ref_check_axioms(model)
+    assert report.nonnegativity == CheckResult(False, (2, frozenset({2})), 5 / 11)
+
+    # A negative no-purchase share: sold({1, 2}) = 19/15.
+    model = _two_products(Fraction(4, 5), Fraction(1, 3), Fraction(2, 3), Fraction(3, 5))
+    report = check_axioms(model)
+    assert report == ref_check_axioms(model)
+    assert report.nonnegativity == CheckResult(False, (0, frozenset({1, 2})), float(Fraction(4, 15)))
+    assert report.substochastic == CheckResult(False, (frozenset({1, 2}),), float(Fraction(4, 15)))
+
+
+@pytest.mark.parametrize("excess", [0, 1], ids=["at_cap", "one_unit_above"])
+def test_sold_at_one_plus_atol(excess):
+    D = 3 * CAP.denominator
+    unit = Fraction(1, D)
+    model = _two_products(Fraction(1, 3), unit, Fraction(1, 3), CAP - Fraction(1, 3) + excess * unit)
+    assert _scale_of(model) == D
+    report = check_axioms(model)
+    assert report == ref_check_axioms(model)
+    if excess:
+        assert report.substochastic == CheckResult(False, (frozenset({1, 2}),), float(CAP + unit - 1))
+    else:
+        assert report.substochastic.passed
+
+
+def test_exact_monotonicity_witness():
+    # Demand falls from 1/2 on {2} to 1/2 - 1/15 on {1, 2, 3}; the first S
+    # in canonical order with a falling superset is {2}.
+    third, fifth = Fraction(1, 3), Fraction(1, 5)
+    rows = {
+        (): {},
+        (1,): {1: third},
+        (2,): {2: Fraction(1, 2)},
+        (3,): {3: fifth},
+        (1, 2): {1: third, 2: fifth},
+        (1, 3): {1: third, 3: fifth},
+        (2, 3): {2: Fraction(1, 2), 3: fifth},
+        (1, 2, 3): {1: fifth, 2: fifth, 3: Fraction(1, 30)},
+    }
+    model = TabularModel(3, rows, validate=False)
+    result = check_purchase_monotonicity(model)
+    assert result == ref_purchase_monotonicity(model)
+    assert result == CheckResult(False, (frozenset({2}), frozenset({1, 2, 3})), float(Fraction(1, 15)))
+
+
+def test_exact_submodularity_witness():
+    # Adding 3 gains 1/7 after {} but 1/7 + 2/11 after {1, 2}: demand is
+    # supermodular there, and the first maximal triple is ({}, {1, 2}, 3).
+    rows = {
+        (): {},
+        (1,): {1: Fraction(1, 5)},
+        (2,): {2: Fraction(1, 5)},
+        (3,): {3: Fraction(1, 7)},
+        (1, 2): {1: Fraction(1, 5), 2: Fraction(1, 5)},
+        (1, 3): {1: Fraction(1, 5), 3: Fraction(1, 7)},
+        (2, 3): {2: Fraction(1, 5), 3: Fraction(1, 7)},
+        (1, 2, 3): {1: Fraction(1, 5), 2: Fraction(1, 5), 3: Fraction(1, 7) + Fraction(2, 11)},
+    }
+    model = TabularModel(3, rows, validate=False)
+    result = check_demand_submodularity(model)
+    assert result == ref_demand_submodularity(model)
+    assert result == CheckResult(False, (frozenset(), frozenset({1, 2}), 3), float(Fraction(2, 11)))
+
+
+class _LeakyMnl(MnlModel):
+    """Puts probability on product 2 whenever 1 is offered without it."""
+
+    def evaluate(self, x, S):
+        members = frozenset(S)
+        if x == 2 and 1 in members and 2 not in members:
+            return 0.25
+        return super().evaluate(x, S)
+
+
+def test_evaluate_override_that_leaks_fails_unavailable_zero():
+    model = _LeakyMnl([0.2, -0.4, 1.0])
+    report = check_axioms(model)
+    assert report == ref_check_axioms(model)
+    assert report.unavailable_zero == CheckResult(False, (2, frozenset({1})), 0.25)
+    assert report.regularity.passed

@@ -1,10 +1,11 @@
 """Command-line behaviour: outputs, exit codes, and determinism."""
 
 import json
+import math
 
 import pytest
 
-from assortopt.cli import main
+from assortopt.cli import _emit, main
 from assortopt.io import dumps
 from assortopt.models import TabularModel
 from assortopt.io import instance_to_dict
@@ -32,6 +33,13 @@ def test_gen_env_seed(tmp_path, capsys, monkeypatch):
     out_flag = tmp_path / "flag.json"
     assert main(["gen", "udp_min", "--seed", "33", "-o", str(out_flag)]) == 0
     assert out_env.read_bytes() == out_flag.read_bytes()
+
+
+def test_json_output_refuses_nan(capsys):
+    # json.dumps would otherwise print the bare token NaN, which is not JSON.
+    with pytest.raises(ValueError, match="JSON compliant"):
+        _emit({"ratio": math.nan}, True)
+    assert capsys.readouterr().out == ""
 
 
 def test_solve_reports_opt_revord_ratio_bounds(tmp_path, capsys):

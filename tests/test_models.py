@@ -58,6 +58,11 @@ class TestMnl:
                 assert model.evaluate(x, S) == math.exp(utilities[x - 1]) / denom
         assert model.evaluate(2, {1, 3}) == 0.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_utilities(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MnlModel([0.0, bad])
+
     def test_completeness(self):
         model = MnlModel([0.5, -0.5, 1.0, 0.0])
         for subset in enumerate_subsets(4):
@@ -148,6 +153,12 @@ class TestKendall:
 
 
 class TestMallows:
+    @pytest.mark.parametrize("theta", [math.nan, math.inf])
+    def test_rejects_non_finite_theta(self, theta):
+        # NaN compares false with "< 0", so the sign check alone accepts it.
+        with pytest.raises(ValueError, match="finite"):
+            MallowsModel((0, 1, 2), theta)
+
     def test_theta_zero_is_uniform(self):
         expanded = expand_ranking_model(MallowsModel((0, 1, 2), 0.0))
         weights = [w for w, _ in expanded.rankings]

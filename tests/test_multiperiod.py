@@ -196,6 +196,10 @@ class TestLstarDelta:
         with pytest.raises(DeltaOutOfRange):
             lstar_delta(mnl_instance(), -4.5)
 
+    def test_empty_catalogue_is_a_value_error(self):
+        with pytest.raises(ValueError, match="empty catalogue"):
+            lstar_delta(AssortmentInstance(MnlModel([]), []), 0.0)
+
 
 class TestLstarAgreement:
     def test_table_matches_shifted_static_problem(self):
