@@ -57,6 +57,7 @@ from .multiperiod import (
     revenue_ladder,
     solve_dp,
 )
+from .reductions import ReductionReport, verify_reduction
 from .stackelberg import (
     FunctionMatroid,
     GraphicMatroid,

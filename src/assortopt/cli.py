@@ -1,7 +1,7 @@
 """Command-line surface: generate, solve, verify, and batch-check instances.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad usage or
-unreadable input.
+Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad usage, or
+an instance file that is unreadable, malformed, invalid or of the wrong kind.
 """
 
 from __future__ import annotations
@@ -24,12 +24,7 @@ from .assortment import (
 from .axioms import check_axioms
 from .errors import InvalidParams, RegularityViolation
 from .generators import generate
-from .io import (
-    dumps,
-    instance_from_dict,
-    instance_to_dict,
-    loads,
-)
+from .io import dumps, instance_from_dict, instance_to_dict, loads
 from .multiperiod import (
     MultiPeriodInstance,
     check_marginal_value,
@@ -37,21 +32,9 @@ from .multiperiod import (
     lstar_delta,
     solve_dp,
 )
-from .stackelberg import (
-    StackelbergInstance,
-    brute_force_stackelberg,
-    reduce_to_assortment,
-    uniform_pricing_stackelberg,
-)
-from .udp import (
-    UNPRICED,
-    UdpMinInstance,
-    UdpRankInstance,
-    brute_force_pricing,
-    reduce_min_to_assortment,
-    reduce_rank_to_assortment,
-    uniform_pricing,
-)
+from .reductions import reduce_pricing, solve_pricing, verify_reduction
+from .stackelberg import StackelbergInstance
+from .udp import UNPRICED, UdpMinInstance, UdpRankInstance
 
 USAGE_ERROR = 2
 
@@ -64,16 +47,34 @@ def _emit(data: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
-def _read_file(path: str) -> dict:
+def _load(path: str, *kinds: str):
+    """The instance in the file at ``path``, which must be one of ``kinds``.
+
+    A multiperiod file passes as its one-period base unless ``kinds``
+    accepts multiperiod instances.  An unreadable, malformed or invalid
+    file, or one of another kind, exits with a one-line message.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return loads(handle.read())
-    except (OSError, json.JSONDecodeError) as error:
+            data = loads(handle.read())
+    except (OSError, ValueError) as error:
         raise SystemExit(f"cannot read {path}: {error}")
+    try:
+        instance = instance_from_dict(data)
+    except KeyError as error:
+        raise SystemExit(f"invalid instance file {path}: missing key {error}")
+    except (TypeError, ValueError) as error:
+        raise SystemExit(f"invalid instance file {path}: {error}")
+    kind = data["kind"]
+    if kind == "multiperiod" and kind not in kinds:
+        instance, kind = instance.base, "assortment"
+    if kind not in kinds:
+        raise SystemExit(f"{path} holds a {kind} instance; expected {' or '.join(kinds)}")
+    return instance
 
 
-def _price_list(prices) -> list:
-    return ["inf" if p == UNPRICED else p for p in prices]
+def _price(p):
+    return "inf" if p == UNPRICED else p
 
 
 def _bounds_dict(report) -> dict:
@@ -125,145 +126,67 @@ def _solve_assortment(instance: AssortmentInstance, args) -> dict:
 
 
 def _cmd_solve(args) -> int:
-    instance = instance_from_dict(_read_file(args.file))
-    if isinstance(instance, MultiPeriodInstance):
-        instance = instance.base
-    if not isinstance(instance, AssortmentInstance):
-        print("solve expects an assortment instance", file=sys.stderr)
-        return USAGE_ERROR
+    instance = _load(args.file, "assortment")
     _emit(_solve_assortment(instance, args), args.json)
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    instance = instance_from_dict(_read_file(args.file))
-    if isinstance(instance, MultiPeriodInstance):
-        instance = instance.base
-    if not isinstance(instance, AssortmentInstance):
-        print("bounds expects an assortment instance", file=sys.stderr)
-        return USAGE_ERROR
+    instance = _load(args.file, "assortment")
     optimum = brute_force_optimum(instance, guard=args.guard_n) if args.with_optimal else None
     _emit({"bounds": _bounds_dict(compute_bounds(instance, optimal=optimum))}, args.json)
     return 0
 
 
-def _cmd_udp(args) -> int:
-    instance = instance_from_dict(_read_file(args.file))
-    if not isinstance(instance, (UdpMinInstance, UdpRankInstance)):
-        print("expected a udp_min or udp_rank instance", file=sys.stderr)
-        return USAGE_ERROR
-    reduce = (
-        reduce_min_to_assortment if isinstance(instance, UdpMinInstance) else reduce_rank_to_assortment
-    )
+def _cmd_pricing(args) -> int:
+    instance = _load(args.file, *args.kinds)
     if args.action == "solve":
-        uniform = uniform_pricing(instance)
-        exact = brute_force_pricing(instance)
+        uniform, exact = solve_pricing(instance)
+        if isinstance(exact.prices, dict):
+            prices = {str(e): _price(p) for e, p in sorted(exact.prices.items())}
+        else:
+            prices = [_price(p) for p in exact.prices]
         _emit(
             {
                 "uniform_price": uniform.price,
                 "uniform_revenue": uniform.revenue,
                 "opt_revenue": exact.revenue,
-                "opt_prices": _price_list(exact.prices),
+                "opt_prices": prices,
             },
             args.json,
         )
         return 0
     if args.action == "reduce":
-        reduced = reduce(instance, guard=args.guard_n)
+        reduced = reduce_pricing(instance, guard=args.guard_n)
         sys.stdout.write(dumps(instance_to_dict(reduced, kind="assortment")))
         return 0
-    reduced = reduce(instance, guard=args.guard_n)
-    exact = brute_force_pricing(instance)
-    reduced_opt = brute_force_optimum(reduced, guard=args.guard_n)
-    axioms = check_axioms(reduced.model, guard=args.guard_n)
-    uniform = uniform_pricing(instance)
-    heuristic = revenue_ordered(reduced)
-    pointwise = len(uniform.candidates) == len(heuristic.candidates) and all(
-        u_rev == r_rev
-        for (_, u_rev), (_, r_rev) in zip(uniform.candidates, heuristic.candidates)
+    report = verify_reduction(instance, guard=args.guard_n)
+    _emit(
+        {
+            "opt_pricing": report.opt_pricing,
+            "opt_assortment": float(report.opt_assortment),
+            "opt_match": report.opt_match,
+            "axioms_pass": report.axioms_pass,
+            "uniform_equals_revenue_ordered": report.uniform_equals_revenue_ordered,
+            "passed": report.passed,
+        },
+        args.json,
     )
-    report = {
-        "opt_pricing": exact.revenue,
-        "opt_assortment": float(reduced_opt.revenue),
-        "opt_match": reduced_opt.revenue == exact.revenue,
-        "axioms_pass": axioms.passed,
-        "uniform_equals_revenue_ordered": pointwise,
-    }
-    passed = report["opt_match"] and axioms.passed and pointwise
-    report["passed"] = passed
-    _emit(report, args.json)
-    return 0 if passed else 1
-
-
-def _cmd_stackelberg(args) -> int:
-    instance = instance_from_dict(_read_file(args.file))
-    if not isinstance(instance, StackelbergInstance):
-        print("expected a stackelberg instance", file=sys.stderr)
-        return USAGE_ERROR
-    if args.action == "solve":
-        uniform = uniform_pricing_stackelberg(instance)
-        exact = brute_force_stackelberg(instance)
-        _emit(
-            {
-                "uniform_price": uniform.price,
-                "uniform_revenue": uniform.revenue,
-                "opt_revenue": exact.revenue,
-                "opt_prices": {
-                    str(e): ("inf" if p == UNPRICED else p) for e, p in sorted(exact.prices.items())
-                },
-            },
-            args.json,
-        )
-        return 0
-    if args.action == "reduce":
-        reduced = reduce_to_assortment(instance, guard=args.guard_n)
-        sys.stdout.write(dumps(instance_to_dict(reduced, kind="assortment")))
-        return 0
-    reduced = reduce_to_assortment(instance, guard=args.guard_n)
-    exact = brute_force_stackelberg(instance)
-    reduced_opt = brute_force_optimum(reduced, guard=args.guard_n)
-    axioms = check_axioms(reduced.model, guard=args.guard_n)
-    uniform = uniform_pricing_stackelberg(instance)
-    heuristic = revenue_ordered(reduced)
-    if reduced.n == 0:
-        # Nothing priceable: every uniform candidate must be worthless.
-        pointwise = all(u_rev == 0 for _, u_rev in uniform.candidates)
-    else:
-        pointwise = len(uniform.candidates) == len(heuristic.candidates) and all(
-            u_rev == r_rev
-            for (_, u_rev), (_, r_rev) in zip(uniform.candidates, heuristic.candidates)
-        )
-    report = {
-        "opt_pricing": exact.revenue,
-        "opt_assortment": float(reduced_opt.revenue),
-        "opt_match": reduced_opt.revenue == exact.revenue,
-        "axioms_pass": axioms.passed,
-        "uniform_equals_revenue_ordered": pointwise,
-    }
-    passed = report["opt_match"] and axioms.passed and pointwise
-    report["passed"] = passed
-    _emit(report, args.json)
-    return 0 if passed else 1
+    return 0 if report.passed else 1
 
 
 def _cmd_multiperiod(args) -> int:
-    data = _read_file(args.file)
-    instance = instance_from_dict(data)
+    instance = _load(args.file, "assortment", "multiperiod")
     if isinstance(instance, AssortmentInstance):
         if args.T is None or args.Q is None:
-            print("an assortment instance needs --T and --Q", file=sys.stderr)
-            return USAGE_ERROR
+            raise SystemExit("an assortment instance needs --T and --Q")
         instance = MultiPeriodInstance(instance, args.T, args.Q)
-    elif isinstance(instance, MultiPeriodInstance):
-        if args.T is not None or args.Q is not None:
-            instance = MultiPeriodInstance(
-                instance.base,
-                args.T if args.T is not None else instance.horizon,
-                args.Q if args.Q is not None else instance.capacity,
-            )
-    else:
-        print("expected an assortment or multiperiod instance", file=sys.stderr)
-        return USAGE_ERROR
+    elif args.T is not None or args.Q is not None:
+        instance = MultiPeriodInstance(
+            instance.base,
+            args.T if args.T is not None else instance.horizon,
+            args.Q if args.Q is not None else instance.capacity,
+        )
     table = solve_dp(instance, guard=args.guard_n)
     report: dict = {
         "horizon": table.horizon,
@@ -332,33 +255,8 @@ def _suite_check_file(path: str, checks: list[str], guard: int) -> dict:
     if isinstance(instance, AssortmentInstance):
         run("axioms", lambda: check_axioms(instance.model, guard=guard).passed)
         run("guarantees", lambda: verify_guarantee(instance, guard=guard).passed)
-    elif isinstance(instance, (UdpMinInstance, UdpRankInstance)):
-        reduce = (
-            reduce_min_to_assortment
-            if isinstance(instance, UdpMinInstance)
-            else reduce_rank_to_assortment
-        )
-
-        def reduction_ok() -> bool:
-            reduced = reduce(instance, guard=guard)
-            return (
-                brute_force_optimum(reduced, guard=guard).revenue
-                == brute_force_pricing(instance).revenue
-                and check_axioms(reduced.model, guard=guard).passed
-            )
-
-        run("reduction", reduction_ok)
-    elif isinstance(instance, StackelbergInstance):
-
-        def reduction_ok() -> bool:
-            reduced = reduce_to_assortment(instance, guard=guard)
-            return (
-                brute_force_optimum(reduced, guard=guard).revenue
-                == brute_force_stackelberg(instance).revenue
-                and check_axioms(reduced.model, guard=guard).passed
-            )
-
-        run("reduction", reduction_ok)
+    elif isinstance(instance, (UdpMinInstance, UdpRankInstance, StackelbergInstance)):
+        run("reduction", lambda: verify_reduction(instance, guard=guard).passed)
     elif isinstance(instance, MultiPeriodInstance):
 
         def monotone_ok() -> bool:
@@ -421,13 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     udp.add_argument("action", choices=["solve", "reduce", "verify"])
     udp.add_argument("file")
     udp.add_argument("--json", action="store_true")
-    udp.set_defaults(func=_cmd_udp)
+    udp.set_defaults(func=_cmd_pricing, kinds=("udp_min", "udp_rank"))
 
     stackelberg = sub.add_parser("stackelberg", help="matroid pricing commands")
     stackelberg.add_argument("action", choices=["solve", "reduce", "verify"])
     stackelberg.add_argument("file")
     stackelberg.add_argument("--json", action="store_true")
-    stackelberg.set_defaults(func=_cmd_stackelberg)
+    stackelberg.set_defaults(func=_cmd_pricing, kinds=("stackelberg",))
 
     multiperiod = sub.add_parser("multiperiod", help="capacity DP over revenue-ordered assortments")
     multiperiod.add_argument("file")

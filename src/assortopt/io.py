@@ -178,7 +178,14 @@ def instance_to_dict(instance, kind: str | None = None, seed: int | None = None)
 
 
 def instance_from_dict(data: dict):
-    """Rebuild a problem instance from an instance-file dict."""
+    """Rebuild a problem instance; a bad dict raises KeyError, TypeError or ValueError."""
+    try:
+        return _build_instance(data)
+    except OverflowError as error:  # a number beyond the float range
+        raise ValueError(f"number out of range: {error}") from error
+
+
+def _build_instance(data: dict):
     kind = data["kind"]
     payload = data["payload"]
     if kind == "assortment":

@@ -12,6 +12,7 @@ are memoisation only and never change observable behaviour.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -260,13 +261,15 @@ class StochasticPreferenceModel(ChoiceModel):
         super().__init__(n)
         if not rankings:
             raise ValueError("at least one ranking is required")
-        expected = frozenset(range(n + 1))
+        expected = None  # {0..n}, built once a ranking's length vouches for n
         weights = []
         positions = []
         orders = []
         for weight, order in rankings:
             order = tuple(order)
-            if frozenset(order) != expected or len(order) != n + 1:
+            if expected is None and len(order) == n + 1:
+                expected = frozenset(range(n + 1))
+            if len(order) != n + 1 or frozenset(order) != expected:
                 raise ValueError(f"{order} is not a permutation of 0..{n}")
             if not math.isfinite(weight):
                 raise ValueError(f"ranking weight {weight} is not finite")
@@ -554,15 +557,17 @@ class TightExampleModel(ChoiceModel):
             raise ValueError("k must be at least 1")
         if not 0 < epsilon <= 0.5:
             raise InvalidEpsilon(f"epsilon must lie in (0, 1/2], got {epsilon}")
-        super().__init__(k * (k + 1) // 2)
+        super().__init__(math.comb(k + 1, 2))
         self._k = k
         self._epsilon = float(epsilon)
-        pairs = []
-        for i in range(1, k + 1):
-            for j in range(1, i + 1):
-                pairs.append((i, j))
-        self._pairs = tuple(pairs)
-        self._index = {pair: where + 1 for where, pair in enumerate(pairs)}
+
+    @functools.cached_property  # on first use: a file naming a huge k must not exhaust memory
+    def _pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple((i, j) for i in range(1, self._k + 1) for j in range(1, i + 1))
+
+    @functools.cached_property
+    def _index(self) -> dict[tuple[int, int], int]:
+        return {pair: where + 1 for where, pair in enumerate(self._pairs)}
 
     @property
     def k(self) -> int:

@@ -46,10 +46,11 @@ class UdpMinInstance:
     def __init__(self, n: int, consumers: Sequence[tuple[Iterable[int], float]]):
         if n < 1:
             raise ValueError("at least one item is required")
+        items = range(1, n + 1)
         parsed = []
         for bundle, valuation in consumers:
             members = frozenset(bundle)
-            if not members or not members <= frozenset(range(1, n + 1)):
+            if not members or not all(isinstance(i, int) and i in items for i in members):
                 raise ValueError(f"bundle {sorted(members)} must be a nonempty subset of 1..{n}")
             if not valuation > 0:
                 raise ValueError("valuations must be positive")
@@ -86,7 +87,7 @@ class UdpRankInstance:
         parsed = []
         for ranking, valuations in consumers:
             order = tuple(ranking)
-            if frozenset(order) != frozenset(range(1, n + 1)):
+            if len(order) != n or frozenset(order) != frozenset(range(1, n + 1)):
                 raise ValueError(f"{order} is not a permutation of 1..{n}")
             values = tuple(valuations)
             if len(values) != n:

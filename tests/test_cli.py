@@ -1,11 +1,14 @@
 """Command-line behaviour: outputs, exit codes, and determinism."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
 from assortopt.cli import _emit, main
+from assortopt.io import instance_from_dict
+from assortopt.udp import UNPRICED, PricingSolution, UdpMinInstance, uniform_pricing
 from assortopt.io import dumps
 from assortopt.models import TabularModel
 from assortopt.io import instance_to_dict
@@ -173,3 +176,127 @@ def test_bad_usage_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+def _mnl_with_nan_utility(path):
+    assert main(["gen", "assortment", "--family", "mnl", "--seed", "4", "-o", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["payload"]["model"]["mean_utilities"][0] = math.nan
+    path.write_text(json.dumps(data))  # the NaN token, which json.loads accepts
+
+
+INVALID_FILES = {
+    "no_payload": lambda path: path.write_text('{"kind": "assortment"}'),
+    "top_level_list": lambda path: path.write_text("[1, 2]"),
+    "nan_utility": _mnl_with_nan_utility,
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "FILE"],
+        ["bounds", "FILE"],
+        ["udp", "verify", "FILE"],
+        ["stackelberg", "verify", "FILE"],
+        ["multiperiod", "FILE", "--T", "2", "--Q", "2"],
+    ],
+    ids=lambda command: " ".join(command),
+)
+@pytest.mark.parametrize("make", INVALID_FILES.values(), ids=INVALID_FILES.keys())
+def test_invalid_instance_file_exits_2(tmp_path, capsys, command, make):
+    path = tmp_path / "bad.json"
+    make(path)
+    capsys.readouterr()
+    assert main([str(path) if arg == "FILE" else arg for arg in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "invalid instance file" in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, kind",
+    [
+        (["udp", "verify"], "assortment"),
+        (["stackelberg", "solve"], "udp_min"),
+        (["solve"], "udp_rank"),
+        (["multiperiod"], "stackelberg"),
+    ],
+)
+def test_wrong_kind_exits_2(tmp_path, capsys, command, kind):
+    path = tmp_path / "other.json"
+    assert main(["gen", kind, "--seed", "1", "-o", str(path)]) == 0
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"holds a {kind} instance" in captured.err
+
+
+def test_verify_and_suite_agree_on_a_candidate_mismatch(tmp_path, capsys, monkeypatch):
+    def off_by_one(instance):
+        result = uniform_pricing(instance)
+        (level, revenue), *rest = result.candidates
+        return dataclasses.replace(result, candidates=((level, revenue + 1), *rest))
+
+    monkeypatch.setattr("assortopt.reductions.uniform_pricing", off_by_one)
+    path = tmp_path / "udp.json"
+    assert main(["gen", "udp_min", "--seed", "6", "-o", str(path)]) == 0
+    code, out = run(capsys, "udp", "verify", str(path), "--json")
+    assert code == 1
+    report = json.loads(out)
+    assert report["uniform_equals_revenue_ordered"] is False and report["passed"] is False
+    code, out = run(capsys, "suite", str(path))
+    assert code == 1
+    assert json.loads(out)["checks"]["reduction"] is False
+
+
+@pytest.mark.parametrize("command, kind", [("udp", "udp_rank"), ("stackelberg", "stackelberg")])
+def test_verify_report_keys(tmp_path, capsys, command, kind):
+    path = tmp_path / "inst.json"
+    assert main(["gen", kind, "--seed", "2", "-o", str(path)]) == 0
+    code, out = run(capsys, command, "verify", str(path), "--json")
+    assert code == 0
+    assert set(json.loads(out)) == {
+        "opt_pricing",
+        "opt_assortment",
+        "opt_match",
+        "axioms_pass",
+        "uniform_equals_revenue_ordered",
+        "passed",
+    }
+    code, out = run(capsys, command, "verify", str(path))
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "opt_pricing",
+        "opt_assortment",
+        "opt_match",
+        "axioms_pass",
+        "uniform_equals_revenue_ordered",
+        "passed",
+    ]
+
+
+def test_udp_solve_writes_inf_for_an_unpriced_item(tmp_path, capsys, monkeypatch):
+    # The exact optimum never needs UNPRICED without a price ladder (the top
+    # valuation level earns at least as much), so leave item 2 unpriced here.
+    def item_two_unpriced(instance):
+        top = instance.valuation_levels[-1]
+        return PricingSolution((top, UNPRICED), 0.0)
+
+    monkeypatch.setattr("assortopt.reductions.brute_force_pricing", item_two_unpriced)
+    path = tmp_path / "udp.json"
+    path.write_text(dumps(instance_to_dict(UdpMinInstance(2, [([1], 3.0), ([1, 2], 5.0)]))))
+    code, out = run(capsys, "udp", "solve", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["opt_prices"] == [5.0, "inf"]
+
+
+def test_stackelberg_solve_keys_prices_by_edge(tmp_path, capsys):
+    path = tmp_path / "st.json"
+    assert main(["gen", "stackelberg", "--seed", "8", "-o", str(path)]) == 0
+    instance = instance_from_dict(json.loads(path.read_text()))
+    code, out = run(capsys, "stackelberg", "solve", str(path), "--json")
+    assert code == 0
+    prices = json.loads(out)["opt_prices"]
+    assert isinstance(prices, dict)
+    assert set(prices) == {str(edge) for edge in instance.blue}

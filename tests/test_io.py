@@ -1,10 +1,13 @@
 """Serialisation round trips and generator determinism."""
 
+import copy
 from random import Random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from assortopt import (
+    AssortmentInstance,
     CoverageCapacity,
     HfamModel,
     MallowsModel,
@@ -140,3 +143,65 @@ class TestGenerate:
             data = generate("stackelberg", None, {}, seed=seed)
             instance = instance_from_dict(data)  # constructor re-validates
             assert instance.cost_levels
+
+
+# Files that reach every constructor: one generated file per kind, and one
+# assortment file per model descriptor type.
+VALID_FILES = [
+    loads(dumps(generate(kind, None, {}, seed=1)))
+    for kind in ("assortment", "multiperiod", "udp_min", "udp_rank", "stackelberg")
+] + [loads(dumps(instance_to_dict(AssortmentInstance(model, [1.0] * model.n)))) for model in MODELS]
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid instance file with one to three values replaced by any JSON, or deleted."""
+    data = copy.deepcopy(draw(st.sampled_from(VALID_FILES)))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(data))))
+        if not path:
+            data = draw(JSON_VALUES)
+            continue
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        if draw(st.booleans()):
+            del node[path[-1]]
+        else:
+            node[path[-1]] = draw(JSON_VALUES)
+    return data
+
+
+def _assortment_file(model: dict) -> dict:
+    return {"kind": "assortment", "payload": {"model": model, "revenue": [1.0]}}
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES | mutated_files())
+# exp() of the utility overflows; a float() of the int overflows.
+@example(_assortment_file({"type": "mnl", "mean_utilities": [1000.0]}))
+@example(_assortment_file({"type": "mnl", "mean_utilities": [10**400]}))
+@example(_assortment_file({"type": "mixed_mnl", "components": [{"weight": 10**400, "mean_utilities": [0.0]}]}))
+# Sizes that a short file can claim: none may be materialised.
+@example({"kind": "udp_min", "payload": {"items": 10**18, "consumers": [{"bundle": [1], "valuation": 1.0}]}})
+@example({"kind": "udp_rank", "payload": {"items": 10**18, "consumers": [{"ranking": [1], "valuations": [1.0]}]}})
+@example(_assortment_file({"type": "stochastic_preference", "n": 10**18, "rankings": [{"weight": 1.0, "order": [0]}]}))
+@example(_assortment_file({"type": "tight_example", "k": 10**18, "epsilon": 0.25}))
+def test_instance_from_dict_raises_only_documented_errors(data):
+    try:
+        instance_from_dict(data)
+    except (KeyError, TypeError, ValueError):
+        pass
