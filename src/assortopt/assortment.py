@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .axioms import check_axioms
-from .errors import BoundCUnavailable, GroundSetTooLarge, NonPositiveRevenue, RegularityViolation
-from .models import ChoiceModel, TightExampleModel, demand, evaluate_revenue, offer_rows
+from .axioms import OfferTable, check_axioms, offer_table
+from .errors import BoundCUnavailable, NonPositiveRevenue, RegularityViolation
+from .models import ChoiceModel, TightExampleModel, as_probabilities, check_guard, evaluate_revenue, offer_rows
 
 RTOL = 1e-9
 
@@ -69,6 +70,30 @@ class AssortmentInstance:
         kept: the instance is read-only, so the ladder never goes stale."""
         return revenue_ladder(self)
 
+    @cached_property
+    def table(self) -> OfferTable:
+        """The model read over all 2^n offer sets, built on first use and
+        then kept for every exhaustive reader of the instance.  It has no
+        guard of its own; :meth:`table_within` checks one first."""
+        return offer_table(self._model, guard=self.n)
+
+    def table_within(self, guard: int) -> OfferTable:
+        """``table``, after checking n against the caller's enumeration guard."""
+        check_guard(self.n, guard)
+        return self.table
+
+
+def _choice_rows(instance: AssortmentInstance, offer_sets) -> list[tuple]:
+    """``model.choice_row`` of each offer set, found in one pass over
+    ``instance.table`` if it has been built, else read from the model."""
+    table = vars(instance).get("table")
+    if table is None:
+        return [instance.model.choice_row(S) for S in offer_sets]
+    masks = [sum(1 << (x - 1) for x in instance.model._as_subset(S)) for S in offer_sets]
+    wanted = set(masks)
+    found = {mask: row for _, mask, row in table.rows if mask in wanted}
+    return [as_probabilities(found[mask], table.scale) for mask in masks]
+
 
 @dataclass(frozen=True)
 class RevenueLadder:
@@ -77,14 +102,16 @@ class RevenueLadder:
 
     levels are the distinct revenues r_1 < ... < r_k; prefix l contains the
     j(l) products priced at least r_l, so larger indices mean smaller sets.
-    expected_revenue[l-1] and purchase_probability[l-1] are the one-period
-    revenue and sale probability of offering prefix l.
+    revenues[l-1] is the exact one-period revenue of offering prefix l,
+    expected_revenue[l-1] that revenue as a float, and
+    purchase_probability[l-1] the float sale probability of prefix l.
     """
 
     order: tuple[int, ...]
     levels: tuple
     prefix_sizes: tuple[int, ...]
     prefixes: tuple[frozenset, ...]
+    revenues: tuple
     expected_revenue: tuple[float, ...]
     purchase_probability: tuple[float, ...]
 
@@ -99,18 +126,15 @@ def revenue_ladder(instance: AssortmentInstance) -> RevenueLadder:
     Callers that hold an instance read the cached ``instance.ladder``."""
     order = tuple(sorted(range(1, instance.n + 1), key=lambda x: (-instance.revenue_of(x), x)))
     levels = instance.levels
-    prefix_sizes = []
-    prefixes = []
-    expected = []
+    prefix_sizes = tuple(sum(1 for x in order if instance.revenue_of(x) >= level) for level in levels)
+    prefixes = tuple(frozenset(order[:size]) for size in prefix_sizes)
+    revenues = []
     sold = []
-    for level in levels:
-        size = sum(1 for x in order if instance.revenue_of(x) >= level)
-        members = frozenset(order[:size])
-        prefix_sizes.append(size)
-        prefixes.append(members)
-        expected.append(float(instance.assortment_revenue(members)))
-        sold.append(float(demand(instance.model, members)))
-    return RevenueLadder(order, levels, tuple(prefix_sizes), tuple(prefixes), tuple(expected), tuple(sold))
+    for members, row in zip(prefixes, _choice_rows(instance, prefixes)):
+        revenues.append(sum(p * instance.revenue_of(x) for x, p in zip(sorted(members), row)))
+        sold.append(float(sum(row)))
+    expected = tuple(float(value) for value in revenues)
+    return RevenueLadder(order, levels, prefix_sizes, prefixes, tuple(revenues), expected, tuple(sold))
 
 
 @dataclass(frozen=True)
@@ -135,52 +159,50 @@ class RevenueOrderedResult:
 
 
 def revenue_ordered(instance: AssortmentInstance) -> RevenueOrderedResult:
-    """Evaluate every threshold set and keep the best.
+    """Keep the best threshold set of the instance's revenue ladder.
 
     Ties are broken toward the largest threshold, i.e. the smallest
     candidate set.
     """
-    best_set: frozenset[int] = frozenset()
-    best_revenue = None
-    candidates = []
-    for level in instance.levels:
-        S = instance.threshold_set(level)
-        value = instance.assortment_revenue(S)
-        candidates.append((level, value))
-        if best_revenue is None or value >= best_revenue:
-            best_revenue = value
-            best_set = S
-    if best_revenue is None:
-        best_revenue = 0.0
+    ladder = instance.ladder
+    best = max(range(ladder.k), key=lambda l: (ladder.revenues[l], l), default=None)
+    if best is None:
+        return RevenueOrderedResult(AssortmentSolution(frozenset(), 0.0, "revenue-ordered"), ())
     return RevenueOrderedResult(
-        AssortmentSolution(best_set, best_revenue, "revenue-ordered"),
-        tuple(candidates),
+        AssortmentSolution(ladder.prefixes[best], ladder.revenues[best], "revenue-ordered"),
+        tuple(zip(ladder.levels, ladder.revenues)),
     )
 
 
 def brute_force_optimum(instance: AssortmentInstance, guard: int = 20) -> AssortmentSolution:
     """Exact optimum by enumerating every subset (the empty set included).
 
-    Reads one row of choice probabilities per offer set and keeps none of
-    them; revenues are summed in ascending product order, as in
-    :func:`assortopt.models.evaluate_revenue`.  Revenue ties are broken
-    toward the lexicographically smallest subset, so the result is
-    deterministic.
+    Reads ``instance.table`` if it has been built, else streams the rows
+    without keeping them.  Revenues are summed in ascending product order,
+    as in :func:`assortopt.models.evaluate_revenue`; integer-scaled rows with
+    int revenues sum ints and divide once.  Revenue ties are broken toward
+    the lexicographically smallest subset, so the result is deterministic.
     """
-    if instance.n > guard:
-        raise GroundSetTooLarge(f"n={instance.n} exceeds the enumeration guard {guard}")
+    table = instance.table_within(guard) if "table" in vars(instance) else None
+    if table is None:
+        rows, scale = offer_rows(instance.model, guard), instance.model.denominator
+    else:
+        rows, scale = table.rows, table.scale
     revenue = instance.revenue
+    exact = scale is not None and all(isinstance(r, int) for r in revenue)
+    if scale is not None and not exact:
+        rows = ((subset, mask, tuple(Fraction(p, scale) for p in row)) for subset, mask, row in rows)
     best_key: tuple[int, ...] = ()
     best_set: frozenset[int] = frozenset()
-    best_revenue = 0
-    first = True
-    for subset, _, row in offer_rows(instance.model, guard):
+    best_revenue = 0  # the empty set's, which comes first
+    for subset, _, row in rows:
         value = sum(p * revenue[x - 1] for x, p in zip(subset, row)) if subset else 0
-        if first or value > best_revenue or (value == best_revenue and subset < best_key):
+        if value > best_revenue or (value == best_revenue and subset < best_key):
             best_key = subset
             best_set = frozenset(subset)
             best_revenue = value
-            first = False
+    if exact and best_key:
+        best_revenue = Fraction(best_revenue, scale)
     return AssortmentSolution(best_set, best_revenue, "brute-force")
 
 
@@ -218,7 +240,7 @@ def _bound_c(instance: AssortmentInstance, optimal: AssortmentSolution) -> dict:
     levels = instance.levels
     k = len(levels)
     S = optimal.assortment
-    probs = {x: instance.model.evaluate(x, S) for x in sorted(S)}
+    probs = dict(zip(sorted(S), _choice_rows(instance, [S])[0]))
     masses = []
     for level in levels:
         masses.append(float(sum(p for x, p in probs.items() if instance.revenue_of(x) >= level)))
@@ -254,7 +276,7 @@ def compute_bounds(instance: AssortmentInstance, optimal: AssortmentSolution | N
         ratio_sum += (level - previous) / level
         previous = level
     rho = levels[-1] / levels[0]
-    lambda_tilde = float(demand(instance.model, instance.threshold_set(levels[-1])))
+    lambda_tilde = instance.ladder.purchase_probability[-1]
     report = BoundReport(
         n_levels=k,
         bound_a=1.0 / k,
@@ -285,10 +307,9 @@ def check_technical_bound(
     be verified on its own.
     """
     S_star = optimal.assortment
-    probs = {x: instance.model.evaluate(x, S_star) for x in sorted(S_star)}
-    for level in instance.levels:
-        S_i = instance.threshold_set(level)
-        lhs = instance.assortment_revenue(S_i)
+    probs = dict(zip(sorted(S_star), _choice_rows(instance, [S_star])[0]))
+    ladder = instance.ladder
+    for level, S_i, lhs in zip(ladder.levels, ladder.prefixes, ladder.revenues):
         rhs = level * sum(p for x, p in probs.items() if x in S_i)
         if lhs < rhs - rtol * max(1.0, abs(rhs)):
             return False
@@ -314,7 +335,7 @@ def verify_guarantee(instance: AssortmentInstance, guard: int = 20, rtol: float 
     regularity check raises RegularityViolation.  The realized ratio
     revord/OPT is reported (1.0 when the optimum revenue is zero).
     """
-    report = check_axioms(instance.model, guard=guard)
+    report = check_axioms(instance.table_within(guard))
     if not report.regularity.passed:
         raise RegularityViolation(
             f"model violates regularity at witness {report.regularity.witness}",

@@ -1,13 +1,15 @@
 """Exhaustive checkers for the behavioural axioms of a choice model.
 
-Every checker reads the model once through :func:`assortopt.models.offer_rows`
-into a table indexed by bitmask: the column P(x, .) of each product and the
-purchase probability sold(S) = sum_{x in S} P(x, S).  Conditions over all
-3^n pairs S subset of S' are decided with superset transforms on that table
-(the max form of the fast zeta transform on the subset lattice; Yates 1937,
-Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007): n sweeps of 2^n
-elements give max (or min) over S' superset of S for every S at once, so a
-check costs O(n^2 2^n) instead of O(n 3^n).
+Every checker reads an :class:`OfferTable`, the model read once through
+:func:`assortopt.models.offer_rows`: its rows in canonical order and the
+purchase probability sold(S) = sum_{x in S} P(x, S) indexed by bitmask.  A
+checker takes a model, tabulated afresh, or a table such as the cached
+``AssortmentInstance.table``.  Conditions over all 3^n pairs S subset of S'
+are decided with superset transforms on that table (the max form of the
+fast zeta transform on the subset lattice; Yates 1937, Bjorklund, Husfeldt,
+Kaski and Koivisto, STOC 2007): n sweeps of 2^n elements give max (or min)
+over S' superset of S for every S at once, so a check costs O(n^2 2^n)
+instead of O(n 3^n).
 
 Rounded subtraction and addition are monotone, so the extreme value over the
 supersets of S decides the same comparison as the worst single pair, for
@@ -18,13 +20,14 @@ then scanned pair by pair, in the order of the full pair scan, to report the
 same witness and gap it would.  Probabilities are compared with an absolute
 tolerance of 1e-9; strict violations beyond tolerance fail.
 
-Exact tables (every entry an int or a Fraction, at least one a Fraction,
-as the pricing reductions produce) are integer-scaled: with D the lcm of
-all denominators, each entry p is read as the int p * D and 1 as D.  A test
-v > t on the table's values becomes the int test v * D > floor(t * D), which
-is exact, and each reported gap is converted back, so verdicts, witnesses
-and gaps are those of the Fraction arithmetic at a fraction of its cost.
-Float tables are not scaled.
+Exact tables hold each entry p as the int p * D and 1 as D: a model that
+declares its denominator D (the pricing reductions do) emits those ints;
+a table of int and Fraction entries, at least one a Fraction, is scaled by
+the lcm D of its denominators.  A test v > t on the table's values becomes
+the int test v * D > floor(t * D), which is exact for every D, and each
+reported gap is converted back, so verdicts, witnesses and gaps are those of
+the Fraction arithmetic at a fraction of its cost.  Float tables are not
+scaled.
 
 unavailable_zero holds by construction for every model that keeps
 :meth:`ChoiceModel.evaluate`, which returns 0.0 for an unoffered product;
@@ -84,29 +87,33 @@ class AxiomReport:
         )
 
 
-def _table(model: ChoiceModel, guard: int):
-    """The rows of every offer set in canonical order, sold indexed by mask,
-    and the scale D of the table (None unless it is integer-scaled).
+@dataclass(frozen=True, eq=False, repr=False)
+class OfferTable:
+    """A model read once: (S, mask, row) for every offer set in canonical
+    order, as offer_rows yields them, sold[mask] = sum(row), and the scale D
+    of an integer-scaled table (None for plain values)."""
 
-    A table whose entries are all int or Fraction, at least one of them a
-    Fraction, is returned as the ints p * D, with D the lcm of all its
-    denominators; 1 becomes D.
-    """
+    model: ChoiceModel
+    n: int
+    rows: list
+    sold: list
+    scale: int | None
+
+
+def offer_table(model: ChoiceModel, guard: int = 20) -> OfferTable:
+    """Tabulate a model over every offer set, integer-scaled if it is exact."""
     rows = list(offer_rows(model, guard))
-    entries = [p for _, _, row in rows for p in row]
-    scale = None
-    if any(isinstance(p, Fraction) for p in entries) and all(isinstance(p, (int, Fraction)) for p in entries):
-        denominators = {p.denominator for p in entries}
+    scale = model.denominator
+    kinds = set() if scale is not None else set(map(type, itertools.chain.from_iterable(row for _, _, row in rows)))
+    if any(issubclass(t, Fraction) for t in kinds) and all(issubclass(t, (int, Fraction)) for t in kinds):
+        denominators = {p.denominator for _, _, row in rows for p in row}
         scale = math.lcm(*denominators)
         factors = {d: scale // d for d in denominators}
-        rows = [
-            (subset, mask, tuple(p.numerator * factors[p.denominator] for p in row))
-            for subset, mask, row in rows
-        ]
+        rows = [(S, mask, tuple(p.numerator * factors[p.denominator] for p in row)) for S, mask, row in rows]
     sold = [0] * (1 << model.n)
     for _, mask, row in rows:
         sold[mask] = sum(row)
-    return rows, sold, scale
+    return OfferTable(model, model.n, rows, sold, scale)
 
 
 def _threshold(value: float, scale: int | None):
@@ -143,73 +150,68 @@ def _supersets(subset: tuple[int, ...], mask: int, n: int):
     S grown by the subsets of its complement, by size then lexicographic."""
     rest = [x for x in range(1, n + 1) if not mask >> (x - 1) & 1]
     members = frozenset(subset)
-    for size in range(len(rest) + 1):
-        for extra in itertools.combinations(rest, size):
-            yield mask | sum(1 << (x - 1) for x in extra), members | frozenset(extra)
+    for extra in itertools.chain.from_iterable(itertools.combinations(rest, size) for size in range(len(rest) + 1)):
+        yield mask | sum(1 << (x - 1) for x in extra), members | frozenset(extra)
 
 
-def check_axioms(model: ChoiceModel, guard: int = 20, atol: float = ATOL) -> AxiomReport:
+def check_axioms(model: "ChoiceModel | OfferTable", guard: int = 20, atol: float = ATOL) -> AxiomReport:
     """Verify the four axioms of a regular discrete choice model.
 
-    Witnesses are (x, S) for nonnegativity and availability, (S,) for the
-    at-most-one-purchase axiom, and (x, S, S') for regularity.
+    Takes the model, or its :class:`OfferTable`.  Witnesses are (x, S) for
+    nonnegativity and availability, (S,) for the at-most-one-purchase axiom,
+    and (x, S, S') for regularity.
     """
-    n = model.n
-    rows, sold, scale = _table(model, guard)
+    table = model if isinstance(model, OfferTable) else offer_table(model, guard)
+    model, n, rows, sold, scale = table.model, table.n, table.rows, table.sold, table.scale
     one, tol = scale or 1, _threshold(atol, scale)
 
+    # Rounded 1 - s falls as s grows, so the least no-purchase share is
+    # one - max(sold); the row-by-row scan runs only if some entry fails
+    # (or the least entry is NaN, which min cannot look past).
     nonnegativity = CheckResult(True)
-    for subset, mask, row in rows:
-        for x, p in zip(subset, row):
-            if p < -tol:
-                nonnegativity = CheckResult(False, (x, frozenset(subset)), _magnitude(-p, scale))
-                break
-        else:
-            p0 = one - sold[mask]
-            if p0 < -tol:
-                nonnegativity = CheckResult(False, (0, frozenset(subset)), _magnitude(-p0, scale))
-        if not nonnegativity.passed:
-            break
+    least_entry = min(itertools.chain.from_iterable(map(operator.itemgetter(2), rows)), default=0)
+    if not least_entry >= -tol or one - max(sold) < -tol:
+        entries = ((x, p, subset) for subset, mask, row in rows for x, p in (*zip(subset, row), (0, one - sold[mask])))
+        negative = next((entry for entry in entries if entry[1] < -tol), None)
+        if negative is not None:
+            x, p, subset = negative
+            nonnegativity = CheckResult(False, (x, frozenset(subset)), _magnitude(-p, scale))
 
     # ChoiceModel.evaluate returns 0.0 for an unoffered product, so only a
     # model that overrides evaluate can fail this check.
     unavailable_zero = CheckResult(True)
     if type(model).evaluate is not ChoiceModel.evaluate:
-        for subset, _, _ in rows:
-            S = frozenset(subset)
-            for x in range(1, n + 1):
-                if x in S:
-                    continue
-                p = model.evaluate(x, S)
-                if abs(p) > atol:
-                    unavailable_zero = CheckResult(False, (x, S), float(abs(p)))
-                    break
-            if not unavailable_zero.passed:
-                break
+        unoffered = ((x, frozenset(S)) for S, mask, _ in rows for x in range(1, n + 1) if not mask >> (x - 1) & 1)
+        leak = next(((x, S, p) for x, S in unoffered if abs(p := model.evaluate(x, S)) > atol), None)
+        if leak is not None:
+            unavailable_zero = CheckResult(False, leak[:2], float(abs(leak[2])))
 
     substochastic = CheckResult(True)
     cap = _threshold(1 + atol, scale)
-    for subset, mask, _ in rows:
-        total = sold[mask]
-        if total > cap:
-            substochastic = CheckResult(False, (frozenset(subset),), _magnitude(total - one, scale))
-            break
+    if max(sold) > cap:
+        subset, mask, _ = _first_flagged(rows, [total > cap for total in sold])
+        substochastic = CheckResult(False, (frozenset(subset),), _magnitude(sold[mask] - one, scale))
 
     # Regularity: S violates iff some x in S has max_{S'} P(x, S') - P(x, S)
     # beyond tolerance, or the no-purchase share rises at min_{S'} sold(S').
-    columns = [[0] * len(sold) for _ in range(n)]
+    # Every superset of a set holding x holds x, so P(x, .) is transformed
+    # over the 2^(n-1) masks with bit x set only, with bit x removed.
+    size = len(sold)
+    columns = [[0] * size for _ in range(n)]
     for subset, mask, row in rows:
         for x, p in zip(subset, row):
             columns[x - 1][mask] = p
-    flagged = [False] * len(sold)
+    flagged = [False] * size
     for x, column in enumerate(columns, start=1):
-        bit = 1 << (x - 1)
-        top = _superset_extreme(column, n, max)
-        for mask, (high, p) in enumerate(zip(top, column)):
-            if mask & bit and high - p > tol:
-                flagged[mask] = True
-    least = _superset_extreme(sold, n, min)
-    for mask, (low, total) in enumerate(zip(least, sold)):
+        width = 1 << (x - 1)
+        blocks = map(slice, range(width, size, 2 * width), range(2 * width, size + 1, 2 * width))
+        held = list(itertools.chain.from_iterable(map(column.__getitem__, blocks)))
+        rises = list(map(operator.sub, _superset_extreme(held, n - 1, max), held))
+        if not max(rises, default=0) <= tol:  # a NaN first would hide the rest from max
+            for c, rise in enumerate(rises):
+                if rise > tol:
+                    flagged[(c >> (x - 1) << x) | width | (c & (width - 1))] = True
+    for mask, (low, total) in enumerate(zip(_superset_extreme(sold, n, min), sold)):
         if (one - low) - (one - total) > tol:
             flagged[mask] = True
 
@@ -230,13 +232,14 @@ def check_axioms(model: ChoiceModel, guard: int = 20, atol: float = ATOL) -> Axi
     return AxiomReport(nonnegativity, unavailable_zero, substochastic, regularity)
 
 
-def check_purchase_monotonicity(model: ChoiceModel, guard: int = 20, atol: float = ATOL) -> CheckResult:
+def check_purchase_monotonicity(model: "ChoiceModel | OfferTable", guard: int = 20, atol: float = ATOL) -> CheckResult:
     """Check that the purchase probability never drops when the offer grows.
 
-    The witness on failure is the pair (S, S').  Regular models always pass.
+    Takes the model or its table.  The witness on failure is the pair
+    (S, S').  Regular models always pass.
     """
-    n = model.n
-    rows, sold, scale = _table(model, guard)
+    table = model if isinstance(model, OfferTable) else offer_table(model, guard)
+    n, rows, sold, scale = table.n, table.rows, table.sold, table.scale
     tol = _threshold(atol, scale)
     least = _superset_extreme(sold, n, min)
     flagged = [total > low + tol for total, low in zip(sold, least)]
@@ -244,24 +247,22 @@ def check_purchase_monotonicity(model: ChoiceModel, guard: int = 20, atol: float
     if first is None:
         return CheckResult(True)
     subset, mask, _ = first
-    larger_mask, larger = next(
-        (larger_mask, larger)
-        for larger_mask, larger in _supersets(subset, mask, n)
-        if sold[mask] > sold[larger_mask] + tol
-    )
+    drops = ((at, larger) for at, larger in _supersets(subset, mask, n) if sold[mask] > sold[at] + tol)
+    larger_mask, larger = next(drops)
     return CheckResult(False, (frozenset(subset), larger), _magnitude(sold[mask] - sold[larger_mask], scale))
 
 
-def check_demand_submodularity(model: ChoiceModel, guard: int = 20, atol: float = ATOL) -> CheckResult:
+def check_demand_submodularity(model: "ChoiceModel | OfferTable", guard: int = 20, atol: float = ATOL) -> CheckResult:
     """Check submodularity of the demand f(S) = sum_{x in S} P(x, S).
 
-    Over every pair S subset of S' and every product x, reports the maximal
-    violation of f(S' + x) - f(S') <= f(S + x) - f(S) as the gap, witnessed
-    by the first (S, S', x) attaining it in the order S, then S', then x.
-    Random-utility models pass; regularity alone does not imply a pass.
+    Takes the model or its table.  Over every pair S subset of S' and every
+    product x, reports the maximal violation of f(S' + x) - f(S') <= f(S + x)
+    - f(S) as the gap, witnessed by the first (S, S', x) attaining it in the
+    order S, then S', then x.  Random-utility models pass; regularity alone
+    does not imply a pass.
     """
-    n = model.n
-    rows, sold, scale = _table(model, guard)
+    table = model if isinstance(model, OfferTable) else offer_table(model, guard)
+    n, rows, sold, scale = table.n, table.rows, table.sold, table.scale
 
     # worst is kept exact; flagged marks the offer sets S whose gap reaches it.
     worst = 0

@@ -1,7 +1,8 @@
 """Command-line surface: generate, solve, verify, and batch-check instances.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad usage, or
-an instance file that is unreadable, malformed, invalid or of the wrong kind.
+Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad usage or a
+bad flag value, an instance file that is unreadable, malformed, invalid or of
+the wrong kind, or an instance beyond an enumeration guard (one line on stderr).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .assortment import (
     verify_guarantee,
 )
 from .axioms import check_axioms
-from .errors import InvalidParams, RegularityViolation
+from .errors import GroundSetTooLarge, InvalidParams, RegularityViolation, SearchSpaceTooLarge
 from .generators import generate
 from .io import dumps, instance_from_dict, instance_to_dict, loads
 from .multiperiod import (
@@ -90,7 +91,12 @@ def _bounds_dict(report) -> dict:
 
 
 def _cmd_gen(args) -> int:
-    params = json.loads(args.params) if args.params else {}
+    try:
+        params = json.loads(args.params) if args.params else {}
+    except ValueError as error:
+        raise SystemExit(f"invalid --params: {error}")
+    if not isinstance(params, dict):
+        raise SystemExit(f"invalid --params: expected a JSON object, got {args.params}")
     seed = args.seed if args.seed is not None else int(os.environ.get("ASSORT_SEED", "0"))
     try:
         data = generate(args.kind, args.family, params, seed)
@@ -177,16 +183,19 @@ def _cmd_pricing(args) -> int:
 
 def _cmd_multiperiod(args) -> int:
     instance = _load(args.file, "assortment", "multiperiod")
-    if isinstance(instance, AssortmentInstance):
-        if args.T is None or args.Q is None:
-            raise SystemExit("an assortment instance needs --T and --Q")
-        instance = MultiPeriodInstance(instance, args.T, args.Q)
-    elif args.T is not None or args.Q is not None:
-        instance = MultiPeriodInstance(
-            instance.base,
-            args.T if args.T is not None else instance.horizon,
-            args.Q if args.Q is not None else instance.capacity,
-        )
+    try:
+        if isinstance(instance, AssortmentInstance):
+            if args.T is None or args.Q is None:
+                raise SystemExit("an assortment instance needs --T and --Q")
+            instance = MultiPeriodInstance(instance, args.T, args.Q)
+        elif args.T is not None or args.Q is not None:
+            instance = MultiPeriodInstance(
+                instance.base,
+                args.T if args.T is not None else instance.horizon,
+                args.Q if args.Q is not None else instance.capacity,
+            )
+    except ValueError as error:
+        raise SystemExit(f"cannot build the multiperiod instance: {error}")
     table = solve_dp(instance, guard=args.guard_n)
     report: dict = {
         "horizon": table.horizon,
@@ -253,7 +262,7 @@ def _suite_check_file(path: str, checks: list[str], guard: int) -> dict:
         record["passed"] = record["passed"] and ok
 
     if isinstance(instance, AssortmentInstance):
-        run("axioms", lambda: check_axioms(instance.model, guard=guard).passed)
+        run("axioms", lambda: check_axioms(instance.table_within(guard)).passed)
         run("guarantees", lambda: verify_guarantee(instance, guard=guard).passed)
     elif isinstance(instance, (UdpMinInstance, UdpRankInstance, StackelbergInstance)):
         run("reduction", lambda: verify_reduction(instance, guard=guard).passed)
@@ -346,6 +355,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (GroundSetTooLarge, SearchSpaceTooLarge) as error:
+        print(error, file=sys.stderr)
+        return USAGE_ERROR
     except SystemExit as error:
         if isinstance(error.code, str):
             print(error.code, file=sys.stderr)

@@ -24,6 +24,7 @@ from .models import (
     TableCapacity,
     TabularModel,
     TightExampleModel,
+    as_probabilities,
     enumerate_subsets,
     offer_rows,
 )
@@ -76,7 +77,8 @@ def model_to_dict(model: ChoiceModel, guard: int = 20) -> dict:
     if isinstance(model, TightExampleModel):
         return {"type": "tight_example", "k": model.k, "epsilon": model.epsilon}
     # Anything else (including the lazy reduction models) ships as a table.
-    rows = [[list(subset), [float(p) for p in row]] for subset, _, row in offer_rows(model, guard)]
+    rows = offer_rows(model, guard)
+    rows = [[list(S), [float(p) for p in as_probabilities(row, model.denominator)]] for S, _, row in rows]
     return {"type": "tabular", "n": model.n, "rows": rows}
 
 

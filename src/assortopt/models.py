@@ -6,8 +6,11 @@ probability ``evaluate(x, S)`` that a customer picks x from S, with
 ``evaluate(0, S) = 1 - sum_{x in S} evaluate(x, S)``.
 
 All model types are immutable after construction and ``evaluate`` is a pure
-function, so instances are safe to share across threads.  Internal caches
-are memoisation only and never change observable behaviour.
+function, so instances are safe to share across threads.  Models keep no
+memo of evaluated offer sets; exhaustive readers share one table per
+instance (``AssortmentInstance.table``).  A model of exact rationals may
+declare a ``denominator`` D: its ``_choice_row`` then returns the ints p * D,
+while ``evaluate`` and ``choice_row`` still return the ``Fraction`` p.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GroundSetTooLarge, InvalidEpsilon, NonPositiveRevenue
@@ -45,30 +50,32 @@ class ProductSet:
         return 1 <= x <= self.n
 
 
+def check_guard(n: int, guard: int) -> None:
+    """Raise GroundSetTooLarge if 2^n offer sets exceed the guard on n."""
+    if n > guard:
+        raise GroundSetTooLarge(f"n={n} exceeds the enumeration guard {guard}")
+
+
 def enumerate_subsets(n: int, guard: int = 20) -> list[tuple[int, ...]]:
     """All subsets of {1..n} as sorted tuples, by cardinality then lexicographic.
 
     This is the canonical enumeration order used by every checker, so that
     "first violation found" witnesses are reproducible.
     """
-    if n > guard:
-        raise GroundSetTooLarge(f"n={n} exceeds the enumeration guard {guard}")
-    out: list[tuple[int, ...]] = []
-    for size in range(n + 1):
-        out.extend(itertools.combinations(range(1, n + 1), size))
-    return out
+    check_guard(n, guard)
+    return [subset for size in range(n + 1) for subset in itertools.combinations(range(1, n + 1), size)]
 
 
 def offer_rows(model: "ChoiceModel", guard: int = 20):
     """Yield (S, mask, row) for every offer set S, in canonical order.
 
     S is a sorted tuple as in :func:`enumerate_subsets`, mask has bit x-1
-    set for each x in S, and row[i] = P(S[i], S).  Rows are produced one at
+    set for each x in S, and row[i] = P(S[i], S), or its numerator P(S[i], S)
+    * D when the model declares a denominator D.  Rows are produced one at
     a time, so a caller that does not keep them never holds the whole table.
     """
     n = model.n
-    if n > guard:
-        raise GroundSetTooLarge(f"n={n} exceeds the enumeration guard {guard}")
+    check_guard(n, guard)
     products = range(1, n + 1)
     bits = [1 << i for i in range(n)]
     for size in range(n + 1):
@@ -76,8 +83,15 @@ def offer_rows(model: "ChoiceModel", guard: int = 20):
             yield subset, sum(chosen), model._choice_row(subset)
 
 
+def as_probabilities(row: tuple, denominator: int | None) -> tuple:
+    """A row of numerators over ``denominator`` as ``evaluate`` returns them (as it is without one)."""
+    return row if denominator is None else tuple(Fraction(p, denominator) for p in row)
+
+
 class ChoiceModel:
     """Base class: a system of choice probabilities over ProductSet(n)."""
+
+    denominator: int | None = None  # see the module docstring
 
     def __init__(self, n: int):
         self._products = ProductSet(n)
@@ -93,9 +107,9 @@ class ChoiceModel:
     def evaluate(self, x: int, S: Iterable[int]):
         """Probability of choosing x (a product or 0) from the offer set S.
 
-        Subclasses customise _member_probability, _no_purchase and
-        _choice_row rather than this method, so that an unoffered product
-        always gets 0.0; check_axioms relies on that.
+        Subclasses customise _member_probability or _choice_row (each
+        defaults to the other) and _no_purchase rather than this method, so
+        that an unoffered product always gets 0.0; check_axioms relies on that.
         """
         members = self._as_subset(S)
         if x == 0:
@@ -106,16 +120,22 @@ class ChoiceModel:
             return 0.0
         return self._member_probability(x, members)
 
+    def choice_row(self, S: Iterable[int]) -> tuple:
+        """P(x, S) for each x of S in ascending order, as ``evaluate`` returns them."""
+        return as_probabilities(self._choice_row(tuple(sorted(self._as_subset(S)))), self.denominator)
+
     def _no_purchase(self, S: Subset):
         """Probability of choosing nothing from S."""
-        return 1 - sum(self._member_probability(y, S) for y in sorted(S))
+        return 1 - sum(self.choice_row(S))
 
     def _member_probability(self, x: int, S: Subset):
         """Probability of x in S, for x guaranteed to be a member of S."""
-        raise NotImplementedError
+        subset = tuple(sorted(S))
+        p = self._choice_row(subset)[subset.index(x)]
+        return p if self.denominator is None else Fraction(p, self.denominator)
 
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
-        """P(x, S) for each x of a sorted offer set S, in that order."""
+        """P(x, S) (or its numerator) for each x of a sorted offer set S."""
         members = frozenset(subset)
         return tuple(self.evaluate(x, members) for x in subset)
 
@@ -128,7 +148,8 @@ class ChoiceModel:
 
     def to_tabular(self, guard: int = 20) -> "TabularModel":
         """Materialise the model as an explicit table over all 2^n offer sets."""
-        table = {frozenset(subset): dict(zip(subset, row)) for subset, _, row in offer_rows(self, guard)}
+        rows = offer_rows(self, guard)
+        table = {frozenset(S): dict(zip(S, as_probabilities(row, self.denominator))) for S, _, row in rows}
         return TabularModel(self.n, table, validate=False)
 
 
@@ -175,17 +196,10 @@ class TabularModel(ChoiceModel):
                     raise ValueError(f"table is missing the offer set {list(subset)}")
         self._table = normalised
 
-    def _row(self, S: Subset) -> dict[int, float]:
-        row = self._table.get(S)
-        if row is None:
-            raise ValueError(f"offer set {sorted(S)} not covered by the table")
-        return row
-
-    def _member_probability(self, x: int, S: Subset):
-        return self._row(S).get(x, 0.0)
-
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
-        row = self._row(frozenset(subset))
+        row = self._table.get(frozenset(subset))
+        if row is None:
+            raise ValueError(f"offer set {list(subset)} not covered by the table")
         return tuple(row.get(x, 0.0) for x in subset)
 
 
@@ -200,21 +214,22 @@ class MnlModel(ChoiceModel):
         self._utilities = tuple(float(v) for v in mean_utilities)
         if not all(map(math.isfinite, self._utilities)):
             raise ValueError(f"mean utilities must be finite, got {self._utilities}")
-        self._weights = tuple(math.exp(v) for v in self._utilities)
+        self._weight_of = (0.0,) + tuple(math.exp(v) for v in self._utilities)  # indexed by product
 
     @property
     def mean_utilities(self) -> tuple[float, ...]:
         return self._utilities
 
     def _member_probability(self, x: int, S: Subset) -> float:
-        denom = 1.0 + sum(self._weights[y - 1] for y in sorted(S))
-        return self._weights[x - 1] / denom
+        denom = 1.0 + sum(self._weight_of[y] for y in sorted(S))
+        return self._weight_of[x] / denom
 
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
         # One denominator per offer set, summed in the same ascending order
         # as _member_probability, so every probability is the same float.
-        denom = 1.0 + sum(self._weights[y - 1] for y in subset)
-        return tuple(self._weights[x - 1] / denom for x in subset)
+        weights = tuple(map(self._weight_of.__getitem__, subset))
+        denom = 1.0 + sum(weights)
+        return tuple(map(denom.__rtruediv__, weights))
 
 
 class MixedMnlModel(ChoiceModel):
@@ -247,7 +262,7 @@ class MixedMnlModel(ChoiceModel):
 
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
         rows = [m._choice_row(subset) for m in self._models]
-        return tuple(sum(w * p for w, p in zip(self._weights, column)) for column in zip(*rows))
+        return tuple(sum(map(operator.mul, self._weights, column)) for column in zip(*rows))
 
 
 class StochasticPreferenceModel(ChoiceModel):
@@ -286,29 +301,21 @@ class StochasticPreferenceModel(ChoiceModel):
         self._weights = tuple(weights)
         self._orders = tuple(orders)
         self._positions = tuple(positions)
-        self._winner_cache: dict[Subset, dict[int, float]] = {}
 
     @property
     def rankings(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
         return tuple(zip(self._weights, self._orders))
 
-    def _winner_weights(self, S: Subset) -> dict[int, float]:
-        cached = self._winner_cache.get(S)
-        if cached is not None:
-            return cached
+    def _winner_weights(self, S: Iterable[int]) -> dict[int, float]:
         options = tuple(S) + (0,)
         totals: dict[int, float] = {}
         for weight, pos in zip(self._weights, self._positions):
             first = min(options, key=pos.__getitem__)
             totals[first] = totals.get(first, 0.0) + weight
-        self._winner_cache[S] = totals
         return totals
 
-    def _member_probability(self, x: int, S: Subset) -> float:
-        return self._winner_weights(S).get(x, 0.0)
-
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
-        winners = self._winner_weights(frozenset(subset))
+        winners = self._winner_weights(subset)
         return tuple(winners.get(x, 0.0) for x in subset)
 
     def _no_purchase(self, S: Subset) -> float:
@@ -320,13 +327,7 @@ def kendall_distance(a: Sequence[int], b: Sequence[int]) -> int:
     if frozenset(a) != frozenset(b) or len(a) != len(b):
         raise ValueError("rankings must order the same elements")
     pos_b = {element: where for where, element in enumerate(b)}
-    seq = [pos_b[element] for element in a]
-    discordant = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                discordant += 1
-    return discordant
+    return sum(i > j for i, j in itertools.combinations([pos_b[element] for element in a], 2))
 
 
 class MallowsModel(ChoiceModel):
@@ -350,7 +351,6 @@ class MallowsModel(ChoiceModel):
         super().__init__(n)
         self._central = order
         self._theta = float(theta)
-        self._expanded: StochasticPreferenceModel | None = None
 
     @property
     def central_ranking(self) -> tuple[int, ...]:
@@ -360,13 +360,15 @@ class MallowsModel(ChoiceModel):
     def theta(self) -> float:
         return self._theta
 
+    @functools.cached_property
     def _expansion(self) -> StochasticPreferenceModel:
-        if self._expanded is None:
-            self._expanded = expand_ranking_model(self)
-        return self._expanded
+        return expand_ranking_model(self)
 
-    def _member_probability(self, x: int, S: Subset):
-        return self._expansion()._member_probability(x, S)
+    def _choice_row(self, subset: tuple[int, ...]) -> tuple:
+        return self._expansion._choice_row(subset)
+
+    def _no_purchase(self, S: Subset):
+        return self._expansion._no_purchase(S)
 
 
 def expand_ranking_model(
@@ -435,20 +437,12 @@ class TableCapacity(CapacityFunction):
         for members, value in table.items():
             if not 0.0 <= value <= 1.0 + 1e-12:
                 raise ValueError(f"capacity {value} outside [0, 1] on {sorted(members)}")
-        for members in table:
-            for x in range(1, n + 1):
-                if x in members:
-                    continue
-                if table[members | {x}] < table[members] - 1e-12:
-                    raise ValueError(f"capacity not monotone at {sorted(members)} + {x}")
         for small in table:
-            for y in range(1, n + 1):
-                if y in small:
-                    continue
+            for y in set(range(1, n + 1)) - small:
                 bigger = small | {y}
-                for x in range(1, n + 1):
-                    if x in bigger:
-                        continue
+                if table[bigger] < table[small] - 1e-12:
+                    raise ValueError(f"capacity not monotone at {sorted(small)} + {y}")
+                for x in set(range(1, n + 1)) - bigger:
                     gain_small = table[small | {x}] - table[small]
                     gain_big = table[bigger | {x}] - table[bigger]
                     if gain_big > gain_small + 1e-12:
@@ -477,6 +471,8 @@ class CoverageCapacity(CapacityFunction):
         if len(covers) != n:
             raise ValueError("one cover set per product is required")
         weights = tuple(float(w) for w in point_weights)
+        if not all(map(math.isfinite, weights)):
+            raise ValueError(f"point weights must be finite, got {weights}")
         if any(w < 0 for w in weights):
             raise ValueError("point weights must be nonnegative")
         if sum(weights) > 1.0 + 1e-9:
@@ -607,11 +603,10 @@ def evaluate_revenue(model: ChoiceModel, revenue: Sequence[float], S: Iterable[i
     for x, r in enumerate(revenue, start=1):
         if not r > 0:
             raise NonPositiveRevenue(f"revenue of product {x} is {r}; must be > 0")
-    members = frozenset(S)
-    return sum(model.evaluate(x, members) * revenue[x - 1] for x in sorted(members))
+    members = sorted(frozenset(S))
+    return sum(p * revenue[x - 1] for x, p in zip(members, model.choice_row(members)))
 
 
 def demand(model: ChoiceModel, S: Iterable[int]):
     """Purchase probability sum_{x in S} P(x, S) of the offer set S."""
-    members = frozenset(S)
-    return sum(model.evaluate(x, members) for x in sorted(members))
+    return sum(model.choice_row(S))

@@ -58,10 +58,11 @@ def reduce_pricing(instance, guard: int = 20) -> AssortmentInstance:
 
 
 def solve_pricing(instance):
-    """``(uniform, exact)``: uniform pricing and the grid-search optimum of a pricing instance."""
-    if isinstance(instance, StackelbergInstance):
-        return uniform_pricing_stackelberg(instance), brute_force_stackelberg(instance)
-    return uniform_pricing(instance), brute_force_pricing(instance)
+    """``(uniform, exact)``: uniform pricing and the grid-search optimum of a pricing instance.
+    The grid search runs first, so its guard is checked before any other work."""
+    stackelberg = isinstance(instance, StackelbergInstance)
+    exact = (brute_force_stackelberg if stackelberg else brute_force_pricing)(instance)
+    return (uniform_pricing_stackelberg if stackelberg else uniform_pricing)(instance), exact
 
 
 def verify_reduction(instance, guard: int = 20) -> ReductionReport:
@@ -69,14 +70,15 @@ def verify_reduction(instance, guard: int = 20) -> ReductionReport:
 
     The exact optima must agree, the reduced model must pass `check_axioms`,
     and the uniform-pricing candidates must earn exactly the revenue-ordered
-    candidates, threshold by threshold.  With no priceable element (an empty
+    candidates, threshold by threshold, all read from one ``table`` of the
+    reduced model.  With no priceable element (an empty
     reduced catalogue) there are no thresholds, so every uniform candidate
     must earn 0 instead.
     """
     reduced = reduce_pricing(instance, guard=guard)
     uniform, exact = solve_pricing(instance)
+    axioms = check_axioms(reduced.table_within(guard))
     optimum = brute_force_optimum(reduced, guard=guard)
-    axioms = check_axioms(reduced.model, guard=guard)
     revenues = [revenue for _, revenue in uniform.candidates]
     if reduced.n == 0:
         pointwise = all(revenue == 0 for revenue in revenues)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .assortment import AssortmentInstance
-from .errors import GroundSetTooLarge, SearchSpaceTooLarge
-from .models import ChoiceModel, Subset
-from .udp import UNPRICED
+from .errors import GroundSetTooLarge
+from .models import ChoiceModel
+from .udp import UNPRICED, check_grid
 
 Element = Hashable
 
@@ -117,9 +116,7 @@ def check_matroid_axioms(matroid: Matroid, guard: int = 8) -> bool:
     ground = matroid.ground
     if len(ground) > guard:
         raise GroundSetTooLarge(f"{len(ground)} elements exceed the axiom-check guard {guard}")
-    subsets = []
-    for size in range(len(ground) + 1):
-        subsets.extend(frozenset(c) for c in itertools.combinations(ground, size))
+    subsets = [frozenset(c) for size in range(len(ground) + 1) for c in itertools.combinations(ground, size)]
     independent = {S for S in subsets if matroid.is_independent(S)}
     if frozenset() not in independent:
         return False
@@ -354,9 +351,7 @@ def brute_force_stackelberg(instance: StackelbergInstance, guard: int = 10**7) -
     """
     blue = sorted(instance.blue, key=_sort_key)
     levels = list(instance.cost_levels) + [UNPRICED]
-    total = len(levels) ** len(blue)
-    if total > guard:
-        raise SearchSpaceTooLarge(f"{total} price assignments exceed the guard {guard}")
+    check_grid(len(levels), len(blue), guard)
     best: StackelbergSolution | None = None
     for assignment in itertools.product(levels, repeat=len(blue)):
         prices = dict(zip(blue, assignment))
@@ -400,14 +395,14 @@ class StackelbergChoiceModel(ChoiceModel):
 
     Offering pair set S makes the follower run greedy on the auxiliary
     matroid over the reds plus S; each selected pair is chosen with exact
-    probability 1/|B|.
+    probability 1/|B|, so the model declares the denominator |B| and its
+    rows are 1 for a selected pair and 0 otherwise.
     """
 
     def __init__(self, instance: StackelbergInstance):
         levels = instance.cost_levels
         blue = sorted(instance.blue, key=_sort_key)
         self._pairs = tuple((e, q) for e in blue for q in levels)
-        self._pair_index = {pair: where + 1 for where, pair in enumerate(self._pairs)}
         super().__init__(len(self._pairs))
         self._instance = instance
         self._aux = PricedCopyMatroid(instance.matroid, instance.blue, levels)
@@ -420,7 +415,7 @@ class StackelbergChoiceModel(ChoiceModel):
             return (element[1], 0, _sort_key(element))
 
         self._order = tuple(sorted(self._aux.ground, key=key))
-        self._cache: dict[Subset, frozenset] = {}
+        self.denominator = len(instance.blue) or 1  # 1 keeps an empty catalogue's table well defined
 
     @property
     def pairs(self) -> tuple:
@@ -434,26 +429,11 @@ class StackelbergChoiceModel(ChoiceModel):
     def reference_order(self) -> tuple:
         return self._order
 
-    def _selection(self, S: Subset) -> frozenset:
-        cached = self._cache.get(S)
-        if cached is None:
-            offered = self._reds | {self._pairs[where - 1] for where in S}
-            cached = greedy(self._aux, offered, self._order)
-            self._cache[S] = cached
-        return cached
-
-    def _member_probability(self, x: int, S: Subset):
-        blue_count = len(self._instance.blue)
-        if self._pairs[x - 1] in self._selection(S):
-            return Fraction(1, blue_count)
-        return Fraction(0)
-
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
         if not subset:
             return ()
-        selection = self._selection(frozenset(subset))
-        share, zero = Fraction(1, len(self._instance.blue)), Fraction(0)
-        return tuple(share if self._pairs[x - 1] in selection else zero for x in subset)
+        selection = greedy(self._aux, self._reds | {self._pairs[where - 1] for where in subset}, self._order)
+        return tuple(int(self._pairs[x - 1] in selection) for x in subset)
 
 
 def reduce_to_assortment(instance: StackelbergInstance, guard: int = 20) -> AssortmentInstance:
@@ -463,9 +443,11 @@ def reduce_to_assortment(instance: StackelbergInstance, guard: int = 20) -> Asso
     optimum revenue is preserved, and uniform pricing at a level matches the
     revenue-ordered candidate at the corresponding threshold.
     """
+    blue, levels = len(instance.blue), len(instance.cost_levels)
+    if blue * levels > guard:
+        raise GroundSetTooLarge(f"reduction would create {blue} blue elements x {levels} cost levels "
+                                f"= {blue * levels} products; guard is {guard}")
     model = StackelbergChoiceModel(instance)
-    if model.n > guard:
-        raise GroundSetTooLarge(f"reduction would create {model.n} products; guard is {guard}")
     blue_count = len(instance.blue)
     revenue = [blue_count * q for (_, q) in model.pairs]
     return AssortmentInstance(model, revenue)

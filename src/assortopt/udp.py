@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .assortment import AssortmentInstance
 from .errors import GroundSetTooLarge, SearchSpaceTooLarge
-from .models import ChoiceModel, Subset
+from .models import ChoiceModel
 
 UNPRICED = math.inf
 
@@ -40,7 +40,29 @@ class RankConsumer:
     valuations: tuple
 
 
-class UdpMinInstance:
+class _PricingInstance:
+    """Items 1..n and the validated consumers of a unit-demand pricing problem."""
+
+    def __init__(self, n: int, consumers: tuple):
+        if not consumers:
+            raise ValueError("at least one consumer is required")
+        self._n = n
+        self._consumers = consumers
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def m(self) -> int:
+        return len(self._consumers)
+
+    @property
+    def consumers(self) -> tuple:
+        return self._consumers
+
+
+class UdpMinInstance(_PricingInstance):
     """Cheapest-affordable-item pricing problem."""
 
     def __init__(self, n: int, consumers: Sequence[tuple[Iterable[int], float]]):
@@ -55,22 +77,7 @@ class UdpMinInstance:
             if not valuation > 0:
                 raise ValueError("valuations must be positive")
             parsed.append(MinConsumer(members, valuation))
-        if not parsed:
-            raise ValueError("at least one consumer is required")
-        self._n = n
-        self._consumers = tuple(parsed)
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def m(self) -> int:
-        return len(self._consumers)
-
-    @property
-    def consumers(self) -> tuple[MinConsumer, ...]:
-        return self._consumers
+        super().__init__(n, tuple(parsed))
 
     @property
     def valuation_levels(self) -> tuple:
@@ -78,7 +85,7 @@ class UdpMinInstance:
         return tuple(sorted({c.valuation for c in self._consumers}))
 
 
-class UdpRankInstance:
+class UdpRankInstance(_PricingInstance):
     """First-affordable-item pricing problem."""
 
     def __init__(self, n: int, consumers: Sequence[tuple[Sequence[int], Sequence[float]]]):
@@ -95,22 +102,7 @@ class UdpRankInstance:
             if any(not v > 0 for v in values):
                 raise ValueError("valuations must be positive")
             parsed.append(RankConsumer(order, values))
-        if not parsed:
-            raise ValueError("at least one consumer is required")
-        self._n = n
-        self._consumers = tuple(parsed)
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def m(self) -> int:
-        return len(self._consumers)
-
-    @property
-    def consumers(self) -> tuple[RankConsumer, ...]:
-        return self._consumers
+        super().__init__(n, tuple(parsed))
 
     @property
     def valuation_levels(self) -> tuple:
@@ -227,6 +219,13 @@ class PricingSolution:
     revenue: float
 
 
+def check_grid(levels: int, count: int, guard: int) -> None:
+    """Refuse levels^count price assignments beyond the guard, comparing
+    logarithms before the power is ever computed."""
+    if count * math.log(levels) > math.log(guard) + 1e-9 or levels**count > guard:
+        raise SearchSpaceTooLarge(f"{levels}^{count} price assignments exceed the guard {guard}")
+
+
 def brute_force_pricing(
     instance: UdpMinInstance | UdpRankInstance,
     ladder: PriceLadder | None = None,
@@ -239,9 +238,7 @@ def brute_force_pricing(
     compete.  Ties go to the lexicographically smallest price vector.
     """
     levels = list(instance.valuation_levels) + [UNPRICED]
-    total = len(levels) ** instance.n
-    if total > guard:
-        raise SearchSpaceTooLarge(f"{total} price assignments exceed the guard {guard}")
+    check_grid(len(levels), instance.n, guard)
     best: PricingSolution | None = None
     for assignment in itertools.product(levels, repeat=instance.n):
         if ladder is not None and not ladder.is_feasible(assignment):
@@ -262,7 +259,7 @@ class _PairCatalogue:
         self.pairs = tuple((x, v) for x in range(1, n_items + 1) for v in self.levels)
         self.index = {pair: where + 1 for where, pair in enumerate(self.pairs)}
 
-    def floor_prices(self, members: Subset, n_items: int) -> list:
+    def floor_prices(self, members: Iterable[int], n_items: int) -> list:
         """Per-item cheapest level present in the pair set (UNPRICED if none)."""
         floor = [UNPRICED] * n_items
         for where in members:
@@ -275,36 +272,26 @@ class _PairCatalogue:
 class _ReducedUdpModel(ChoiceModel):
     """Base for the pricing-to-assortment choice models.
 
-    Probabilities are averages of per-consumer indicator distributions and
-    are returned as exact fractions, so revenue comparisons against the
-    pricing oracle can demand exact equality.
+    Probabilities are averages of per-consumer indicator distributions, so
+    they are exact rationals over a denominator the subclass declares, and
+    revenue comparisons against the pricing oracle can demand exact equality.
     """
 
     def __init__(self, instance, catalogue: _PairCatalogue):
         super().__init__(len(catalogue.pairs))
         self._instance = instance
         self._catalogue = catalogue
-        self._cache: dict[Subset, dict[int, Fraction]] = {}
 
     @property
     def pair_catalogue(self) -> _PairCatalogue:
         return self._catalogue
 
-    def _distribution(self, S: Subset) -> dict[int, Fraction]:
-        cached = self._cache.get(S)
-        if cached is None:
-            cached = self._consumer_average(S)
-            self._cache[S] = cached
-        return cached
-
-    def _member_probability(self, x: int, S: Subset):
-        return self._distribution(S).get(x, Fraction(0))
-
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
-        distribution, zero = self._distribution(frozenset(subset)), Fraction(0)
-        return tuple(distribution.get(x, zero) for x in subset)
+        numerators = self._numerators(subset)
+        return tuple(numerators.get(x, 0) for x in subset)
 
-    def _consumer_average(self, S: Subset) -> dict[int, Fraction]:
+    def _numerators(self, S: Iterable[int]) -> dict[int, int]:
+        """P(x, S) * denominator for every pair x of S that sells."""
         raise NotImplementedError
 
 
@@ -313,27 +300,29 @@ class MinPricingChoiceModel(_ReducedUdpModel):
 
     Consumer i spreads her purchase uniformly over the cheapest bundle pairs
     present in the offer set, provided that cheapest level is affordable.
+    A tie has at most as many pairs as the bundle has items, so every share
+    is a multiple of 1 / (m * L), with L the lcm of 1..(largest bundle).
     """
 
-    def _consumer_average(self, S: Subset) -> dict[int, Fraction]:
-        instance = self._instance
-        m = instance.m
-        totals: dict[int, Fraction] = {}
-        for consumer in instance.consumers:
-            relevant = [
-                where
-                for where in S
-                if self._catalogue.pairs[where - 1][0] in consumer.bundle
-            ]
+    def __init__(self, instance, catalogue: _PairCatalogue):
+        super().__init__(instance, catalogue)
+        self._ties = math.lcm(*range(1, max(len(c.bundle) for c in instance.consumers) + 1))
+        self.denominator = instance.m * self._ties
+
+    def _numerators(self, S: Iterable[int]) -> dict[int, int]:
+        pairs = self._catalogue.pairs
+        totals: dict[int, int] = {}
+        for consumer in self._instance.consumers:
+            relevant = [where for where in S if pairs[where - 1][0] in consumer.bundle]
             if not relevant:
                 continue
-            cheapest = min(self._catalogue.pairs[where - 1][1] for where in relevant)
+            cheapest = min(pairs[where - 1][1] for where in relevant)
             if cheapest > consumer.valuation:
                 continue
-            chosen = [where for where in relevant if self._catalogue.pairs[where - 1][1] == cheapest]
-            share = Fraction(1, m * len(chosen))
+            chosen = [where for where in relevant if pairs[where - 1][1] == cheapest]
+            share = self._ties // len(chosen)
             for where in chosen:
-                totals[where] = totals.get(where, Fraction(0)) + share
+                totals[where] = totals.get(where, 0) + share
         return totals
 
 
@@ -342,30 +331,25 @@ class RankPricingChoiceModel(_ReducedUdpModel):
 
     The offer set induces the price assignment that charges each item its
     cheapest offered level; consumer i deterministically picks the pair her
-    scan would buy under those prices.
+    scan would buy under those prices, so every probability is a count / m.
     """
 
-    def _consumer_average(self, S: Subset) -> dict[int, Fraction]:
-        instance = self._instance
-        m = instance.m
-        floor = self._catalogue.floor_prices(S, instance.n)
-        buyers: dict[int, int] = {}
-        for consumer in instance.consumers:
-            for x in consumer.ranking:
-                price = floor[x - 1]
-                if price <= consumer.valuations[x - 1]:
-                    where = self._catalogue.index[(x, price)]
-                    buyers[where] = buyers.get(where, 0) + 1
-                    break
-        return {where: Fraction(count, m) for where, count in buyers.items()}
+    def __init__(self, instance, catalogue: _PairCatalogue):
+        super().__init__(instance, catalogue)
+        self.denominator = instance.m
+
+    def _numerators(self, S: Iterable[int]) -> dict[int, int]:
+        floor = self._catalogue.floor_prices(S, self._instance.n)
+        bought = simulate_purchases_rank(self._instance, floor).purchases
+        return Counter(self._catalogue.index[(x, floor[x - 1])] for x in bought if x is not None)
 
 
 def _reduce(instance, model_cls, guard: int) -> AssortmentInstance:
-    catalogue = _PairCatalogue(instance.n, instance.valuation_levels)
-    if len(catalogue.pairs) > guard:
-        raise GroundSetTooLarge(
-            f"reduction would create {len(catalogue.pairs)} products; guard is {guard}"
-        )
+    levels = instance.valuation_levels
+    if instance.n * len(levels) > guard:
+        raise GroundSetTooLarge(f"reduction would create {instance.n} items x {len(levels)} valuation levels "
+                                f"= {instance.n * len(levels)} products; guard is {guard}")
+    catalogue = _PairCatalogue(instance.n, levels)
     model = model_cls(instance, catalogue)
     revenue = [instance.m * v for (_, v) in catalogue.pairs]
     return AssortmentInstance(model, revenue)

@@ -25,7 +25,7 @@ from assortopt import (
     check_demand_submodularity,
     check_purchase_monotonicity,
 )
-from assortopt.axioms import ATOL, _table
+from assortopt.axioms import ATOL, offer_table
 from assortopt.models import enumerate_subsets
 
 
@@ -268,7 +268,7 @@ PRIMES = (999_983, 1_000_003, 1_000_033, 104_729, 7_919)
 
 
 def _scale_of(model):
-    return _table(model, 20)[2]
+    return offer_table(model).scale
 
 
 def _coprime_table(rng, n):

@@ -10,7 +10,7 @@ from assortopt.cli import _emit, main
 from assortopt.io import instance_from_dict
 from assortopt.udp import UNPRICED, PricingSolution, UdpMinInstance, uniform_pricing
 from assortopt.io import dumps
-from assortopt.models import TabularModel
+from assortopt.models import MnlModel, TabularModel
 from assortopt.io import instance_to_dict
 from assortopt.assortment import AssortmentInstance
 
@@ -300,3 +300,45 @@ def test_stackelberg_solve_keys_prices_by_edge(tmp_path, capsys):
     prices = json.loads(out)["opt_prices"]
     assert isinstance(prices, dict)
     assert set(prices) == {str(edge) for edge in instance.blue}
+
+
+def _one_line_exit_2(capsys, *argv):
+    capsys.readouterr()
+    assert main(list(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+    return captured.err
+
+
+def test_nonpositive_horizon_flag_exits_2(tmp_path, capsys):
+    path = tmp_path / "mp.json"
+    assert main(["gen", "multiperiod", "--seed", "5", "-o", str(path)]) == 0
+    assert "horizon and capacity must be positive" in _one_line_exit_2(capsys, "multiperiod", str(path), "--T", "0")
+
+
+@pytest.mark.parametrize("params", ["{bad", "[1, 2]", "3"])
+def test_bad_params_flag_exits_2(tmp_path, capsys, params):
+    assert "invalid --params" in _one_line_exit_2(capsys, "gen", "assortment", "--params", params)
+
+
+def test_oversized_pricing_grid_exits_2(tmp_path, capsys):
+    # 12 items, 9 valuation levels: 10^12 price assignments, past the 10^7 guard.
+    consumers = [{"bundle": [x], "valuation": x % 9 + 1} for x in range(1, 13)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"kind": "udp_min", "payload": {"items": 12, "consumers": consumers}}))
+    assert "10^12 price assignments" in _one_line_exit_2(capsys, "udp", "solve", str(path))
+
+
+def test_astronomical_item_count_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"kind": "udp_min", "payload": {"items": 1000000000000000000, '
+                    '"consumers": [{"bundle": [1], "valuation": 1}]}}')
+    assert "price assignments" in _one_line_exit_2(capsys, "udp", "solve", str(path))
+
+
+def test_oversized_assortment_exits_2(tmp_path, capsys):
+    path = tmp_path / "wide.json"
+    instance = AssortmentInstance(MnlModel([0.0] * 21), [1.0] * 21)
+    path.write_text(dumps(instance_to_dict(instance)))
+    assert "exceeds the enumeration guard" in _one_line_exit_2(capsys, "solve", str(path), "--method", "brute")

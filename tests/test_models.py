@@ -227,6 +227,11 @@ class TestHfam:
         with pytest.raises(ValueError):
             TableCapacity(2, not_submodular)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_coverage_rejects_non_finite_point_weights(self, weight):
+        with pytest.raises(ValueError, match="finite"):
+            CoverageCapacity(1, [weight], [[0]])
+
     def test_table_capacity_accepts_coverage_values(self):
         coverage = CoverageCapacity(2, [0.4, 0.3], [[0], [0, 1]])
         values = {s: coverage.value(s) for s in enumerate_subsets(2)}

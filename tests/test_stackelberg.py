@@ -26,7 +26,8 @@ from assortopt import (
     uniform_pricing_stackelberg,
 )
 from assortopt.generators import random_stackelberg
-from assortopt.stackelberg import PricedCopyMatroid
+from assortopt.errors import GroundSetTooLarge
+from assortopt.stackelberg import PricedCopyMatroid, StackelbergChoiceModel
 
 
 def triangle():
@@ -235,6 +236,22 @@ class TestReduction:
         assert reduced.n == 0
         assert brute_force_optimum(reduced).revenue == 0
         assert brute_force_stackelberg(instance).revenue == 0
+
+    def test_guard_refuses_before_building_the_model(self, monkeypatch):
+        built = []
+        original = StackelbergChoiceModel.__init__
+
+        def spy(self, instance):
+            built.append(instance)
+            original(self, instance)
+
+        monkeypatch.setattr(StackelbergChoiceModel, "__init__", spy)
+        # 21 blue edges parallel to one red edge: 21 x 1 pairs, one past the guard.
+        matroid = GraphicMatroid(2, [(0, 1)] * 22)
+        instance = StackelbergInstance(matroid, {0: 2.0}, range(1, 22))
+        with pytest.raises(GroundSetTooLarge, match="21 blue elements x 1 cost levels"):
+            reduce_to_assortment(instance)
+        assert built == []
 
     def test_oracle_equality_axioms_and_bullets(self):
         rng = Random(23)

@@ -22,7 +22,9 @@ from assortopt import (
     simulate_purchases_rank,
     uniform_pricing,
 )
+from assortopt.errors import GroundSetTooLarge
 from assortopt.generators import random_udp_min, random_udp_rank
+from assortopt.udp import _PairCatalogue
 
 
 class TestSimulateMin:
@@ -124,6 +126,33 @@ class TestBruteForcePricing:
         wide = UdpMinInstance(9, consumers)
         with pytest.raises(SearchSpaceTooLarge):
             brute_force_pricing(wide, guard=100)
+
+    def test_guard_refuses_before_computing_the_grid_size(self):
+        # 3^10000 has 4,772 digits; formatting it would exceed the int-to-str limit.
+        huge = UdpMinInstance(10**4, [({1}, 1), ({2}, 2)])
+        with pytest.raises(SearchSpaceTooLarge, match=r"3\^10000 price assignments"):
+            brute_force_pricing(huge)
+
+    def test_guard_at_the_boundary_is_exact(self):
+        # 3^2 = 9 assignments: a guard of 9 admits them, a guard of 8 does not.
+        instance = UdpMinInstance(2, [({1}, 1), ({2}, 2)])
+        assert brute_force_pricing(instance, guard=9).revenue == 3
+        with pytest.raises(SearchSpaceTooLarge):
+            brute_force_pricing(instance, guard=8)
+
+    def test_reduction_guard_builds_no_pair_catalogue(self, monkeypatch):
+        built = []
+        original = _PairCatalogue.__init__
+
+        def spy(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(_PairCatalogue, "__init__", spy)
+        huge = UdpMinInstance(10**4, [({1}, 1), ({2}, 2)])
+        with pytest.raises(GroundSetTooLarge, match="10000 items x 2 valuation levels"):
+            reduce_min_to_assortment(huge)
+        assert built == []
 
 
 @settings(max_examples=40, deadline=None)
