@@ -102,12 +102,7 @@ def _best_level(ladder: RevenueLadder, delta: float, rtol: float) -> tuple[int, 
     return _argmin_level(scores, best, rtol), best
 
 
-def solve_dp(
-    instance: MultiPeriodInstance,
-    rtol: float = RTOL,
-    check_regularity: bool = True,
-    guard: int = 20,
-) -> DpTable:
+def solve_dp(instance: MultiPeriodInstance, rtol: float = RTOL, guard: int = 20) -> DpTable:
     """Tabulate J and the least optimal thresholds.
 
     The monotonicity guarantees assume a regular model, so the table records a
@@ -117,7 +112,7 @@ def solve_dp(
     ladder = instance.ladder
     T, Q = instance.horizon, instance.capacity
     regularity_ok: bool | None = None
-    if check_regularity and instance.base.n <= guard:
+    if instance.base.n <= guard:
         regularity_ok = check_axioms(instance.base.model, guard=guard).regularity.passed
 
     value = [[0.0] * (Q + 1) for _ in range(T + 1)]

@@ -4,7 +4,8 @@ A follower buys a minimum-weight base of a matroid whose elements are split
 into red ones with fixed costs and blue ones priced by the leader, blue
 preferred on cost ties.  The leader's problem reduces to an assortment
 instance over (blue element, cost level) pairs via an auxiliary matroid that
-caps each blue element at one copy.
+caps each blue element at one copy.  Uniform pricing, the grid search and
+the reduction are thin callers of the pricing layer in `udp`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 from .assortment import AssortmentInstance
 from .errors import GroundSetTooLarge
 from .models import ChoiceModel
-from .udp import UNPRICED, check_grid
+from .udp import (UNPRICED, PricingSolution, UniformPricingResult, _PairCatalogue, best_uniform_price, grid_optimum,
+                  positive_finite, reduce_pairs)
 
 Element = Hashable
 
@@ -178,8 +180,8 @@ class StackelbergInstance:
         if red & blue or red | blue != frozenset(matroid.ground):
             raise ValueError("red and blue must partition the ground set")
         for element, cost in red_costs.items():
-            if not cost > 0:
-                raise ValueError(f"cost of red element {element!r} is {cost}; must be > 0")
+            if not positive_finite(cost):
+                raise ValueError(f"cost of red element {element!r} is {cost}; must be positive and finite")
         if len(greedy(matroid, red, matroid.ground)) != matroid.rank():
             raise ValueError("the red elements must contain a base of the matroid")
         self._matroid = matroid
@@ -310,56 +312,27 @@ def check_tiebreak_independence(
     return True
 
 
-@dataclass(frozen=True)
-class UniformStackelbergResult:
-    price: float
-    revenue: float
-    bought_blue: frozenset
-    candidates: tuple[tuple[float, float], ...]
-
-
-def uniform_pricing_stackelberg(instance: StackelbergInstance) -> UniformStackelbergResult:
+def uniform_pricing_stackelberg(instance: StackelbergInstance) -> UniformPricingResult:
     """Price every blue element at a common red cost level; keep the best.
 
-    Ties are broken toward the largest level.
+    Ties are broken toward the largest level.  Without red costs there is no
+    level to try, and the result is price None with revenue 0.
     """
-    best: UniformStackelbergResult | None = None
-    candidates = []
-    for level in instance.cost_levels:
-        prices = {e: level for e in instance.blue}
-        outcome = revenue_of_prices(instance, prices)
-        candidates.append((level, outcome.revenue))
-        if best is None or outcome.revenue >= best.revenue:
-            best = UniformStackelbergResult(level, outcome.revenue, outcome.bought_blue, ())
-    if best is None:
-        raise ValueError("an instance must have at least one red cost level")
-    return UniformStackelbergResult(best.price, best.revenue, best.bought_blue, tuple(candidates))
+    return best_uniform_price(instance.cost_levels,
+                              lambda level: revenue_of_prices(instance, dict.fromkeys(instance.blue, level)).revenue)
 
 
-@dataclass(frozen=True)
-class StackelbergSolution:
-    prices: dict
-    revenue: float
-
-
-def brute_force_stackelberg(instance: StackelbergInstance, guard: int = 10**7) -> StackelbergSolution:
+def brute_force_stackelberg(instance: StackelbergInstance, guard: int = 10**7) -> PricingSolution:
     """Exact optimum over the grid of red cost levels plus UNPRICED per blue.
 
     Restricting to that grid loses nothing: any price strictly between
     levels can be raised to the next level, and anything above the top level
-    is never bought.
+    is never bought.  The prices map each blue element to its price.
     """
     blue = sorted(instance.blue, key=_sort_key)
-    levels = list(instance.cost_levels) + [UNPRICED]
-    check_grid(len(levels), len(blue), guard)
-    best: StackelbergSolution | None = None
-    for assignment in itertools.product(levels, repeat=len(blue)):
-        prices = dict(zip(blue, assignment))
-        outcome = revenue_of_prices(instance, prices)
-        if best is None or outcome.revenue > best.revenue:
-            best = StackelbergSolution(prices, outcome.revenue)
-    assert best is not None
-    return best
+    best = grid_optimum(instance.cost_levels, len(blue), guard,
+                        lambda assignment: revenue_of_prices(instance, dict(zip(blue, assignment))).revenue)
+    return PricingSolution(dict(zip(blue, best.prices)), best.revenue)
 
 
 class PricedCopyMatroid(Matroid):
@@ -373,11 +346,9 @@ class PricedCopyMatroid(Matroid):
 
     def __init__(self, base: Matroid, blue: frozenset, levels: Sequence):
         self._base = base
-        self._blue_levels = tuple(levels)
-        pairs = [(e, q) for e in sorted(blue, key=_sort_key) for q in self._blue_levels]
+        self.pairs = _PairCatalogue(sorted(blue, key=_sort_key), levels).pairs
         reds = [e for e in base.ground if e not in blue]
-        super().__init__(tuple(reds) + tuple(pairs))
-        self._blue = blue
+        super().__init__(tuple(reds) + self.pairs)
         self._reds = frozenset(reds)
 
     def is_independent(self, subset: Iterable[Element]) -> bool:
@@ -400,12 +371,10 @@ class StackelbergChoiceModel(ChoiceModel):
     """
 
     def __init__(self, instance: StackelbergInstance):
-        levels = instance.cost_levels
-        blue = sorted(instance.blue, key=_sort_key)
-        self._pairs = tuple((e, q) for e in blue for q in levels)
-        super().__init__(len(self._pairs))
+        self._aux = PricedCopyMatroid(instance.matroid, instance.blue, instance.cost_levels)
+        self.pairs = self._aux.pairs
+        super().__init__(len(self.pairs))
         self._instance = instance
-        self._aux = PricedCopyMatroid(instance.matroid, instance.blue, levels)
         self._reds = frozenset(e for e in instance.matroid.ground if e not in instance.blue)
         red_costs = instance.red_costs
 
@@ -418,10 +387,6 @@ class StackelbergChoiceModel(ChoiceModel):
         self.denominator = len(instance.blue) or 1  # 1 keeps an empty catalogue's table well defined
 
     @property
-    def pairs(self) -> tuple:
-        return self._pairs
-
-    @property
     def auxiliary_matroid(self) -> PricedCopyMatroid:
         return self._aux
 
@@ -432,8 +397,8 @@ class StackelbergChoiceModel(ChoiceModel):
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
         if not subset:
             return ()
-        selection = greedy(self._aux, self._reds | {self._pairs[where - 1] for where in subset}, self._order)
-        return tuple(int(self._pairs[x - 1] in selection) for x in subset)
+        selection = greedy(self._aux, self._reds | {self.pairs[where - 1] for where in subset}, self._order)
+        return tuple(int(self.pairs[x - 1] in selection) for x in subset)
 
 
 def reduce_to_assortment(instance: StackelbergInstance, guard: int = 20) -> AssortmentInstance:
@@ -443,11 +408,6 @@ def reduce_to_assortment(instance: StackelbergInstance, guard: int = 20) -> Asso
     optimum revenue is preserved, and uniform pricing at a level matches the
     revenue-ordered candidate at the corresponding threshold.
     """
-    blue, levels = len(instance.blue), len(instance.cost_levels)
-    if blue * levels > guard:
-        raise GroundSetTooLarge(f"reduction would create {blue} blue elements x {levels} cost levels "
-                                f"= {blue * levels} products; guard is {guard}")
-    model = StackelbergChoiceModel(instance)
-    blue_count = len(instance.blue)
-    revenue = [blue_count * q for (_, q) in model.pairs]
-    return AssortmentInstance(model, revenue)
+    blue = len(instance.blue)
+    return reduce_pairs(blue, instance.cost_levels, blue, guard, ("blue elements", "cost levels"),
+                        lambda: StackelbergChoiceModel(instance))

@@ -7,6 +7,11 @@ list and buys the first item priced within its valuation.  Both problems
 reduce to assortment instances over (item, price level) pairs whose choice
 probabilities are exact rationals, so oracle comparisons against the pricing
 side are exact.
+
+The pricing layer shared with Stackelberg pricing lives here too: the
+uniform-price scan `best_uniform_price`, the exact grid search over the
+levels plus UNPRICED `grid_optimum`, and the pair-reduction scaffold
+`reduce_pairs`.
 """
 
 from __future__ import annotations
@@ -15,13 +20,18 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .assortment import AssortmentInstance
 from .errors import GroundSetTooLarge, SearchSpaceTooLarge
 from .models import ChoiceModel
 
 UNPRICED = math.inf
+
+
+def positive_finite(value) -> bool:
+    """Positive and, for a float, finite; ints are never converted to float."""
+    return value > 0 and not (isinstance(value, float) and not math.isfinite(value))
 
 
 @dataclass(frozen=True)
@@ -41,13 +51,16 @@ class RankConsumer:
 
 
 class _PricingInstance:
-    """Items 1..n and the validated consumers of a unit-demand pricing problem."""
+    """Items 1..n and the validated consumers of a unit-demand pricing problem;
+    each subclass parses one raw consumer in ``_consumer``."""
 
-    def __init__(self, n: int, consumers: tuple):
-        if not consumers:
-            raise ValueError("at least one consumer is required")
+    def __init__(self, n: int, consumers: Iterable):
+        if n < 1:
+            raise ValueError("at least one item is required")
         self._n = n
-        self._consumers = consumers
+        self._consumers = tuple(map(self._consumer, consumers))
+        if not self._consumers:
+            raise ValueError("at least one consumer is required")
 
     @property
     def n(self) -> int:
@@ -63,21 +76,16 @@ class _PricingInstance:
 
 
 class UdpMinInstance(_PricingInstance):
-    """Cheapest-affordable-item pricing problem."""
+    """Cheapest-affordable-item pricing problem; consumers are (bundle, valuation)."""
 
-    def __init__(self, n: int, consumers: Sequence[tuple[Iterable[int], float]]):
-        if n < 1:
-            raise ValueError("at least one item is required")
-        items = range(1, n + 1)
-        parsed = []
-        for bundle, valuation in consumers:
-            members = frozenset(bundle)
-            if not members or not all(isinstance(i, int) and i in items for i in members):
-                raise ValueError(f"bundle {sorted(members)} must be a nonempty subset of 1..{n}")
-            if not valuation > 0:
-                raise ValueError("valuations must be positive")
-            parsed.append(MinConsumer(members, valuation))
-        super().__init__(n, tuple(parsed))
+    def _consumer(self, raw: tuple[Iterable[int], float]) -> MinConsumer:
+        bundle, valuation = raw
+        members = frozenset(bundle)
+        if not members or not all(isinstance(i, int) and 1 <= i <= self._n for i in members):
+            raise ValueError(f"bundle {sorted(members)} must be a nonempty subset of 1..{self._n}")
+        if not positive_finite(valuation):
+            raise ValueError("valuations must be positive and finite")
+        return MinConsumer(members, valuation)
 
     @property
     def valuation_levels(self) -> tuple:
@@ -86,23 +94,19 @@ class UdpMinInstance(_PricingInstance):
 
 
 class UdpRankInstance(_PricingInstance):
-    """First-affordable-item pricing problem."""
+    """First-affordable-item pricing problem; consumers are (ranking, valuations)."""
 
-    def __init__(self, n: int, consumers: Sequence[tuple[Sequence[int], Sequence[float]]]):
-        if n < 1:
-            raise ValueError("at least one item is required")
-        parsed = []
-        for ranking, valuations in consumers:
-            order = tuple(ranking)
-            if len(order) != n or frozenset(order) != frozenset(range(1, n + 1)):
-                raise ValueError(f"{order} is not a permutation of 1..{n}")
-            values = tuple(valuations)
-            if len(values) != n:
-                raise ValueError("one valuation per item is required")
-            if any(not v > 0 for v in values):
-                raise ValueError("valuations must be positive")
-            parsed.append(RankConsumer(order, values))
-        super().__init__(n, tuple(parsed))
+    def _consumer(self, raw: tuple[Sequence[int], Sequence[float]]) -> RankConsumer:
+        ranking, valuations = raw
+        order = tuple(ranking)
+        if len(order) != self._n or frozenset(order) != frozenset(range(1, self._n + 1)):
+            raise ValueError(f"{order} is not a permutation of 1..{self._n}")
+        values = tuple(valuations)
+        if len(values) != self._n:
+            raise ValueError("one valuation per item is required")
+        if not all(map(positive_finite, values)):
+            raise ValueError("valuations must be positive and finite")
+        return RankConsumer(order, values)
 
     @property
     def valuation_levels(self) -> tuple:
@@ -194,6 +198,18 @@ class UniformPricingResult:
     candidates: tuple[tuple[float, float], ...]
 
 
+def best_uniform_price(levels: Iterable, revenue_at: Callable) -> UniformPricingResult:
+    """Try each level, ascending, as the one common price and keep the best,
+    ties toward the highest level; no level at all gives (None, 0, ())."""
+    best_price, best_revenue, candidates = None, 0, []
+    for level in levels:
+        revenue = revenue_at(level)
+        candidates.append((level, revenue))
+        if best_price is None or revenue >= best_revenue:
+            best_price, best_revenue = level, revenue
+    return UniformPricingResult(best_price, best_revenue, tuple(candidates))
+
+
 def uniform_pricing(instance: UdpMinInstance | UdpRankInstance) -> UniformPricingResult:
     """Try one common price per distinct valuation and keep the best.
 
@@ -201,21 +217,12 @@ def uniform_pricing(instance: UdpMinInstance | UdpRankInstance) -> UniformPricin
     feasible for every price ladder, so the result is unaffected by ladder
     constraints.
     """
-    best_price = None
-    best_revenue = None
-    candidates = []
-    for level in instance.valuation_levels:
-        outcome = _simulate(instance, (level,) * instance.n)
-        candidates.append((level, outcome.revenue))
-        if best_revenue is None or outcome.revenue >= best_revenue:
-            best_revenue = outcome.revenue
-            best_price = level
-    return UniformPricingResult(best_price, best_revenue, tuple(candidates))
+    return best_uniform_price(instance.valuation_levels, lambda v: _simulate(instance, (v,) * instance.n).revenue)
 
 
 @dataclass(frozen=True)
 class PricingSolution:
-    prices: tuple
+    prices: tuple | dict
     revenue: float
 
 
@@ -224,6 +231,22 @@ def check_grid(levels: int, count: int, guard: int) -> None:
     logarithms before the power is ever computed."""
     if count * math.log(levels) > math.log(guard) + 1e-9 or levels**count > guard:
         raise SearchSpaceTooLarge(f"{levels}^{count} price assignments exceed the guard {guard}")
+
+
+def grid_optimum(levels: Sequence, count: int, guard: int, revenue_of: Callable,
+                 feasible: Callable | None = None) -> PricingSolution | None:
+    """After the guard check, the first strictly best feasible assignment of
+    ``levels`` plus UNPRICED to ``count`` elements in ``itertools.product``
+    order (ties go to the lexicographically smallest), or None."""
+    grid = list(levels) + [UNPRICED]
+    check_grid(len(grid), count, guard)
+    best = None
+    for assignment in itertools.product(grid, repeat=count):
+        if feasible is None or feasible(assignment):
+            revenue = revenue_of(assignment)
+            if best is None or revenue > best.revenue:
+                best = PricingSolution(assignment, revenue)
+    return best
 
 
 def brute_force_pricing(
@@ -235,28 +258,21 @@ def brute_force_pricing(
 
     Restricting prices to valuations loses nothing, and UNPRICED covers
     never-affordable items.  With a ladder, only ladder-feasible assignments
-    compete.  Ties go to the lexicographically smallest price vector.
+    compete; leaving every item UNPRICED satisfies every ladder, so one
+    always does.  Ties go to the lexicographically smallest price vector.
     """
-    levels = list(instance.valuation_levels) + [UNPRICED]
-    check_grid(len(levels), instance.n, guard)
-    best: PricingSolution | None = None
-    for assignment in itertools.product(levels, repeat=instance.n):
-        if ladder is not None and not ladder.is_feasible(assignment):
-            continue
-        outcome = _simulate(instance, assignment)
-        if best is None or outcome.revenue > best.revenue:
-            best = PricingSolution(assignment, outcome.revenue)
-    if best is None:
-        raise ValueError("no feasible price assignment")
-    return best
+    feasible = None if ladder is None else ladder.is_feasible
+    return grid_optimum(instance.valuation_levels, instance.n, guard, lambda p: _simulate(instance, p).revenue, feasible)
 
 
 class _PairCatalogue:
-    """Shared (item, price level) pair indexing for the reduced instances."""
+    """Shared (element, price level) pair indexing for the reduced instances;
+    an int ``items`` n stands for the items 1..n."""
 
-    def __init__(self, n_items: int, levels: Sequence):
+    def __init__(self, items: int | Sequence, levels: Sequence):
         self.levels = tuple(levels)
-        self.pairs = tuple((x, v) for x in range(1, n_items + 1) for v in self.levels)
+        elements = range(1, items + 1) if isinstance(items, int) else items
+        self.pairs = tuple((x, v) for x in elements for v in self.levels)
         self.index = {pair: where + 1 for where, pair in enumerate(self.pairs)}
 
     def floor_prices(self, members: Iterable[int], n_items: int) -> list:
@@ -281,6 +297,7 @@ class _ReducedUdpModel(ChoiceModel):
         super().__init__(len(catalogue.pairs))
         self._instance = instance
         self._catalogue = catalogue
+        self.pairs = catalogue.pairs
 
     @property
     def pair_catalogue(self) -> _PairCatalogue:
@@ -344,15 +361,20 @@ class RankPricingChoiceModel(_ReducedUdpModel):
         return Counter(self._catalogue.index[(x, floor[x - 1])] for x in bought if x is not None)
 
 
+def reduce_pairs(count: int, levels: Sequence, buyers: int, guard: int, nouns: tuple, build: Callable):
+    """Refuse ``count`` elements x ``levels`` products beyond the guard before anything is built; then
+    ``build`` the model over (element, level) pairs, and pay ``buyers`` x level for each pair."""
+    products = count * len(levels)
+    if products > guard:
+        raise GroundSetTooLarge(f"reduction would create {count} {nouns[0]} x {len(levels)} {nouns[1]} "
+                                f"= {products} products; guard is {guard}")
+    model = build()
+    return AssortmentInstance(model, [buyers * level for (_, level) in model.pairs])
+
+
 def _reduce(instance, model_cls, guard: int) -> AssortmentInstance:
-    levels = instance.valuation_levels
-    if instance.n * len(levels) > guard:
-        raise GroundSetTooLarge(f"reduction would create {instance.n} items x {len(levels)} valuation levels "
-                                f"= {instance.n * len(levels)} products; guard is {guard}")
-    catalogue = _PairCatalogue(instance.n, levels)
-    model = model_cls(instance, catalogue)
-    revenue = [instance.m * v for (_, v) in catalogue.pairs]
-    return AssortmentInstance(model, revenue)
+    return reduce_pairs(instance.n, instance.valuation_levels, instance.m, guard, ("items", "valuation levels"),
+                        lambda: model_cls(instance, _PairCatalogue(instance.n, instance.valuation_levels)))
 
 
 def reduce_min_to_assortment(instance: UdpMinInstance, guard: int = 20) -> AssortmentInstance:
