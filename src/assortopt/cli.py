@@ -3,11 +3,18 @@
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad usage or a
 bad flag value, an instance file that is unreadable, malformed, invalid or of
 the wrong kind, or an instance beyond an enumeration guard (one line on stderr).
+
+``main`` parses with one parser per process, built on its first call, so a
+process that calls ``main`` many times (the tests, ``perfbench``) builds the
+argparse tree once.  Because every call shares that parser, no argument may
+have a mutable default (a list default or an ``append`` action): it would
+carry values from one call into the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import hashlib
 import json
@@ -296,6 +303,7 @@ def _cmd_suite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the ``assort`` command line; ``main`` reuses one."""
     parser = argparse.ArgumentParser(
         prog="assort",
         description="Assortment optimisation under regular discrete choice models.",
@@ -351,8 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call, so importing the package does not pay for it.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (GroundSetTooLarge, SearchSpaceTooLarge) as error:

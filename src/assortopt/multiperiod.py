@@ -17,6 +17,13 @@ delta).  That is the static problem with every revenue shifted by delta,
 which ``lstar_delta`` solves with the same function, so the two agree on
 every cell.  For regular models l* is monotone in both state variables
 (nesting by fare order).
+
+Capacity cannot bind while it covers the rest of the horizon (q >= t).  By
+induction from J_0 = 0, row t-1 holds the one float J_{t-1}(t-1) at every
+q >= t-1, so each cell (t, q) with q >= t has delta = -0.0, the scores of
+delta = 0, the same l* and J_t(q) = J_{t-1}(t-1) + max_l R_l; row t is then
+one float at q >= t in turn.  The DP scores the ladder at delta = 0 once per
+solve, fills those cells from it, and searches cell by cell only for q < t.
 """
 
 from __future__ import annotations
@@ -84,22 +91,18 @@ class DpTable:
         return self.value[t][q] - self.value[t][q - 1]
 
 
-def _argmin_level(values, best: float, rtol: float) -> int:
-    # Relative tolerance with a unit floor: near-zero values would otherwise
-    # never tie, and ties there are exactly the degenerate all-worthless cells.
-    slack = rtol * max(1.0, abs(best))
-    for where, value in enumerate(values):
-        if best - value <= slack:
-            return where + 1
-    raise AssertionError("the maximum is always within tolerance of itself")
-
-
 def _best_level(ladder: RevenueLadder, delta: float, rtol: float) -> tuple[int, float]:
     """The least level maximising R_l + P_l * delta within tolerance, and
     that maximum."""
     scores = [r + p * delta for r, p in zip(ladder.expected_revenue, ladder.purchase_probability)]
     best = max(scores)
-    return _argmin_level(scores, best, rtol), best
+    # Relative tolerance with a unit floor: near-zero values would otherwise
+    # never tie, and ties there are exactly the degenerate all-worthless cells.
+    slack = rtol * max(1.0, abs(best))
+    for level, value in enumerate(scores, 1):
+        if best - value <= slack:
+            return level, best
+    raise AssertionError("the maximum is always within tolerance of itself")
 
 
 def solve_dp(instance: MultiPeriodInstance, rtol: float = RTOL, guard: int = 20) -> DpTable:
@@ -108,6 +111,11 @@ def solve_dp(instance: MultiPeriodInstance, rtol: float = RTOL, guard: int = 20)
     The monotonicity guarantees assume a regular model, so the table records a
     regularity verdict (a warning flag, not an error: the DP itself is well
     defined regardless).
+
+    Cells with q >= t, where the inventory covers every remaining period,
+    have delta = 0 because J_{t-1}(q) and J_{t-1}(q-1) are the same float
+    there (see the module docstring).  They are filled from one scoring at
+    delta = 0; only cells with q < t are searched one by one.
     """
     ladder = instance.ladder
     T, Q = instance.horizon, instance.capacity
@@ -117,12 +125,16 @@ def solve_dp(instance: MultiPeriodInstance, rtol: float = RTOL, guard: int = 20)
 
     value = [[0.0] * (Q + 1) for _ in range(T + 1)]
     lstar = [[1] * (Q + 1) for _ in range(T + 1)]
+    level0, best0 = _best_level(ladder, 0.0, rtol)
     for t in range(1, T + 1):
         previous, row, choice = value[t - 1], value[t], lstar[t]
-        for q in range(1, Q + 1):
+        for q in range(1, min(t, Q + 1)):
             # The same float DpTable.marginal(t - 1, q) returns, negated.
             choice[q], best = _best_level(ladder, -(previous[q] - previous[q - 1]), rtol)
             row[q] = previous[q] + best
+        if t <= Q:
+            row[t:] = [previous[t - 1] + best0] * (Q + 1 - t)
+            choice[t:] = [level0] * (Q + 1 - t)
     return DpTable(
         horizon=T,
         capacity=Q,

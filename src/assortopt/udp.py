@@ -260,7 +260,10 @@ def brute_force_pricing(
     never-affordable items.  With a ladder, only ladder-feasible assignments
     compete; leaving every item UNPRICED satisfies every ladder, so one
     always does.  Ties go to the lexicographically smallest price vector.
+    The ladder must order exactly the instance's n items.
     """
+    if ladder is not None and len(ladder.psi) != instance.n:
+        raise ValueError(f"the ladder orders {len(ladder.psi)} items but the instance has {instance.n}")
     feasible = None if ladder is None else ladder.is_feasible
     return grid_optimum(instance.valuation_levels, instance.n, guard, lambda p: _simulate(instance, p).revenue, feasible)
 

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from assortopt import cli
 from assortopt.cli import _emit, main
 from assortopt.io import instance_from_dict
 from assortopt.udp import UNPRICED, PricingSolution, UdpMinInstance, uniform_pricing
@@ -342,3 +343,56 @@ def test_oversized_assortment_exits_2(tmp_path, capsys):
     instance = AssortmentInstance(MnlModel([0.0] * 21), [1.0] * 21)
     path.write_text(dumps(instance_to_dict(instance)))
     assert "exceeds the enumeration guard" in _one_line_exit_2(capsys, "solve", str(path), "--method", "brute")
+
+
+class TestSharedParser:
+    """``main`` reuses one parser per process; no call may leak into the next."""
+
+    def test_one_parser_for_many_calls(self, tmp_path, capsys, monkeypatch):
+        built = []
+        real_build_parser = cli.build_parser
+
+        def counting_build_parser():
+            built.append(1)
+            return real_build_parser()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        path = tmp_path / "inst.json"
+        assert main(["gen", "assortment", "--family", "mnl", "--seed", "4", "-o", str(path)]) == 0
+        assert main(["solve", str(path), "--json"]) == 0
+        assert main(["bounds", str(path)]) == 0
+        assert main(["suite", str(path)]) == 0
+        capsys.readouterr()
+        assert built == [1]
+
+    def test_flags_do_not_carry_over(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        assert main(["gen", "assortment", "--family", "mnl", "--seed", "4", "-o", str(path)]) == 0
+        code, out = run(capsys, "solve", str(path), "--json")
+        assert code == 0 and json.loads(out)["ratio"] == pytest.approx(1.0)
+        code, out = run(capsys, "solve", str(path))
+        assert code == 0 and out.startswith("revord: ")
+
+    def test_check_subset_does_not_carry_over(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        assert main(["gen", "assortment", "--family", "mnl", "--seed", "4", "-o", str(path)]) == 0
+        code, out = run(capsys, "suite", "--checks", "axioms", str(path))
+        assert code == 0 and set(json.loads(out)["checks"]) == {"axioms"}
+        code, out = run(capsys, "suite", str(path))
+        assert code == 0 and set(json.loads(out)["checks"]) == {"axioms", "guarantees"}
+
+    def test_usage_error_then_valid_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["solve"])
+        assert excinfo.value.code == 2
+        path = tmp_path / "inst.json"
+        assert main(["gen", "assortment", "--family", "mnl", "--seed", "4", "-o", str(path)]) == 0
+        code, out = run(capsys, "solve", str(path), "--method", "revord", "--json")
+        assert code == 0 and "revord" in json.loads(out)
+
+    def test_help_matches_a_fresh_parser(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out == cli.build_parser().format_help()

@@ -121,6 +121,12 @@ class TestBruteForcePricing:
             assert constrained.revenue <= free.revenue
             assert ladder.is_feasible(constrained.prices)
 
+    @pytest.mark.parametrize("psi", [(1, 2, 3), (1,)])
+    def test_ladder_of_another_length_is_refused(self, psi):
+        instance = UdpMinInstance(2, [({1}, 1.0), ({2}, 2.0)])
+        with pytest.raises(ValueError, match=f"orders {len(psi)} items but the instance has 2"):
+            brute_force_pricing(instance, ladder=PriceLadder(psi))
+
     def test_guard(self):
         consumers = [({x}, float(x)) for x in range(1, 10)]
         wide = UdpMinInstance(9, consumers)
