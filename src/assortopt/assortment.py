@@ -11,14 +11,27 @@ the distribution of purchases inside an optimal assortment.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .axioms import OfferTable, check_axioms, offer_table
 from .errors import BoundCUnavailable, NonPositiveRevenue, RegularityViolation
-from .models import ChoiceModel, TightExampleModel, as_probabilities, check_guard, evaluate_revenue, offer_rows
+from .models import (
+    ChoiceModel,
+    TightExampleModel,
+    as_probabilities,
+    check_guard,
+    column_sums,
+    evaluate_revenue,
+    members_of,
+)
+
+# Offer sets per block of the streamed exact optimum: 2^12 of them.
+BLOCK_BITS = 12
 
 RTOL = 1e-9
 
@@ -84,15 +97,14 @@ class AssortmentInstance:
 
 
 def _choice_rows(instance: AssortmentInstance, offer_sets) -> list[tuple]:
-    """``model.choice_row`` of each offer set, found in one pass over
-    ``instance.table`` if it has been built, else read from the model."""
+    """``model.choice_row`` of each offer set, read from ``instance.table``
+    if it has been built, else from the model."""
     table = vars(instance).get("table")
     if table is None:
         return [instance.model.choice_row(S) for S in offer_sets]
-    masks = [sum(1 << (x - 1) for x in instance.model._as_subset(S)) for S in offer_sets]
-    wanted = set(masks)
-    found = {mask: row for _, mask, row in table.rows if mask in wanted}
-    return [as_probabilities(found[mask], table.scale) for mask in masks]
+    subsets = [tuple(sorted(instance.model._as_subset(S))) for S in offer_sets]
+    masks = (sum(1 << (x - 1) for x in subset) for subset in subsets)
+    return [as_probabilities(table.row(subset, mask), table.scale) for subset, mask in zip(subsets, masks)]
 
 
 @dataclass(frozen=True)
@@ -177,33 +189,45 @@ def revenue_ordered(instance: AssortmentInstance) -> RevenueOrderedResult:
 def brute_force_optimum(instance: AssortmentInstance, guard: int = 20) -> AssortmentSolution:
     """Exact optimum by enumerating every subset (the empty set included).
 
-    Reads ``instance.table`` if it has been built, else streams the rows
-    without keeping them.  Revenues are summed in ascending product order,
-    as in :func:`assortopt.models.evaluate_revenue`; integer-scaled rows with
-    int revenues sum ints and divide once.  Revenue ties are broken toward
-    the lexicographically smallest subset, so the result is deterministic.
+    Reads the columns of ``instance.table`` if it has been built, else asks
+    the model for them in blocks of at most 2^BLOCK_BITS offer sets (the
+    low products 1..c, under each fixed set of the others), so no caller
+    holds the whole table.  Each offer set's revenue adds p * r column by
+    column in ascending product order from int 0, the same value as
+    :func:`assortopt.models.evaluate_revenue`; integer-scaled columns with
+    int revenues sum ints and divide once.  The largest revenue wins, ties
+    going to the lexicographically smallest subset, so the result is
+    deterministic; a NaN revenue never wins.
     """
-    table = instance.table_within(guard) if "table" in vars(instance) else None
-    if table is None:
-        rows, scale = offer_rows(instance.model, guard), instance.model.denominator
+    n, revenue = instance.n, instance.revenue
+    if "table" in vars(instance):
+        table = instance.table_within(guard)
+        c, scale, blocks = n, table.scale, [(0, table.columns)]
     else:
-        rows, scale = table.rows, table.scale
-    revenue = instance.revenue
+        check_guard(n, guard)
+        c, scale = min(n, BLOCK_BITS), instance.model.denominator
+        blocks = ((high, instance.model.columns(c, high)) for high in range(0, 1 << n, 1 << c))
     exact = scale is not None and all(isinstance(r, int) for r in revenue)
-    if scale is not None and not exact:
-        rows = ((subset, mask, tuple(Fraction(p, scale) for p in row)) for subset, mask, row in rows)
     best_key: tuple[int, ...] = ()
-    best_set: frozenset[int] = frozenset()
-    best_revenue = 0  # the empty set's, which comes first
-    for subset, _, row in rows:
-        value = sum(p * revenue[x - 1] for x, p in zip(subset, row)) if subset else 0
-        if value > best_revenue or (value == best_revenue and subset < best_key):
-            best_key = subset
-            best_set = frozenset(subset)
-            best_revenue = value
+    best_revenue = 0  # the empty set's, in the first block
+    for high, columns in blocks:
+        products = (*range(1, c + 1), *members_of(high, n))
+        if scale is not None and not exact:
+            columns = ([Fraction(p, scale) for p in column] for column in columns)
+        earned = [list(map(operator.mul, column, repeat(revenue[x - 1]))) for x, column in zip(products, columns)]
+        values = column_sums(earned, c)
+        top = max(values)  # only a NaN first hides the rest from max
+        if top != top:
+            top = max((value for value in values if value == value), default=top)
+        if not top >= best_revenue:  # an all-NaN block fails too
+            continue
+        tied = [values.index(top)] if values.count(top) == 1 else [m for m, value in enumerate(values) if value == top]
+        key, mask = min((members_of(m | high, n), m) for m in tied)
+        if top > best_revenue or key < best_key:
+            best_key, best_revenue = key, values[mask]
     if exact and best_key:
         best_revenue = Fraction(best_revenue, scale)
-    return AssortmentSolution(best_set, best_revenue, "brute-force")
+    return AssortmentSolution(frozenset(best_key), best_revenue, "brute-force")
 
 
 @dataclass(frozen=True)

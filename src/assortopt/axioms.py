@@ -1,23 +1,28 @@
 """Exhaustive checkers for the behavioural axioms of a choice model.
 
 Every checker reads an :class:`OfferTable`, the model read once through
-:func:`assortopt.models.offer_rows`: its rows in canonical order and the
-purchase probability sold(S) = sum_{x in S} P(x, S) indexed by bitmask.  A
-checker takes a model, tabulated afresh, or a table such as the cached
-``AssortmentInstance.table``.  Conditions over all 3^n pairs S subset of S'
-are decided with superset transforms on that table (the max form of the
-fast zeta transform on the subset lattice; Yates 1937, Bjorklund, Husfeldt,
-Kaski and Koivisto, STOC 2007): n sweeps of 2^n elements give max (or min)
-over S' superset of S for every S at once, so a check costs O(n^2 2^n)
-instead of O(n 3^n).
+``ChoiceModel.columns(n)``: one column per product x, holding P(x, S) for
+the 2^(n-1) offer sets S that hold x, indexed by the bitmask of S with bit
+x-1 removed, and the purchase probability sold(S) = sum_{x in S} P(x, S)
+indexed by bitmask.  The table holds no rows.  A checker takes a model,
+tabulated afresh, or a table such as the cached
+``AssortmentInstance.table``; ``check_axioms`` keeps its report on the
+table, so the checks of one instance read it once.  Conditions over all
+3^n pairs S subset of S' are decided with superset transforms on that
+table (the max form of the fast zeta transform on the subset lattice;
+Yates 1937, Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007): n sweeps
+of 2^n elements give max (or min) over S' superset of S for every S at
+once, so a check costs O(n^2 2^n) instead of O(n 3^n).  Every superset of
+a set holding x holds x, so regularity transforms each column as it is.
 
 Rounded subtraction and addition are monotone, so the extreme value over the
 supersets of S decides the same comparison as the worst single pair, for
 floats and for exact fractions alike.  The transform therefore finds the
 first violating S in the canonical order of
-:func:`assortopt.models.enumerate_subsets`; only the supersets of that S are
-then scanned pair by pair, in the order of the full pair scan, to report the
-same witness and gap it would.  Probabilities are compared with an absolute
+:func:`assortopt.models.enumerate_subsets`, a scan that runs only when some
+S is flagged; only the supersets of that S are then scanned pair by pair,
+in the order of the full pair scan, to report the same witness and gap it
+would.  Probabilities are compared with an absolute
 tolerance of 1e-9; strict violations beyond tolerance fail.
 
 Exact tables hold each entry p as the int p * D and 1 as D: a model that
@@ -40,10 +45,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .models import ChoiceModel, offer_rows
+from .models import ChoiceModel, check_guard, column_sums, held_index, offer_masks
 
 ATOL = 1e-9
 
@@ -89,31 +94,36 @@ class AxiomReport:
 
 @dataclass(frozen=True, eq=False, repr=False)
 class OfferTable:
-    """A model read once: (S, mask, row) for every offer set in canonical
-    order, as offer_rows yields them, sold[mask] = sum(row), and the scale D
-    of an integer-scaled table (None for plain values)."""
+    """A model read once over every offer set: ``columns``, as
+    ``model.columns(n)`` returns them (P(x, S) at
+    ``columns[x-1][held_index(mask, x)]``), sold[mask] = sum of the row of
+    the offer set, the scale D of an integer-scaled table (None for plain
+    values), and the axiom reports computed from it, by tolerance."""
 
     model: ChoiceModel
     n: int
-    rows: list
+    columns: list
     sold: list
     scale: int | None
+    reports: dict = field(default_factory=dict, init=False)
+
+    def row(self, subset: tuple[int, ...], mask: int) -> tuple:
+        """The table's P(x, S) for each x of the sorted offer set S."""
+        return tuple(self.columns[x - 1][held_index(mask, x)] for x in subset)
 
 
 def offer_table(model: ChoiceModel, guard: int = 20) -> OfferTable:
     """Tabulate a model over every offer set, integer-scaled if it is exact."""
-    rows = list(offer_rows(model, guard))
+    check_guard(model.n, guard)
+    columns = model.columns(model.n)
     scale = model.denominator
-    kinds = set() if scale is not None else set(map(type, itertools.chain.from_iterable(row for _, _, row in rows)))
+    kinds = set() if scale is not None else set(map(type, itertools.chain.from_iterable(columns)))
     if any(issubclass(t, Fraction) for t in kinds) and all(issubclass(t, (int, Fraction)) for t in kinds):
-        denominators = {p.denominator for _, _, row in rows for p in row}
+        denominators = {p.denominator for p in itertools.chain.from_iterable(columns)}
         scale = math.lcm(*denominators)
         factors = {d: scale // d for d in denominators}
-        rows = [(S, mask, tuple(p.numerator * factors[p.denominator] for p in row)) for S, mask, row in rows]
-    sold = [0] * (1 << model.n)
-    for _, mask, row in rows:
-        sold[mask] = sum(row)
-    return OfferTable(model, model.n, rows, sold, scale)
+        columns = [[p.numerator * factors[p.denominator] for p in column] for column in columns]
+    return OfferTable(model, model.n, columns, column_sums(columns, model.n), scale)
 
 
 def _threshold(value: float, scale: int | None):
@@ -140,9 +150,12 @@ def _superset_extreme(values: list, n: int, pick) -> list:
     return values
 
 
-def _first_flagged(rows, flagged):
-    """The first row in canonical order whose mask is flagged, or None."""
-    return next((entry for entry in rows if flagged[entry[1]]), None)
+def _first_flagged(n: int, flagged: list):
+    """(S, mask) of the first offer set in canonical order whose mask is
+    flagged, or None; the scan runs only if some mask is flagged."""
+    if not any(flagged):
+        return None
+    return next(entry for entry in offer_masks(n) if flagged[entry[1]])
 
 
 def _supersets(subset: tuple[int, ...], mask: int, n: int):
@@ -157,21 +170,33 @@ def _supersets(subset: tuple[int, ...], mask: int, n: int):
 def check_axioms(model: "ChoiceModel | OfferTable", guard: int = 20, atol: float = ATOL) -> AxiomReport:
     """Verify the four axioms of a regular discrete choice model.
 
-    Takes the model, or its :class:`OfferTable`.  Witnesses are (x, S) for
-    nonnegativity and availability, (S,) for the at-most-one-purchase axiom,
-    and (x, S, S') for regularity.
+    Takes the model, or its :class:`OfferTable`, which keeps the report: a
+    second call on the same table and tolerance returns it at once.
+    Witnesses are (x, S) for nonnegativity and availability, (S,) for the
+    at-most-one-purchase axiom, and (x, S, S') for regularity.
     """
     table = model if isinstance(model, OfferTable) else offer_table(model, guard)
-    model, n, rows, sold, scale = table.model, table.n, table.rows, table.sold, table.scale
+    report = table.reports.get(atol)
+    if report is None:
+        report = table.reports[atol] = _check_axioms(table, atol)
+    return report
+
+
+def _check_axioms(table: OfferTable, atol: float) -> AxiomReport:
+    model, n, columns, sold, scale = table.model, table.n, table.columns, table.sold, table.scale
     one, tol = scale or 1, _threshold(atol, scale)
 
     # Rounded 1 - s falls as s grows, so the least no-purchase share is
-    # one - max(sold); the row-by-row scan runs only if some entry fails
-    # (or the least entry is NaN, which min cannot look past).
+    # one - max(sold); the scan in canonical order runs only if some entry
+    # fails (or the least entry is NaN, which min cannot look past).
     nonnegativity = CheckResult(True)
-    least_entry = min(itertools.chain.from_iterable(map(operator.itemgetter(2), rows)), default=0)
+    least_entry = min(itertools.chain.from_iterable(columns), default=0)
     if not least_entry >= -tol or one - max(sold) < -tol:
-        entries = ((x, p, subset) for subset, mask, row in rows for x, p in (*zip(subset, row), (0, one - sold[mask])))
+        entries = (
+            (x, p, subset)
+            for subset, mask in offer_masks(n)
+            for x, p in (*zip(subset, table.row(subset, mask)), (0, one - sold[mask]))
+        )
         negative = next((entry for entry in entries if entry[1] < -tol), None)
         if negative is not None:
             x, p, subset = negative
@@ -181,7 +206,9 @@ def check_axioms(model: "ChoiceModel | OfferTable", guard: int = 20, atol: float
     # model that overrides evaluate can fail this check.
     unavailable_zero = CheckResult(True)
     if type(model).evaluate is not ChoiceModel.evaluate:
-        unoffered = ((x, frozenset(S)) for S, mask, _ in rows for x in range(1, n + 1) if not mask >> (x - 1) & 1)
+        unoffered = (
+            (x, frozenset(S)) for S, mask in offer_masks(n) for x in range(1, n + 1) if not mask >> (x - 1) & 1
+        )
         leak = next(((x, S, p) for x, S in unoffered if abs(p := model.evaluate(x, S)) > atol), None)
         if leak is not None:
             unavailable_zero = CheckResult(False, leak[:2], float(abs(leak[2])))
@@ -189,25 +216,18 @@ def check_axioms(model: "ChoiceModel | OfferTable", guard: int = 20, atol: float
     substochastic = CheckResult(True)
     cap = _threshold(1 + atol, scale)
     if max(sold) > cap:
-        subset, mask, _ = _first_flagged(rows, [total > cap for total in sold])
+        subset, mask = _first_flagged(n, [total > cap for total in sold])
         substochastic = CheckResult(False, (frozenset(subset),), _magnitude(sold[mask] - one, scale))
 
     # Regularity: S violates iff some x in S has max_{S'} P(x, S') - P(x, S)
     # beyond tolerance, or the no-purchase share rises at min_{S'} sold(S').
     # Every superset of a set holding x holds x, so P(x, .) is transformed
-    # over the 2^(n-1) masks with bit x set only, with bit x removed.
-    size = len(sold)
-    columns = [[0] * size for _ in range(n)]
-    for subset, mask, row in rows:
-        for x, p in zip(subset, row):
-            columns[x - 1][mask] = p
-    flagged = [False] * size
-    for x, column in enumerate(columns, start=1):
-        width = 1 << (x - 1)
-        blocks = map(slice, range(width, size, 2 * width), range(2 * width, size + 1, 2 * width))
-        held = list(itertools.chain.from_iterable(map(column.__getitem__, blocks)))
+    # over x's column, the 2^(n-1) masks with bit x set, with bit x removed.
+    flagged = [False] * len(sold)
+    for x, held in enumerate(columns, start=1):
         rises = list(map(operator.sub, _superset_extreme(held, n - 1, max), held))
         if not max(rises, default=0) <= tol:  # a NaN first would hide the rest from max
+            width = 1 << (x - 1)
             for c, rise in enumerate(rises):
                 if rise > tol:
                     flagged[(c >> (x - 1) << x) | width | (c & (width - 1))] = True
@@ -216,14 +236,15 @@ def check_axioms(model: "ChoiceModel | OfferTable", guard: int = 20, atol: float
             flagged[mask] = True
 
     regularity = CheckResult(True)
-    first = _first_flagged(rows, flagged)
+    first = _first_flagged(n, flagged)
     if first is not None:
-        subset, mask, row = first
+        subset, mask = first
+        row = table.row(subset, mask)
 
         def drops():
             for larger_mask, larger in _supersets(subset, mask, n):
                 for x, p in zip(subset, row):
-                    yield x, larger, columns[x - 1][larger_mask] - p
+                    yield x, larger, columns[x - 1][held_index(larger_mask, x)] - p
                 yield 0, larger, (one - sold[larger_mask]) - (one - sold[mask])
 
         x, larger, drop = next(found for found in drops() if found[2] > tol)
@@ -239,14 +260,14 @@ def check_purchase_monotonicity(model: "ChoiceModel | OfferTable", guard: int = 
     (S, S').  Regular models always pass.
     """
     table = model if isinstance(model, OfferTable) else offer_table(model, guard)
-    n, rows, sold, scale = table.n, table.rows, table.sold, table.scale
+    n, sold, scale = table.n, table.sold, table.scale
     tol = _threshold(atol, scale)
     least = _superset_extreme(sold, n, min)
     flagged = [total > low + tol for total, low in zip(sold, least)]
-    first = _first_flagged(rows, flagged)
+    first = _first_flagged(n, flagged)
     if first is None:
         return CheckResult(True)
-    subset, mask, _ = first
+    subset, mask = first
     drops = ((at, larger) for at, larger in _supersets(subset, mask, n) if sold[mask] > sold[at] + tol)
     larger_mask, larger = next(drops)
     return CheckResult(False, (frozenset(subset), larger), _magnitude(sold[mask] - sold[larger_mask], scale))
@@ -262,7 +283,7 @@ def check_demand_submodularity(model: "ChoiceModel | OfferTable", guard: int = 2
     does not imply a pass.
     """
     table = model if isinstance(model, OfferTable) else offer_table(model, guard)
-    n, rows, sold, scale = table.n, table.rows, table.sold, table.scale
+    n, sold, scale = table.n, table.sold, table.scale
 
     # worst is kept exact; flagged marks the offer sets S whose gap reaches it.
     worst = 0
@@ -282,7 +303,7 @@ def check_demand_submodularity(model: "ChoiceModel | OfferTable", guard: int = 2
     if not worst > _threshold(atol, scale):
         return CheckResult(True)
 
-    subset, mask, _ = _first_flagged(rows, flagged)
+    subset, mask = _first_flagged(n, flagged)
 
     def gain(at: int, x: int):
         return sold[at | 1 << (x - 1)] - sold[at]

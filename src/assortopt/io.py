@@ -24,9 +24,8 @@ from .models import (
     TableCapacity,
     TabularModel,
     TightExampleModel,
-    as_probabilities,
     enumerate_subsets,
-    offer_rows,
+    probability_rows,
 )
 from .multiperiod import MultiPeriodInstance
 from .stackelberg import GraphicMatroid, StackelbergInstance
@@ -77,8 +76,7 @@ def model_to_dict(model: ChoiceModel, guard: int = 20) -> dict:
     if isinstance(model, TightExampleModel):
         return {"type": "tight_example", "k": model.k, "epsilon": model.epsilon}
     # Anything else (including the lazy reduction models) ships as a table.
-    rows = offer_rows(model, guard)
-    rows = [[list(S), [float(p) for p in as_probabilities(row, model.denominator)]] for S, _, row in rows]
+    rows = [[list(S), [float(p) for p in row]] for S, row in probability_rows(model, guard)]
     return {"type": "tabular", "n": model.n, "rows": rows}
 
 

@@ -11,6 +11,21 @@ memo of evaluated offer sets; exhaustive readers share one table per
 instance (``AssortmentInstance.table``).  A model of exact rationals may
 declare a ``denominator`` D: its ``_choice_row`` then returns the ints p * D,
 while ``evaluate`` and ``choice_row`` still return the ``Fraction`` p.
+
+Exhaustive readers read a model in bulk, through ``columns(c, high)``:
+P(x, L | high) for every mask L of the products 1..c (bit x-1 stands for
+product x), with ``high`` a fixed set of the products above c, as one list
+per offered product.  A product x <= c is offered only at the 2^(c-1)
+masks holding it, so its column lists them in ascending order, which is
+the mask with bit x-1 removed (``held_index``); a product of ``high`` is
+offered everywhere and its column lists all 2^c masks.  ``columns(n)`` is
+the whole table, and smaller c reads it in blocks.  The default builds the
+columns from one ``_choice_row`` per offer set, which Tabular, Hfam, the
+tight family and the pricing reductions use; MNL, mixed MNL and
+stochastic-preference models (so Mallows, through its expansion) build
+them by recurrences over masks, and each of their entries is the same
+float that ``_choice_row`` gives.  ``column_sums`` adds columns into one
+total per offer set, in column order from int 0, as ``sum`` adds a row.
 """
 
 from __future__ import annotations
@@ -19,6 +34,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -26,6 +42,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import GroundSetTooLarge, InvalidEpsilon, NonPositiveRevenue
 
 Subset = frozenset[int]
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows beyond this
 
 
 @dataclass(frozen=True)
@@ -66,26 +84,99 @@ def enumerate_subsets(n: int, guard: int = 20) -> list[tuple[int, ...]]:
     return [subset for size in range(n + 1) for subset in itertools.combinations(range(1, n + 1), size)]
 
 
-def offer_rows(model: "ChoiceModel", guard: int = 20):
-    """Yield (S, mask, row) for every offer set S, in canonical order.
+def offer_masks(n: int):
+    """Yield (S, mask) for every offer set S, in canonical order.
 
-    S is a sorted tuple as in :func:`enumerate_subsets`, mask has bit x-1
-    set for each x in S, and row[i] = P(S[i], S), or its numerator P(S[i], S)
-    * D when the model declares a denominator D.  Rows are produced one at
-    a time, so a caller that does not keep them never holds the whole table.
+    S is a sorted tuple as in :func:`enumerate_subsets` and mask has bit x-1
+    set for each x in S.
     """
-    n = model.n
-    check_guard(n, guard)
     products = range(1, n + 1)
     bits = [1 << i for i in range(n)]
     for size in range(n + 1):
-        for subset, chosen in zip(itertools.combinations(products, size), itertools.combinations(bits, size)):
-            yield subset, sum(chosen), model._choice_row(subset)
+        yield from zip(itertools.combinations(products, size), map(sum, itertools.combinations(bits, size)))
+
+
+def _spans(bits: list[int]) -> list[int]:
+    """Every mask made of some of the given bits."""
+    masks = [0]
+    for bit in bits:
+        masks += [mask | bit for mask in masks]
+    return masks
+
+
+def ascending_subsets(c: int) -> list[tuple[int, ...]]:
+    """The sorted tuple of every mask over the products 1..c, indexed by mask."""
+    subsets: list[tuple[int, ...]] = [()]
+    for x in range(1, c + 1):
+        subsets += [subset + (x,) for subset in subsets]  # x is the largest member
+    return subsets
+
+
+def members_of(mask: int, n: int) -> tuple[int, ...]:
+    """The products 1..n whose bit is set in mask, ascending."""
+    return tuple(x for x in range(1, n + 1) if mask >> (x - 1) & 1)
+
+
+def held_parts(size: int, bit: int) -> list[tuple[slice, slice]]:
+    """Slice pairs (into a list over the masks below ``size``, into a
+    column) that together move the masks with ``bit`` set to the column's
+    bit-removed layout: one stride per offset within a run of ``bit``
+    masks, or one slice per run, whichever makes fewer pairs."""
+    if bit * bit < size:
+        return [(slice(bit + low, None, 2 * bit), slice(low, None, bit)) for low in range(bit)]
+    runs = zip(range(bit, size, 2 * bit), range(0, size, bit))
+    return [(slice(start, start + bit), slice(at, at + bit)) for start, at in runs]
+
+
+def held(values: list, bit: int) -> list:
+    """The values at the masks with ``bit`` set, in ascending order of mask:
+    a column's bit-removed layout read off a list over every mask."""
+    column = [None] * (len(values) >> 1)
+    for where, at in held_parts(len(values), bit):
+        column[at] = values[where]
+    return column
+
+
+def held_index(mask: int, x: int) -> int:
+    """Where P(x, S) sits in x's column: the mask of S with bit x-1 removed."""
+    low = (1 << (x - 1)) - 1
+    return (mask >> x << (x - 1)) | (mask & low)
+
+
+def column_sums(columns: list, c: int) -> list:
+    """total[L] = sum of the entries of every column at L, over every mask L
+    of the products 1..c, added from int 0 in the order of the columns.
+
+    A column of a product x <= c is in its bit-removed layout and adds only
+    at the masks holding x, so each total is the ``sum`` of its offer set's
+    row.  Any later column holds all 2^c masks.
+    """
+    size = 1 << c
+    total = [0] * size
+    for x, column in enumerate(columns, start=1):
+        if x > c:
+            total = list(map(operator.add, total, column))
+            continue
+        for where, at in held_parts(size, 1 << (x - 1)):
+            total[where] = map(operator.add, total[where], column[at])
+    return total
 
 
 def as_probabilities(row: tuple, denominator: int | None) -> tuple:
     """A row of numerators over ``denominator`` as ``evaluate`` returns them (as it is without one)."""
     return row if denominator is None else tuple(Fraction(p, denominator) for p in row)
+
+
+def probability_rows(model: "ChoiceModel", guard: int = 20):
+    """Yield (S, P(x, S) for each x of S, as ``evaluate`` returns them) for
+    every offer set S in canonical order, read from ``model.columns(n)``."""
+    check_guard(model.n, guard)
+    # Each column lists its offer sets in ascending order of mask, so the
+    # rows of all masks, in that order, take the next entry of each column.
+    entries = [iter(column).__next__ for column in model.columns(model.n)]
+    rows = [tuple(entries[x - 1]() for x in subset) for subset in ascending_subsets(model.n)]
+    for subset, mask in offer_masks(model.n):
+        yield subset, as_probabilities(rows[mask], model.denominator)
 
 
 class ChoiceModel:
@@ -108,8 +199,9 @@ class ChoiceModel:
         """Probability of choosing x (a product or 0) from the offer set S.
 
         Subclasses customise _member_probability or _choice_row (each
-        defaults to the other) and _no_purchase rather than this method, so
-        that an unoffered product always gets 0.0; check_axioms relies on that.
+        defaults to the other), _no_purchase and ``columns`` rather than
+        this method, so that an unoffered product always gets 0.0;
+        check_axioms relies on that.
         """
         members = self._as_subset(S)
         if x == 0:
@@ -139,6 +231,26 @@ class ChoiceModel:
         members = frozenset(subset)
         return tuple(self.evaluate(x, members) for x in subset)
 
+    def columns(self, c: int, high: int = 0) -> list[list]:
+        """P(x, L | high) for every mask L of the products 1..c, one column
+        per product x offered, in ascending order of x.
+
+        ``high`` is a fixed mask of products above c.  The column of x <= c
+        lists the 2^(c-1) masks L holding x in ascending order, so
+        P(x, L | high) sits at ``held_index(L, x)``; the column of x in high
+        lists all 2^c masks L.  Each entry is the one ``_choice_row`` gives
+        that offer set (a numerator over ``denominator`` if declared); this
+        default reads ``_choice_row`` once per offer set.
+        """
+        highs = members_of(high, self.n)
+        columns = [[] for _ in range(c + len(highs))]
+        append = dict(zip((*range(1, c + 1), *highs), (column.append for column in columns)))
+        for subset in ascending_subsets(c):
+            subset += highs
+            for x, p in zip(subset, self._choice_row(subset)):
+                append[x](p)
+        return columns
+
     def _as_subset(self, S: Iterable[int]) -> Subset:
         members = frozenset(S)
         bad = [x for x in members if x not in self._products]
@@ -148,8 +260,7 @@ class ChoiceModel:
 
     def to_tabular(self, guard: int = 20) -> "TabularModel":
         """Materialise the model as an explicit table over all 2^n offer sets."""
-        rows = offer_rows(self, guard)
-        table = {frozenset(S): dict(zip(S, as_probabilities(row, self.denominator))) for S, _, row in rows}
+        table = {frozenset(S): dict(zip(S, row)) for S, row in probability_rows(self, guard)}
         return TabularModel(self.n, table, validate=False)
 
 
@@ -207,6 +318,13 @@ class MnlModel(ChoiceModel):
     """Multinomial logit with mean utilities v_x; the no-purchase utility is 0.
 
     evaluate(x, S) = exp(v_x) / (1 + sum_{y in S} exp(v_y)).
+
+    Weights are exp(v_x) and the no-purchase weight is 1.0, unless the
+    largest utility is so large that a weight or a denominator would
+    overflow: then every utility, 0 included, is shifted down by the least
+    s that keeps n + 1 weights summable, so the weights are exp(v_x - s)
+    and the no-purchase weight is exp(-s).  Utilities for which even that
+    weight underflows to 0 are refused.
     """
 
     def __init__(self, mean_utilities: Sequence[float]):
@@ -214,22 +332,45 @@ class MnlModel(ChoiceModel):
         self._utilities = tuple(float(v) for v in mean_utilities)
         if not all(map(math.isfinite, self._utilities)):
             raise ValueError(f"mean utilities must be finite, got {self._utilities}")
-        self._weight_of = (0.0,) + tuple(math.exp(v) for v in self._utilities)  # indexed by product
+        # n + 1 weights of at most exp(limit) sum to a finite float.
+        limit = _LOG_FLOAT_MAX - math.log(self.n + 1) - 1.0
+        shift = max(0.0, max(self._utilities, default=0.0) - limit)
+        self._outside = math.exp(-shift)
+        if self._outside == 0.0:
+            raise ValueError(f"mean utilities up to {max(self._utilities)} exceed the float range of exp")
+        self._weight_of = (0.0,) + tuple(math.exp(v - shift) for v in self._utilities)  # indexed by product
 
     @property
     def mean_utilities(self) -> tuple[float, ...]:
         return self._utilities
 
     def _member_probability(self, x: int, S: Subset) -> float:
-        denom = 1.0 + sum(self._weight_of[y] for y in sorted(S))
+        denom = self._outside + sum(self._weight_of[y] for y in sorted(S))
         return self._weight_of[x] / denom
 
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
         # One denominator per offer set, summed in the same ascending order
         # as _member_probability, so every probability is the same float.
         weights = tuple(map(self._weight_of.__getitem__, subset))
-        denom = 1.0 + sum(weights)
+        denom = self._outside + sum(weights)
         return tuple(map(denom.__rtruediv__, weights))
+
+    def columns(self, c: int, high: int = 0) -> list[list]:
+        # partial[L | bit x] = partial[L] + w_x with x above every member of
+        # L adds the weights in ascending order from int 0, as sum does.
+        weight_of = self._weight_of
+        partial = [0]
+        for x in range(1, c + 1):
+            partial += map(weight_of[x].__radd__, partial[:])
+        highs = members_of(high, self.n)
+        for x in highs:
+            partial = list(map(weight_of[x].__radd__, partial))
+        denoms = list(map(self._outside.__add__, partial))
+        columns = [
+            list(map(weight_of[x].__truediv__, held(denoms, 1 << (x - 1))))
+            for x in range(1, c + 1)
+        ]
+        return columns + [list(map(weight_of[x].__truediv__, denoms)) for x in highs]
 
 
 class MixedMnlModel(ChoiceModel):
@@ -263,6 +404,17 @@ class MixedMnlModel(ChoiceModel):
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
         rows = [m._choice_row(subset) for m in self._models]
         return tuple(sum(map(operator.mul, self._weights, column)) for column in zip(*rows))
+
+    def columns(self, c: int, high: int = 0) -> list[list]:
+        # Every entry adds weight * P in component order from int 0, as sum
+        # does in _choice_row; repeat(0) stands for the first totals.
+        mixed = itertools.repeat(itertools.repeat(0))
+        for weight, model in zip(self._weights, self._models):
+            mixed = [
+                list(map(operator.add, total, map(weight.__mul__, column)))
+                for total, column in zip(mixed, model.columns(c, high))
+            ]
+        return mixed
 
 
 class StochasticPreferenceModel(ChoiceModel):
@@ -318,6 +470,32 @@ class StochasticPreferenceModel(ChoiceModel):
         winners = self._winner_weights(subset)
         return tuple(winners.get(x, 0.0) for x in subset)
 
+    def columns(self, c: int, high: int = 0) -> list[list]:
+        # Walking a ranking down to 0, x wins exactly at the offer sets that
+        # hold x and none of the products ranked before it; each entry adds
+        # the weights of its winning rankings in ranking order from 0.0, as
+        # _winner_weights does.
+        highs = members_of(high, self.n)
+        size = 1 << c
+        columns = [[0.0] * (size >> 1) for _ in range(c)] + [[0.0] * size for _ in highs]
+        for weight, order in zip(self._weights, self._orders):
+            blocked: set[int] = set()  # products 1..c ranked before x
+            for x in order[: order.index(0)]:
+                if x <= c:
+                    column = columns[x - 1]
+                    free = [1 << (y - 1 if y < x else y - 2) for y in range(1, c + 1) if y != x and y not in blocked]
+                elif high >> (x - 1) & 1:
+                    column = columns[c + highs.index(x)]
+                    free = [1 << (y - 1) for y in range(1, c + 1) if y not in blocked]
+                else:
+                    continue
+                for index in _spans(free):
+                    column[index] += weight
+                if x > c:
+                    break  # x is offered in every set, so no later product wins
+                blocked.add(x)
+        return columns
+
     def _no_purchase(self, S: Subset) -> float:
         return self._winner_weights(S).get(0, 0.0)
 
@@ -366,6 +544,9 @@ class MallowsModel(ChoiceModel):
 
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
         return self._expansion._choice_row(subset)
+
+    def columns(self, c: int, high: int = 0) -> list[list]:
+        return self._expansion.columns(c, high)
 
     def _no_purchase(self, S: Subset):
         return self._expansion._no_purchase(S)

@@ -29,7 +29,7 @@ from assortopt.axioms import OfferTable, check_axioms, offer_table
 from assortopt.cli import main
 from assortopt.generators import ASSORTMENT_FAMILIES, generate
 from assortopt.io import instance_from_dict
-from assortopt.models import enumerate_subsets
+from assortopt.models import ascending_subsets, enumerate_subsets, members_of, offer_masks
 from assortopt.reductions import reduce_pricing
 from assortopt.stackelberg import StackelbergChoiceModel, greedy
 from assortopt.udp import MinPricingChoiceModel, RankPricingChoiceModel
@@ -43,15 +43,17 @@ def _generated(kind, seed, family=None):
 
 
 def _count_rows(monkeypatch, cls):
-    """Count the calls of ``cls._choice_row``, the one place a model row is read."""
+    """Record each offer set read through ``cls.columns``, the one place a
+    model is read over many offer sets."""
     calls = []
-    original = cls._choice_row
+    original = cls.columns
 
-    def counted(self, subset):
-        calls.append(subset)
-        return original(self, subset)
+    def counted(self, c, high=0):
+        highs = members_of(high, self.n)
+        calls.extend(subset + highs for subset in ascending_subsets(c))
+        return original(self, c, high)
 
-    monkeypatch.setattr(cls, "_choice_row", counted)
+    monkeypatch.setattr(cls, "columns", counted)
     return calls
 
 
@@ -166,7 +168,8 @@ def test_reduced_tables_are_int_numerators_over_the_declared_denominator(kind):
     model = reduce_pricing(_generated(kind, 6)).model
     table = offer_table(model)
     assert table.scale == model.denominator
-    for subset, _, row in table.rows:
+    for subset, mask in offer_masks(model.n):
+        row = table.row(subset, mask)
         assert all(type(p) is int for p in row)
         assert tuple(Fraction(p, table.scale) for p in row) == model.choice_row(subset)
 
