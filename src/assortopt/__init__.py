@@ -51,6 +51,7 @@ from .models import (
 from .multiperiod import (
     DpTable,
     MultiPeriodInstance,
+    check_lstar_order,
     check_marginal_value,
     check_nesting_monotonicity,
     lstar_delta,

@@ -322,9 +322,7 @@ def require_optimal_bound(instance: AssortmentInstance, optimal: AssortmentSolut
     return replace(compute_bounds(instance), **bound_c)
 
 
-def check_technical_bound(
-    instance: AssortmentInstance, optimal: AssortmentSolution, rtol: float = RTOL
-) -> bool:
+def check_technical_bound(instance: AssortmentInstance, optimal: AssortmentSolution) -> bool:
     """revenue(S_i) >= r_i * sum_{x in S* and S_i} P(x, S*), for every level i.
 
     The workhorse inequality behind all three guarantees; exposed so it can
@@ -335,7 +333,7 @@ def check_technical_bound(
     ladder = instance.ladder
     for level, S_i, lhs in zip(ladder.levels, ladder.prefixes, ladder.revenues):
         rhs = level * sum(p for x, p in probs.items() if x in S_i)
-        if lhs < rhs - rtol * max(1.0, abs(rhs)):
+        if lhs < rhs - RTOL * max(1.0, abs(rhs)):
             return False
     return True
 
@@ -352,7 +350,7 @@ class GuaranteeReport:
     failures: tuple[str, ...]
 
 
-def verify_guarantee(instance: AssortmentInstance, guard: int = 20, rtol: float = RTOL) -> GuaranteeReport:
+def verify_guarantee(instance: AssortmentInstance, guard: int = 20) -> GuaranteeReport:
     """Assert revord >= bound * OPT for every applicable bound.
 
     The guarantees are only claimed for regular models, so a failed
@@ -376,7 +374,7 @@ def verify_guarantee(instance: AssortmentInstance, guard: int = 20, rtol: float 
     failures = tuple(
         f"bound {name}: revord {heuristic_value} < {factor} * OPT {opt_value}"
         for name, factor in applicable
-        if heuristic_value < factor * opt_value * (1.0 - rtol)
+        if heuristic_value < factor * opt_value * (1.0 - RTOL)
     )
     ratio = heuristic_value / opt_value if opt_value > 0 else 1.0
     return GuaranteeReport(not failures, ratio, optimum, heuristic, bounds, failures)

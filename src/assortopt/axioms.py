@@ -253,7 +253,7 @@ def _check_axioms(table: OfferTable, atol: float) -> AxiomReport:
     return AxiomReport(nonnegativity, unavailable_zero, substochastic, regularity)
 
 
-def check_purchase_monotonicity(model: "ChoiceModel | OfferTable", guard: int = 20, atol: float = ATOL) -> CheckResult:
+def check_purchase_monotonicity(model: "ChoiceModel | OfferTable", guard: int = 20) -> CheckResult:
     """Check that the purchase probability never drops when the offer grows.
 
     Takes the model or its table.  The witness on failure is the pair
@@ -261,7 +261,7 @@ def check_purchase_monotonicity(model: "ChoiceModel | OfferTable", guard: int = 
     """
     table = model if isinstance(model, OfferTable) else offer_table(model, guard)
     n, sold, scale = table.n, table.sold, table.scale
-    tol = _threshold(atol, scale)
+    tol = _threshold(ATOL, scale)
     least = _superset_extreme(sold, n, min)
     flagged = [total > low + tol for total, low in zip(sold, least)]
     first = _first_flagged(n, flagged)
@@ -273,7 +273,7 @@ def check_purchase_monotonicity(model: "ChoiceModel | OfferTable", guard: int = 
     return CheckResult(False, (frozenset(subset), larger), _magnitude(sold[mask] - sold[larger_mask], scale))
 
 
-def check_demand_submodularity(model: "ChoiceModel | OfferTable", guard: int = 20, atol: float = ATOL) -> CheckResult:
+def check_demand_submodularity(model: "ChoiceModel | OfferTable", guard: int = 20) -> CheckResult:
     """Check submodularity of the demand f(S) = sum_{x in S} P(x, S).
 
     Takes the model or its table.  Over every pair S subset of S' and every
@@ -300,7 +300,7 @@ def check_demand_submodularity(model: "ChoiceModel | OfferTable", guard: int = 2
             for mask, gap in enumerate(gaps):
                 if gap == worst:
                     flagged[mask] = True
-    if not worst > _threshold(atol, scale):
+    if not worst > _threshold(ATOL, scale):
         return CheckResult(True)
 
     subset, mask = _first_flagged(n, flagged)

@@ -35,9 +35,9 @@ from .generators import generate
 from .io import dumps, instance_from_dict, instance_to_dict, loads
 from .multiperiod import (
     MultiPeriodInstance,
+    check_lstar_order,
     check_marginal_value,
     check_nesting_monotonicity,
-    lstar_delta,
     solve_dp,
 )
 from .reductions import reduce_pricing, solve_pricing, verify_reduction
@@ -188,6 +188,15 @@ def _cmd_pricing(args) -> int:
     return 0 if report.passed else 1
 
 
+def _dp_checks(table) -> dict:
+    """The verdicts of ``multiperiod --check``, which ``suite`` also runs."""
+    return {
+        "nesting_monotonicity": check_nesting_monotonicity(table).passed,
+        "marginal_value": check_marginal_value(table).passed,
+        "lstar_agreement": check_lstar_order(table).passed,
+    }
+
+
 def _cmd_multiperiod(args) -> int:
     instance = _load(args.file, "assortment", "multiperiod")
     try:
@@ -213,18 +222,9 @@ def _cmd_multiperiod(args) -> int:
     }
     passed = True
     if args.check:
-        nesting = check_nesting_monotonicity(table)
-        marginal = check_marginal_value(table)
-        agreement = all(
-            table.lstar[t][q] == lstar_delta(instance.base, -table.marginal(t - 1, q))
-            for t in range(1, table.horizon + 1)
-            for q in range(1, table.capacity + 1)
-        )
-        report["nesting_monotonicity"] = nesting.passed
-        report["marginal_value"] = marginal.passed
-        report["lstar_agreement"] = agreement
-        passed = nesting.passed and marginal.passed and agreement
-        report["passed"] = passed
+        checks = _dp_checks(table)
+        passed = all(checks.values())
+        report.update(checks, passed=passed)
     _emit(report, args.json)
     return 0 if passed else 1
 
@@ -274,15 +274,7 @@ def _suite_check_file(path: str, checks: list[str], guard: int) -> dict:
     elif isinstance(instance, (UdpMinInstance, UdpRankInstance, StackelbergInstance)):
         run("reduction", lambda: verify_reduction(instance, guard=guard).passed)
     elif isinstance(instance, MultiPeriodInstance):
-
-        def monotone_ok() -> bool:
-            table = solve_dp(instance, guard=guard)
-            return (
-                check_nesting_monotonicity(table).passed
-                and check_marginal_value(table).passed
-            )
-
-        run("monotonicity", monotone_ok)
+        run("monotonicity", lambda: all(_dp_checks(solve_dp(instance, guard=guard)).values()))
     return record
 
 

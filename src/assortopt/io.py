@@ -32,8 +32,9 @@ from .stackelberg import GraphicMatroid, StackelbergInstance
 from .udp import UdpMinInstance, UdpRankInstance
 
 
-def model_to_dict(model: ChoiceModel, guard: int = 20) -> dict:
-    """Serialise a model to its JSON descriptor."""
+def model_to_dict(model: ChoiceModel) -> dict:
+    """Serialise a model to its JSON descriptor; a table over all 2^n offer
+    sets is not guarded here, as n was bounded where the model was built."""
     if isinstance(model, MnlModel):
         return {"type": "mnl", "mean_utilities": list(model.mean_utilities)}
     if isinstance(model, MixedMnlModel):
@@ -67,7 +68,7 @@ def model_to_dict(model: ChoiceModel, guard: int = 20) -> dict:
             encoded = {
                 "kind": "table",
                 "values": [
-                    [list(s), capacity.value(s)] for s in enumerate_subsets(capacity.n, guard)
+                    [list(s), capacity.value(s)] for s in enumerate_subsets(capacity.n, capacity.n)
                 ],
             }
         else:
@@ -76,7 +77,7 @@ def model_to_dict(model: ChoiceModel, guard: int = 20) -> dict:
     if isinstance(model, TightExampleModel):
         return {"type": "tight_example", "k": model.k, "epsilon": model.epsilon}
     # Anything else (including the lazy reduction models) ships as a table.
-    rows = [[list(S), [float(p) for p in row]] for S, row in probability_rows(model, guard)]
+    rows = [[list(S), [float(p) for p in row]] for S, row in probability_rows(model, model.n)]
     return {"type": "tabular", "n": model.n, "rows": rows}
 
 
@@ -221,11 +222,6 @@ def dumps(data: dict) -> str:
 
 def loads(text: str) -> dict:
     return json.loads(text)
-
-
-def write_instance(path, instance, kind: str | None = None, seed: int | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(instance_to_dict(instance, kind=kind, seed=seed)))
 
 
 def read_instance(path):

@@ -6,9 +6,12 @@ probability ``evaluate(x, S)`` that a customer picks x from S, with
 ``evaluate(0, S) = 1 - sum_{x in S} evaluate(x, S)``.
 
 All model types are immutable after construction and ``evaluate`` is a pure
-function, so instances are safe to share across threads.  Models keep no
-memo of evaluated offer sets; exhaustive readers share one table per
-instance (``AssortmentInstance.table``).  A model of exact rationals may
+function, so instances are safe to share across threads.  A model must
+define ``_choice_row`` (P(x, S) for each x of a sorted S), which every other
+reader goes through; ``columns``, ``_no_purchase`` and MNL's
+``_member_probability`` are the overrides that remain.  Models keep no memo
+of evaluated offer sets; exhaustive readers share one table per instance
+(``AssortmentInstance.table``).  A model of exact rationals may
 declare a ``denominator`` D: its ``_choice_row`` then returns the ints p * D,
 while ``evaluate`` and ``choice_row`` still return the ``Fraction`` p.
 
@@ -198,10 +201,9 @@ class ChoiceModel:
     def evaluate(self, x: int, S: Iterable[int]):
         """Probability of choosing x (a product or 0) from the offer set S.
 
-        Subclasses customise _member_probability or _choice_row (each
-        defaults to the other), _no_purchase and ``columns`` rather than
-        this method, so that an unoffered product always gets 0.0;
-        check_axioms relies on that.
+        Subclasses define _choice_row, and may override _member_probability,
+        _no_purchase and ``columns``, rather than this method, so that an
+        unoffered product always gets 0.0; check_axioms relies on that.
         """
         members = self._as_subset(S)
         if x == 0:
@@ -227,9 +229,9 @@ class ChoiceModel:
         return p if self.denominator is None else Fraction(p, self.denominator)
 
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
-        """P(x, S) (or its numerator) for each x of a sorted offer set S."""
-        members = frozenset(subset)
-        return tuple(self.evaluate(x, members) for x in subset)
+        """P(x, S) (or its numerator) for each x of a sorted offer set S;
+        every model defines it."""
+        raise NotImplementedError(f"{type(self).__name__} does not define _choice_row")
 
     def columns(self, c: int, high: int = 0) -> list[list]:
         """P(x, L | high) for every mask L of the products 1..c, one column
@@ -397,9 +399,6 @@ class MixedMnlModel(ChoiceModel):
     @property
     def components(self) -> tuple[tuple[float, tuple[float, ...]], ...]:
         return tuple((w, m.mean_utilities) for w, m in zip(self._weights, self._models))
-
-    def _member_probability(self, x: int, S: Subset) -> float:
-        return sum(w * m._member_probability(x, S) for w, m in zip(self._weights, self._models))
 
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
         rows = [m._choice_row(subset) for m in self._models]
@@ -715,9 +714,14 @@ class HfamModel(ChoiceModel):
     def capacity(self) -> CapacityFunction:
         return self._capacity
 
-    def _member_probability(self, x: int, S: Subset) -> float:
-        prior = frozenset(y for y in S if self._rank[y] < self._rank[x])
-        return self._capacity.value(prior | {x}) - self._capacity.value(prior)
+    def _choice_row(self, subset: tuple[int, ...]) -> tuple:
+        # Walking S in preference order reads each capacity value once.
+        gains, prior, before = {}, set(), self._capacity.value(())
+        for x in sorted(subset, key=self._rank.__getitem__):
+            prior.add(x)
+            after = self._capacity.value(prior)
+            gains[x], before = after - before, after
+        return tuple(map(gains.__getitem__, subset))
 
 
 class TightExampleModel(ChoiceModel):
@@ -742,10 +746,6 @@ class TightExampleModel(ChoiceModel):
     def _pairs(self) -> tuple[tuple[int, int], ...]:
         return tuple((i, j) for i in range(1, self._k + 1) for j in range(1, i + 1))
 
-    @functools.cached_property
-    def _index(self) -> dict[tuple[int, int], int]:
-        return {pair: where + 1 for where, pair in enumerate(self._pairs)}
-
     @property
     def k(self) -> int:
         return self._k
@@ -762,14 +762,13 @@ class TightExampleModel(ChoiceModel):
         return self._pairs[x - 1]
 
     def index_of(self, i: int, j: int) -> int:
-        return self._index[(i, j)]
+        return self._pairs.index((i, j)) + 1
 
-    def _member_probability(self, x: int, S: Subset) -> float:
-        i, j = self._pairs[x - 1]
-        for j_prior in range(1, j):
-            if self._index[(i, j_prior)] in S:
-                return 0.0
-        return self._epsilon**i
+    def _choice_row(self, subset: tuple[int, ...]) -> tuple:
+        # Pairs are indexed in row order, so the first offered pair of a row
+        # is its cheapest; rows start at 1, so 0 precedes the first.
+        rows = [self._pairs[x - 1][0] for x in subset]
+        return tuple(0.0 if i == before else self._epsilon**i for before, i in zip((0, *rows), rows))
 
 
 def evaluate_revenue(model: ChoiceModel, revenue: Sequence[float], S: Iterable[int]):

@@ -14,9 +14,9 @@ common to every threshold, so the DP scores the levels on R_l + P_l * delta
 alone, takes l*_t(q) as the least maximising level under a relative
 tolerance at that scale, and sets J_t(q) = J_{t-1}(q) + max_l (R_l + P_l *
 delta).  That is the static problem with every revenue shifted by delta,
-which ``lstar_delta`` solves with the same function, so the two agree on
-every cell.  For regular models l* is monotone in both state variables
-(nesting by fare order).
+which ``lstar_delta`` solves with the same function.  For regular models l*
+is monotone in both state variables and never rises with delta (nesting by
+fare order); ``check_lstar_order`` reads that last order off the table.
 
 Capacity cannot bind while it covers the rest of the horizon (q >= t).  By
 induction from J_0 = 0, row t-1 holds the one float J_{t-1}(t-1) at every
@@ -91,26 +91,26 @@ class DpTable:
         return self.value[t][q] - self.value[t][q - 1]
 
 
-def _best_level(ladder: RevenueLadder, delta: float, rtol: float) -> tuple[int, float]:
+def _best_level(ladder: RevenueLadder, delta: float) -> tuple[int, float]:
     """The least level maximising R_l + P_l * delta within tolerance, and
     that maximum."""
     scores = [r + p * delta for r, p in zip(ladder.expected_revenue, ladder.purchase_probability)]
     best = max(scores)
     # Relative tolerance with a unit floor: near-zero values would otherwise
     # never tie, and ties there are exactly the degenerate all-worthless cells.
-    slack = rtol * max(1.0, abs(best))
+    slack = RTOL * max(1.0, abs(best))
     for level, value in enumerate(scores, 1):
         if best - value <= slack:
             return level, best
     raise AssertionError("the maximum is always within tolerance of itself")
 
 
-def solve_dp(instance: MultiPeriodInstance, rtol: float = RTOL, guard: int = 20) -> DpTable:
+def solve_dp(instance: MultiPeriodInstance, guard: int = 20) -> DpTable:
     """Tabulate J and the least optimal thresholds.
 
     The monotonicity guarantees assume a regular model, so the table records a
     regularity verdict (a warning flag, not an error: the DP itself is well
-    defined regardless).
+    defined regardless), read from the instance's cached offer table.
 
     Cells with q >= t, where the inventory covers every remaining period,
     have delta = 0 because J_{t-1}(q) and J_{t-1}(q-1) are the same float
@@ -121,16 +121,16 @@ def solve_dp(instance: MultiPeriodInstance, rtol: float = RTOL, guard: int = 20)
     T, Q = instance.horizon, instance.capacity
     regularity_ok: bool | None = None
     if instance.base.n <= guard:
-        regularity_ok = check_axioms(instance.base.model, guard=guard).regularity.passed
+        regularity_ok = check_axioms(instance.base.table_within(guard)).regularity.passed
 
     value = [[0.0] * (Q + 1) for _ in range(T + 1)]
     lstar = [[1] * (Q + 1) for _ in range(T + 1)]
-    level0, best0 = _best_level(ladder, 0.0, rtol)
+    level0, best0 = _best_level(ladder, 0.0)
     for t in range(1, T + 1):
         previous, row, choice = value[t - 1], value[t], lstar[t]
         for q in range(1, min(t, Q + 1)):
             # The same float DpTable.marginal(t - 1, q) returns, negated.
-            choice[q], best = _best_level(ladder, -(previous[q] - previous[q - 1]), rtol)
+            choice[q], best = _best_level(ladder, -(previous[q] - previous[q - 1]))
             row[q] = previous[q] + best
         if t <= Q:
             row[t:] = [previous[t - 1] + best0] * (Q + 1 - t)
@@ -168,14 +168,13 @@ def check_nesting_monotonicity(table: DpTable) -> MonotonicityReport:
     return MonotonicityReport(True)
 
 
-def check_marginal_value(table: DpTable, rtol: float = RTOL) -> MonotonicityReport:
+def check_marginal_value(table: DpTable) -> MonotonicityReport:
     """The marginal value of capacity is concave in q and non-decreasing in t.
 
     These hold for any choice model (regular or not); the tolerance only
     absorbs floating-point noise.
     """
-    scale = max(1.0, table.value[table.horizon][table.capacity])
-    slack = rtol * scale
+    slack = RTOL * max(1.0, table.value[table.horizon][table.capacity])
     for t in range(0, table.horizon + 1):
         for q in range(2, table.capacity + 1):
             if table.marginal(t, q - 1) < table.marginal(t, q) - slack:
@@ -187,7 +186,20 @@ def check_marginal_value(table: DpTable, rtol: float = RTOL) -> MonotonicityRepo
     return MonotonicityReport(True)
 
 
-def lstar_delta(instance: AssortmentInstance, delta: float, rtol: float = RTOL) -> int:
+def check_lstar_order(table: DpTable) -> MonotonicityReport:
+    """l*_t(q) never rises as delta = -marginal(t-1, q) grows.  The cells are
+    sorted by (delta, l*), so equal deltas need equal thresholds; the witness
+    is the first cell whose l* exceeds its predecessor's."""
+    cells = sorted(
+        (-table.marginal(t - 1, q), table.lstar[t][q], t, q)
+        for t in range(1, table.horizon + 1)
+        for q in range(1, table.capacity + 1)
+    )
+    rise = next((cell for before, cell in zip(cells, cells[1:]) if cell[1] > before[1]), None)
+    return MonotonicityReport(True) if rise is None else MonotonicityReport(False, ("delta", *rise[2:]))
+
+
+def lstar_delta(instance: AssortmentInstance, delta: float) -> int:
     """Least optimal threshold after shifting every revenue by delta.
 
     The shift must keep the top revenue nonnegative.  As delta grows the
@@ -199,6 +211,6 @@ def lstar_delta(instance: AssortmentInstance, delta: float, rtol: float = RTOL) 
     if not ladder.levels:
         raise ValueError("l* is undefined for an empty catalogue")
     top = ladder.levels[-1]
-    if top + delta < -rtol * max(1.0, top):
+    if top + delta < -RTOL * max(1.0, top):
         raise DeltaOutOfRange(f"shift {delta} drives the top revenue {top} negative")
-    return _best_level(ladder, delta, rtol)[0]
+    return _best_level(ladder, delta)[0]

@@ -7,11 +7,12 @@ import math
 import pytest
 
 from assortopt import cli
+from assortopt import io as io_module
 from assortopt.cli import _emit, main
 from assortopt.io import instance_from_dict
 from assortopt.udp import UNPRICED, PricingSolution, UdpMinInstance, uniform_pricing
 from assortopt.io import dumps
-from assortopt.models import MnlModel, TabularModel
+from assortopt.models import MnlModel, TabularModel, check_guard
 from assortopt.io import instance_to_dict
 from assortopt.assortment import AssortmentInstance
 
@@ -396,3 +397,31 @@ class TestSharedParser:
             main(["--help"])
         assert excinfo.value.code == 0
         assert capsys.readouterr().out == cli.build_parser().format_help()
+
+
+_WIDE_REDUCIBLE = {
+    # 7 items x 3 valuation levels, and 7 blue edges x 3 red cost levels (a red
+    # spanning star): 21 products each.
+    "udp": {"kind": "udp_min", "payload": {"items": 7, "consumers": [
+        {"bundle": [x], "valuation": x % 3 + 1} for x in range(1, 8)]}},
+    "stackelberg": {"kind": "stackelberg", "payload": {"vertices": 8, "edges": [
+        *({"u": v, "v": v + 1, "color": "blue"} for v in range(7)),
+        *({"u": 0, "v": v, "color": "red", "cost": v % 3 + 1} for v in range(1, 8))]}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WIDE_REDUCIBLE))
+def test_reduce_writes_what_the_guard_admitted(tmp_path, capsys, monkeypatch, command):
+    # The rows of 2^21 offer sets are stubbed out; only their guard is kept.
+    def rows(model, guard=20):
+        check_guard(model.n, guard)
+        return iter(())
+
+    monkeypatch.setattr(io_module, "probability_rows", rows)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(_WIDE_REDUCIBLE[command]))
+    code = main(["--guard-n", "21", command, "reduce", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    model = json.loads(captured.out)["payload"]["model"]
+    assert (model["type"], model["n"]) == ("tabular", 21)

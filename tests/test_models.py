@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from assortopt import (
+    ChoiceModel,
     CoverageCapacity,
     HfamModel,
     InvalidEpsilon,
@@ -311,3 +312,16 @@ def test_fraction_probabilities_flow_through():
         1, {(): {}, (1,): {1: Fraction(1, 3)}}, validate=False
     )
     assert evaluate_revenue(table, [3], {1}) == Fraction(1, 1)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [lambda m: m.evaluate(1, {1}), lambda m: m.evaluate(0, {1}), lambda m: m.columns(2), lambda m: m.choice_row({1})],
+    ids=["evaluate", "no_purchase", "columns", "choice_row"],
+)
+def test_a_model_without_choice_rows_is_not_implemented(read):
+    class Bare(ChoiceModel):
+        pass
+
+    with pytest.raises(NotImplementedError, match="Bare does not define _choice_row"):
+        read(Bare(2))

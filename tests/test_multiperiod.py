@@ -2,6 +2,8 @@
 
 from random import Random
 
+import json
+
 import pytest
 
 from assortopt import (
@@ -10,6 +12,7 @@ from assortopt import (
     MnlModel,
     MultiPeriodInstance,
     TabularModel,
+    check_lstar_order,
     check_marginal_value,
     check_nesting_monotonicity,
     lstar_delta,
@@ -17,7 +20,9 @@ from assortopt import (
     revenue_ordered,
     solve_dp,
 )
+from assortopt.cli import main
 from assortopt.generators import random_multiperiod
+from assortopt.io import dumps, instance_to_dict
 
 
 def mnl_instance():
@@ -272,3 +277,67 @@ def test_multiperiod_instance_validation():
         MultiPeriodInstance(mnl_instance(), 0, 3)
     with pytest.raises(ValueError):
         MultiPeriodInstance(mnl_instance(), 3, 0)
+
+
+# A non-regular model (P(3, .) rises from {3} to {1, 2, 3}) on which l* rises
+# with delta at cell (12, 6) of the T = Q = 30 table.
+NON_REGULAR_ROWS = {
+    (): {},
+    (1,): {1: 0.5},
+    (2,): {2: 0.5},
+    (3,): {3: 0.05},
+    (1, 2): {1: 0.2, 2: 0.4},
+    (1, 3): {1: 0.2, 3: 0.1},
+    (2, 3): {2: 0.5, 3: 0.1},
+    (1, 2, 3): {1: 0.01, 2: 0.05, 3: 0.3},
+}
+
+
+def non_regular_instance():
+    return MultiPeriodInstance(AssortmentInstance(TabularModel(3, NON_REGULAR_ROWS), [1, 2, 3]), 30, 30)
+
+
+class TestLstarOrder:
+    def test_witness_on_a_non_regular_table(self):
+        table = solve_dp(non_regular_instance())
+        assert table.regularity_ok is False
+        report = check_lstar_order(table)
+        assert not report and report.witness == ("delta", 12, 6)
+        # Some cell of no larger delta has a smaller threshold.
+        delta = -table.marginal(11, 6)
+        assert any(
+            -table.marginal(t - 1, q) <= delta and table.lstar[t][q] < table.lstar[12][6]
+            for t in range(1, 31)
+            for q in range(1, 31)
+        )
+
+    def test_generated_regular_instances_pass(self):
+        rng = Random(78)
+        families = ["stochastic_preference", "mnl", "mixed_mnl", "mallows", "hfam"]
+        for i in range(30):
+            instance = random_multiperiod(rng, family=families[i % 5], horizon_max=30, capacity_max=30)
+            table = solve_dp(instance)
+            assert table.regularity_ok and check_lstar_order(table).passed
+
+    def test_check_flag_reports_the_order(self, tmp_path, capsys):
+        path = tmp_path / "non_regular.json"
+        path.write_text(dumps(instance_to_dict(non_regular_instance())))
+        assert main(["multiperiod", str(path), "--check", "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["lstar_agreement"] is False and report["passed"] is False
+        assert main(["suite", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["checks"] == {"monotonicity": False}
+
+    def test_two_solves_read_the_columns_once(self, monkeypatch):
+        reads = []
+        original = TabularModel.columns
+
+        def counted(self, c, high=0):
+            reads.append((c, high))
+            return original(self, c, high)
+
+        monkeypatch.setattr(TabularModel, "columns", counted)
+        instance = non_regular_instance()
+        first, second = solve_dp(instance), solve_dp(instance)
+        assert first == second and first.regularity_ok is False
+        assert reads == [(3, 0)]
