@@ -96,15 +96,24 @@ class AssortmentInstance:
         return self.table
 
 
+def _numerator_rows(instance: AssortmentInstance, offer_sets) -> tuple[list[tuple], int | None]:
+    """(rows, D): each offer set's row as numerators over the scale D (None
+    for plain values), read from ``instance.table`` if it has been built,
+    else from ``model._choice_row`` over the model's denominator."""
+    model = instance.model
+    subsets = [tuple(sorted(model._as_subset(S))) for S in offer_sets]
+    table = vars(instance).get("table")
+    if table is None:
+        return [model._choice_row(subset) for subset in subsets], model.denominator
+    masks = (sum(1 << (x - 1) for x in subset) for subset in subsets)
+    return [table.row(subset, mask) for subset, mask in zip(subsets, masks)], table.scale
+
+
 def _choice_rows(instance: AssortmentInstance, offer_sets) -> list[tuple]:
     """``model.choice_row`` of each offer set, read from ``instance.table``
     if it has been built, else from the model."""
-    table = vars(instance).get("table")
-    if table is None:
-        return [instance.model.choice_row(S) for S in offer_sets]
-    subsets = [tuple(sorted(instance.model._as_subset(S))) for S in offer_sets]
-    masks = (sum(1 << (x - 1) for x in subset) for subset in subsets)
-    return [as_probabilities(table.row(subset, mask), table.scale) for subset, mask in zip(subsets, masks)]
+    rows, scale = _numerator_rows(instance, offer_sets)
+    return [as_probabilities(row, scale) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -140,11 +149,21 @@ def revenue_ladder(instance: AssortmentInstance) -> RevenueLadder:
     levels = instance.levels
     prefix_sizes = tuple(sum(1 for x in order if instance.revenue_of(x) >= level) for level in levels)
     prefixes = tuple(frozenset(order[:size]) for size in prefix_sizes)
+    rows, scale = _numerator_rows(instance, prefixes)
+    # Integer-scaled rows with int revenues sum ints and divide once, as the
+    # exact optimum does: the same Fractions, and so the same floats.
+    exact = scale is not None and all(isinstance(r, int) for r in instance.revenue)
     revenues = []
     sold = []
-    for members, row in zip(prefixes, _choice_rows(instance, prefixes)):
-        revenues.append(sum(p * instance.revenue_of(x) for x, p in zip(sorted(members), row)))
-        sold.append(float(sum(row)))
+    for members, row in zip(prefixes, rows):
+        if not exact:
+            row = as_probabilities(row, scale)
+        revenue = sum(p * instance.revenue_of(x) for x, p in zip(sorted(members), row))
+        total = sum(row)
+        if exact:
+            revenue, total = Fraction(revenue, scale), Fraction(total, scale)
+        revenues.append(revenue)
+        sold.append(float(total))
     expected = tuple(float(value) for value in revenues)
     return RevenueLadder(order, levels, prefix_sizes, prefixes, tuple(revenues), expected, tuple(sold))
 

@@ -13,7 +13,8 @@ table (the max form of the fast zeta transform on the subset lattice;
 Yates 1937, Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007): n sweeps
 of 2^n elements give max (or min) over S' superset of S for every S at
 once, so a check costs O(n^2 2^n) instead of O(n 3^n).  Every superset of
-a set holding x holds x, so regularity transforms each column as it is.
+a set holding x holds x, so regularity transforms each column as it is, and
+demand submodularity transforms the gains of x over the sets without x.
 
 Rounded subtraction and addition are monotone, so the extreme value over the
 supersets of S decides the same comparison as the worst single pair, for
@@ -48,7 +49,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .models import ChoiceModel, check_guard, column_sums, held_index, offer_masks
+from .models import ChoiceModel, check_guard, column_sums, held, held_index, offer_masks
 
 ATOL = 1e-9
 
@@ -137,16 +138,43 @@ def _magnitude(value, scale: int | None) -> float:
     return float(value) if scale is None else float(Fraction(value, scale))
 
 
+def _pick(pick, low: list, high: list) -> list:
+    """``list(map(pick, low, high))`` for pick in (max, min), as a comprehension.
+
+    CPython defines the two-argument ``max(l, h)`` as ``h if h > l else l``
+    and ``min(l, h)`` as ``h if h < l else l``, so this returns the very
+    objects the map would: a NaN on the left is kept, one on the right is
+    passed over, ties keep the left entry (0.0 against -0.0, an int against
+    an equal Fraction), and mixed types compare as they do there.  It only
+    skips a call per pair.
+    """
+    if pick is max:
+        return [h if h > l else l for l, h in zip(low, high)]
+    return [h if h < l else l for l, h in zip(low, high)]
+
+
 def _superset_extreme(values: list, n: int, pick) -> list:
     """out[mask] = pick over all supersets of mask, for pick in (max, min).
 
     Each sweep combines every mask whose lowest index bit is clear with its
     partner, then rotates the index bits right by one, so after n sweeps
-    every bit has been processed and the indices are back in place.
+    over n index bits every bit has been processed and the indices are back
+    in place; fewer sweeps leave them as :func:`_rotated` does.  Pairs are
+    combined by :func:`_pick`, whose comprehension returns the very objects
+    ``map(pick, low, high)`` would, since CPython defines the two-argument
+    max and min by the same comparison.
     """
     for _ in range(n):
         low, high = values[0::2], values[1::2]
-        values = list(map(pick, low, high)) + high
+        values = _pick(pick, low, high) + high
+    return values
+
+
+def _rotated(values: list, k: int) -> list:
+    """values with their index bits rotated right by k, the layout that k
+    sweeps of :func:`_superset_extreme` leave."""
+    for _ in range(k):
+        values = values[0::2] + values[1::2]
     return values
 
 
@@ -286,20 +314,31 @@ def check_demand_submodularity(model: "ChoiceModel | OfferTable", guard: int = 2
     n, sold, scale = table.n, table.sold, table.scale
 
     # worst is kept exact; flagged marks the offer sets S whose gap reaches it.
+    # Only an S without x can be flagged: at a set S' holding x the gain of x
+    # is sold[S'] - sold[S'], a zero (NaN where sold is NaN or infinite), and
+    # so is every gap there.  So the 2^(n-1) sets without x are transformed
+    # alone, in x's column layout (the mask with bit x-1 removed).  The whole
+    # lattice's sweep x would pair each S with S + x while the value there is
+    # still that zero; the same entries are merged in at the same sweep, which
+    # keeps every value the whole transform gives S, NaN and -inf included.
     worst = 0
     flagged = [False] * len(sold)
     for x in range(1, n + 1):
         bit = 1 << (x - 1)
-        gains = [sold[mask | bit] - sold[mask] for mask in range(len(sold))]
-        gaps = list(map(operator.sub, _superset_extreme(gains, n, max), gains))
+        with_x = held(sold, bit)
+        gains = list(map(operator.sub, with_x, held(sold, bit, clear=True)))
+        top = _superset_extreme(gains, x - 1, max)
+        top = _pick(max, top, _rotated(list(map(operator.sub, with_x, with_x)), x - 1))
+        top = _superset_extreme(top, n - x, max)
+        gaps = list(map(operator.sub, top, gains))
         most = max(gaps)
         if most > worst:
             worst = most
             flagged = [False] * len(sold)
         if most == worst and most > 0:
-            for mask, gap in enumerate(gaps):
+            for c, gap in enumerate(gaps):
                 if gap == worst:
-                    flagged[mask] = True
+                    flagged[(c >> (x - 1) << x) | (c & (bit - 1))] = True
     if not worst > _threshold(ATOL, scale):
         return CheckResult(True)
 

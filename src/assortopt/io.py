@@ -4,12 +4,16 @@ A model descriptor is a dict with a "type" tag; an instance file wraps a
 kind tag, a kind-specific payload, and the seed that generated it (when
 any).  Serialisation is deterministic (sorted keys) and floats survive a
 round trip exactly; the UNPRICED sentinel is written as the string "inf"
-since JSON has no infinity literal.
+since JSON has no infinity literal.  A table entry that is a Fraction (the
+rows of a reduced pricing model) is written as the string "a/b" and read
+back as that Fraction, so a reduced file keeps its exact arithmetic.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from fractions import Fraction
 from typing import Any
 
 from .assortment import AssortmentInstance
@@ -30,6 +34,8 @@ from .models import (
 from .multiperiod import MultiPeriodInstance
 from .stackelberg import GraphicMatroid, StackelbergInstance
 from .udp import UdpMinInstance, UdpRankInstance
+
+_RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 
 def model_to_dict(model: ChoiceModel) -> dict:
@@ -77,8 +83,23 @@ def model_to_dict(model: ChoiceModel) -> dict:
     if isinstance(model, TightExampleModel):
         return {"type": "tight_example", "k": model.k, "epsilon": model.epsilon}
     # Anything else (including the lazy reduction models) ships as a table.
-    rows = [[list(S), [float(p) for p in row]] for S, row in probability_rows(model, model.n)]
+    rows = [[list(S), list(map(_encode_probability, row))] for S, row in probability_rows(model, model.n)]
     return {"type": "tabular", "n": model.n, "rows": rows}
+
+
+def _encode_probability(p):
+    """A table entry as JSON: a Fraction as the exact string "a/b", anything else as a float."""
+    return f"{p.numerator}/{p.denominator}" if isinstance(p, Fraction) else float(p)
+
+
+def _decode_probability(p):
+    """A table entry read back: an "a/b" string as that Fraction; other values pass through."""
+    if not isinstance(p, str):
+        return p
+    match = _RATIONAL.fullmatch(p)
+    if match is None or int(match[2]) == 0:
+        raise ValueError(f"probability {p!r} is not a fraction a/b with b > 0")
+    return Fraction(int(match[1]), int(match[2]))
 
 
 def model_from_dict(data: dict) -> ChoiceModel:
@@ -114,7 +135,8 @@ def model_from_dict(data: dict) -> ChoiceModel:
         return TightExampleModel(data["k"], data["epsilon"])
     if kind == "tabular":
         table = {
-            frozenset(subset): dict(zip(subset, probs)) for subset, probs in data["rows"]
+            frozenset(subset): dict(zip(subset, map(_decode_probability, probs)))
+            for subset, probs in data["rows"]
         }
         return TabularModel(data["n"], table)
     raise ValueError(f"unknown model type {kind!r}")

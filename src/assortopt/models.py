@@ -23,11 +23,13 @@ masks holding it, so its column lists them in ascending order, which is
 the mask with bit x-1 removed (``held_index``); a product of ``high`` is
 offered everywhere and its column lists all 2^c masks.  ``columns(n)`` is
 the whole table, and smaller c reads it in blocks.  The default builds the
-columns from one ``_choice_row`` per offer set, which Tabular, Hfam, the
-tight family and the pricing reductions use; MNL, mixed MNL and
-stochastic-preference models (so Mallows, through its expansion) build
-them by recurrences over masks, and each of their entries is the same
-float that ``_choice_row`` gives.  ``column_sums`` adds columns into one
+columns from one ``_choice_row`` per offer set, which Tabular, Hfam and the
+tight family use; MNL, mixed MNL and stochastic-preference models (so
+Mallows, through its expansion) build them by recurrences over masks, and
+each of their entries is the same float that ``_choice_row`` gives.  The
+pricing reductions depend on an offer set only through its floor, the
+cheapest offered level of each element, so they simulate each distinct
+floor once and look every entry up by its floor (``udp._FloorChoiceModel``).  ``column_sums`` adds columns into one
 total per offer set, in column order from int 0, as ``sum`` adds a row.
 """
 
@@ -120,22 +122,25 @@ def members_of(mask: int, n: int) -> tuple[int, ...]:
     return tuple(x for x in range(1, n + 1) if mask >> (x - 1) & 1)
 
 
-def held_parts(size: int, bit: int) -> list[tuple[slice, slice]]:
+def held_parts(size: int, bit: int, clear: bool = False) -> list[tuple[slice, slice]]:
     """Slice pairs (into a list over the masks below ``size``, into a
-    column) that together move the masks with ``bit`` set to the column's
-    bit-removed layout: one stride per offset within a run of ``bit``
-    masks, or one slice per run, whichever makes fewer pairs."""
+    column) that together move the masks with ``bit`` set (or, if
+    ``clear``, those without it) to the column's bit-removed layout: one
+    stride per offset within a run of ``bit`` masks, or one slice per run,
+    whichever makes fewer pairs."""
+    first = 0 if clear else bit
     if bit * bit < size:
-        return [(slice(bit + low, None, 2 * bit), slice(low, None, bit)) for low in range(bit)]
-    runs = zip(range(bit, size, 2 * bit), range(0, size, bit))
+        return [(slice(first + low, None, 2 * bit), slice(low, None, bit)) for low in range(bit)]
+    runs = zip(range(first, size, 2 * bit), range(0, size, bit))
     return [(slice(start, start + bit), slice(at, at + bit)) for start, at in runs]
 
 
-def held(values: list, bit: int) -> list:
-    """The values at the masks with ``bit`` set, in ascending order of mask:
-    a column's bit-removed layout read off a list over every mask."""
+def held(values: list, bit: int, clear: bool = False) -> list:
+    """The values at the masks with ``bit`` set (or, if ``clear``, without
+    it), in ascending order of mask: a column's bit-removed layout read off
+    a list over every mask."""
     column = [None] * (len(values) >> 1)
-    for where, at in held_parts(len(values), bit):
+    for where, at in held_parts(len(values), bit, clear):
         column[at] = values[where]
     return column
 

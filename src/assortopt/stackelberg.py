@@ -17,9 +17,8 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .assortment import AssortmentInstance
 from .errors import GroundSetTooLarge
-from .models import ChoiceModel
-from .udp import (UNPRICED, PricingSolution, UniformPricingResult, _PairCatalogue, best_uniform_price, grid_optimum,
-                  positive_finite, reduce_pairs)
+from .udp import (UNPRICED, PricingSolution, UniformPricingResult, _FloorChoiceModel, _PairCatalogue,
+                  best_uniform_price, grid_optimum, positive_finite, reduce_pairs)
 
 Element = Hashable
 
@@ -346,7 +345,8 @@ class PricedCopyMatroid(Matroid):
 
     def __init__(self, base: Matroid, blue: frozenset, levels: Sequence):
         self._base = base
-        self.pairs = _PairCatalogue(sorted(blue, key=_sort_key), levels).pairs
+        self.catalogue = _PairCatalogue(sorted(blue, key=_sort_key), levels)
+        self.pairs = self.catalogue.pairs
         reds = [e for e in base.ground if e not in blue]
         super().__init__(tuple(reds) + self.pairs)
         self._reds = frozenset(reds)
@@ -361,20 +361,21 @@ class PricedCopyMatroid(Matroid):
         return self._base.is_independent(reds | set(chosen_blue))
 
 
-class StackelbergChoiceModel(ChoiceModel):
+class StackelbergChoiceModel(_FloorChoiceModel):
     """Choice probabilities encoding the follower's greedy purchase.
 
     Offering pair set S makes the follower run greedy on the auxiliary
     matroid over the reds plus S; each selected pair is chosen with exact
     probability 1/|B|, so the model declares the denominator |B| and its
-    rows are 1 for a selected pair and 0 otherwise.
+    rows are 1 for a selected pair and 0 otherwise.  Greedy meets the
+    copies of a blue element cheapest first: it keeps that copy, or finds
+    the element spanned, which stays so as the selection grows, and it
+    never keeps a second copy.  So it selects from the floor of S alone.
     """
 
     def __init__(self, instance: StackelbergInstance):
         self._aux = PricedCopyMatroid(instance.matroid, instance.blue, instance.cost_levels)
-        self.pairs = self._aux.pairs
-        super().__init__(len(self.pairs))
-        self._instance = instance
+        super().__init__(instance, self._aux.catalogue)
         self._reds = frozenset(e for e in instance.matroid.ground if e not in instance.blue)
         red_costs = instance.red_costs
 
@@ -394,11 +395,9 @@ class StackelbergChoiceModel(ChoiceModel):
     def reference_order(self) -> tuple:
         return self._order
 
-    def _choice_row(self, subset: tuple[int, ...]) -> tuple:
-        if not subset:
-            return ()
-        selection = greedy(self._aux, self._reds | {self.pairs[where - 1] for where in subset}, self._order)
-        return tuple(int(self.pairs[x - 1] in selection) for x in subset)
+    def _numerators(self, floor: tuple[int, ...]) -> dict[int, int]:
+        selection = greedy(self._aux, self._reds | {self.pairs[where - 1] for where in floor}, self._order)
+        return {where: 1 for where in floor if self.pairs[where - 1] in selection}
 
 
 def reduce_to_assortment(instance: StackelbergInstance, guard: int = 20) -> AssortmentInstance:

@@ -20,11 +20,11 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .assortment import AssortmentInstance
 from .errors import GroundSetTooLarge, SearchSpaceTooLarge
-from .models import ChoiceModel
+from .models import ChoiceModel, held, members_of
 
 UNPRICED = math.inf
 
@@ -270,7 +270,11 @@ def brute_force_pricing(
 
 class _PairCatalogue:
     """Shared (element, price level) pair indexing for the reduced instances;
-    an int ``items`` n stands for the items 1..n."""
+    an int ``items`` n stands for the items 1..n.
+
+    Pairs are numbered 1, 2, ... element by element, each element's levels
+    ascending, so an element's pairs rise in level as their index rises and
+    its cheapest offered level is its lowest-indexed offered pair."""
 
     def __init__(self, items: int | Sequence, levels: Sequence):
         self.levels = tuple(levels)
@@ -287,13 +291,36 @@ class _PairCatalogue:
                 floor[x - 1] = v
         return floor
 
+    def floor_masks(self, c: int, high: int = 0) -> list[int]:
+        """The floor of L | high for every mask L of the pairs 1..c: the
+        lowest-indexed pair of each element held, its cheapest offered level.
 
-class _ReducedUdpModel(ChoiceModel):
-    """Base for the pricing-to-assortment choice models.
+        Pairs join in ascending order, so each is above every pair held
+        before it, and it is a floor pair unless one of its element's pairs
+        is already held.  The pairs 1..c double the masks, and then each
+        pair of ``high`` joins all of them.
+        """
+        k = len(self.levels)
+        floors = [0]
+        for x in (*range(1, c + 1), *members_of(high, len(self.pairs))):
+            bit, run = 1 << (x - 1), ((1 << k) - 1) << ((x - 1) // k * k)
+            grown = [floor if floor & run else floor | bit for floor in floors]
+            floors = floors + grown if x <= c else grown
+        return floors
 
-    Probabilities are averages of per-consumer indicator distributions, so
-    they are exact rationals over a denominator the subclass declares, and
-    revenue comparisons against the pricing oracle can demand exact equality.
+
+class _FloorChoiceModel(ChoiceModel):
+    """A pricing instance restated over the (element, level) pairs of a
+    catalogue, whose rows depend on the offer set only through its floor.
+
+    Offering a pair set amounts to charging each element its cheapest
+    offered level, so P(x, S) is the outcome of the floor of S at x, and 0
+    at every pair above its element's floor.  ``_numerators`` gives that
+    outcome, P(x, floor) * denominator for every pair x of a floor that
+    sells; probabilities are exact rationals over the denominator the
+    subclass declares, so revenue comparisons against the pricing oracle can
+    demand exact equality.  ``_choice_row`` and ``columns`` both read the
+    outcome, and ``columns`` runs it once per distinct floor of its block.
     """
 
     def __init__(self, instance, catalogue: _PairCatalogue):
@@ -306,16 +333,29 @@ class _ReducedUdpModel(ChoiceModel):
     def pair_catalogue(self) -> _PairCatalogue:
         return self._catalogue
 
-    def _choice_row(self, subset: tuple[int, ...]) -> tuple:
-        numerators = self._numerators(subset)
-        return tuple(numerators.get(x, 0) for x in subset)
-
-    def _numerators(self, S: Iterable[int]) -> dict[int, int]:
-        """P(x, S) * denominator for every pair x of S that sells."""
+    def _numerators(self, floor: tuple[int, ...]) -> Mapping[int, int]:
+        """P(x, floor) * denominator for every pair x of the floor set that sells."""
         raise NotImplementedError
 
+    def _choice_row(self, subset: tuple[int, ...]) -> tuple:
+        floor = self._catalogue.floor_masks(0, sum(1 << (x - 1) for x in subset))[0]
+        numerators = self._numerators(members_of(floor, self.n))
+        return tuple(numerators.get(x, 0) for x in subset)
 
-class MinPricingChoiceModel(_ReducedUdpModel):
+    def columns(self, c: int, high: int = 0) -> list[list]:
+        """The default's columns, with one ``_numerators`` per distinct floor:
+        each entry is looked up by its mask's floor id."""
+        ids: dict[int, int] = {}
+        at = [ids.setdefault(floor, len(ids)) for floor in self._catalogue.floor_masks(c, high)]
+        outcomes = [self._numerators(members_of(floor, self.n)) for floor in ids]
+        columns = []
+        for x in (*range(1, c + 1), *members_of(high, self.n)):
+            where = held(at, 1 << (x - 1)) if x <= c else at
+            columns.append(list(map([outcome.get(x, 0) for outcome in outcomes].__getitem__, where)))
+        return columns
+
+
+class MinPricingChoiceModel(_FloorChoiceModel):
     """Choice probabilities encoding the cheapest-affordable purchase rule.
 
     Consumer i spreads her purchase uniformly over the cheapest bundle pairs
@@ -329,11 +369,11 @@ class MinPricingChoiceModel(_ReducedUdpModel):
         self._ties = math.lcm(*range(1, max(len(c.bundle) for c in instance.consumers) + 1))
         self.denominator = instance.m * self._ties
 
-    def _numerators(self, S: Iterable[int]) -> dict[int, int]:
+    def _numerators(self, floor: tuple[int, ...]) -> dict[int, int]:
         pairs = self._catalogue.pairs
         totals: dict[int, int] = {}
         for consumer in self._instance.consumers:
-            relevant = [where for where in S if pairs[where - 1][0] in consumer.bundle]
+            relevant = [where for where in floor if pairs[where - 1][0] in consumer.bundle]
             if not relevant:
                 continue
             cheapest = min(pairs[where - 1][1] for where in relevant)
@@ -346,7 +386,7 @@ class MinPricingChoiceModel(_ReducedUdpModel):
         return totals
 
 
-class RankPricingChoiceModel(_ReducedUdpModel):
+class RankPricingChoiceModel(_FloorChoiceModel):
     """Choice probabilities encoding the first-affordable purchase rule.
 
     The offer set induces the price assignment that charges each item its
@@ -358,10 +398,10 @@ class RankPricingChoiceModel(_ReducedUdpModel):
         super().__init__(instance, catalogue)
         self.denominator = instance.m
 
-    def _numerators(self, S: Iterable[int]) -> dict[int, int]:
-        floor = self._catalogue.floor_prices(S, self._instance.n)
-        bought = simulate_purchases_rank(self._instance, floor).purchases
-        return Counter(self._catalogue.index[(x, floor[x - 1])] for x in bought if x is not None)
+    def _numerators(self, floor: tuple[int, ...]) -> dict[int, int]:
+        prices = self._catalogue.floor_prices(floor, self._instance.n)
+        bought = simulate_purchases_rank(self._instance, prices).purchases
+        return Counter(self._catalogue.index[(x, prices[x - 1])] for x in bought if x is not None)
 
 
 def reduce_pairs(count: int, levels: Sequence, buyers: int, guard: int, nouns: tuple, build: Callable):

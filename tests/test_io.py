@@ -1,6 +1,8 @@
 """Serialisation round trips and generator determinism."""
 
 import copy
+import json
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -17,8 +19,10 @@ from assortopt import (
     TableCapacity,
     TabularModel,
     TightExampleModel,
+    brute_force_optimum,
     check_axioms,
 )
+from assortopt.cli import main
 from assortopt.generators import (
     generate,
     random_stackelberg,
@@ -33,7 +37,8 @@ from assortopt.io import (
     model_from_dict,
     model_to_dict,
 )
-from assortopt.models import enumerate_subsets
+from assortopt.models import enumerate_subsets, probability_rows
+from assortopt.reductions import reduce_pricing
 
 
 def assert_same_model(a, b):
@@ -205,3 +210,70 @@ def test_instance_from_dict_raises_only_documented_errors(data):
         instance_from_dict(data)
     except (KeyError, TypeError, ValueError):
         pass
+
+
+# ------------------------------------------------------------ exact rationals
+
+
+def _rows(model):
+    return [(S, [(type(p), p) for p in row]) for S, row in probability_rows(model, model.n)]
+
+
+def test_reduced_model_rows_are_written_as_exact_fractions():
+    model = reduce_pricing(random_udp_min(Random(4))).model
+    rows = model_to_dict(model)["rows"]
+    assert all(isinstance(p, str) for _, row in rows for p in row)
+    rebuilt = model_from_dict(loads(dumps(model_to_dict(model))))
+    assert _rows(rebuilt) == _rows(model)
+
+
+@pytest.mark.parametrize("entry", ["1/0", "x", "1/2/3", " 1/2", "0.5", "1e999/1"])
+def test_malformed_fraction_entries_exit_2(tmp_path, capsys, entry):
+    payload = {"model": {"type": "tabular", "n": 1, "rows": [[[], []], [[1], [entry]]]}, "revenue": [1]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": "assortment", "payload": payload}))
+    with pytest.raises(ValueError, match="is not a fraction a/b"):
+        instance_from_dict(json.loads(path.read_text()))
+    assert main(["solve", str(path)]) == 2
+    assert "is not a fraction a/b" in capsys.readouterr().err
+
+
+def test_reduced_file_solves_to_the_exact_optimum(tmp_path, capsys):
+    # Seed 20's reduced optimum is 14 exactly, at {2, 3, 5}; summed in floats,
+    # {2, 3, 5, 6, 8} earns 14.000000000000002 and would win.
+    path, reduced_path = tmp_path / "udp.json", tmp_path / "reduced.json"
+    assert main(["gen", "udp_min", "--seed", "20", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["udp", "reduce", str(path)]) == 0
+    reduced_path.write_text(capsys.readouterr().out)
+    assert main(["solve", str(reduced_path), "--method", "brute", "--json"]) == 0
+    exact = brute_force_optimum(reduce_pricing(instance_from_dict(json.loads(path.read_text()))))
+    assert exact.revenue == Fraction(14)
+    assert json.loads(capsys.readouterr().out) == {"opt": 14.0, "opt_assortment": sorted(exact.assortment)}
+
+
+@st.composite
+def descriptor_models(draw):
+    """A model of any descriptor type, or a table of floats and Fractions."""
+    kind = draw(st.sampled_from(["model", "tabular", "udp_min", "udp_rank", "stackelberg"]))
+    if kind == "model":
+        return draw(st.sampled_from(MODELS))
+    if kind == "tabular":
+        n = draw(st.integers(0, 3))
+        entry = st.fractions(0, 1, max_denominator=10**6) | st.floats(0, 1)
+        rows = {}
+        for subset in enumerate_subsets(n):
+            shares = draw(st.lists(entry, min_size=len(subset), max_size=len(subset)))
+            rows[subset] = {x: p / max(1, len(subset)) for x, p in zip(subset, shares)}
+        return TabularModel(n, rows)
+    seed = draw(st.integers(0, 50))
+    return reduce_pricing(instance_from_dict(generate(kind, None, {}, seed))).model
+
+
+@settings(max_examples=60, deadline=None)
+@given(descriptor_models())
+def test_descriptors_round_trip_to_equal_rows(model):
+    if model.n > 8:
+        return
+    rebuilt = model_from_dict(loads(dumps(model_to_dict(model))))
+    assert _rows(rebuilt) == _rows(model)

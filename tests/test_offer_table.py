@@ -252,3 +252,28 @@ def test_suite_records_are_unchanged(tmp_path):
             record["file"] = path.name
             lines.append(json.dumps(record, sort_keys=True))
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SUITE_RECORDS_SHA256
+
+
+def _reference_ladder(instance):
+    """The ladder's revenues and sale probabilities as Fraction sums of choice_row."""
+    ladder = instance.ladder
+    rows = [instance.model.choice_row(members) for members in ladder.prefixes]
+    revenues = [sum(p * instance.revenue_of(x) for x, p in zip(sorted(members), row))
+                for members, row in zip(ladder.prefixes, rows)]
+    return revenues, [float(v) for v in revenues], [float(sum(row)) for row in rows]
+
+
+@pytest.mark.parametrize("kind", PRICING_KINDS)
+@pytest.mark.parametrize("tabled", [False, True], ids=["streamed", "tabled"])
+def test_exact_ladder_sums_ints_and_divides_once(kind, tabled):
+    for seed in range(10):
+        reduced = reduce_pricing(_generated(kind, seed))
+        for revenue in (reduced.revenue, [r + 0.5 for r in reduced.revenue]):
+            instance = AssortmentInstance(reduced.model, revenue)
+            if tabled:
+                instance.table
+            ladder = instance.ladder
+            revenues, expected, sold = _reference_ladder(instance)
+            assert [(type(v), v) for v in ladder.revenues] == [(type(v), v) for v in revenues]
+            assert list(map(repr, ladder.expected_revenue)) == list(map(repr, expected))
+            assert list(map(repr, ladder.purchase_probability)) == list(map(repr, sold))

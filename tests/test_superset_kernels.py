@@ -1,0 +1,144 @@
+"""The superset transforms' kernels against the loops they replace.
+
+``axioms._superset_extreme`` combines pairs with a comparison comprehension
+instead of ``map(max | min, ...)``, and ``check_demand_submodularity``
+transforms only the offer sets without x.  The references below are the
+map-based sweep and the whole-lattice submodularity loop; results must equal
+theirs by type and ``repr``, on entries that mix NaN, signed zeros,
+infinities, ints and Fractions.
+"""
+
+import math
+import operator
+from fractions import Fraction
+from random import Random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from assortopt.axioms import CheckResult, _first_flagged, _superset_extreme, _supersets, check_demand_submodularity
+from assortopt.axioms import offer_table
+from assortopt.generators import generate
+from assortopt.io import instance_from_dict
+from assortopt.models import ChoiceModel, MnlModel, StochasticPreferenceModel, TabularModel, enumerate_subsets
+from assortopt.reductions import reduce_pricing
+
+
+def _bits(values):
+    return [(type(v), repr(v)) for v in values]
+
+
+def ref_superset_extreme(values, n, pick):
+    for _ in range(n):
+        low, high = values[0::2], values[1::2]
+        values = list(map(pick, low, high)) + high
+    return values
+
+
+ENTRIES = st.one_of(
+    st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, 0, 1, -1, Fraction(1, 3), Fraction(-1, 2)]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 3),
+    st.fractions(max_denominator=12),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(0, 6), pick=st.sampled_from([max, min]))
+def test_comprehension_returns_what_map_returns(data, n, pick):
+    values = data.draw(st.lists(ENTRIES, min_size=1 << n, max_size=1 << n))
+    assert _bits(_superset_extreme(values, n, pick)) == _bits(ref_superset_extreme(values, n, pick))
+
+
+# ------------------------------------------------------------ submodularity
+
+
+def ref_demand_submodularity(table):
+    """The whole-lattice loop: one transform of all 2^n gains per product."""
+    n, sold, scale = table.n, table.sold, table.scale
+    worst = 0
+    flagged = [False] * len(sold)
+    for x in range(1, n + 1):
+        bit = 1 << (x - 1)
+        gains = [sold[mask | bit] - sold[mask] for mask in range(len(sold))]
+        gaps = list(map(operator.sub, ref_superset_extreme(gains, n, max), gains))
+        most = max(gaps)
+        if most > worst:
+            worst = most
+            flagged = [False] * len(sold)
+        if most == worst and most > 0:
+            for mask, gap in enumerate(gaps):
+                if gap == worst:
+                    flagged[mask] = True
+    threshold = 1e-9 if scale is None else math.floor(Fraction(1e-9) * scale)
+    if not worst > threshold:
+        return CheckResult(True)
+    subset, mask = _first_flagged(n, flagged)
+
+    def gain(at, x):
+        return sold[at | 1 << (x - 1)] - sold[at]
+
+    witness = next(
+        (frozenset(subset), larger, x)
+        for larger_mask, larger in _supersets(subset, mask, n)
+        for x in range(1, n + 1)
+        if gain(larger_mask, x) - gain(mask, x) == worst
+    )
+    return CheckResult(False, witness, float(worst) if scale is None else float(Fraction(worst, scale)))
+
+
+class Rows(ChoiceModel):
+    """Every entry drawn from a pool, unvalidated."""
+
+    def __init__(self, n, pool, seed):
+        super().__init__(n)
+        rng = Random(seed)
+        self._rows = {subset: tuple(rng.choice(pool) for _ in subset) for subset in enumerate_subsets(n)}
+
+    def _choice_row(self, subset):
+        return self._rows[subset]
+
+
+POOLS = {
+    "nan": [0.0, -0.0, 0.25, 0.5, 0.125, math.nan, 0.75, 1 / 3],
+    "signed_zero": [0.0, -0.0, 0.5, 0.25, 0.1],
+    "infinite": [0.0, -0.0, 0.25, 0.5, math.inf, -math.inf, math.nan, 0.1],
+    "mixed": [0, Fraction(1, 3), 0.25, Fraction(1, 2), 0.5, -0.0, Fraction(1, 4)],
+    "exact": [0, Fraction(1, 3), Fraction(1, 2), Fraction(1, 6), Fraction(-1, 4)],
+    "negative": [0.0, -0.25, 0.25, 0.5, -0.5, 0.1],
+}
+
+
+@pytest.mark.parametrize("pool", sorted(POOLS))
+def test_halved_submodularity_matches_the_whole_lattice(pool):
+    failures = 0
+    for seed in range(120):
+        n = Random(seed).randint(1, 6)
+        table = offer_table(Rows(n, POOLS[pool], seed))
+        got = check_demand_submodularity(table)
+        expected = ref_demand_submodularity(table)
+        assert repr(got) == repr(expected), seed
+        failures += not got.passed
+    assert 0 < failures < 120  # both verdicts are covered
+
+
+def _generated_tables():
+    rng = Random(5)
+    for n in range(1, 8):
+        yield offer_table(MnlModel([rng.gauss(0.0, 1.5) for _ in range(n)]))
+        orders = [list(range(n + 1)) for _ in range(3)]
+        for order in orders:
+            rng.shuffle(order)
+        yield offer_table(StochasticPreferenceModel(n, list(zip([0.5, 0.25, 0.25], orders))))
+    for kind in ("udp_min", "udp_rank", "stackelberg"):
+        for seed in range(6):
+            model = reduce_pricing(instance_from_dict(generate(kind, None, {}, seed))).model
+            if model.n <= 8:
+                yield offer_table(model)
+    table = {subset: {x: Fraction(1, 1 + len(subset)) for x in subset} for subset in enumerate_subsets(4)}
+    yield offer_table(TabularModel(4, table))
+
+
+def test_halved_submodularity_matches_on_model_tables():
+    for table in _generated_tables():
+        assert repr(check_demand_submodularity(table)) == repr(ref_demand_submodularity(table))
