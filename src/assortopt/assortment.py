@@ -96,24 +96,23 @@ class AssortmentInstance:
         return self.table
 
 
-def _numerator_rows(instance: AssortmentInstance, offer_sets) -> tuple[list[tuple], int | None]:
-    """(rows, D): each offer set's row as numerators over the scale D (None
-    for plain values), read from ``instance.table`` if it has been built,
-    else from ``model._choice_row`` over the model's denominator."""
+def _numerator_rows(instance: AssortmentInstance, offer_sets) -> list[tuple]:
+    """Each offer set's row as ``model._choice_row`` gives it (numerators
+    over the model's denominator, if it declares one), read from
+    ``instance.table`` if it has been built, else from the model."""
     model = instance.model
     subsets = [tuple(sorted(model._as_subset(S))) for S in offer_sets]
     table = vars(instance).get("table")
     if table is None:
-        return [model._choice_row(subset) for subset in subsets], model.denominator
+        return [model._choice_row(subset) for subset in subsets]
     masks = (sum(1 << (x - 1) for x in subset) for subset in subsets)
-    return [table.row(subset, mask) for subset, mask in zip(subsets, masks)], table.scale
+    return [table.row(subset, mask) for subset, mask in zip(subsets, masks)]
 
 
 def _choice_rows(instance: AssortmentInstance, offer_sets) -> list[tuple]:
     """``model.choice_row`` of each offer set, read from ``instance.table``
     if it has been built, else from the model."""
-    rows, scale = _numerator_rows(instance, offer_sets)
-    return [as_probabilities(row, scale) for row in rows]
+    return [as_probabilities(row, instance.model.denominator) for row in _numerator_rows(instance, offer_sets)]
 
 
 @dataclass(frozen=True)
@@ -149,7 +148,7 @@ def revenue_ladder(instance: AssortmentInstance) -> RevenueLadder:
     levels = instance.levels
     prefix_sizes = tuple(sum(1 for x in order if instance.revenue_of(x) >= level) for level in levels)
     prefixes = tuple(frozenset(order[:size]) for size in prefix_sizes)
-    rows, scale = _numerator_rows(instance, prefixes)
+    rows, scale = _numerator_rows(instance, prefixes), instance.model.denominator
     # Integer-scaled rows with int revenues sum ints and divide once, as the
     # exact optimum does: the same Fractions, and so the same floats.
     exact = scale is not None and all(isinstance(r, int) for r in instance.revenue)
@@ -218,13 +217,12 @@ def brute_force_optimum(instance: AssortmentInstance, guard: int = 20) -> Assort
     going to the lexicographically smallest subset, so the result is
     deterministic; a NaN revenue never wins.
     """
-    n, revenue = instance.n, instance.revenue
+    n, revenue, scale = instance.n, instance.revenue, instance.model.denominator
     if "table" in vars(instance):
-        table = instance.table_within(guard)
-        c, scale, blocks = n, table.scale, [(0, table.columns)]
+        c, blocks = n, [(0, instance.table_within(guard).columns)]
     else:
         check_guard(n, guard)
-        c, scale = min(n, BLOCK_BITS), instance.model.denominator
+        c = min(n, BLOCK_BITS)
         blocks = ((high, instance.model.columns(c, high)) for high in range(0, 1 << n, 1 << c))
     exact = scale is not None and all(isinstance(r, int) for r in revenue)
     best_key: tuple[int, ...] = ()

@@ -5,9 +5,9 @@ Every checker reads an :class:`OfferTable`, the model read once through
 the 2^(n-1) offer sets S that hold x, indexed by the bitmask of S with bit
 x-1 removed, and the purchase probability sold(S) = sum_{x in S} P(x, S)
 indexed by bitmask.  The table holds no rows.  A checker takes a model,
-tabulated afresh, or a table such as the cached
-``AssortmentInstance.table``; ``check_axioms`` keeps its report on the
-table, so the checks of one instance read it once.  Conditions over all
+tabulated afresh within the default enumeration guard, or a table such as
+the cached ``AssortmentInstance.table``, which keeps its ``check_axioms``
+report, so the checks of one instance read it once.  Conditions over all
 3^n pairs S subset of S' are decided with superset transforms on that
 table (the max form of the fast zeta transform on the subset lattice;
 Yates 1937, Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007): n sweeps
@@ -24,16 +24,16 @@ first violating S in the canonical order of
 S is flagged; only the supersets of that S are then scanned pair by pair,
 in the order of the full pair scan, to report the same witness and gap it
 would.  Probabilities are compared with an absolute
-tolerance of 1e-9; strict violations beyond tolerance fail.
+tolerance of ATOL = 1e-9; strict violations beyond tolerance fail.
 
-Exact tables hold each entry p as the int p * D and 1 as D: a model that
-declares its denominator D (the pricing reductions do) emits those ints;
-a table of int and Fraction entries, at least one a Fraction, is scaled by
-the lcm D of its denominators.  A test v > t on the table's values becomes
-the int test v * D > floor(t * D), which is exact for every D, and each
-reported gap is converted back, so verdicts, witnesses and gaps are those of
-the Fraction arithmetic at a fraction of its cost.  Float tables are not
-scaled.
+Exactness is the model's declaration: a table is on the scale of the
+``denominator`` D its model declares (the pricing reductions and an exact
+``TabularModel`` do), and holds each entry p as the int p * D the model
+emits and 1 as D.  A test v > t on the table's values becomes the int test
+v * D > floor(t * D), which is exact for every D, and each reported gap is
+converted back, so verdicts, witnesses and gaps are those of the Fraction
+arithmetic at a fraction of its cost.  Other tables hold the model's values
+as they are.
 
 unavailable_zero holds by construction for every model that keeps
 :meth:`ChoiceModel.evaluate`, which returns 0.0 for an unoffered product;
@@ -46,8 +46,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .models import ChoiceModel, check_guard, column_sums, held, held_index, offer_masks
 
@@ -97,16 +98,23 @@ class AxiomReport:
 class OfferTable:
     """A model read once over every offer set: ``columns``, as
     ``model.columns(n)`` returns them (P(x, S) at
-    ``columns[x-1][held_index(mask, x)]``), sold[mask] = sum of the row of
-    the offer set, the scale D of an integer-scaled table (None for plain
-    values), and the axiom reports computed from it, by tolerance."""
+    ``columns[x-1][held_index(mask, x)]``), and sold[mask] = sum of the row
+    of the offer set."""
 
     model: ChoiceModel
     n: int
     columns: list
     sold: list
-    scale: int | None
-    reports: dict = field(default_factory=dict, init=False)
+
+    @property
+    def scale(self) -> int | None:
+        """The model's declared denominator D of the int entries, or None."""
+        return self.model.denominator
+
+    @cached_property
+    def report(self) -> "AxiomReport":
+        """The table's ``check_axioms`` report, computed on first use."""
+        return _check_axioms(self)
 
     def row(self, subset: tuple[int, ...], mask: int) -> tuple:
         """The table's P(x, S) for each x of the sorted offer set S."""
@@ -114,17 +122,10 @@ class OfferTable:
 
 
 def offer_table(model: ChoiceModel, guard: int = 20) -> OfferTable:
-    """Tabulate a model over every offer set, integer-scaled if it is exact."""
+    """Tabulate a model over every offer set, as its columns give them."""
     check_guard(model.n, guard)
     columns = model.columns(model.n)
-    scale = model.denominator
-    kinds = set() if scale is not None else set(map(type, itertools.chain.from_iterable(columns)))
-    if any(issubclass(t, Fraction) for t in kinds) and all(issubclass(t, (int, Fraction)) for t in kinds):
-        denominators = {p.denominator for p in itertools.chain.from_iterable(columns)}
-        scale = math.lcm(*denominators)
-        factors = {d: scale // d for d in denominators}
-        columns = [[p.numerator * factors[p.denominator] for p in column] for column in columns]
-    return OfferTable(model, model.n, columns, column_sums(columns, model.n), scale)
+    return OfferTable(model, model.n, columns, column_sums(columns, model.n))
 
 
 def _threshold(value: float, scale: int | None):
@@ -195,24 +196,21 @@ def _supersets(subset: tuple[int, ...], mask: int, n: int):
         yield mask | sum(1 << (x - 1) for x in extra), members | frozenset(extra)
 
 
-def check_axioms(model: "ChoiceModel | OfferTable", guard: int = 20, atol: float = ATOL) -> AxiomReport:
+def check_axioms(model: "ChoiceModel | OfferTable") -> AxiomReport:
     """Verify the four axioms of a regular discrete choice model.
 
     Takes the model, or its :class:`OfferTable`, which keeps the report: a
-    second call on the same table and tolerance returns it at once.
-    Witnesses are (x, S) for nonnegativity and availability, (S,) for the
-    at-most-one-purchase axiom, and (x, S, S') for regularity.
+    second call on the same table returns it at once.  Witnesses are (x, S)
+    for nonnegativity and availability, (S,) for the at-most-one-purchase
+    axiom, and (x, S, S') for regularity.
     """
-    table = model if isinstance(model, OfferTable) else offer_table(model, guard)
-    report = table.reports.get(atol)
-    if report is None:
-        report = table.reports[atol] = _check_axioms(table, atol)
-    return report
+    table = model if isinstance(model, OfferTable) else offer_table(model)
+    return table.report
 
 
-def _check_axioms(table: OfferTable, atol: float) -> AxiomReport:
+def _check_axioms(table: OfferTable) -> AxiomReport:
     model, n, columns, sold, scale = table.model, table.n, table.columns, table.sold, table.scale
-    one, tol = scale or 1, _threshold(atol, scale)
+    one, tol = scale or 1, _threshold(ATOL, scale)
 
     # Rounded 1 - s falls as s grows, so the least no-purchase share is
     # one - max(sold); the scan in canonical order runs only if some entry
@@ -237,12 +235,12 @@ def _check_axioms(table: OfferTable, atol: float) -> AxiomReport:
         unoffered = (
             (x, frozenset(S)) for S, mask in offer_masks(n) for x in range(1, n + 1) if not mask >> (x - 1) & 1
         )
-        leak = next(((x, S, p) for x, S in unoffered if abs(p := model.evaluate(x, S)) > atol), None)
+        leak = next(((x, S, p) for x, S in unoffered if abs(p := model.evaluate(x, S)) > ATOL), None)
         if leak is not None:
             unavailable_zero = CheckResult(False, leak[:2], float(abs(leak[2])))
 
     substochastic = CheckResult(True)
-    cap = _threshold(1 + atol, scale)
+    cap = _threshold(1 + ATOL, scale)
     if max(sold) > cap:
         subset, mask = _first_flagged(n, [total > cap for total in sold])
         substochastic = CheckResult(False, (frozenset(subset),), _magnitude(sold[mask] - one, scale))
@@ -281,13 +279,13 @@ def _check_axioms(table: OfferTable, atol: float) -> AxiomReport:
     return AxiomReport(nonnegativity, unavailable_zero, substochastic, regularity)
 
 
-def check_purchase_monotonicity(model: "ChoiceModel | OfferTable", guard: int = 20) -> CheckResult:
+def check_purchase_monotonicity(model: "ChoiceModel | OfferTable") -> CheckResult:
     """Check that the purchase probability never drops when the offer grows.
 
     Takes the model or its table.  The witness on failure is the pair
     (S, S').  Regular models always pass.
     """
-    table = model if isinstance(model, OfferTable) else offer_table(model, guard)
+    table = model if isinstance(model, OfferTable) else offer_table(model)
     n, sold, scale = table.n, table.sold, table.scale
     tol = _threshold(ATOL, scale)
     least = _superset_extreme(sold, n, min)
@@ -301,7 +299,7 @@ def check_purchase_monotonicity(model: "ChoiceModel | OfferTable", guard: int = 
     return CheckResult(False, (frozenset(subset), larger), _magnitude(sold[mask] - sold[larger_mask], scale))
 
 
-def check_demand_submodularity(model: "ChoiceModel | OfferTable", guard: int = 20) -> CheckResult:
+def check_demand_submodularity(model: "ChoiceModel | OfferTable") -> CheckResult:
     """Check submodularity of the demand f(S) = sum_{x in S} P(x, S).
 
     Takes the model or its table.  Over every pair S subset of S' and every
@@ -310,7 +308,7 @@ def check_demand_submodularity(model: "ChoiceModel | OfferTable", guard: int = 2
     order S, then S', then x.  Random-utility models pass; regularity alone
     does not imply a pass.
     """
-    table = model if isinstance(model, OfferTable) else offer_table(model, guard)
+    table = model if isinstance(model, OfferTable) else offer_table(model)
     n, sold, scale = table.n, table.sold, table.scale
 
     # worst is kept exact; flagged marks the offer sets S whose gap reaches it.

@@ -134,10 +134,11 @@ def model_from_dict(data: dict) -> ChoiceModel:
     if kind == "tight_example":
         return TightExampleModel(data["k"], data["epsilon"])
     if kind == "tabular":
-        table = {
-            frozenset(subset): dict(zip(subset, map(_decode_probability, probs)))
-            for subset, probs in data["rows"]
-        }
+        table = {}
+        for subset, probs in data["rows"]:
+            if len(subset) != len(probs):
+                raise ValueError(f"offer set {subset} has {len(probs)} probabilities, one per product expected")
+            table[frozenset(subset)] = dict(zip(subset, map(_decode_probability, probs)))
         return TabularModel(data["n"], table)
     raise ValueError(f"unknown model type {kind!r}")
 

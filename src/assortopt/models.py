@@ -11,9 +11,10 @@ define ``_choice_row`` (P(x, S) for each x of a sorted S), which every other
 reader goes through; ``columns``, ``_no_purchase`` and MNL's
 ``_member_probability`` are the overrides that remain.  Models keep no memo
 of evaluated offer sets; exhaustive readers share one table per instance
-(``AssortmentInstance.table``).  A model of exact rationals may
-declare a ``denominator`` D: its ``_choice_row`` then returns the ints p * D,
-while ``evaluate`` and ``choice_row`` still return the ``Fraction`` p.
+(``AssortmentInstance.table``).  Exactness is the model's declaration,
+which no reader infers: a model of exact rationals (the pricing reductions,
+an exact ``TabularModel``) declares a ``denominator`` D, its ``_choice_row``
+returns the ints p * D, and ``evaluate`` and ``choice_row`` the ``Fraction`` p.
 
 Exhaustive readers read a model in bulk, through ``columns(c, high)``:
 P(x, L | high) for every mask L of the products 1..c (bit x-1 stands for
@@ -49,6 +50,8 @@ from .errors import GroundSetTooLarge, InvalidEpsilon, NonPositiveRevenue
 Subset = frozenset[int]
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows beyond this
+EXPANSION_GUARD = 7  # largest n whose (n+1)! rankings expand_ranking_model enumerates
+CAPACITY_GUARD = 16  # largest n of a TableCapacity, whose check reads all 2^n subsets
 
 
 @dataclass(frozen=True)
@@ -229,9 +232,7 @@ class ChoiceModel:
 
     def _member_probability(self, x: int, S: Subset):
         """Probability of x in S, for x guaranteed to be a member of S."""
-        subset = tuple(sorted(S))
-        p = self._choice_row(subset)[subset.index(x)]
-        return p if self.denominator is None else Fraction(p, self.denominator)
+        return self.choice_row(S)[sorted(S).index(x)]
 
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
         """P(x, S) (or its numerator) for each x of a sorted offer set S;
@@ -265,17 +266,18 @@ class ChoiceModel:
             raise ValueError(f"offer set contains unknown products {sorted(bad)}")
         return members
 
-    def to_tabular(self, guard: int = 20) -> "TabularModel":
+    def to_tabular(self) -> "TabularModel":
         """Materialise the model as an explicit table over all 2^n offer sets."""
-        table = {frozenset(S): dict(zip(S, row)) for S, row in probability_rows(self, guard)}
+        table = {frozenset(S): dict(zip(S, row)) for S, row in probability_rows(self)}
         return TabularModel(self.n, table, validate=False)
 
 
 class TabularModel(ChoiceModel):
-    """Explicit probability table, one entry per (x, S) pair.
+    """Explicit probability table, one entry per (x, S) pair; a missing entry reads as 0.0.
 
-    The interchange representation: every other family converts to it (within
-    the enumeration guard) so all checkers run on a single code path.
+    A full table (an entry for every offered product of every offer set of
+    1..n) of int and ``Fraction`` entries, at least one a ``Fraction``, is exact:
+    it declares the lcm D of their denominators and keeps each p as p * D.
     """
 
     def __init__(
@@ -285,9 +287,14 @@ class TabularModel(ChoiceModel):
         validate: bool = True,
     ):
         super().__init__(n)
+        catalogue = frozenset(self._products.indices)
         normalised: dict[Subset, dict[int, float]] = {}
+        kinds: set[type] = set()
+        full = True  # so far, every offer set has an entry per product
         for raw_set, probs in table.items():
             members = frozenset(raw_set)
+            if validate and not members <= catalogue:
+                raise ValueError(f"offer set {sorted(members)} names products outside 1..{n}")
             row: dict[int, float] = {}
             explicit_zero = None
             for x, p in probs.items():
@@ -296,22 +303,26 @@ class TabularModel(ChoiceModel):
                     continue
                 if x not in members:
                     raise ValueError(f"table assigns P({x}, {sorted(members)}) but {x} is not offered")
+                if validate and not 0 <= p <= 1:
+                    raise ValueError(f"P({x}, {sorted(members)}) = {p} outside [0, 1]")
                 row[x] = p
+                kinds.add(type(p))
             normalised[members] = row
-            if validate:
+            full = full and len(row) == len(members)
+            if validate and explicit_zero is not None and abs(explicit_zero - (1 - sum(row.values()))) > 1e-9:
+                raise ValueError(
+                    f"explicit no-purchase probability {explicit_zero} inconsistent "
+                    f"with 1 - {sum(row.values())} on {sorted(members)}"
+                )
+        if validate and len(normalised) != 1 << n:  # every set lies in 1..n, so one is missing
+            missing = next(subset for subset in enumerate_subsets(n) if frozenset(subset) not in normalised)
+            raise ValueError(f"table is missing the offer set {list(missing)}")
+        exact = any(issubclass(t, Fraction) for t in kinds) and all(issubclass(t, (int, Fraction)) for t in kinds)
+        if exact and full and len(normalised) == 1 << n:
+            self.denominator = math.lcm(*{p.denominator for row in normalised.values() for p in row.values()})
+            for row in normalised.values():
                 for x, p in row.items():
-                    if not 0.0 <= p <= 1.0:
-                        raise ValueError(f"P({x}, {sorted(members)}) = {p} outside [0, 1]")
-                total = sum(row.values())
-                if explicit_zero is not None and abs(explicit_zero - (1 - total)) > 1e-9:
-                    raise ValueError(
-                        f"explicit no-purchase probability {explicit_zero} inconsistent "
-                        f"with 1 - {total} on {sorted(members)}"
-                    )
-        if validate:
-            for subset in enumerate_subsets(n):
-                if frozenset(subset) not in normalised:
-                    raise ValueError(f"table is missing the offer set {list(subset)}")
+                    row[x] = p.numerator * (self.denominator // p.denominator)
         self._table = normalised
 
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
@@ -556,10 +567,7 @@ class MallowsModel(ChoiceModel):
         return self._expansion._no_purchase(S)
 
 
-def expand_ranking_model(
-    model: "MallowsModel | Sequence[tuple[float, MallowsModel]]",
-    guard: int = 7,
-) -> StochasticPreferenceModel:
+def expand_ranking_model(model: "MallowsModel | Sequence[tuple[float, MallowsModel]]") -> StochasticPreferenceModel:
     """Expand a Mallows model (or a finite mixture of them) over all rankings.
 
     The normalisation constant is computed by explicit summation over the
@@ -579,8 +587,8 @@ def expand_ranking_model(
     n = components[0][1].n
     if any(m.n != n for _, m in components):
         raise ValueError("all mixture components must share the product count")
-    if n > guard:
-        raise GroundSetTooLarge(f"cannot enumerate ({n}+1)! rankings; guard is n <= {guard}")
+    if n > EXPANSION_GUARD:
+        raise GroundSetTooLarge(f"cannot enumerate ({n}+1)! rankings; guard is n <= {EXPANSION_GUARD}")
 
     rankings = list(itertools.permutations(range(n + 1)))
     weights = [0.0] * len(rankings)
@@ -611,10 +619,10 @@ class TableCapacity(CapacityFunction):
     a genuine substitutable attention capacity.
     """
 
-    def __init__(self, n: int, values: Mapping[Iterable[int], float], guard: int = 16):
+    def __init__(self, n: int, values: Mapping[Iterable[int], float]):
         self._n = n
         table = {frozenset(k): float(v) for k, v in values.items()}
-        for subset in enumerate_subsets(n, guard):
+        for subset in enumerate_subsets(n, CAPACITY_GUARD):
             if frozenset(subset) not in table:
                 raise ValueError(f"capacity table is missing subset {list(subset)}")
         if abs(table[frozenset()]) > 1e-12:

@@ -17,10 +17,11 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .assortment import AssortmentInstance
 from .errors import GroundSetTooLarge
-from .udp import (UNPRICED, PricingSolution, UniformPricingResult, _FloorChoiceModel, _PairCatalogue,
+from .udp import (GRID_GUARD, UNPRICED, PricingSolution, UniformPricingResult, _FloorChoiceModel, _PairCatalogue,
                   best_uniform_price, grid_optimum, positive_finite, reduce_pairs)
 
 Element = Hashable
+MATROID_GUARD = 8  # largest ground set whose 2^n subsets check_matroid_axioms pairs up
 
 
 class Matroid:
@@ -112,11 +113,11 @@ def greedy(matroid: Matroid, F: Iterable[Element], order: Sequence[Element]) -> 
     return frozenset(selected)
 
 
-def check_matroid_axioms(matroid: Matroid, guard: int = 8) -> bool:
+def check_matroid_axioms(matroid: Matroid) -> bool:
     """Exhaustively verify the three matroid axioms on a small ground set."""
     ground = matroid.ground
-    if len(ground) > guard:
-        raise GroundSetTooLarge(f"{len(ground)} elements exceed the axiom-check guard {guard}")
+    if len(ground) > MATROID_GUARD:
+        raise GroundSetTooLarge(f"{len(ground)} elements exceed the axiom-check guard {MATROID_GUARD}")
     subsets = [frozenset(c) for size in range(len(ground) + 1) for c in itertools.combinations(ground, size)]
     independent = {S for S in subsets if matroid.is_independent(S)}
     if frozenset() not in independent:
@@ -321,7 +322,7 @@ def uniform_pricing_stackelberg(instance: StackelbergInstance) -> UniformPricing
                               lambda level: revenue_of_prices(instance, dict.fromkeys(instance.blue, level)).revenue)
 
 
-def brute_force_stackelberg(instance: StackelbergInstance, guard: int = 10**7) -> PricingSolution:
+def brute_force_stackelberg(instance: StackelbergInstance) -> PricingSolution:
     """Exact optimum over the grid of red cost levels plus UNPRICED per blue.
 
     Restricting to that grid loses nothing: any price strictly between
@@ -329,7 +330,7 @@ def brute_force_stackelberg(instance: StackelbergInstance, guard: int = 10**7) -
     is never bought.  The prices map each blue element to its price.
     """
     blue = sorted(instance.blue, key=_sort_key)
-    best = grid_optimum(instance.cost_levels, len(blue), guard,
+    best = grid_optimum(instance.cost_levels, len(blue), GRID_GUARD,
                         lambda assignment: revenue_of_prices(instance, dict(zip(blue, assignment))).revenue)
     return PricingSolution(dict(zip(blue, best.prices)), best.revenue)
 

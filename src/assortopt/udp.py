@@ -27,6 +27,7 @@ from .errors import GroundSetTooLarge, SearchSpaceTooLarge
 from .models import ChoiceModel, held, members_of
 
 UNPRICED = math.inf
+GRID_GUARD = 10**7  # most price assignments an exact grid search tries
 
 
 def positive_finite(value) -> bool:
@@ -226,20 +227,15 @@ class PricingSolution:
     revenue: float
 
 
-def check_grid(levels: int, count: int, guard: int) -> None:
-    """Refuse levels^count price assignments beyond the guard, comparing
-    logarithms before the power is ever computed."""
-    if count * math.log(levels) > math.log(guard) + 1e-9 or levels**count > guard:
-        raise SearchSpaceTooLarge(f"{levels}^{count} price assignments exceed the guard {guard}")
-
-
 def grid_optimum(levels: Sequence, count: int, guard: int, revenue_of: Callable,
                  feasible: Callable | None = None) -> PricingSolution | None:
     """After the guard check, the first strictly best feasible assignment of
     ``levels`` plus UNPRICED to ``count`` elements in ``itertools.product``
     order (ties go to the lexicographically smallest), or None."""
     grid = list(levels) + [UNPRICED]
-    check_grid(len(grid), count, guard)
+    # Logarithms are compared first, so a huge power is never computed.
+    if count * math.log(len(grid)) > math.log(guard) + 1e-9 or len(grid) ** count > guard:
+        raise SearchSpaceTooLarge(f"{len(grid)}^{count} price assignments exceed the guard {guard}")
     best = None
     for assignment in itertools.product(grid, repeat=count):
         if feasible is None or feasible(assignment):
@@ -249,11 +245,7 @@ def grid_optimum(levels: Sequence, count: int, guard: int, revenue_of: Callable,
     return best
 
 
-def brute_force_pricing(
-    instance: UdpMinInstance | UdpRankInstance,
-    ladder: PriceLadder | None = None,
-    guard: int = 10**7,
-) -> PricingSolution:
+def brute_force_pricing(instance: UdpMinInstance | UdpRankInstance, ladder: PriceLadder | None = None) -> PricingSolution:
     """Exact optimum over the grid of valuation levels plus UNPRICED per item.
 
     Restricting prices to valuations loses nothing, and UNPRICED covers
@@ -265,7 +257,7 @@ def brute_force_pricing(
     if ladder is not None and len(ladder.psi) != instance.n:
         raise ValueError(f"the ladder orders {len(ladder.psi)} items but the instance has {instance.n}")
     feasible = None if ladder is None else ladder.is_feasible
-    return grid_optimum(instance.valuation_levels, instance.n, guard, lambda p: _simulate(instance, p).revenue, feasible)
+    return grid_optimum(instance.valuation_levels, instance.n, GRID_GUARD, lambda p: _simulate(instance, p).revenue, feasible)
 
 
 class _PairCatalogue:

@@ -66,11 +66,6 @@ class TestCheckAxioms:
         with pytest.raises(GroundSetTooLarge):
             check_axioms(MnlModel([0.0] * 25))
 
-    def test_tolerance_is_configurable(self):
-        rows = {(): {}, (1,): {1: 0.5}}
-        jitter = TabularModel(1, rows)
-        assert check_axioms(jitter, atol=1e-12).passed
-
 
 class TestPurchaseMonotonicity:
     def test_regular_model_passes(self, counterexample_table):

@@ -318,6 +318,18 @@ def test_integer_and_float_tables_are_not_scaled():
     assert _scale_of(_two_products(1, 0, 1, 0)) is None
     assert _scale_of(_two_products(0.5, 0.5, 0.25, 0.25)) is None
     assert _scale_of(_two_products(Fraction(1, 2), 0.25, 0, 0)) is None
+    # P(2, {1, 2}) is left to the 0.0 default, so the table is not full.
+    rows = {(): {}, (1,): {1: Fraction(1, 2)}, (2,): {2: Fraction(1, 3)}, (1, 2): {1: Fraction(1, 4)}}
+    assert _scale_of(TabularModel(2, rows)) is None
+
+
+def test_an_exact_table_declares_the_lcm_of_its_denominators():
+    model = _two_products(Fraction(1, 2), Fraction(2, 3), Fraction(1, 4), 0)
+    assert model.denominator == 12
+    assert offer_table(model).scale is model.denominator
+    # An int entry comes back as the equal Fraction.
+    assert model.choice_row((1, 2)) == (Fraction(1, 4), Fraction(0))
+    assert all(type(p) is Fraction for p in model.choice_row((1, 2)))
 
 
 TOL = Fraction(ATOL)

@@ -187,10 +187,19 @@ def _mnl_with_nan_utility(path):
     path.write_text(json.dumps(data))  # the NaN token, which json.loads accepts
 
 
+def _tabular_file(n, rows):
+    """A writer of an assortment file whose model is the given tabular rows."""
+    model = {"type": "tabular", "n": n, "rows": rows}
+    return lambda path: path.write_text(json.dumps({"kind": "assortment", "payload": {"model": model, "revenue": [1.0] * n}}))
+
+
 INVALID_FILES = {
     "no_payload": lambda path: path.write_text('{"kind": "assortment"}'),
     "top_level_list": lambda path: path.write_text("[1, 2]"),
     "nan_utility": _mnl_with_nan_utility,
+    "row_longer_than_its_offer_set": _tabular_file(1, [[[], []], [[1], [0.5, 0.4]]]),
+    "row_shorter_than_its_offer_set": _tabular_file(2, [[[], []], [[1], [0.5]], [[2], [0.3]], [[1, 2], [0.2]]]),
+    "offer_set_outside_the_catalogue": _tabular_file(1, [[[], []], [[1], [0.5]], [[2], [0.3]], [[1, 7], [0.2, 0.1]]]),
 }
 
 
@@ -215,6 +224,17 @@ def test_invalid_instance_file_exits_2(tmp_path, capsys, command, make):
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
     assert "invalid instance file" in captured.err
+
+
+@pytest.mark.parametrize("make", INVALID_FILES.values(), ids=INVALID_FILES.keys())
+def test_suite_records_an_invalid_instance_file_as_an_error(tmp_path, capsys, make):
+    path = tmp_path / "bad.json"
+    make(path)
+    code, out = run(capsys, "suite", str(path))
+    record = json.loads(out)
+    assert code == 1
+    assert (record["passed"], record["checks"]) == (False, {})
+    assert record["error"]
 
 
 @pytest.mark.parametrize(

@@ -294,7 +294,7 @@ def test_nan_entries_keep_their_place_in_the_table():
 def test_one_regularity_pass_per_assortment_record(tmp_path, monkeypatch, capsys):
     passes = []
     original = axioms._check_axioms
-    monkeypatch.setattr(axioms, "_check_axioms", lambda table, atol: passes.append(table) or original(table, atol))
+    monkeypatch.setattr(axioms, "_check_axioms", lambda table: passes.append(table) or original(table))
     for family in ("mnl", "stochastic_preference", "hfam"):
         path = tmp_path / f"{family}.json"
         assert main(["gen", "assortment", "--family", family, "--seed", "2", "-o", str(path)]) == 0
@@ -305,16 +305,15 @@ def test_one_regularity_pass_per_assortment_record(tmp_path, monkeypatch, capsys
         assert len(passes) == 1
 
 
-def test_a_table_keeps_its_report_per_tolerance(monkeypatch):
+def test_a_table_keeps_its_report(monkeypatch):
     instance = AssortmentInstance(MnlModel([0.4, -0.2, 1.0]), [3.0, 2.0, 1.0])
     passes = []
     original = axioms._check_axioms
-    monkeypatch.setattr(axioms, "_check_axioms", lambda table, atol: passes.append(atol) or original(table, atol))
+    monkeypatch.setattr(axioms, "_check_axioms", lambda table: passes.append(table) or original(table))
     report = check_axioms(instance.table)
     verify_guarantee(instance)
     assert check_axioms(instance.table) is report
-    assert check_axioms(instance.table, atol=1e-6) == report
-    assert passes == [axioms.ATOL, 1e-6]
+    assert passes == [instance.table]
 
 
 # ------------------------------------------------------------------ MNL overflow

@@ -158,8 +158,9 @@ def test_reduced_models_evaluate_to_the_same_fractions(kind):
             got = {x: model.evaluate(x, S) for x in S}
             assert got == expected
             assert all(type(p) is Fraction for p in got.values())
-            assert tabular._table[S] == expected
-            assert all(type(p) is Fraction for p in tabular._table[S].values())
+            row = dict(zip(subset, tabular.choice_row(S)))
+            assert row == expected
+            assert all(type(p) is Fraction for p in row.values())
             assert model.evaluate(0, S) == 1 - sum(expected.values())
 
 
@@ -190,6 +191,22 @@ def test_exact_optimum_is_the_fraction_sum(kind):
         assert streamed.assortment == frozenset(first)
         check_axioms(reduced.table)
         assert brute_force_optimum(reduced) == streamed
+
+
+@pytest.mark.parametrize("kind", PRICING_KINDS)
+def test_streamed_and_tabulated_optima_of_an_exact_table_agree(kind):
+    for seed in range(6):
+        reduced = reduce_pricing(_generated(kind, seed))
+        tabular = reduced.model.to_tabular()
+        assert tabular.denominator is not None
+        for revenue in (reduced.revenue, [r + 0.25 for r in reduced.revenue]):
+            instance = AssortmentInstance(tabular, revenue)
+            streamed = brute_force_optimum(instance)
+            assert "table" not in vars(instance)
+            instance.table
+            tabulated = brute_force_optimum(instance)
+            assert type(streamed.revenue) is type(tabulated.revenue)
+            assert repr(streamed) == repr(tabulated)
 
 
 def test_float_revenues_on_an_exact_model_multiply_the_float_probability():

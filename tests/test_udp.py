@@ -22,6 +22,7 @@ from assortopt import (
     simulate_purchases_rank,
     uniform_pricing,
 )
+from assortopt import udp
 from assortopt.errors import GroundSetTooLarge
 from assortopt.generators import random_udp_min, random_udp_rank
 from assortopt.udp import _PairCatalogue
@@ -127,11 +128,12 @@ class TestBruteForcePricing:
         with pytest.raises(ValueError, match=f"orders {len(psi)} items but the instance has 2"):
             brute_force_pricing(instance, ladder=PriceLadder(psi))
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        monkeypatch.setattr(udp, "GRID_GUARD", 100)
         consumers = [({x}, float(x)) for x in range(1, 10)]
         wide = UdpMinInstance(9, consumers)
         with pytest.raises(SearchSpaceTooLarge):
-            brute_force_pricing(wide, guard=100)
+            brute_force_pricing(wide)
 
     def test_guard_refuses_before_computing_the_grid_size(self):
         # 3^10000 has 4,772 digits; formatting it would exceed the int-to-str limit.
@@ -139,12 +141,14 @@ class TestBruteForcePricing:
         with pytest.raises(SearchSpaceTooLarge, match=r"3\^10000 price assignments"):
             brute_force_pricing(huge)
 
-    def test_guard_at_the_boundary_is_exact(self):
+    def test_guard_at_the_boundary_is_exact(self, monkeypatch):
         # 3^2 = 9 assignments: a guard of 9 admits them, a guard of 8 does not.
         instance = UdpMinInstance(2, [({1}, 1), ({2}, 2)])
-        assert brute_force_pricing(instance, guard=9).revenue == 3
+        monkeypatch.setattr(udp, "GRID_GUARD", 9)
+        assert brute_force_pricing(instance).revenue == 3
+        monkeypatch.setattr(udp, "GRID_GUARD", 8)
         with pytest.raises(SearchSpaceTooLarge):
-            brute_force_pricing(instance, guard=8)
+            brute_force_pricing(instance)
 
     def test_reduction_guard_builds_no_pair_catalogue(self, monkeypatch):
         built = []
