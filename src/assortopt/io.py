@@ -136,9 +136,11 @@ def model_from_dict(data: dict) -> ChoiceModel:
     if kind == "tabular":
         table = {}
         for subset, probs in data["rows"]:
-            if len(subset) != len(probs):
-                raise ValueError(f"offer set {subset} has {len(probs)} probabilities, one per product expected")
-            table[frozenset(subset)] = dict(zip(subset, map(_decode_probability, probs)))
+            members = frozenset(subset)
+            if len(members) != len(subset) or members in table or len(subset) != len(probs):
+                raise ValueError(f"row {subset} with {len(probs)} probabilities: each offer set takes one row, "
+                                 "of distinct products, one probability each")
+            table[members] = dict(zip(subset, map(_decode_probability, probs)))
         return TabularModel(data["n"], table)
     raise ValueError(f"unknown model type {kind!r}")
 
@@ -212,11 +214,9 @@ def instance_from_dict(data: dict):
 def _build_instance(data: dict):
     kind = data["kind"]
     payload = data["payload"]
-    if kind == "assortment":
-        return AssortmentInstance(model_from_dict(payload["model"]), payload["revenue"])
-    if kind == "multiperiod":
+    if kind in ("assortment", "multiperiod"):
         base = AssortmentInstance(model_from_dict(payload["model"]), payload["revenue"])
-        return MultiPeriodInstance(base, payload["horizon"], payload["capacity"])
+        return base if kind == "assortment" else MultiPeriodInstance(base, payload["horizon"], payload["capacity"])
     if kind == "udp_min":
         return UdpMinInstance(
             payload["items"],

@@ -287,10 +287,12 @@ class TabularModel(ChoiceModel):
         validate: bool = True,
     ):
         super().__init__(n)
-        catalogue = frozenset(self._products.indices)
+        if validate:
+            check_guard(n, 20)  # the guard of enumerate_subsets, before 2^n or the catalogue is built
+            catalogue = frozenset(self._products.indices)
         normalised: dict[Subset, dict[int, float]] = {}
-        kinds: set[type] = set()
-        full = True  # so far, every offer set has an entry per product
+        kinds: set[type] = set()  # entry types, tallied while the table may still be exact
+        exact = True  # so far, every offer set has an entry per product, each an int or a Fraction
         for raw_set, probs in table.items():
             members = frozenset(raw_set)
             if validate and not members <= catalogue:
@@ -306,19 +308,17 @@ class TabularModel(ChoiceModel):
                 if validate and not 0 <= p <= 1:
                     raise ValueError(f"P({x}, {sorted(members)}) = {p} outside [0, 1]")
                 row[x] = p
-                kinds.add(type(p))
             normalised[members] = row
-            full = full and len(row) == len(members)
+            if exact:
+                kinds.update(map(type, row.values()))
+                exact = len(row) == len(members) and all(issubclass(t, (int, Fraction)) for t in kinds)
             if validate and explicit_zero is not None and abs(explicit_zero - (1 - sum(row.values()))) > 1e-9:
-                raise ValueError(
-                    f"explicit no-purchase probability {explicit_zero} inconsistent "
-                    f"with 1 - {sum(row.values())} on {sorted(members)}"
-                )
+                raise ValueError(f"explicit no-purchase probability {explicit_zero} inconsistent "
+                                 f"with 1 - {sum(row.values())} on {sorted(members)}")
         if validate and len(normalised) != 1 << n:  # every set lies in 1..n, so one is missing
             missing = next(subset for subset in enumerate_subsets(n) if frozenset(subset) not in normalised)
             raise ValueError(f"table is missing the offer set {list(missing)}")
-        exact = any(issubclass(t, Fraction) for t in kinds) and all(issubclass(t, (int, Fraction)) for t in kinds)
-        if exact and full and len(normalised) == 1 << n:
+        if exact and any(issubclass(t, Fraction) for t in kinds) and len(normalised) == 1 << n:
             self.denominator = math.lcm(*{p.denominator for row in normalised.values() for p in row.values()})
             for row in normalised.values():
                 for x, p in row.items():

@@ -200,6 +200,10 @@ INVALID_FILES = {
     "row_longer_than_its_offer_set": _tabular_file(1, [[[], []], [[1], [0.5, 0.4]]]),
     "row_shorter_than_its_offer_set": _tabular_file(2, [[[], []], [[1], [0.5]], [[2], [0.3]], [[1, 2], [0.2]]]),
     "offer_set_outside_the_catalogue": _tabular_file(1, [[[], []], [[1], [0.5]], [[2], [0.3]], [[1, 7], [0.2, 0.1]]]),
+    "offer_set_repeating_a_product": _tabular_file(2, [[[], []], [[1], [0.5]], [[2], [0.3]], [[1, 2], [0.2, 0.1]], [[1, 1], [0.2, 0.9]]]),
+    "offer_set_with_two_rows": _tabular_file(1, [[[], []], [[1], [0.5]], [[1], [0.9]]]),
+    "tabular_catalogue_beyond_the_guard": lambda path: path.write_text(json.dumps({"kind": "assortment", "payload": {
+        "model": {"type": "tabular", "n": 10**12, "rows": [[[], []], [[1], [0.5]]]}, "revenue": [1.0]}})),
 }
 
 
