@@ -21,12 +21,14 @@ from typing import Iterable, Sequence
 from .axioms import OfferTable, check_axioms, offer_table
 from .errors import BoundCUnavailable, NonPositiveRevenue, RegularityViolation
 from .models import (
+    GUARD,
     ChoiceModel,
     TightExampleModel,
     as_probabilities,
     check_guard,
     column_sums,
     evaluate_revenue,
+    finite,
     members_of,
 )
 
@@ -45,8 +47,8 @@ class AssortmentInstance:
         for x, r in enumerate(revenue, start=1):
             if not r > 0:
                 raise NonPositiveRevenue(f"revenue of product {x} is {r}; must be > 0")
-            if isinstance(r, float) and not math.isfinite(r):
-                raise ValueError(f"revenue of product {x} is {r}; must be finite")
+            if not finite(r):
+                raise ValueError(f"revenue of product {x} must be finite as a float")
         self._model = model
         self._revenue = tuple(revenue)
 
@@ -204,7 +206,7 @@ def revenue_ordered(instance: AssortmentInstance) -> RevenueOrderedResult:
     )
 
 
-def brute_force_optimum(instance: AssortmentInstance, guard: int = 20) -> AssortmentSolution:
+def brute_force_optimum(instance: AssortmentInstance, guard: int = GUARD) -> AssortmentSolution:
     """Exact optimum by enumerating every subset (the empty set included).
 
     Reads the columns of ``instance.table`` if it has been built, else asks
@@ -367,7 +369,7 @@ class GuaranteeReport:
     failures: tuple[str, ...]
 
 
-def verify_guarantee(instance: AssortmentInstance, guard: int = 20) -> GuaranteeReport:
+def verify_guarantee(instance: AssortmentInstance, guard: int = GUARD) -> GuaranteeReport:
     """Assert revord >= bound * OPT for every applicable bound.
 
     The guarantees are only claimed for regular models, so a failed
@@ -397,7 +399,7 @@ def verify_guarantee(instance: AssortmentInstance, guard: int = 20) -> Guarantee
     return GuaranteeReport(not failures, ratio, optimum, heuristic, bounds, failures)
 
 
-def generate_tight_instance(k: int, epsilon: float) -> AssortmentInstance:
+def generate_tight_instance(k: int = 3, epsilon: float = 0.1) -> AssortmentInstance:
     """Worst-case instance: the ratio OPT/revord approaches k as epsilon -> 0.
 
     Pair (i, j) earns epsilon^{-j}, so the distinct revenue levels are

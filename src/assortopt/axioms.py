@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .models import ChoiceModel, check_guard, column_sums, held, held_index, offer_masks
+from .models import GUARD, ChoiceModel, check_guard, column_sums, held, held_index, offer_masks
 
 ATOL = 1e-9
 
@@ -121,7 +121,7 @@ class OfferTable:
         return tuple(self.columns[x - 1][held_index(mask, x)] for x in subset)
 
 
-def offer_table(model: ChoiceModel, guard: int = 20) -> OfferTable:
+def offer_table(model: ChoiceModel, guard: int = GUARD) -> OfferTable:
     """Tabulate a model over every offer set, as its columns give them."""
     check_guard(model.n, guard)
     columns = model.columns(model.n)

@@ -1,8 +1,8 @@
 """Command-line surface: generate, solve, verify, and batch-check instances.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad usage or a
-bad flag value, an instance file that is unreadable, malformed, invalid or of
-the wrong kind, or an instance beyond an enumeration guard (one line on stderr).
+Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad usage or a bad
+flag value, an instance file that is unreadable, malformed, invalid or of the wrong
+kind, or an instance beyond an enumeration guard or the float range (one line on stderr).
 
 ``main`` parses with one parser per process, built on its first call, so a
 process that calls ``main`` many times (the tests, ``perfbench``) builds the
@@ -33,6 +33,7 @@ from .axioms import check_axioms
 from .errors import GroundSetTooLarge, InvalidParams, RegularityViolation, SearchSpaceTooLarge
 from .generators import generate
 from .io import dumps, instance_from_dict, instance_to_dict, loads
+from .models import GUARD
 from .multiperiod import (
     MultiPeriodInstance,
     check_lstar_order,
@@ -169,11 +170,13 @@ def _cmd_pricing(args) -> int:
             args.json,
         )
         return 0
-    if args.action == "reduce":
-        reduced = reduce_pricing(instance, guard=args.guard_n)
-        sys.stdout.write(dumps(instance_to_dict(reduced, kind="assortment")))
-        return 0
-    report = verify_reduction(instance, guard=args.guard_n)
+    try:  # refuses an instance beyond a guard, or one whose reduced revenues overflow a float
+        if args.action == "reduce":
+            sys.stdout.write(dumps(instance_to_dict(reduce_pricing(instance, guard=args.guard_n))))
+            return 0
+        report = verify_reduction(instance, guard=args.guard_n)
+    except ValueError as error:
+        raise SystemExit(f"cannot {args.action} {args.file}: {error}")
     _emit(
         {
             "opt_pricing": report.opt_pricing,
@@ -300,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="assort",
         description="Assortment optimisation under regular discrete choice models.",
     )
-    parser.add_argument("--guard-n", type=int, default=20, help="enumeration guard on ground-set size")
+    parser.add_argument("--guard-n", type=int, default=GUARD, help="enumeration guard on ground-set size")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a random instance file")
@@ -324,17 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--json", action="store_true")
     bounds.set_defaults(func=_cmd_bounds)
 
-    udp = sub.add_parser("udp", help="unit-demand pricing commands")
-    udp.add_argument("action", choices=["solve", "reduce", "verify"])
-    udp.add_argument("file")
-    udp.add_argument("--json", action="store_true")
-    udp.set_defaults(func=_cmd_pricing, kinds=("udp_min", "udp_rank"))
-
-    stackelberg = sub.add_parser("stackelberg", help="matroid pricing commands")
-    stackelberg.add_argument("action", choices=["solve", "reduce", "verify"])
-    stackelberg.add_argument("file")
-    stackelberg.add_argument("--json", action="store_true")
-    stackelberg.set_defaults(func=_cmd_pricing, kinds=("stackelberg",))
+    for name, text, kinds in (("udp", "unit-demand pricing commands", ("udp_min", "udp_rank")),
+                              ("stackelberg", "matroid pricing commands", ("stackelberg",))):
+        pricing = sub.add_parser(name, help=text)
+        pricing.add_argument("action", choices=["solve", "reduce", "verify"])
+        pricing.add_argument("file")
+        pricing.add_argument("--json", action="store_true")
+        pricing.set_defaults(func=_cmd_pricing, kinds=kinds)
 
     multiperiod = sub.add_parser("multiperiod", help="capacity DP over revenue-ordered assortments")
     multiperiod.add_argument("file")

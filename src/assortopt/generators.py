@@ -99,30 +99,25 @@ def random_udp_min(rng: Random, n_max: int = 3, m_max: int = 3) -> UdpMinInstanc
     return UdpMinInstance(n, consumers)
 
 
-def random_udp_rank(rng: Random, n_max: int = 3, m_max: int = 3, value_pool: int = 3) -> UdpRankInstance:
-    # A small valuation pool keeps the reduced catalogue (n * distinct
-    # valuations products) within enumeration guards and exercises ties.
+def random_udp_rank(rng: Random, n_max: int = 3, m_max: int = 3) -> UdpRankInstance:
+    # Valuations from 1..3 keep the reduced catalogue (n * distinct
+    # valuations products) within enumeration guards and exercise ties.
     n = rng.randint(1, n_max)
     m = rng.randint(1, m_max)
     consumers = []
     for _ in range(m):
         ranking = list(range(1, n + 1))
         rng.shuffle(ranking)
-        consumers.append((ranking, [rng.randint(1, value_pool) for _ in range(n)]))
+        consumers.append((ranking, [rng.randint(1, 3) for _ in range(n)]))
     return UdpRankInstance(n, consumers)
 
 
-def random_stackelberg(
-    rng: Random,
-    max_vertices: int = 5,
-    max_cost_levels: int = 2,
-    max_blue: int = 3,
-) -> StackelbergInstance:
+def random_stackelberg(rng: Random, max_vertices: int = 5, max_cost_levels: int = 2) -> StackelbergInstance:
     """A random graph whose red edges contain a spanning tree.
 
     The generator draws a random spanning tree, colours it red with costs
-    from a small level set, then sprinkles blue edges (parallel edges
-    allowed) and occasionally an extra red edge.
+    from a small level set, then sprinkles one to three blue edges (parallel
+    edges allowed) and occasionally an extra red edge.
     """
     n_vertices = rng.randint(2, max_vertices)
     level_pool = sorted(rng.sample(range(1, 6), rng.randint(1, max_cost_levels)))
@@ -140,7 +135,7 @@ def random_stackelberg(
         red_costs[len(edges)] = rng.choice(level_pool)
         edges.append((u, v))
     blue: list[int] = []
-    for _ in range(rng.randint(1, max_blue)):
+    for _ in range(rng.randint(1, 3)):
         if n_vertices >= 2 and rng.random() < 0.8:
             u, v = rng.sample(range(n_vertices), 2)
         else:
@@ -150,59 +145,48 @@ def random_stackelberg(
     return StackelbergInstance(GraphicMatroid(n_vertices, edges), red_costs, blue)
 
 
-def random_multiperiod(
-    rng: Random,
-    family: str = "stochastic_preference",
-    n_max: int = 5,
-    horizon_max: int = 6,
-    capacity_max: int = 6,
-) -> MultiPeriodInstance:
+def random_multiperiod(rng: Random, family: str = "stochastic_preference", n_max: int = 5,
+                       horizon_max: int = 6, capacity_max: int = 6) -> MultiPeriodInstance:
     base = random_assortment_instance(family, rng, n_max=n_max)
     return MultiPeriodInstance(base, rng.randint(1, horizon_max), rng.randint(1, capacity_max))
 
 
+# The --params keys of each kind (and of the tight family), each mapped to
+# its generator's keyword and type; a key not given keeps that keyword's default.
+_PARAMS = {
+    "assortment": {"n_max": ("n_max", int)},
+    "tight": {"k": ("k", int), "eps": ("epsilon", float)},
+    "udp_min": {"n_max": ("n_max", int), "m_max": ("m_max", int)},
+    "udp_rank": {"n_max": ("n_max", int), "m_max": ("m_max", int)},
+    "stackelberg": {"v": ("max_vertices", int), "cost_levels": ("max_cost_levels", int)},
+    "multiperiod": {"n_max": ("n_max", int), "T": ("horizon_max", int), "Q": ("capacity_max", int)},
+}
+
+
 def generate(kind: str, family: str | None, params: dict, seed: int) -> dict:
     """Build a serialisable instance file: deterministic in (kind, family,
-    params, seed)."""
+    params, seed).  ``params`` may give only the keys its kind accepts."""
     rng = Random(seed)
-    params = dict(params or {})
+    name = "tight" if kind == "assortment" and family == "tight" else kind
+    accepted = _PARAMS.get(name)
+    if accepted is None:
+        raise InvalidParams(f"unknown instance kind {kind!r}")
+    unknown = sorted(set(params or {}) - set(accepted))
+    if unknown:
+        raise InvalidParams(f"unknown parameter {unknown[0]!r} for {name}; accepted: {', '.join(accepted)}")
     try:
-        if kind == "assortment":
-            family = family or "mnl"
-            if family == "tight":
-                instance = generate_tight_instance(
-                    int(params.get("k", 3)), float(params.get("eps", 0.1))
-                )
-            else:
-                instance = random_assortment_instance(
-                    family, rng, n_max=int(params.get("n_max", 7))
-                )
-        elif kind == "udp_min":
-            instance = random_udp_min(
-                rng, n_max=int(params.get("n_max", 3)), m_max=int(params.get("m_max", 3))
-            )
-        elif kind == "udp_rank":
-            instance = random_udp_rank(
-                rng, n_max=int(params.get("n_max", 3)), m_max=int(params.get("m_max", 3))
-            )
-        elif kind == "stackelberg":
-            instance = random_stackelberg(
-                rng,
-                max_vertices=int(params.get("v", 5)),
-                max_cost_levels=int(params.get("cost_levels", 2)),
-            )
+        options = {accepted[key][0]: accepted[key][1](value) for key, value in (params or {}).items()}
+        if name == "tight":
+            instance = generate_tight_instance(**options)
+        elif kind == "assortment":
+            instance = random_assortment_instance(family or "mnl", rng, **options)
         elif kind == "multiperiod":
-            instance = random_multiperiod(
-                rng,
-                family=family or "stochastic_preference",
-                n_max=int(params.get("n_max", 5)),
-                horizon_max=int(params.get("T", 6)),
-                capacity_max=int(params.get("Q", 6)),
-            )
+            instance = random_multiperiod(rng, **options, **({"family": family} if family else {}))
         else:
-            raise InvalidParams(f"unknown instance kind {kind!r}")
+            pricing = {"udp_min": random_udp_min, "udp_rank": random_udp_rank, "stackelberg": random_stackelberg}
+            instance = pricing[kind](rng, **options)
     except (TypeError, ValueError) as error:
         if isinstance(error, InvalidParams):
             raise
         raise InvalidParams(str(error)) from error
-    return instance_to_dict(instance, kind=kind, seed=seed)
+    return instance_to_dict(instance, seed=seed)

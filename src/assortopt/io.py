@@ -145,40 +145,30 @@ def model_from_dict(data: dict) -> ChoiceModel:
     raise ValueError(f"unknown model type {kind!r}")
 
 
-def instance_to_dict(instance, kind: str | None = None, seed: int | None = None) -> dict:
-    """Serialise a problem instance to an instance-file dict."""
+def instance_to_dict(instance, seed: int | None = None) -> dict:
+    """Serialise a problem instance to an instance-file dict of the kind its type names."""
     if isinstance(instance, MultiPeriodInstance):
-        payload = {
+        kind, payload = "multiperiod", {
             "model": model_to_dict(instance.base.model),
             "revenue": list(instance.base.revenue),
             "horizon": instance.horizon,
             "capacity": instance.capacity,
         }
-        kind = kind or "multiperiod"
     elif isinstance(instance, AssortmentInstance):
-        payload = {
+        kind, payload = "assortment", {
             "model": model_to_dict(instance.model),
             "revenue": list(instance.revenue),
         }
-        kind = kind or "assortment"
     elif isinstance(instance, UdpMinInstance):
-        payload = {
+        kind, payload = "udp_min", {
             "items": instance.n,
-            "consumers": [
-                {"bundle": sorted(c.bundle), "valuation": c.valuation}
-                for c in instance.consumers
-            ],
+            "consumers": [{"bundle": sorted(c.bundle), "valuation": c.valuation} for c in instance.consumers],
         }
-        kind = kind or "udp_min"
     elif isinstance(instance, UdpRankInstance):
-        payload = {
+        kind, payload = "udp_rank", {
             "items": instance.n,
-            "consumers": [
-                {"ranking": list(c.ranking), "valuations": list(c.valuations)}
-                for c in instance.consumers
-            ],
+            "consumers": [{"ranking": list(c.ranking), "valuations": list(c.valuations)} for c in instance.consumers],
         }
-        kind = kind or "udp_rank"
     elif isinstance(instance, StackelbergInstance):
         matroid = instance.matroid
         if not isinstance(matroid, GraphicMatroid):
@@ -193,8 +183,7 @@ def instance_to_dict(instance, kind: str | None = None, seed: int | None = None)
             else:
                 edge["color"] = "blue"
             edges.append(edge)
-        payload = {"vertices": matroid.n_vertices, "edges": edges}
-        kind = kind or "stackelberg"
+        kind, payload = "stackelberg", {"vertices": matroid.n_vertices, "edges": edges}
     else:
         raise TypeError(f"cannot serialise {type(instance).__name__}")
     out: dict[str, Any] = {"kind": kind, "payload": payload}

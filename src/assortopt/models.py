@@ -50,6 +50,7 @@ from .errors import GroundSetTooLarge, InvalidEpsilon, NonPositiveRevenue
 Subset = frozenset[int]
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows beyond this
+GUARD = 20  # largest n whose 2^n offer sets an exhaustive reader enumerates
 EXPANSION_GUARD = 7  # largest n whose (n+1)! rankings expand_ranking_model enumerates
 CAPACITY_GUARD = 16  # largest n of a TableCapacity, whose check reads all 2^n subsets
 
@@ -82,7 +83,27 @@ def check_guard(n: int, guard: int) -> None:
         raise GroundSetTooLarge(f"n={n} exceeds the enumeration guard {guard}")
 
 
-def enumerate_subsets(n: int, guard: int = 20) -> list[tuple[int, ...]]:
+def finite(value) -> bool:
+    """Whether value, or for an int or a ``Fraction`` its float, is finite."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def distribution(weights: Iterable, noun: str) -> tuple[float, ...]:
+    """The weights as floats, once they are finite, nonnegative and sum to 1 within 1e-9."""
+    weights = tuple(map(float, weights))
+    if not all(map(math.isfinite, weights)):
+        raise ValueError(f"{noun} weights must be finite, got {weights}")
+    if any(w < 0 for w in weights):
+        raise ValueError(f"{noun} weights must be nonnegative")
+    if abs(sum(weights) - 1.0) > 1e-9:
+        raise ValueError(f"{noun} weights sum to {sum(weights)}, expected 1")
+    return weights
+
+
+def enumerate_subsets(n: int, guard: int = GUARD) -> list[tuple[int, ...]]:
     """All subsets of {1..n} as sorted tuples, by cardinality then lexicographic.
 
     This is the canonical enumeration order used by every checker, so that
@@ -178,7 +199,7 @@ def as_probabilities(row: tuple, denominator: int | None) -> tuple:
     return row if denominator is None else tuple(Fraction(p, denominator) for p in row)
 
 
-def probability_rows(model: "ChoiceModel", guard: int = 20):
+def probability_rows(model: "ChoiceModel", guard: int = GUARD):
     """Yield (S, P(x, S) for each x of S, as ``evaluate`` returns them) for
     every offer set S in canonical order, read from ``model.columns(n)``."""
     check_guard(model.n, guard)
@@ -288,7 +309,7 @@ class TabularModel(ChoiceModel):
     ):
         super().__init__(n)
         if validate:
-            check_guard(n, 20)  # the guard of enumerate_subsets, before 2^n or the catalogue is built
+            check_guard(n, GUARD)  # before 2^n or the catalogue is built
             catalogue = frozenset(self._products.indices)
         normalised: dict[Subset, dict[int, float]] = {}
         kinds: set[type] = set()  # entry types, tallied while the table may still be exact
@@ -401,15 +422,8 @@ class MixedMnlModel(ChoiceModel):
         n = models[0].n
         if any(m.n != n for m in models):
             raise ValueError("all mixture components must share the product count")
-        weights = tuple(float(w) for w, _ in components)
-        if not all(math.isfinite(w) for w in weights):
-            raise ValueError(f"mixture weights must be finite, got {weights}")
-        if any(w < 0 for w in weights):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise ValueError(f"mixture weights sum to {sum(weights)}, expected 1")
         super().__init__(n)
-        self._weights = weights
+        self._weights = distribution((w for w, _ in components), "mixture")
         self._models = tuple(models)
 
     @property
@@ -444,40 +458,26 @@ class StochasticPreferenceModel(ChoiceModel):
         if not rankings:
             raise ValueError("at least one ranking is required")
         expected = None  # {0..n}, built once a ranking's length vouches for n
-        weights = []
-        positions = []
         orders = []
-        for weight, order in rankings:
+        for _, order in rankings:
             order = tuple(order)
             if expected is None and len(order) == n + 1:
                 expected = frozenset(range(n + 1))
             if len(order) != n + 1 or frozenset(order) != expected:
                 raise ValueError(f"{order} is not a permutation of 0..{n}")
-            if not math.isfinite(weight):
-                raise ValueError(f"ranking weight {weight} is not finite")
-            if weight < 0:
-                raise ValueError("ranking weights must be nonnegative")
-            pos = [0] * (n + 1)
-            for where, element in enumerate(order):
-                pos[element] = where
-            weights.append(float(weight))
-            positions.append(tuple(pos))
             orders.append(order)
-        if abs(sum(weights) - 1.0) > 1e-9:
-            raise ValueError(f"ranking weights sum to {sum(weights)}, expected 1")
-        self._weights = tuple(weights)
+        self._weights = distribution((w for w, _ in rankings), "ranking")
         self._orders = tuple(orders)
-        self._positions = tuple(positions)
 
     @property
     def rankings(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
         return tuple(zip(self._weights, self._orders))
 
     def _winner_weights(self, S: Iterable[int]) -> dict[int, float]:
-        options = tuple(S) + (0,)
+        options = {0, *S}
         totals: dict[int, float] = {}
-        for weight, pos in zip(self._weights, self._positions):
-            first = min(options, key=pos.__getitem__)
+        for weight, order in zip(self._weights, self._orders):
+            first = next(x for x in order if x in options)
             totals[first] = totals.get(first, 0.0) + weight
         return totals
 
@@ -577,13 +577,9 @@ def expand_ranking_model(model: "MallowsModel | Sequence[tuple[float, MallowsMod
     if isinstance(model, MallowsModel):
         components: list[tuple[float, MallowsModel]] = [(1.0, model)]
     else:
-        components = [(float(w), m) for w, m in model]
-        if not components:
+        if not model:
             raise ValueError("empty mixture")
-        if any(w < 0 for w, _ in components):
-            raise ValueError("mixture weights must be nonnegative")
-        if abs(sum(w for w, _ in components) - 1.0) > 1e-9:
-            raise ValueError("mixture weights must sum to 1")
+        components = list(zip(distribution((w for w, _ in model), "mixture"), (m for _, m in model)))
     n = components[0][1].n
     if any(m.n != n for _, m in components):
         raise ValueError("all mixture components must share the product count")

@@ -17,6 +17,8 @@ delta).  That is the static problem with every revenue shifted by delta,
 which ``lstar_delta`` solves with the same function.  For regular models l*
 is monotone in both state variables and never rises with delta (nesting by
 fare order); ``check_lstar_order`` reads that last order off the table.
+The three table checks return an ``axioms.CheckResult`` with gap 0.0 and
+the first violating cell as its witness.
 
 Capacity cannot bind while it covers the rest of the horizon (q >= t).  By
 induction from J_0 = 0, row t-1 holds the one float J_{t-1}(t-1) at every
@@ -32,8 +34,9 @@ from dataclasses import dataclass
 
 # revenue_ladder is re-exported for the callers that import it from here.
 from .assortment import AssortmentInstance, RevenueLadder, revenue_ladder  # noqa: F401
-from .axioms import check_axioms
+from .axioms import CheckResult, check_axioms
 from .errors import DeltaOutOfRange
+from .models import GUARD, finite
 
 RTOL = 1e-9
 
@@ -42,10 +45,14 @@ class MultiPeriodInstance:
     """An assortment instance with a selling horizon and an inventory cap."""
 
     def __init__(self, base: AssortmentInstance, horizon: int, capacity: int):
+        if type(horizon) is not int or type(capacity) is not int:
+            raise ValueError(f"horizon and capacity must be ints, got {horizon!r} and {capacity!r}")
         if horizon < 1 or capacity < 1:
             raise ValueError("horizon and capacity must be positive")
         if base.n < 1:
             raise ValueError("the catalogue must contain at least one product")
+        if not finite(min(horizon, capacity) * max(base.revenue)):  # bounds every J the DP forms
+            raise ValueError("min(horizon, capacity) x the top revenue overflows a float")
         self._base = base
         self._horizon = horizon
         self._capacity = capacity
@@ -105,7 +112,7 @@ def _best_level(ladder: RevenueLadder, delta: float) -> tuple[int, float]:
     raise AssertionError("the maximum is always within tolerance of itself")
 
 
-def solve_dp(instance: MultiPeriodInstance, guard: int = 20) -> DpTable:
+def solve_dp(instance: MultiPeriodInstance, guard: int = GUARD) -> DpTable:
     """Tabulate J and the least optimal thresholds.
 
     The monotonicity guarantees assume a regular model, so the table records a
@@ -121,7 +128,7 @@ def solve_dp(instance: MultiPeriodInstance, guard: int = 20) -> DpTable:
     T, Q = instance.horizon, instance.capacity
     regularity_ok: bool | None = None
     if instance.base.n <= guard:
-        regularity_ok = check_axioms(instance.base.table_within(guard)).regularity.passed
+        regularity_ok = check_axioms(instance.base.table).regularity.passed
 
     value = [[0.0] * (Q + 1) for _ in range(T + 1)]
     lstar = [[1] * (Q + 1) for _ in range(T + 1)]
@@ -145,30 +152,21 @@ def solve_dp(instance: MultiPeriodInstance, guard: int = 20) -> DpTable:
     )
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    passed: bool
-    witness: tuple | None = None
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def check_nesting_monotonicity(table: DpTable) -> MonotonicityReport:
+def check_nesting_monotonicity(table: DpTable) -> CheckResult:
     """l*_t(q) never grows with remaining capacity and never shrinks with
     remaining time; the witness names the first violating cell."""
     for t in range(1, table.horizon + 1):
         for q in range(2, table.capacity + 1):
             if table.lstar[t][q] > table.lstar[t][q - 1]:
-                return MonotonicityReport(False, ("capacity", t, q))
+                return CheckResult(False, ("capacity", t, q))
     for t in range(2, table.horizon + 1):
         for q in range(1, table.capacity + 1):
             if table.lstar[t][q] < table.lstar[t - 1][q]:
-                return MonotonicityReport(False, ("time", t, q))
-    return MonotonicityReport(True)
+                return CheckResult(False, ("time", t, q))
+    return CheckResult(True)
 
 
-def check_marginal_value(table: DpTable) -> MonotonicityReport:
+def check_marginal_value(table: DpTable) -> CheckResult:
     """The marginal value of capacity is concave in q and non-decreasing in t.
 
     These hold for any choice model (regular or not); the tolerance only
@@ -178,15 +176,15 @@ def check_marginal_value(table: DpTable) -> MonotonicityReport:
     for t in range(0, table.horizon + 1):
         for q in range(2, table.capacity + 1):
             if table.marginal(t, q - 1) < table.marginal(t, q) - slack:
-                return MonotonicityReport(False, ("concavity", t, q))
+                return CheckResult(False, ("concavity", t, q))
     for t in range(1, table.horizon + 1):
         for q in range(1, table.capacity + 1):
             if table.marginal(t, q) < table.marginal(t - 1, q) - slack:
-                return MonotonicityReport(False, ("time", t, q))
-    return MonotonicityReport(True)
+                return CheckResult(False, ("time", t, q))
+    return CheckResult(True)
 
 
-def check_lstar_order(table: DpTable) -> MonotonicityReport:
+def check_lstar_order(table: DpTable) -> CheckResult:
     """l*_t(q) never rises as delta = -marginal(t-1, q) grows.  The cells are
     sorted by (delta, l*), so equal deltas need equal thresholds; the witness
     is the first cell whose l* exceeds its predecessor's."""
@@ -196,7 +194,7 @@ def check_lstar_order(table: DpTable) -> MonotonicityReport:
         for q in range(1, table.capacity + 1)
     )
     rise = next((cell for before, cell in zip(cells, cells[1:]) if cell[1] > before[1]), None)
-    return MonotonicityReport(True) if rise is None else MonotonicityReport(False, ("delta", *rise[2:]))
+    return CheckResult(True) if rise is None else CheckResult(False, ("delta", *rise[2:]))
 
 
 def lstar_delta(instance: AssortmentInstance, delta: float) -> int:

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .assortment import AssortmentInstance, brute_force_optimum, revenue_ordered
 from .axioms import check_axioms
+from .models import GUARD
 from .stackelberg import (
     StackelbergInstance,
     brute_force_stackelberg,
@@ -46,7 +47,7 @@ class ReductionReport:
         return self.opt_match and self.axioms_pass and self.uniform_equals_revenue_ordered
 
 
-def reduce_pricing(instance, guard: int = 20) -> AssortmentInstance:
+def reduce_pricing(instance, guard: int = GUARD) -> AssortmentInstance:
     """The assortment instance equivalent to a udp_min, udp_rank or Stackelberg instance."""
     if isinstance(instance, UdpMinInstance):
         return reduce_min_to_assortment(instance, guard=guard)
@@ -65,7 +66,7 @@ def solve_pricing(instance):
     return (uniform_pricing_stackelberg if stackelberg else uniform_pricing)(instance), exact
 
 
-def verify_reduction(instance, guard: int = 20) -> ReductionReport:
+def verify_reduction(instance, guard: int = GUARD) -> ReductionReport:
     """Check the reduction of a pricing instance against the pricing oracles.
 
     The exact optima must agree, the reduced model must pass `check_axioms`,

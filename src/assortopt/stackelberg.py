@@ -11,13 +11,15 @@ the reduction are thin callers of the pricing layer in `udp`.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .assortment import AssortmentInstance
 from .errors import GroundSetTooLarge
-from .udp import (GRID_GUARD, UNPRICED, PricingSolution, UniformPricingResult, _FloorChoiceModel, _PairCatalogue,
+from .models import GUARD
+from .udp import (UNPRICED, PricingSolution, UniformPricingResult, _FloorChoiceModel, _PairCatalogue,
                   best_uniform_price, grid_optimum, positive_finite, reduce_pairs)
 
 Element = Hashable
@@ -184,6 +186,8 @@ class StackelbergInstance:
                 raise ValueError(f"cost of red element {element!r} is {cost}; must be positive and finite")
         if len(greedy(matroid, red, matroid.ground)) != matroid.rank():
             raise ValueError("the red elements must contain a base of the matroid")
+        if blue and not positive_finite(len(blue) * max(red_costs.values(), default=1)):  # bounds every revenue
+            raise ValueError(f"{len(blue)} blue elements x the top red cost overflow a float")
         self._matroid = matroid
         self._red_costs = dict(red_costs)
         self._blue = blue
@@ -262,13 +266,14 @@ def revenue_of_prices(instance: StackelbergInstance, prices: Mapping[Element, fl
         price = prices[element]
         if not (price > 0 or price == UNPRICED):
             raise ValueError(f"price of blue element {element!r} must be positive or UNPRICED")
-    order = cost_compatible_ordering(instance, prices)
-    base = greedy(instance.matroid, instance.matroid.ground, order)
-    bought = frozenset(base & instance.blue)
-    if any(prices[e] == UNPRICED for e in bought):
-        raise AssertionError("an unpriced blue element was bought; red elements cannot span")
-    revenue = sum(sorted(prices[e] for e in bought))
-    return StackelbergOutcome(revenue, bought)
+    return _purchase(instance, prices, cost_compatible_ordering(instance, prices))
+
+
+def _purchase(instance: StackelbergInstance, prices: Mapping[Element, float], order: Sequence) -> StackelbergOutcome:
+    """The follower's greedy base in ``order`` and what its blue elements earn.  The reds
+    hold a base and precede every UNPRICED element, so none of those is bought."""
+    bought = greedy(instance.matroid, instance.matroid.ground, order) & instance.blue
+    return StackelbergOutcome(sum(sorted(prices[e] for e in bought)), bought)
 
 
 def check_tiebreak_independence(
@@ -283,11 +288,8 @@ def check_tiebreak_independence(
     costs = instance.effective_costs(prices)
     blue = instance.blue
 
-    def level_counts(bought: frozenset) -> dict:
-        counts: dict = {}
-        for e in bought:
-            counts[prices[e]] = counts.get(prices[e], 0) + 1
-        return counts
+    def level_counts(bought: frozenset) -> Counter:
+        return Counter(prices[e] for e in bought)
 
     reference = revenue_of_prices(instance, prices)
     reference_counts = level_counts(reference.bought_blue)
@@ -304,10 +306,8 @@ def check_tiebreak_independence(
             members = blocks[block][:]
             rng.shuffle(members)
             order.extend(members)
-        base = greedy(instance.matroid, instance.matroid.ground, order)
-        bought = frozenset(base & blue)
-        revenue = sum(sorted(prices[e] for e in bought))
-        if revenue != reference.revenue or level_counts(bought) != reference_counts:
+        outcome = _purchase(instance, prices, order)
+        if outcome.revenue != reference.revenue or level_counts(outcome.bought_blue) != reference_counts:
             return False
     return True
 
@@ -330,7 +330,7 @@ def brute_force_stackelberg(instance: StackelbergInstance) -> PricingSolution:
     is never bought.  The prices map each blue element to its price.
     """
     blue = sorted(instance.blue, key=_sort_key)
-    best = grid_optimum(instance.cost_levels, len(blue), GRID_GUARD,
+    best = grid_optimum(instance.cost_levels, len(blue),
                         lambda assignment: revenue_of_prices(instance, dict(zip(blue, assignment))).revenue)
     return PricingSolution(dict(zip(blue, best.prices)), best.revenue)
 
@@ -401,7 +401,7 @@ class StackelbergChoiceModel(_FloorChoiceModel):
         return {where: 1 for where in floor if self.pairs[where - 1] in selection}
 
 
-def reduce_to_assortment(instance: StackelbergInstance, guard: int = 20) -> AssortmentInstance:
+def reduce_to_assortment(instance: StackelbergInstance, guard: int = GUARD) -> AssortmentInstance:
     """Restate the pricing problem as an assortment problem.
 
     Products are (blue element, cost level) pairs earning |B| * level; the

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .assortment import AssortmentInstance
 from .errors import GroundSetTooLarge, SearchSpaceTooLarge
-from .models import ChoiceModel, held, members_of
+from .models import GUARD, ChoiceModel, held, members_of
 
 UNPRICED = math.inf
 GRID_GUARD = 10**7  # most price assignments an exact grid search tries
@@ -56,12 +56,16 @@ class _PricingInstance:
     each subclass parses one raw consumer in ``_consumer``."""
 
     def __init__(self, n: int, consumers: Iterable):
+        if type(n) is not int:
+            raise ValueError(f"the item count must be an int, got {n!r}")
         if n < 1:
             raise ValueError("at least one item is required")
         self._n = n
         self._consumers = tuple(map(self._consumer, consumers))
         if not self._consumers:
             raise ValueError("at least one consumer is required")
+        if not positive_finite(self.m * self.valuation_levels[-1]):  # bounds every revenue of the pricing
+            raise ValueError(f"{self.m} consumers x the top valuation overflow a float")
 
     @property
     def n(self) -> int:
@@ -227,12 +231,12 @@ class PricingSolution:
     revenue: float
 
 
-def grid_optimum(levels: Sequence, count: int, guard: int, revenue_of: Callable,
+def grid_optimum(levels: Sequence, count: int, revenue_of: Callable,
                  feasible: Callable | None = None) -> PricingSolution | None:
-    """After the guard check, the first strictly best feasible assignment of
-    ``levels`` plus UNPRICED to ``count`` elements in ``itertools.product``
-    order (ties go to the lexicographically smallest), or None."""
-    grid = list(levels) + [UNPRICED]
+    """After the check against GRID_GUARD, the first strictly best feasible assignment
+    of ``levels`` plus UNPRICED to ``count`` elements in ``itertools.product`` order
+    (ties go to the lexicographically smallest), or None."""
+    grid, guard = list(levels) + [UNPRICED], GRID_GUARD
     # Logarithms are compared first, so a huge power is never computed.
     if count * math.log(len(grid)) > math.log(guard) + 1e-9 or len(grid) ** count > guard:
         raise SearchSpaceTooLarge(f"{len(grid)}^{count} price assignments exceed the guard {guard}")
@@ -257,7 +261,7 @@ def brute_force_pricing(instance: UdpMinInstance | UdpRankInstance, ladder: Pric
     if ladder is not None and len(ladder.psi) != instance.n:
         raise ValueError(f"the ladder orders {len(ladder.psi)} items but the instance has {instance.n}")
     feasible = None if ladder is None else ladder.is_feasible
-    return grid_optimum(instance.valuation_levels, instance.n, GRID_GUARD, lambda p: _simulate(instance, p).revenue, feasible)
+    return grid_optimum(instance.valuation_levels, instance.n, lambda p: _simulate(instance, p).revenue, feasible)
 
 
 class _PairCatalogue:
@@ -412,7 +416,7 @@ def _reduce(instance, model_cls, guard: int) -> AssortmentInstance:
                         lambda: model_cls(instance, _PairCatalogue(instance.n, instance.valuation_levels)))
 
 
-def reduce_min_to_assortment(instance: UdpMinInstance, guard: int = 20) -> AssortmentInstance:
+def reduce_min_to_assortment(instance: UdpMinInstance, guard: int = GUARD) -> AssortmentInstance:
     """Restate a min-rule pricing problem as an assortment problem.
 
     Products are (item, valuation level) pairs earning m * level; offering S
@@ -423,7 +427,7 @@ def reduce_min_to_assortment(instance: UdpMinInstance, guard: int = 20) -> Assor
     return _reduce(instance, MinPricingChoiceModel, guard)
 
 
-def reduce_rank_to_assortment(instance: UdpRankInstance, guard: int = 20) -> AssortmentInstance:
+def reduce_rank_to_assortment(instance: UdpRankInstance, guard: int = GUARD) -> AssortmentInstance:
     """Restate a rank-rule pricing problem as an assortment problem.
 
     Mirrors the min-rule construction with first-affordable semantics; the

@@ -193,6 +193,13 @@ def _tabular_file(n, rows):
     return lambda path: path.write_text(json.dumps({"kind": "assortment", "payload": {"model": model, "revenue": [1.0] * n}}))
 
 
+def _file(kind, payload):
+    """A writer of a ``kind`` file with the given payload."""
+    return lambda path: path.write_text(json.dumps({"kind": kind, "payload": payload}))
+
+
+_ONE_PRODUCT = {"model": {"type": "mnl", "mean_utilities": [0.0]}, "revenue": [1.0]}
+
 INVALID_FILES = {
     "no_payload": lambda path: path.write_text('{"kind": "assortment"}'),
     "top_level_list": lambda path: path.write_text("[1, 2]"),
@@ -204,6 +211,17 @@ INVALID_FILES = {
     "offer_set_with_two_rows": _tabular_file(1, [[[], []], [[1], [0.5]], [[1], [0.9]]]),
     "tabular_catalogue_beyond_the_guard": lambda path: path.write_text(json.dumps({"kind": "assortment", "payload": {
         "model": {"type": "tabular", "n": 10**12, "rows": [[[], []], [[1], [0.5]]]}, "revenue": [1.0]}})),
+    "float_horizon": _file("multiperiod", {**_ONE_PRODUCT, "horizon": 2.5, "capacity": 2}),
+    "float_capacity": _file("multiperiod", {**_ONE_PRODUCT, "horizon": 2, "capacity": 2.0}),
+    "bool_horizon": _file("multiperiod", {**_ONE_PRODUCT, "horizon": True, "capacity": 2}),
+    "float_item_count": _file("udp_min", {"items": 2.5, "consumers": [{"bundle": [1], "valuation": 1}]}),
+    "bool_item_count": _file("udp_rank", {"items": True, "consumers": [{"ranking": [1], "valuations": [1]}]}),
+    "int_revenue_beyond_the_float_range": _file("assortment", {**_ONE_PRODUCT, "revenue": [10**400]}),
+    "udp_min_revenue_overflow": _file("udp_min", {"items": 1, "consumers": [{"bundle": [1], "valuation": 1e308}] * 2}),
+    "udp_rank_revenue_overflow": _file("udp_rank", {"items": 1, "consumers": [{"ranking": [1], "valuations": [1e308]}] * 2}),
+    "stackelberg_revenue_overflow": _file("stackelberg", {"vertices": 2, "edges": [
+        {"u": 0, "v": 1, "color": "red", "cost": 1e308}, *[{"u": 0, "v": 1, "color": "blue"}] * 2]}),
+    "multiperiod_revenue_overflow": _file("multiperiod", {**_ONE_PRODUCT, "revenue": [1e308], "horizon": 6, "capacity": 6}),
 }
 
 
@@ -346,6 +364,29 @@ def test_nonpositive_horizon_flag_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("params", ["{bad", "[1, 2]", "3"])
 def test_bad_params_flag_exits_2(tmp_path, capsys, params):
     assert "invalid --params" in _one_line_exit_2(capsys, "gen", "assortment", "--params", params)
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        (["udp_min", "--params", '{"nmax": 9}'], "n_max, m_max"),
+        (["assortment", "--family", "tight", "--params", '{"n_max": 3}'], "k, eps"),
+        (["stackelberg", "--params", '{"n_max": 3}'], "v, cost_levels"),
+    ],
+)
+def test_unknown_params_key_exits_2(capsys, argv, accepted):
+    err = _one_line_exit_2(capsys, "gen", *argv)
+    unknown = json.loads(argv[-1]).popitem()[0]
+    assert f"unknown parameter {unknown!r}" in err and f"accepted: {accepted}" in err
+
+
+def test_pricing_reduction_beyond_the_float_range_exits_2(tmp_path, capsys):
+    # An int valuation is kept exact, but the reduced revenue 10^400 is no float.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"kind": "udp_min", "payload": {"items": 1, "consumers": [
+        {"bundle": [1], "valuation": 10**400}]}}))
+    for action in ("reduce", "verify"):
+        assert "must be finite as a float" in _one_line_exit_2(capsys, "udp", action, str(path))
 
 
 def test_oversized_pricing_grid_exits_2(tmp_path, capsys):

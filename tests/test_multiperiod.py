@@ -8,6 +8,7 @@ import pytest
 
 from assortopt import (
     AssortmentInstance,
+    CheckResult,
     DeltaOutOfRange,
     MnlModel,
     MultiPeriodInstance,
@@ -277,6 +278,26 @@ def test_multiperiod_instance_validation():
         MultiPeriodInstance(mnl_instance(), 0, 3)
     with pytest.raises(ValueError):
         MultiPeriodInstance(mnl_instance(), 3, 0)
+
+
+@pytest.mark.parametrize("horizon, capacity", [(2.5, 2), (2, 2.0), (True, 2), (2, False)])
+def test_horizon_and_capacity_must_be_ints(horizon, capacity):
+    with pytest.raises(ValueError, match="must be ints"):
+        MultiPeriodInstance(mnl_instance(), horizon, capacity)
+
+
+def test_values_beyond_the_float_range_are_refused():
+    base = AssortmentInstance(MnlModel([0.0, 0.0]), [1e308, 1.0])
+    with pytest.raises(ValueError, match="overflows a float"):
+        MultiPeriodInstance(base, 6, 6)
+    assert solve_dp(MultiPeriodInstance(base, 1, 6)).value[1][6] < float("inf")
+
+
+def test_the_table_checks_return_check_results():
+    regular = solve_dp(MultiPeriodInstance(mnl_instance(), 4, 3))
+    for check in (check_nesting_monotonicity, check_marginal_value, check_lstar_order):
+        assert check(regular) == CheckResult(True, None, 0.0)
+    assert check_lstar_order(solve_dp(non_regular_instance())) == CheckResult(False, ("delta", 12, 6), 0.0)
 
 
 # A non-regular model (P(3, .) rises from {3} to {1, 2, 3}) on which l* rises

@@ -92,19 +92,21 @@ def test_uniform_scan_without_levels_prices_nothing():
     assert best_uniform_price((), lambda level: 1 / 0) == UniformPricingResult(None, 0, ())
 
 
-def test_grid_search_keeps_the_first_strictly_best_feasible_assignment():
+def test_grid_search_keeps_the_first_strictly_best_feasible_assignment(monkeypatch):
     seen = []
 
     def revenue_of(assignment):
         seen.append(assignment)
         return sum(p for p in assignment if p != UNPRICED) % 3
 
-    best = grid_optimum([1, 2], 2, 9, revenue_of, feasible=lambda a: a[0] <= a[1])
+    monkeypatch.setattr("assortopt.udp.GRID_GUARD", 9)
+    best = grid_optimum([1, 2], 2, revenue_of, feasible=lambda a: a[0] <= a[1])
     assert seen == [(1, 1), (1, 2), (1, UNPRICED), (2, 2), (2, UNPRICED), (UNPRICED, UNPRICED)]
     assert best == PricingSolution((1, 1), 2)
-    assert grid_optimum([1, 2], 2, 9, revenue_of, feasible=lambda a: False) is None
+    assert grid_optimum([1, 2], 2, revenue_of, feasible=lambda a: False) is None
+    monkeypatch.setattr("assortopt.udp.GRID_GUARD", 8)
     with pytest.raises(SearchSpaceTooLarge, match=r"3\^2 price assignments"):
-        grid_optimum([1, 2], 2, 8, revenue_of)
+        grid_optimum([1, 2], 2, revenue_of)
 
 
 def test_stackelberg_oracles_return_the_shared_result_types():
