@@ -11,11 +11,9 @@ the distribution of purchases inside an optimal assortment.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
 from typing import Iterable, Sequence
 
 from .axioms import OfferTable, check_axioms, offer_table
@@ -213,7 +211,8 @@ def brute_force_optimum(instance: AssortmentInstance, guard: int = GUARD) -> Ass
     the model for them in blocks of at most 2^BLOCK_BITS offer sets (the
     low products 1..c, under each fixed set of the others), so no caller
     holds the whole table.  Each offer set's revenue adds p * r column by
-    column in ascending product order from int 0, the same value as
+    column in ascending product order from int 0 (the revenues are the
+    factors of :func:`assortopt.models.column_sums`), the same value as
     :func:`assortopt.models.evaluate_revenue`; integer-scaled columns with
     int revenues sum ints and divide once.  The largest revenue wins, ties
     going to the lexicographically smallest subset, so the result is
@@ -233,8 +232,7 @@ def brute_force_optimum(instance: AssortmentInstance, guard: int = GUARD) -> Ass
         products = (*range(1, c + 1), *members_of(high, n))
         if scale is not None and not exact:
             columns = ([Fraction(p, scale) for p in column] for column in columns)
-        earned = [list(map(operator.mul, column, repeat(revenue[x - 1]))) for x, column in zip(products, columns)]
-        values = column_sums(earned, c)
+        values = column_sums(columns, c, [revenue[x - 1] for x in products])
         top = max(values)  # only a NaN first hides the rest from max
         if top != top:
             top = max((value for value in values if value == value), default=top)
@@ -319,12 +317,14 @@ def compute_bounds(instance: AssortmentInstance, optimal: AssortmentSolution | N
         ratio_sum += (level - previous) / level
         previous = level
     rho = levels[-1] / levels[0]
+    # A spread too wide for one float quotient still has a finite logarithm.
+    log_rho = math.log(rho) if math.isfinite(rho) else math.log(levels[-1]) - math.log(levels[0])
     lambda_tilde = instance.ladder.purchase_probability[-1]
     report = BoundReport(
         n_levels=k,
         bound_a=1.0 / k,
         bound_b_exact=1.0 / ratio_sum,
-        bound_b_log=1.0 / (1.0 + math.log(rho)),
+        bound_b_log=1.0 / (1.0 + log_rho),
         lambda_tilde=lambda_tilde,
     )
     if optimal is None:

@@ -31,7 +31,8 @@ each of their entries is the same float that ``_choice_row`` gives.  The
 pricing reductions depend on an offer set only through its floor, the
 cheapest offered level of each element, so they simulate each distinct
 floor once and look every entry up by its floor (``udp._FloorChoiceModel``).  ``column_sums`` adds columns into one
-total per offer set, in column order from int 0, as ``sum`` adds a row.
+total per offer set, in column order from int 0, as ``sum`` adds a row,
+each entry optionally times a factor of its column (brute force's revenues).
 """
 
 from __future__ import annotations
@@ -175,22 +176,31 @@ def held_index(mask: int, x: int) -> int:
     return (mask >> x << (x - 1)) | (mask & low)
 
 
-def column_sums(columns: list, c: int) -> list:
+def column_sums(columns: Iterable[list], c: int, factors: Sequence | None = None) -> list:
     """total[L] = sum of the entries of every column at L, over every mask L
-    of the products 1..c, added from int 0 in the order of the columns.
+    of the products 1..c, added from int 0 in the order of the columns; with
+    ``factors``, each entry p of the i-th column adds as p * factors[i].
 
     A column of a product x <= c is in its bit-removed layout and adds only
     at the masks holding x, so each total is the ``sum`` of its offer set's
-    row.  Any later column holds all 2^c masks.
+    row (of p * r, with revenues as factors, as ``evaluate_revenue`` adds
+    it).  Any later column holds all 2^c masks.
     """
     size = 1 << c
     total = [0] * size
+
+    def add(total, column, factor):
+        if factor is None:
+            return [t + p for t, p in zip(total, column)]
+        return [t + p * factor for t, p in zip(total, column)]
+
     for x, column in enumerate(columns, start=1):
+        factor = None if factors is None else factors[x - 1]
         if x > c:
-            total = list(map(operator.add, total, column))
+            total = add(total, column, factor)
             continue
         for where, at in held_parts(size, 1 << (x - 1)):
-            total[where] = map(operator.add, total[where], column[at])
+            total[where] = add(total[where], column[at], factor)
     return total
 
 
@@ -400,16 +410,16 @@ class MnlModel(ChoiceModel):
         weight_of = self._weight_of
         partial = [0]
         for x in range(1, c + 1):
-            partial += map(weight_of[x].__radd__, partial[:])
+            w = weight_of[x]
+            partial += [p + w for p in partial]
         highs = members_of(high, self.n)
         for x in highs:
-            partial = list(map(weight_of[x].__radd__, partial))
-        denoms = list(map(self._outside.__add__, partial))
-        columns = [
-            list(map(weight_of[x].__truediv__, held(denoms, 1 << (x - 1))))
-            for x in range(1, c + 1)
-        ]
-        return columns + [list(map(weight_of[x].__truediv__, denoms)) for x in highs]
+            w = weight_of[x]
+            partial = [p + w for p in partial]
+        outside = self._outside
+        denoms = [outside + p for p in partial]
+        columns = [[w / d for d in held(denoms, 1 << (x - 1))] for x, w in enumerate(weight_of[1 : c + 1], start=1)]
+        return columns + [[w / d for d in denoms] for w in (weight_of[x] for x in highs)]
 
 
 class MixedMnlModel(ChoiceModel):
@@ -439,10 +449,8 @@ class MixedMnlModel(ChoiceModel):
         # does in _choice_row; repeat(0) stands for the first totals.
         mixed = itertools.repeat(itertools.repeat(0))
         for weight, model in zip(self._weights, self._models):
-            mixed = [
-                list(map(operator.add, total, map(weight.__mul__, column)))
-                for total, column in zip(mixed, model.columns(c, high))
-            ]
+            columns = model.columns(c, high)
+            mixed = [[t + weight * p for t, p in zip(total, column)] for total, column in zip(mixed, columns)]
         return mixed
 
 

@@ -209,6 +209,6 @@ def lstar_delta(instance: AssortmentInstance, delta: float) -> int:
     if not ladder.levels:
         raise ValueError("l* is undefined for an empty catalogue")
     top = ladder.levels[-1]
-    if top + delta < -RTOL * max(1.0, top):
+    if not top + delta >= -RTOL * max(1.0, top):  # a NaN shift fails too
         raise DeltaOutOfRange(f"shift {delta} drives the top revenue {top} negative")
     return _best_level(ladder, delta)[0]

@@ -138,6 +138,13 @@ class TestBounds:
         report = compute_bounds(instance)
         assert report.bound_b_log == pytest.approx(0.5)
 
+    def test_log_bound_of_a_spread_too_wide_for_one_quotient(self):
+        # 1e300 / 1e-300 overflows; ln rho = 600 ln 10 does not.
+        instance = AssortmentInstance(MnlModel([0.0, 0.0]), [1e-300, 1e300])
+        report = compute_bounds(instance)
+        assert report.bound_b_log == pytest.approx(1.0 / (1.0 + 600 * math.log(10)))
+        assert report.bound_b_log <= report.bound_b_exact
+
     def test_exact_bound_formula(self):
         instance = AssortmentInstance(MnlModel([0.0] * 3), [1.0, 2.0, 4.0])
         report = compute_bounds(instance)

@@ -1,0 +1,229 @@
+"""The column kernels against the map-based kernels they replace.
+
+``MnlModel.columns``, ``MixedMnlModel.columns`` and ``column_sums`` apply
+each operator in a list comprehension instead of through ``map`` and a bound
+method, and ``brute_force_optimum`` passes its revenues to ``column_sums``
+as factors instead of building an "earned" list per column.  The references
+below are the map-based kernels; results must equal theirs by type and
+``repr`` (or raise the same exception) on entries that mix NaN, signed
+zeros, infinities, ints and Fractions.
+
+The ``check_*`` functions take plain values, so they can be driven without
+hypothesis too.
+"""
+
+import itertools
+import math
+import operator
+from fractions import Fraction
+from random import Random
+
+from hypothesis import given, settings, strategies as st
+
+from assortopt import assortment
+from assortopt.assortment import AssortmentInstance, brute_force_optimum
+from assortopt.models import MixedMnlModel, MnlModel, TabularModel, column_sums, enumerate_subsets, held, held_parts
+from assortopt.models import members_of
+
+
+def _bits(values):
+    return [(type(v), repr(v)) for v in values]
+
+
+def _outcome(kernel, *args):
+    """The kernel's lists by type and repr, or the type of what it raised."""
+    try:
+        result = kernel(*args)
+    except ArithmeticError as error:
+        return type(error)
+    return [_bits(column) for column in result]
+
+
+# ------------------------------------------------------------------ references
+
+
+def ref_mnl_columns(model, c, high):
+    weight_of = model._weight_of
+    partial = [0]
+    for x in range(1, c + 1):
+        partial += map(weight_of[x].__radd__, partial[:])
+    highs = members_of(high, model.n)
+    for x in highs:
+        partial = list(map(weight_of[x].__radd__, partial))
+    denoms = list(map(model._outside.__add__, partial))
+    columns = [list(map(weight_of[x].__truediv__, held(denoms, 1 << (x - 1)))) for x in range(1, c + 1)]
+    return columns + [list(map(weight_of[x].__truediv__, denoms)) for x in highs]
+
+
+def ref_mixed_columns(weights, component_columns):
+    mixed = itertools.repeat(itertools.repeat(0))
+    for weight, columns in zip(weights, component_columns):
+        mixed = [
+            list(map(operator.add, total, map(weight.__mul__, column)))
+            for total, column in zip(mixed, columns)
+        ]
+    return mixed
+
+
+def ref_column_sums(columns, c):
+    size = 1 << c
+    total = [0] * size
+    for x, column in enumerate(columns, start=1):
+        if x > c:
+            total = list(map(operator.add, total, column))
+            continue
+        for where, at in held_parts(size, 1 << (x - 1)):
+            total[where] = map(operator.add, total[where], column[at])
+    return total
+
+
+def ref_earned_then_summed(columns, c, factors):
+    earned = [list(map(operator.mul, column, itertools.repeat(r))) for column, r in zip(columns, factors)]
+    return ref_column_sums(earned, c)
+
+
+# ---------------------------------------------------------------- the checks
+
+
+def _assert_defined(outcome):
+    # The map kernels put NotImplemented where a reflected operator declines
+    # an operand type; the strategies draw only operands both kernels take.
+    assert not isinstance(outcome, list) or all(
+        kind is not type(NotImplemented) for column in outcome for kind, _ in column
+    )
+
+
+def check_mnl(weights, outside, c, high):
+    model = MnlModel([0.0] * len(weights))
+    model._weight_of = (0.0, *weights)
+    model._outside = outside
+    expected = _outcome(ref_mnl_columns, model, c, high)
+    _assert_defined(expected)
+    assert _outcome(model.columns, c, high) == expected
+
+
+class _Fixed:
+    """A mixture component whose columns are given."""
+
+    def __init__(self, columns):
+        self._columns = columns
+
+    def columns(self, c, high=0):
+        return self._columns
+
+
+def check_mixed(weights, component_columns):
+    model = MixedMnlModel([(1.0, [])])
+    model._weights = tuple(weights)
+    model._models = tuple(map(_Fixed, component_columns))
+    expected = _outcome(ref_mixed_columns, weights, component_columns)
+    _assert_defined(expected)
+    assert _outcome(model.columns, 0) == expected
+
+
+def check_column_sums(columns, c, factors):
+    def plain(kernel):
+        return _outcome(lambda: [kernel(columns, c)])
+
+    def scaled(kernel):
+        return _outcome(lambda: [kernel(columns, c, factors)])
+
+    assert plain(column_sums) == plain(ref_column_sums)
+    assert scaled(column_sums) == scaled(ref_earned_then_summed)
+
+
+# --------------------------------------------------------------- strategies
+
+SPECIALS = [math.nan, 0.0, -0.0, math.inf, -math.inf]
+FLOATS = st.one_of(st.sampled_from(SPECIALS), st.floats(allow_nan=True, allow_infinity=True))
+INTS = st.integers(-3, 3)
+FRACTIONS = st.one_of(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-1, 2)]), st.fractions(max_denominator=12))
+ENTRIES = st.one_of(st.sampled_from([*SPECIALS, 0, 1, -1, Fraction(1, 3), Fraction(-1, 2)]), FLOATS, INTS, FRACTIONS)
+
+# The reflected operators of the map kernels take an int or a value of their
+# own type, and a float or a Fraction takes an int: so the MNL weights and
+# the no-purchase weight share one kind, and a mixture weight that is not a
+# Fraction scales only floats and ints.
+MNL_KINDS = [FLOATS, INTS, FRACTIONS]
+MIXING = [(FRACTIONS, ENTRIES), (FLOATS, st.one_of(FLOATS, INTS)), (INTS, INTS)]
+
+
+@st.composite
+def split(draw):
+    """(n, c, high): products 1..c vary, a mask ``high`` of the others is fixed."""
+    n = draw(st.integers(0, 6))
+    c = draw(st.integers(0, n))
+    above = draw(st.lists(st.booleans(), min_size=n - c, max_size=n - c))
+    return n, c, sum(1 << (c + i) for i, on in enumerate(above) if on)
+
+
+def _column_lengths(n, c, high):
+    return [1 << c >> 1] * c + [1 << c] * len(members_of(high, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=split(), kind=st.sampled_from(MNL_KINDS))
+def test_mnl_recurrence_and_quotients(data, shape, kind):
+    n, c, high = shape
+    weights = data.draw(st.lists(kind, min_size=n, max_size=n))
+    check_mnl(weights, data.draw(kind), c, high)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=split(), kinds=st.sampled_from(MIXING), k=st.integers(1, 3))
+def test_mixed_mnl_mixing(data, shape, kinds, k):
+    weight_kind, entry_kind = kinds
+    lengths = _column_lengths(*shape)
+    weights = data.draw(st.lists(weight_kind, min_size=k, max_size=k))
+    components = [[data.draw(st.lists(entry_kind, min_size=m, max_size=m)) for m in lengths] for _ in range(k)]
+    check_mixed(weights, components)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=split())
+def test_column_sums_with_and_without_factors(data, shape):
+    n, c, high = shape
+    columns = [data.draw(st.lists(ENTRIES, min_size=m, max_size=m)) for m in _column_lengths(n, c, high)]
+    factors = data.draw(st.lists(ENTRIES, min_size=len(columns), max_size=len(columns)))
+    check_column_sums(columns, c, factors)
+
+
+# ----------------------------------------------------------------- brute force
+
+
+def _exact_table(n, rng):
+    """An exact MNL-like table: P(x, S) = w_x / (1 + sum of w over S), integer w."""
+    weight = [rng.randint(1, 5) for _ in range(n + 1)]
+    return TabularModel(
+        n, {subset: {x: Fraction(weight[x], 1 + sum(weight[y] for y in subset)) for x in subset}
+            for subset in enumerate_subsets(n)}
+    )
+
+
+def test_brute_force_fuses_what_it_earned_then_summed(monkeypatch):
+    sums = []
+
+    def compared(columns, c, factors=None):
+        columns = list(columns)
+        values = column_sums(columns, c, factors)
+        assert _bits(values) == _bits(ref_earned_then_summed(columns, c, factors))
+        sums.append(c)
+        return values
+
+    monkeypatch.setattr(assortment, "column_sums", compared)
+    monkeypatch.setattr(assortment, "BLOCK_BITS", 2)  # n = 5 streams in 8 blocks
+    rng = Random(3)
+    for n in (1, 3, 5):
+        model = _exact_table(n, rng)
+        assert model.denominator is not None
+        revenue = [rng.choice([0.1, 1 / 3, 2.5, 7.25, 1e-3]) for _ in range(n)]
+        streamed, tabled = AssortmentInstance(model, revenue), AssortmentInstance(model, revenue)
+        tabled.table
+        sums.clear()
+        streamed_optimum = brute_force_optimum(streamed)
+        assert sums == [min(n, 2)] * (1 << max(n - 2, 0))
+        sums.clear()
+        tabled_optimum = brute_force_optimum(tabled)
+        assert sums == [n]
+        assert repr(streamed_optimum) == repr(tabled_optimum)
+        assert type(tabled_optimum.revenue) is float

@@ -1,5 +1,6 @@
 """Capacity DP over revenue-ordered assortments and its monotone structure."""
 
+import math
 from random import Random
 
 import json
@@ -201,6 +202,10 @@ class TestLstarDelta:
     def test_shift_range_guard(self):
         with pytest.raises(DeltaOutOfRange):
             lstar_delta(mnl_instance(), -4.5)
+
+    def test_nan_shift_is_out_of_range(self):
+        with pytest.raises(DeltaOutOfRange):
+            lstar_delta(AssortmentInstance(MnlModel([0.0]), [1.0]), math.nan)
 
     def test_empty_catalogue_is_a_value_error(self):
         with pytest.raises(ValueError, match="empty catalogue"):
