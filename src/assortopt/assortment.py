@@ -125,6 +125,8 @@ class RevenueLadder:
     revenues[l-1] is the exact one-period revenue of offering prefix l,
     expected_revenue[l-1] that revenue as a float, and
     purchase_probability[l-1] the float sale probability of prefix l.
+    lines[l-1] pairs those two floats: prefix l scores R_l + P_l * delta
+    when every revenue is shifted by delta.
     """
 
     order: tuple[int, ...]
@@ -138,6 +140,10 @@ class RevenueLadder:
     @property
     def k(self) -> int:
         return len(self.levels)
+
+    @cached_property
+    def lines(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.expected_revenue, self.purchase_probability))
 
 
 def revenue_ladder(instance: AssortmentInstance) -> RevenueLadder:
@@ -318,7 +324,7 @@ def compute_bounds(instance: AssortmentInstance, optimal: AssortmentSolution | N
         previous = level
     rho = levels[-1] / levels[0]
     # A spread too wide for one float quotient still has a finite logarithm.
-    log_rho = math.log(rho) if math.isfinite(rho) else math.log(levels[-1]) - math.log(levels[0])
+    log_rho = math.log(rho) if finite(rho) else math.log(levels[-1]) - math.log(levels[0])
     lambda_tilde = instance.ladder.purchase_probability[-1]
     report = BoundReport(
         n_levels=k,

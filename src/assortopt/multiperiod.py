@@ -98,17 +98,21 @@ class DpTable:
         return self.value[t][q] - self.value[t][q - 1]
 
 
-def _best_level(ladder: RevenueLadder, delta: float) -> tuple[int, float]:
+def _best_level(lines: tuple[tuple[float, float], ...], delta: float) -> tuple[int, float]:
     """The least level maximising R_l + P_l * delta within tolerance, and
-    that maximum."""
-    scores = [r + p * delta for r, p in zip(ladder.expected_revenue, ladder.purchase_probability)]
+    that maximum; lines is the ladder's (R_l, P_l) pairs."""
+    scores = [r + p * delta for r, p in lines]
     best = max(scores)
     # Relative tolerance with a unit floor: near-zero values would otherwise
     # never tie, and ties there are exactly the degenerate all-worthless cells.
-    slack = RTOL * max(1.0, abs(best))
-    for level, value in enumerate(scores, 1):
+    # The same float as RTOL * max(1.0, abs(best)), NaN included.
+    a = abs(best)
+    slack = RTOL * a if a > 1.0 else RTOL
+    level = 1
+    for value in scores:
         if best - value <= slack:
             return level, best
+        level += 1
     raise AssertionError("the maximum is always within tolerance of itself")
 
 
@@ -125,6 +129,7 @@ def solve_dp(instance: MultiPeriodInstance, guard: int = GUARD) -> DpTable:
     delta = 0; only cells with q < t are searched one by one.
     """
     ladder = instance.ladder
+    lines = ladder.lines
     T, Q = instance.horizon, instance.capacity
     regularity_ok: bool | None = None
     if instance.base.n <= guard:
@@ -132,12 +137,12 @@ def solve_dp(instance: MultiPeriodInstance, guard: int = GUARD) -> DpTable:
 
     value = [[0.0] * (Q + 1) for _ in range(T + 1)]
     lstar = [[1] * (Q + 1) for _ in range(T + 1)]
-    level0, best0 = _best_level(ladder, 0.0)
+    level0, best0 = _best_level(lines, 0.0)
     for t in range(1, T + 1):
         previous, row, choice = value[t - 1], value[t], lstar[t]
         for q in range(1, min(t, Q + 1)):
             # The same float DpTable.marginal(t - 1, q) returns, negated.
-            choice[q], best = _best_level(ladder, -(previous[q] - previous[q - 1]))
+            choice[q], best = _best_level(lines, -(previous[q] - previous[q - 1]))
             row[q] = previous[q] + best
         if t <= Q:
             row[t:] = [previous[t - 1] + best0] * (Q + 1 - t)
@@ -170,18 +175,31 @@ def check_marginal_value(table: DpTable) -> CheckResult:
     """The marginal value of capacity is concave in q and non-decreasing in t.
 
     These hold for any choice model (regular or not); the tolerance only
-    absorbs floating-point noise.
+    absorbs floating-point noise.  Each row's marginals are formed once, as
+    the floats ``DpTable.marginal`` returns, and scanned concavity first.
     """
     slack = RTOL * max(1.0, table.value[table.horizon][table.capacity])
-    for t in range(0, table.horizon + 1):
-        for q in range(2, table.capacity + 1):
-            if table.marginal(t, q - 1) < table.marginal(t, q) - slack:
-                return CheckResult(False, ("concavity", t, q))
+    # marginals[t][q - 1] is marginal(t, q).
+    marginals = [[b - a for a, b in zip(row, row[1:])] for row in table.value]
+    for t, row in enumerate(marginals):
+        q = _first_drop(row, row[1:], slack)
+        if q is not None:
+            return CheckResult(False, ("concavity", t, q + 2))
     for t in range(1, table.horizon + 1):
-        for q in range(1, table.capacity + 1):
-            if table.marginal(t, q) < table.marginal(t - 1, q) - slack:
-                return CheckResult(False, ("time", t, q))
+        q = _first_drop(marginals[t], marginals[t - 1], slack)
+        if q is not None:
+            return CheckResult(False, ("time", t, q + 1))
     return CheckResult(True)
+
+
+def _first_drop(lower: list[float], upper: list[float], slack: float) -> int | None:
+    """The first index i with lower[i] < upper[i] - slack, or None."""
+    i = 0
+    for a, b in zip(lower, upper):
+        if a < b - slack:
+            return i
+        i += 1
+    return None
 
 
 def check_lstar_order(table: DpTable) -> CheckResult:
@@ -200,15 +218,17 @@ def check_lstar_order(table: DpTable) -> CheckResult:
 def lstar_delta(instance: AssortmentInstance, delta: float) -> int:
     """Least optimal threshold after shifting every revenue by delta.
 
-    The shift must keep the top revenue nonnegative.  As delta grows the
-    result can only decrease (larger assortments become optimal), which is
-    what makes the DP thresholds monotone.  With delta = -marginal(t-1, q)
-    this is the choice ``solve_dp`` makes at cell (t, q).
+    The shift must be finite (inf - inf is NaN, so an infinite one would tie
+    no level with the maximum) and keep the top revenue nonnegative.  As
+    delta grows the result can only decrease (larger assortments become
+    optimal), which is what makes the DP thresholds monotone.  With
+    delta = -marginal(t-1, q) this is the choice ``solve_dp`` makes at cell
+    (t, q).
     """
     ladder = instance.ladder
     if not ladder.levels:
         raise ValueError("l* is undefined for an empty catalogue")
     top = ladder.levels[-1]
-    if not top + delta >= -RTOL * max(1.0, top):  # a NaN shift fails too
-        raise DeltaOutOfRange(f"shift {delta} drives the top revenue {top} negative")
-    return _best_level(ladder, delta)[0]
+    if not finite(delta) or not top + delta >= -RTOL * max(1.0, top):
+        raise DeltaOutOfRange(f"shift {delta} is not finite or drives the top revenue {top} negative")
+    return _best_level(ladder.lines, delta)[0]

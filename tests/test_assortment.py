@@ -1,6 +1,7 @@
 """Revenue-ordered heuristic, exact oracle, bounds, and the tight family."""
 
 import math
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -141,6 +142,13 @@ class TestBounds:
     def test_log_bound_of_a_spread_too_wide_for_one_quotient(self):
         # 1e300 / 1e-300 overflows; ln rho = 600 ln 10 does not.
         instance = AssortmentInstance(MnlModel([0.0, 0.0]), [1e-300, 1e300])
+        report = compute_bounds(instance)
+        assert report.bound_b_log == pytest.approx(1.0 / (1.0 + 600 * math.log(10)))
+        assert report.bound_b_log <= report.bound_b_exact
+
+    def test_log_bound_of_an_exact_spread_beyond_the_float_range(self):
+        # The exact quotient 10**600 has no float; each level does.
+        instance = AssortmentInstance(MnlModel([0.0, 0.0]), [Fraction(1, 10**300), Fraction(10**300)])
         report = compute_bounds(instance)
         assert report.bound_b_log == pytest.approx(1.0 / (1.0 + 600 * math.log(10)))
         assert report.bound_b_log <= report.bound_b_exact

@@ -207,6 +207,11 @@ class TestLstarDelta:
         with pytest.raises(DeltaOutOfRange):
             lstar_delta(AssortmentInstance(MnlModel([0.0]), [1.0]), math.nan)
 
+    def test_infinite_shift_is_out_of_range(self):
+        # inf - inf is NaN, so no level would tie with the maximum.
+        with pytest.raises(DeltaOutOfRange):
+            lstar_delta(AssortmentInstance(MnlModel([0.0, 0.5]), [1.0, 3.0]), math.inf)
+
     def test_empty_catalogue_is_a_value_error(self):
         with pytest.raises(ValueError, match="empty catalogue"):
             lstar_delta(AssortmentInstance(MnlModel([]), []), 0.0)
