@@ -21,6 +21,7 @@ from .errors import BoundCUnavailable, NonPositiveRevenue, RegularityViolation
 from .models import (
     GUARD,
     ChoiceModel,
+    MnlModel,
     TightExampleModel,
     as_probabilities,
     check_guard,
@@ -32,6 +33,11 @@ from .models import (
 
 # Offer sets per block of the streamed exact optimum: 2^12 of them.
 BLOCK_BITS = 12
+
+# The MNL screen's cut (see brute_force_optimum): a relative slack rho, and
+# an absolute one alpha = (n + 1) * max(1, max r, 1 / w_0) * SCREEN_ATOL.
+SCREEN_RTOL = 1e-12
+SCREEN_ATOL = 2.0**-1068
 
 RTOL = 1e-9
 
@@ -213,24 +219,59 @@ def revenue_ordered(instance: AssortmentInstance) -> RevenueOrderedResult:
 def brute_force_optimum(instance: AssortmentInstance, guard: int = GUARD) -> AssortmentSolution:
     """Exact optimum by enumerating every subset (the empty set included).
 
+    Each offer set's revenue adds p * r in ascending product order from
+    int 0, the same value as :func:`assortopt.models.evaluate_revenue`.  The
+    largest revenue wins, ties going to the lexicographically smallest
+    subset, so the result is deterministic; a NaN revenue never wins.
+
     Reads the columns of ``instance.table`` if it has been built, else asks
     the model for them in blocks of at most 2^BLOCK_BITS offer sets (the
     low products 1..c, under each fixed set of the others), so no caller
-    holds the whole table.  Each offer set's revenue adds p * r column by
-    column in ascending product order from int 0 (the revenues are the
-    factors of :func:`assortopt.models.column_sums`), the same value as
-    :func:`assortopt.models.evaluate_revenue`; integer-scaled columns with
-    int revenues sum ints and divide once.  The largest revenue wins, ties
-    going to the lexicographically smallest subset, so the result is
-    deterministic; a NaN revenue never wins.
+    holds the whole table.  Revenues add column by column (they are the
+    factors of :func:`assortopt.models.column_sums`); integer-scaled
+    columns with int revenues sum ints and divide once.
+
+    An MNL model is screened instead, table or not, at O(1) work per offer
+    set.  With weights w_x and outside weight w_0 the revenue of S is
+    N(S) / D(S), N = sum w_x * r_x and D = w_0 + sum w_x over x in S.
+    :meth:`MnlModel.screen` scores every set s = fl(N^ / D^) over the same
+    blocks, where D^ is the denominator the model's columns divide by and
+    N^ adds fl(w_x * float(r_x)) in ascending order from int 0.  Only the
+    candidates, the sets with s >= s_max * (1 - 2 rho) - 2 alpha, get their
+    revenue v^ computed, as the columns give it: p = w_x / D^, and the p * r
+    added in ascending order from int 0 in an explicit loop, so the same
+    float on every Python.  An instance where 2 n max(1, max w) max r is
+    not finite takes the column path, so that no sum can overflow.
+
+    Every set that attains v* = max v^ is a candidate.  Each of v^ and s is
+    N/D times at most 2n + 2 rounding factors (1 + d), |d| <= u = 2^-53, so
+    its relative error is at most gamma = (2n+2)u / (1 - (2n+2)u), below
+    5e-15 at n <= 20.  On top of that come underflow errors, multiples of
+    eta = 2^-1074: at most a_v = 2.1 n eta max(1, max r) for v^ (p,
+    float(r) and each p * r may underflow) and a_s = 1.1 (n + 1) eta / w_0
+    for s (each underflowed w_x * r_x, over D >= w_0).  With
+    q = (1 - gamma) / (1 + gamma), a set S with v^(S) = v* has
+    s(S) >= q (v* - a_v) - a_s, while s_max <= (v* + a_v) / q + a_s.  So
+    s(S) clears the cut once q^2 >= 1 - 2 rho, which rho >= 2 gamma gives
+    (rho = SCREEN_RTOL = 1e-12, a hundred times that), and
+    alpha >= 1.01 a_v + a_s, which
+    alpha = (n + 1) max(1, max r, 1 / w_0) SCREEN_ATOL covers sixteen times
+    (SCREEN_ATOL = 2^-1068 = 64 eta).  The cut's own roundings fall far
+    inside both margins.  All tied sets, so the smallest key among them,
+    and the empty set's int 0 are therefore those of the full enumeration.
     """
-    n, revenue, scale = instance.n, instance.revenue, instance.model.denominator
+    n, model, revenue, scale = instance.n, instance.model, instance.revenue, instance.model.denominator
+    if isinstance(model, MnlModel):
+        check_guard(n, guard)
+        screened = _screened_optimum(model, revenue)
+        if screened is not None:
+            return screened
     if "table" in vars(instance):
         c, blocks = n, [(0, instance.table_within(guard).columns)]
     else:
         check_guard(n, guard)
         c = min(n, BLOCK_BITS)
-        blocks = ((high, instance.model.columns(c, high)) for high in range(0, 1 << n, 1 << c))
+        blocks = ((high, model.columns(c, high)) for high in range(0, 1 << n, 1 << c))
     exact = scale is not None and all(isinstance(r, int) for r in revenue)
     best_key: tuple[int, ...] = ()
     best_revenue = 0  # the empty set's, in the first block
@@ -250,6 +291,39 @@ def brute_force_optimum(instance: AssortmentInstance, guard: int = GUARD) -> Ass
             best_key, best_revenue = key, values[mask]
     if exact and best_key:
         best_revenue = Fraction(best_revenue, scale)
+    return AssortmentSolution(frozenset(best_key), best_revenue, "brute-force")
+
+
+def _screened_optimum(model: MnlModel, revenue: Sequence) -> AssortmentSolution | None:
+    """The MNL optimum of :func:`brute_force_optimum`, by the screen its
+    docstring derives; None when the weighted revenues could overflow."""
+    n, weights, outside = model.n, model._weight_of, model._outside
+    factors = [float(r) for r in revenue]
+    top_revenue = max(factors, default=0.0)
+    if not finite(2 * n * max(1.0, max(weights)) * top_revenue):
+        return None
+    slack = 2 * (n + 1) * max(SCREEN_ATOL * max(1.0, top_revenue), SCREEN_ATOL / outside)
+    keep = 1 - 2 * SCREEN_RTOL
+    best_score = cut = -math.inf
+    candidates = []  # (score, mask, D^) of every set that might clear the final cut
+    for high, partial, scores in model.screen(factors, min(n, BLOCK_BITS)):
+        top = max(scores)
+        if top < cut:
+            continue
+        if top > best_score:
+            best_score, cut = top, top * keep - slack
+        candidates += [(s, high | m, outside + partial[m]) for m, s in enumerate(scores) if s >= cut]
+    best_key: tuple[int, ...] = ()
+    best_revenue = 0  # the empty set's
+    for s, mask, denom in candidates:
+        if s < cut:
+            continue
+        members = members_of(mask, n)
+        value = 0
+        for x in members:
+            value = value + weights[x] / denom * revenue[x - 1]
+        if value > best_revenue or (value == best_revenue and members < best_key):
+            best_key, best_revenue = members, value
     return AssortmentSolution(frozenset(best_key), best_revenue, "brute-force")
 
 
@@ -306,6 +380,14 @@ def _bound_c(instance: AssortmentInstance, optimal: AssortmentSolution) -> dict:
     )
 
 
+def _log(level) -> float:
+    """ln of a positive revenue; a ``Fraction`` as ln(numerator) -
+    ln(denominator), which holds below the float range, where its float is 0."""
+    if isinstance(level, Fraction):
+        return math.log(level.numerator) - math.log(level.denominator)
+    return math.log(level)
+
+
 def compute_bounds(instance: AssortmentInstance, optimal: AssortmentSolution | None = None) -> BoundReport:
     """Compute the approximation-ratio bounds for an instance.
 
@@ -318,13 +400,13 @@ def compute_bounds(instance: AssortmentInstance, optimal: AssortmentSolution | N
     if k == 0:
         raise ValueError("bounds are undefined for an empty catalogue")
     ratio_sum = 0.0
-    previous = 0.0
+    previous = 0  # an int, so an exact level below the float range divides exactly
     for level in levels:
         ratio_sum += (level - previous) / level
         previous = level
     rho = levels[-1] / levels[0]
     # A spread too wide for one float quotient still has a finite logarithm.
-    log_rho = math.log(rho) if finite(rho) else math.log(levels[-1]) - math.log(levels[0])
+    log_rho = math.log(rho) if finite(rho) else _log(levels[-1]) - _log(levels[0])
     lambda_tilde = instance.ladder.purchase_probability[-1]
     report = BoundReport(
         n_levels=k,

@@ -33,6 +33,9 @@ cheapest offered level of each element, so they simulate each distinct
 floor once and look every entry up by its floor (``udp._FloorChoiceModel``).  ``column_sums`` adds columns into one
 total per offer set, in column order from int 0, as ``sum`` adds a row,
 each entry optionally times a factor of its column (brute force's revenues).
+MNL's denominators come from ``subset_sums``, and ``MnlModel.screen``
+scores every offer set for the exact optimum from the same sums, one block
+from the next (``block_sums``), without building columns.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import GroundSetTooLarge, InvalidEpsilon, NonPositiveRevenue
 
@@ -174,6 +177,45 @@ def held_index(mask: int, x: int) -> int:
     """Where P(x, S) sits in x's column: the mask of S with bit x-1 removed."""
     low = (1 << (x - 1)) - 1
     return (mask >> x << (x - 1)) | (mask & low)
+
+
+def _plus(totals: list, value) -> list:
+    """Each total plus value: one step total[S | bit x] = total[S] + v_x
+    of the recurrence below, for every S of ``totals``."""
+    return [t + value for t in totals]
+
+
+def subset_sums(values: Sequence, c: int, high: int = 0) -> list:
+    """total[L] = values[x - 1] over the products x of L | high, added in
+    ascending order of x from int 0, for every mask L of the products 1..c.
+
+    It is the recurrence total[S | bit x] = total[S] + values[x - 1] for x
+    above every member of S: the products 1..c double the list, then each
+    product of ``high`` adds to every entry."""
+    totals = [0]
+    for value in values[:c]:
+        totals += _plus(totals, value)
+    for x in members_of(high, len(values)):
+        totals = _plus(totals, values[x - 1])
+    return totals
+
+
+def block_sums(values: Sequence, c: int) -> Iterator[tuple[int, list]]:
+    """Yield (high, ``subset_sums(values, c, high)``) for every mask high of
+    the products above c.
+
+    The block of high is the block of high without its top product plus
+    that product's value, one add per offer set, and the sums over the
+    products 1..c are built once.  Blocks come depth first, each before its
+    extensions by larger products, so at most n - c + 1 are held at once."""
+    n = len(values)
+
+    def extensions(high: int, totals: list, top: int):
+        yield high, totals
+        for x in range(top + 1, n + 1):
+            yield from extensions(high | 1 << (x - 1), _plus(totals, values[x - 1]), x)
+
+    yield from extensions(0, subset_sums(values, c), c)
 
 
 def column_sums(columns: Iterable[list], c: int, factors: Sequence | None = None) -> list:
@@ -405,21 +447,30 @@ class MnlModel(ChoiceModel):
         return tuple(map(denom.__rtruediv__, weights))
 
     def columns(self, c: int, high: int = 0) -> list[list]:
-        # partial[L | bit x] = partial[L] + w_x with x above every member of
-        # L adds the weights in ascending order from int 0, as sum does.
+        # Each denominator is outside + the weights of its offer set added in
+        # ascending order from int 0, as sum() in _choice_row does before 3.12.
         weight_of = self._weight_of
-        partial = [0]
-        for x in range(1, c + 1):
-            w = weight_of[x]
-            partial += [p + w for p in partial]
-        highs = members_of(high, self.n)
-        for x in highs:
-            w = weight_of[x]
-            partial = [p + w for p in partial]
         outside = self._outside
-        denoms = [outside + p for p in partial]
+        denoms = [outside + p for p in subset_sums(weight_of[1:], c, high)]
         columns = [[w / d for d in held(denoms, 1 << (x - 1))] for x, w in enumerate(weight_of[1 : c + 1], start=1)]
-        return columns + [[w / d for d in denoms] for w in (weight_of[x] for x in highs)]
+        return columns + [[w / d for d in denoms] for w in (weight_of[x] for x in members_of(high, self.n))]
+
+    def screen(self, factors: Sequence[float], c: int) -> Iterator[tuple[int, list, list]]:
+        """Yield (high, partial, scores) for every mask high of the products
+        above c, one block of the 2^c masks L of the products 1..c at a time.
+
+        outside + partial[L] is the denominator D of L | high that
+        ``columns(c, high)`` divides by, and scores[L] = N / D, where N adds
+        w_x * factors[x - 1] over the products of L | high in ascending
+        order from int 0.  Both sums come from :func:`block_sums`, so a
+        block costs one add per offer set for each, plus one add and one
+        division for the score.
+        """
+        outside = self._outside
+        weights = self._weight_of[1:]
+        numerators = [w * f for w, f in zip(weights, factors)]
+        for (high, partial), (_, numerator) in zip(block_sums(weights, c), block_sums(numerators, c)):
+            yield high, partial, [a / (outside + p) for a, p in zip(numerator, partial)]
 
 
 class MixedMnlModel(ChoiceModel):

@@ -153,6 +153,16 @@ class TestBounds:
         assert report.bound_b_log == pytest.approx(1.0 / (1.0 + 600 * math.log(10)))
         assert report.bound_b_log <= report.bound_b_exact
 
+    def test_bounds_of_an_exact_revenue_below_the_float_range(self):
+        # Fraction(1, 10**400) is positive, but its float is 0.0.
+        instance = AssortmentInstance(MnlModel([0.0, 0.0]), [Fraction(1, 10**400), 1])
+        report = compute_bounds(instance, brute_force_optimum(instance))
+        assert (report.bound_a, report.bound_b_exact) == (0.5, 0.5)
+        assert report.bound_b_log == pytest.approx(1.0 / (1.0 + 400 * math.log(10)))
+        fields = [report.bound_a, report.bound_b_exact, report.bound_b_log, report.lambda_tilde]
+        fields += [report.bound_c_exact, report.bound_c_log, report.nu, *report.n_masses]
+        assert all(type(value) is float for value in fields)
+
     def test_exact_bound_formula(self):
         instance = AssortmentInstance(MnlModel([0.0] * 3), [1.0, 2.0, 4.0])
         report = compute_bounds(instance)

@@ -238,16 +238,36 @@ def test_mnl_brute_force_across_the_block_edge(n):
 
 @pytest.mark.parametrize("n, reads", [(11, [(11, 0)]), (12, [(12, 0)]), (13, [(12, 0), (12, 1 << 12)])])
 def test_streamed_blocks_hold_at_most_4096_offer_sets(monkeypatch, n, reads):
+    # Mixed MNL streams columns; MNL screens instead (the test below).
     calls = []
-    original = MnlModel.columns
+    original = MixedMnlModel.columns
 
     def counted(self, c, high=0):
         calls.append((c, high))
         return original(self, c, high)
 
-    monkeypatch.setattr(MnlModel, "columns", counted)
-    brute_force_optimum(AssortmentInstance(MnlModel([0.1 * x for x in range(n)]), [1.0] * n))
+    monkeypatch.setattr(MixedMnlModel, "columns", counted)
+    utilities = [0.1 * x for x in range(n)]
+    model = MixedMnlModel([(0.5, utilities), (0.5, utilities[::-1])])
+    brute_force_optimum(AssortmentInstance(model, [1.0] * n))
     assert calls == reads
+
+
+@pytest.mark.parametrize("n, blocks", [(11, [0]), (12, [0]), (13, [0, 1 << 12])])
+def test_screened_blocks_hold_at_most_4096_offer_sets(monkeypatch, n, blocks):
+    seen = []
+    original = MnlModel.screen
+
+    def counted(self, factors, c):
+        for high, partial, scores in original(self, factors, c):
+            seen.append((high, len(partial), len(scores)))
+            yield high, partial, scores
+
+    monkeypatch.setattr(MnlModel, "screen", counted)
+    monkeypatch.setattr(MnlModel, "columns", None)  # no column is read
+    brute_force_optimum(AssortmentInstance(MnlModel([0.1 * x for x in range(n)]), [1.0] * n))
+    size = 1 << min(n, 12)
+    assert seen == [(high, size, size) for high in blocks]
 
 
 # ------------------------------------------------------------------ ties and NaN
