@@ -12,18 +12,20 @@ report, so the checks of one instance read it once.  Conditions over all
 table (the max form of the fast zeta transform on the subset lattice;
 Yates 1937, Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007): n sweeps
 of 2^n elements give max (or min) over S' superset of S for every S at
-once, so a check costs O(n^2 2^n) instead of O(n 3^n).  Every superset of
-a set holding x holds x, so regularity transforms each column as it is, and
+once, so a check costs O(n^2 2^n) instead of O(n 3^n).  A sweep whose lower
+half already wins every pair keeps that half as it is and skips the pairwise
+pick, which on a regular model is almost every sweep.  Every superset of a
+set holding x holds x, so regularity transforms each column as it is, and
 demand submodularity transforms the gains of x over the sets without x.
 
 Rounded subtraction and addition are monotone, so the extreme value over the
 supersets of S decides the same comparison as the worst single pair, for
 floats and for exact fractions alike.  The transform therefore finds the
 first violating S in the canonical order of
-:func:`assortopt.models.enumerate_subsets`, a scan that runs only when some
-S is flagged; only the supersets of that S are then scanned pair by pair,
-in the order of the full pair scan, to report the same witness and gap it
-would.  Probabilities are compared with an absolute
+:func:`assortopt.models.enumerate_subsets`, by a scan of the offer sets of
+the smallest flagged size alone; only the supersets of that S are then
+scanned pair by pair, in the order of the full pair scan, to report the
+same witness and gap it would.  Probabilities are compared with an absolute
 tolerance of ATOL = 1e-9; strict violations beyond tolerance fail.
 
 Exactness is the model's declaration: a table is on the scale of the
@@ -50,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .models import GUARD, ChoiceModel, check_guard, column_sums, held, held_index, offer_masks
+from .models import GUARD, ChoiceModel, check_guard, column_sums, held, held_index, offer_masks, sized_masks
 
 ATOL = 1e-9
 
@@ -163,11 +165,17 @@ def _superset_extreme(values: list, n: int, pick) -> list:
     in place; fewer sweeps leave them as :func:`_rotated` does.  Pairs are
     combined by :func:`_pick`, whose comprehension returns the very objects
     ``map(pick, low, high)`` would, since CPython defines the two-argument
-    max and min by the same comparison.
+    max and min by the same comparison.  A sweep whose every low entry
+    already wins (l >= h for max, l <= h for min) keeps the low half as it
+    is, since the pick would return each l itself; a NaN fails the test, so
+    its sweep is picked as before.
     """
+    keep = operator.ge if pick is max else operator.le
     for _ in range(n):
         low, high = values[0::2], values[1::2]
-        values = _pick(pick, low, high) + high
+        if not all(map(keep, low, high)):
+            low = _pick(pick, low, high)
+        values = low + high
     return values
 
 
@@ -181,10 +189,12 @@ def _rotated(values: list, k: int) -> list:
 
 def _first_flagged(n: int, flagged: list):
     """(S, mask) of the first offer set in canonical order whose mask is
-    flagged, or None; the scan runs only if some mask is flagged."""
-    if not any(flagged):
+    flagged, or None: the size of the smallest flagged set is read off the
+    flagged masks, and only the sets of that size are scanned."""
+    size = min(map(int.bit_count, itertools.compress(range(len(flagged)), flagged)), default=None)
+    if size is None:
         return None
-    return next(entry for entry in offer_masks(n) if flagged[entry[1]])
+    return next(entry for entry in sized_masks(n, size) if flagged[entry[1]])
 
 
 def _supersets(subset: tuple[int, ...], mask: int, n: int):
@@ -249,7 +259,7 @@ def _check_axioms(table: OfferTable) -> AxiomReport:
     # beyond tolerance, or the no-purchase share rises at min_{S'} sold(S').
     # Every superset of a set holding x holds x, so P(x, .) is transformed
     # over x's column, the 2^(n-1) masks with bit x set, with bit x removed.
-    flagged = [False] * len(sold)
+    flagged = [(one - low) - (one - total) > tol for low, total in zip(_superset_extreme(sold, n, min), sold)]
     for x, held in enumerate(columns, start=1):
         rises = list(map(operator.sub, _superset_extreme(held, n - 1, max), held))
         if not max(rises, default=0) <= tol:  # a NaN first would hide the rest from max
@@ -257,9 +267,6 @@ def _check_axioms(table: OfferTable) -> AxiomReport:
             for c, rise in enumerate(rises):
                 if rise > tol:
                     flagged[(c >> (x - 1) << x) | width | (c & (width - 1))] = True
-    for mask, (low, total) in enumerate(zip(_superset_extreme(sold, n, min), sold)):
-        if (one - low) - (one - total) > tol:
-            flagged[mask] = True
 
     regularity = CheckResult(True)
     first = _first_flagged(n, flagged)

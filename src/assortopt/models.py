@@ -24,13 +24,15 @@ masks holding it, so its column lists them in ascending order, which is
 the mask with bit x-1 removed (``held_index``); a product of ``high`` is
 offered everywhere and its column lists all 2^c masks.  ``columns(n)`` is
 the whole table, and smaller c reads it in blocks.  The default builds the
-columns from one ``_choice_row`` per offer set, which Tabular, Hfam and the
-tight family use; MNL, mixed MNL and stochastic-preference models (so
-Mallows, through its expansion) build them by recurrences over masks, and
-each of their entries is the same float that ``_choice_row`` gives.  The
-pricing reductions depend on an offer set only through its floor, the
-cheapest offered level of each element, so they simulate each distinct
-floor once and look every entry up by its floor (``udp._FloorChoiceModel``).  ``column_sums`` adds columns into one
+columns from one ``_choice_row`` per offer set, which Hfam and the tight
+family use; a ``TabularModel`` reads each stored row once and builds each
+column in one comprehension over the rows.  MNL, mixed MNL and
+stochastic-preference models (so Mallows, through its expansion) build them
+by recurrences over masks, and each of their entries is the same float that
+``_choice_row`` gives.  The pricing reductions depend on an offer set only
+through its floor, the cheapest offered level of each element, so they
+simulate each distinct floor once and look every entry up by its floor
+(``udp._FloorChoiceModel``).  ``column_sums`` adds columns into one
 total per offer set, in column order from int 0, as ``sum`` adds a row,
 each entry optionally times a factor of its column (brute force's revenues).
 MNL's denominators come from ``subset_sums``, and ``MnlModel.screen``
@@ -123,10 +125,14 @@ def offer_masks(n: int):
     S is a sorted tuple as in :func:`enumerate_subsets` and mask has bit x-1
     set for each x in S.
     """
-    products = range(1, n + 1)
-    bits = [1 << i for i in range(n)]
     for size in range(n + 1):
-        yield from zip(itertools.combinations(products, size), map(sum, itertools.combinations(bits, size)))
+        yield from sized_masks(n, size)
+
+
+def sized_masks(n: int, size: int):
+    """(S, mask) for every offer set S of ``size`` products, in canonical order."""
+    bits = [1 << i for i in range(n)]
+    return zip(itertools.combinations(range(1, n + 1), size), map(sum, itertools.combinations(bits, size)))
 
 
 def _spans(bits: list[int]) -> list[int]:
@@ -401,8 +407,26 @@ class TabularModel(ChoiceModel):
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
         row = self._table.get(frozenset(subset))
         if row is None:
-            raise ValueError(f"offer set {list(subset)} not covered by the table")
+            raise _uncovered(subset)
         return tuple(row.get(x, 0.0) for x in subset)
+
+    def columns(self, c: int, high: int = 0) -> list[list]:
+        """The default's columns, read off the stored rows: each offer set's
+        row is looked up once, and each column is one comprehension over
+        the rows that offer its product."""
+        highs = members_of(high, self.n)
+        table = self._table
+        try:
+            rows = [table[frozenset(subset + highs)] for subset in ascending_subsets(c)]
+        except KeyError as missing:
+            raise _uncovered(missing.args[0]) from None
+        columns = [[row.get(x, 0.0) for row in held(rows, 1 << (x - 1))] for x in range(1, c + 1)]
+        return columns + [[row.get(x, 0.0) for row in rows] for x in highs]
+
+
+def _uncovered(offer_set: Iterable[int]) -> ValueError:
+    """The error of a table that has no row for the offer set."""
+    return ValueError(f"offer set {sorted(offer_set)} not covered by the table")
 
 
 class MnlModel(ChoiceModel):

@@ -2,11 +2,13 @@
 
 ``MnlModel.columns``, ``MixedMnlModel.columns`` and ``column_sums`` apply
 each operator in a list comprehension instead of through ``map`` and a bound
-method, and ``brute_force_optimum`` passes its revenues to ``column_sums``
-as factors instead of building an "earned" list per column.  The references
-below are the map-based kernels; results must equal theirs by type and
-``repr`` (or raise the same exception) on entries that mix NaN, signed
-zeros, infinities, ints and Fractions.
+method, ``brute_force_optimum`` passes its revenues to ``column_sums`` as
+factors instead of building an "earned" list per column, and
+``TabularModel.columns`` reads each stored row once instead of one
+``_choice_row`` per offer set.  The references below are the map-based
+kernels and the default ``ChoiceModel.columns``; results must equal theirs
+by type and ``repr`` (or raise the same exception) on entries that mix NaN,
+signed zeros, infinities, ints and Fractions.
 
 The ``check_*`` functions take plain values, so they can be driven without
 hypothesis too.
@@ -18,12 +20,13 @@ import operator
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from assortopt import assortment
 from assortopt.assortment import AssortmentInstance, brute_force_optimum
-from assortopt.models import MixedMnlModel, MnlModel, TabularModel, column_sums, enumerate_subsets, held, held_parts
-from assortopt.models import members_of
+from assortopt.models import ChoiceModel, MixedMnlModel, MnlModel, TabularModel, column_sums, enumerate_subsets, held
+from assortopt.models import held_parts, members_of
 
 
 def _bits(values):
@@ -227,3 +230,64 @@ def test_brute_force_fuses_what_it_earned_then_summed(monkeypatch):
         assert sums == [n]
         assert repr(streamed_optimum) == repr(tabled_optimum)
         assert type(tabled_optimum.revenue) is float
+
+
+# -------------------------------------------------------------- tabular rows
+
+
+def _sparse_table(n, rng, drop_sets=0.0):
+    """An unvalidated table whose rows each miss some entries (and, with
+    ``drop_sets``, some offer sets have no row at all)."""
+    pool = [0.25, 0.0, -0.0, math.nan, math.inf, 1, 0, Fraction(1, 3), 2.5, -1]
+    table = {}
+    for subset in enumerate_subsets(n):
+        if subset and rng.random() < drop_sets:
+            continue
+        table[subset] = {x: rng.choice(pool) for x in subset if rng.random() < 0.6}
+    return TabularModel(n, table, validate=False)
+
+
+def _high_masks(n, c, rng):
+    above = [0, ((1 << n) - 1) >> c << c]
+    return above + [rng.randrange(1 << n) >> c << c for _ in range(2)]
+
+
+def test_tabular_columns_read_missing_entries_as_zero():
+    rng = Random(11)
+    for n in range(7):
+        model = _sparse_table(n, rng)
+        for c in range(n + 1):
+            for high in _high_masks(n, c, rng):
+                got = model.columns(c, high)
+                assert _outcome(lambda: got) == _outcome(ChoiceModel.columns, model, c, high), (n, c, high)
+                for x, column in zip((*range(1, c + 1), *members_of(high, n)), got):
+                    for at, entry in enumerate(column):
+                        mask = at if x > c else (at >> (x - 1) << x) | 1 << (x - 1) | (at & ((1 << (x - 1)) - 1))
+                        row = model._table[frozenset(members_of(mask | high, n))]
+                        if x not in row:
+                            assert (type(entry), repr(entry)) == (float, "0.0")
+
+
+def _raised(kernel, *args):
+    with pytest.raises(ValueError) as raised:
+        kernel(*args)
+    return str(raised.value)
+
+
+def test_tabular_columns_name_the_first_missing_offer_set():
+    rng = Random(12)
+    raised = 0
+    for n in range(1, 7):
+        model = _sparse_table(n, rng, drop_sets=0.2)
+        for c in range(n + 1):
+            for high in _high_masks(n, c, rng):
+                lows = [members_of(mask, n) + members_of(high, n) for mask in range(1 << c)]
+                missing = [subset for subset in lows if frozenset(subset) not in model._table]
+                if not missing:
+                    assert _outcome(model.columns, c, high) == _outcome(ChoiceModel.columns, model, c, high)
+                    continue
+                message = _raised(model._choice_row, missing[0])
+                assert message == f"offer set {list(missing[0])} not covered by the table"
+                assert _raised(model.columns, c, high) == message == _raised(ChoiceModel.columns, model, c, high)
+                raised += 1
+    assert raised > 20

@@ -1,26 +1,32 @@
 """The superset transforms' kernels against the loops they replace.
 
 ``axioms._superset_extreme`` combines pairs with a comparison comprehension
-instead of ``map(max | min, ...)``, and ``check_demand_submodularity``
-transforms only the offer sets without x.  The references below are the
-map-based sweep and the whole-lattice submodularity loop; results must equal
-theirs by type and ``repr``, on entries that mix NaN, signed zeros,
-infinities, ints and Fractions.
+instead of ``map(max | min, ...)``, and keeps a sweep's low half as it is
+when every low entry already wins; ``check_demand_submodularity`` transforms
+only the offer sets without x; ``axioms._first_flagged`` scans only the
+offer sets of the smallest flagged size instead of every offer set.  The
+references below are the map-based sweep, the whole-lattice submodularity
+loop and the canonical scan; results must equal theirs by type and ``repr``
+(and be the very objects the sweep would return), on entries that mix NaN,
+signed zeros, infinities, ints and Fractions.
 """
 
 import math
 import operator
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from assortopt import axioms
 from assortopt.axioms import CheckResult, _first_flagged, _superset_extreme, _supersets, check_demand_submodularity
 from assortopt.axioms import offer_table
 from assortopt.generators import generate
 from assortopt.io import instance_from_dict
 from assortopt.models import ChoiceModel, MnlModel, StochasticPreferenceModel, TabularModel, enumerate_subsets
+from assortopt.models import offer_masks
 from assortopt.reductions import reduce_pricing
 
 
@@ -48,6 +54,113 @@ ENTRIES = st.one_of(
 def test_comprehension_returns_what_map_returns(data, n, pick):
     values = data.draw(st.lists(ENTRIES, min_size=1 << n, max_size=1 << n))
     assert _bits(_superset_extreme(values, n, pick)) == _bits(ref_superset_extreme(values, n, pick))
+
+
+# ---------------------------------------------------------------- keep path
+
+
+def _picks():
+    """Records the sweeps that go through ``_pick`` rather than keep their low half."""
+    return mock.patch.object(axioms, "_pick", wraps=axioms._pick)
+
+
+def _assert_as_map(values, n, pick):
+    """The transform equals the map-based sweep by type and repr, entry for
+    entry the very same objects; returns it."""
+    got, expected = _superset_extreme(values, n, pick), ref_superset_extreme(values, n, pick)
+    assert _bits(got) == _bits(expected)
+    assert all(a is b for a, b in zip(got, expected))
+    return got
+
+
+# Ordered values: no NaN, and small enough that x - 1 < x < x + 1.
+ORDERED = st.one_of(
+    st.sampled_from([0.0, -0.0, 0, 1, 1.0, Fraction(1), -1, Fraction(1, 3)]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.integers(-3, 3),
+    st.fractions(-10, 10, max_denominator=12),
+)
+
+
+def _ordered(values, pick):
+    """values sorted so that a mask's value wins against every superset's
+    (descending for max, ascending for min): every sweep keeps its low half."""
+    return sorted(values, reverse=pick is max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 6), pick=st.sampled_from([max, min]))
+def test_ordered_values_keep_every_sweep(data, n, pick):
+    values = _ordered(data.draw(st.lists(ORDERED, min_size=1 << n, max_size=1 << n)), pick)
+    with _picks() as picks:
+        got = _assert_as_map(values, n, pick)
+    assert all(a is b for a, b in zip(got, values))  # every entry kept, object for object
+    assert not picks.called
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), pick=st.sampled_from([max, min]), k=st.integers(0, 5))
+def test_one_losing_last_pair_picks_one_sweep(data, n, pick, k):
+    # Sorted values with the mask full ^ (1 << k) moved past the full mask's
+    # value: only sweep k compares those two, and they are its last pair.
+    values = _ordered(data.draw(st.lists(ORDERED, min_size=1 << n, max_size=1 << n)), pick)
+    k %= n
+    full = (1 << n) - 1
+    values[full ^ 1 << k] = values[full] - 1 if pick is max else values[full] + 1
+    with _picks() as picks:
+        got = _assert_as_map(values, n, pick)
+    assert [len(call.args[1]) for call in picks.call_args_list] == [1 << n >> 1]
+    assert got[full ^ 1 << k] is values[full]
+    assert all(a is b for at, (a, b) in enumerate(zip(got, values)) if at != full ^ 1 << k)
+
+
+TIES = st.sampled_from([0.0, -0.0, 0, 1, Fraction(1), 1.0, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(0, 6), pick=st.sampled_from([max, min]))
+def test_ties_and_nan_return_what_map_returns(data, n, pick):
+    _assert_as_map(data.draw(st.lists(TIES, min_size=1 << n, max_size=1 << n)), n, pick)
+
+
+@pytest.mark.parametrize("pick", [max, min])
+@pytest.mark.parametrize(
+    "pair",
+    [(0.0, -0.0), (-0.0, 0.0), (1, Fraction(1)), (Fraction(1), 1), (1, 1.0), (math.inf, math.inf),
+     (-math.inf, -math.inf), (math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)],
+    ids=repr,
+)
+def test_tied_pairs_keep_the_low_object(pair, pick):
+    low, high = pair
+    values = [low, high, low, high]
+    with _picks() as picks:
+        got = _assert_as_map(values, 2, pick)
+    if any(v != v for v in pair):  # a NaN fails the keep test, so the sweep picks
+        assert picks.called
+    else:
+        assert not picks.called and got[0] is low and got[2] is low
+
+
+# ------------------------------------------------------------ first flagged
+
+
+def ref_first_flagged(n, flagged):
+    return next(((subset, mask) for subset, mask in offer_masks(n) if flagged[mask]), None)
+
+
+def test_first_flagged_is_the_canonical_scan():
+    rng = Random(17)
+    for trial in range(400):
+        n = trial % 9
+        density = rng.choice([0.0, 0.01, 0.1, 0.5, 1.0])
+        flagged = [rng.random() < density for _ in range(1 << n)]
+        if trial % 7 == 0:  # only the full set, last in canonical order
+            flagged = [False] * ((1 << n) - 1) + [True]
+        if trial % 7 == 1:  # every set of one size, and the last set of a smaller one
+            size = rng.randint(0, n)
+            flagged = [mask.bit_count() == size for mask in range(1 << n)]
+            flagged[(1 << n) - (1 << (n - size // 2))] = True
+        assert _first_flagged(n, flagged) == ref_first_flagged(n, flagged), (n, flagged)
 
 
 # ------------------------------------------------------------ submodularity
