@@ -92,14 +92,9 @@ class AssortmentInstance:
     @cached_property
     def table(self) -> OfferTable:
         """The model read over all 2^n offer sets, built on first use and
-        then kept for every exhaustive reader of the instance.  It has no
-        guard of its own; :meth:`table_within` checks one first."""
-        return offer_table(self._model, guard=self.n)
-
-    def table_within(self, guard: int) -> OfferTable:
-        """``table``, after checking n against the caller's enumeration guard."""
-        check_guard(self.n, guard)
-        return self.table
+        then kept for every exhaustive reader of the instance; an n above
+        ``GUARD`` raises GroundSetTooLarge and builds nothing."""
+        return offer_table(self._model)
 
 
 def _numerator_rows(instance: AssortmentInstance, offer_sets) -> list[tuple]:
@@ -216,13 +211,14 @@ def revenue_ordered(instance: AssortmentInstance) -> RevenueOrderedResult:
     )
 
 
-def brute_force_optimum(instance: AssortmentInstance, guard: int = GUARD) -> AssortmentSolution:
+def brute_force_optimum(instance: AssortmentInstance) -> AssortmentSolution:
     """Exact optimum by enumerating every subset (the empty set included).
 
     Each offer set's revenue adds p * r in ascending product order from
     int 0, the same value as :func:`assortopt.models.evaluate_revenue`.  The
     largest revenue wins, ties going to the lexicographically smallest
     subset, so the result is deterministic; a NaN revenue never wins.
+    ``GUARD`` is checked first, before the screen or any block.
 
     Reads the columns of ``instance.table`` if it has been built, else asks
     the model for them in blocks of at most 2^BLOCK_BITS offer sets (the
@@ -261,15 +257,14 @@ def brute_force_optimum(instance: AssortmentInstance, guard: int = GUARD) -> Ass
     and the empty set's int 0 are therefore those of the full enumeration.
     """
     n, model, revenue, scale = instance.n, instance.model, instance.revenue, instance.model.denominator
+    check_guard(n, GUARD)
     if isinstance(model, MnlModel):
-        check_guard(n, guard)
         screened = _screened_optimum(model, revenue)
         if screened is not None:
             return screened
     if "table" in vars(instance):
-        c, blocks = n, [(0, instance.table_within(guard).columns)]
+        c, blocks = n, [(0, instance.table.columns)]
     else:
-        check_guard(n, guard)
         c = min(n, BLOCK_BITS)
         blocks = ((high, model.columns(c, high)) for high in range(0, 1 << n, 1 << c))
     exact = scale is not None and all(isinstance(r, int) for r in revenue)
@@ -457,20 +452,20 @@ class GuaranteeReport:
     failures: tuple[str, ...]
 
 
-def verify_guarantee(instance: AssortmentInstance, guard: int = GUARD) -> GuaranteeReport:
+def verify_guarantee(instance: AssortmentInstance) -> GuaranteeReport:
     """Assert revord >= bound * OPT for every applicable bound.
 
     The guarantees are only claimed for regular models, so a failed
     regularity check raises RegularityViolation.  The realized ratio
     revord/OPT is reported (1.0 when the optimum revenue is zero).
     """
-    report = check_axioms(instance.table_within(guard))
+    report = check_axioms(instance.table)
     if not report.regularity.passed:
         raise RegularityViolation(
             f"model violates regularity at witness {report.regularity.witness}",
             witness=report.regularity.witness,
         )
-    optimum = brute_force_optimum(instance, guard=guard)
+    optimum = brute_force_optimum(instance)
     heuristic = revenue_ordered(instance).solution
     bounds = compute_bounds(instance, optimal=optimum)
     opt_value = float(optimum.revenue)

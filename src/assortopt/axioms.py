@@ -5,9 +5,9 @@ Every checker reads an :class:`OfferTable`, the model read once through
 the 2^(n-1) offer sets S that hold x, indexed by the bitmask of S with bit
 x-1 removed, and the purchase probability sold(S) = sum_{x in S} P(x, S)
 indexed by bitmask.  The table holds no rows.  A checker takes a model,
-tabulated afresh within the default enumeration guard, or a table such as
-the cached ``AssortmentInstance.table``, which keeps its ``check_axioms``
-report, so the checks of one instance read it once.  Conditions over all
+tabulated afresh by :func:`offer_table`, which refuses n above ``GUARD``,
+or a table such as the cached ``AssortmentInstance.table``, which keeps
+its ``check_axioms`` report, so the checks of one instance read it once.  Conditions over all
 3^n pairs S subset of S' are decided with superset transforms on that
 table (the max form of the fast zeta transform on the subset lattice;
 Yates 1937, Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007): n sweeps
@@ -123,9 +123,9 @@ class OfferTable:
         return tuple(self.columns[x - 1][held_index(mask, x)] for x in subset)
 
 
-def offer_table(model: ChoiceModel, guard: int = GUARD) -> OfferTable:
+def offer_table(model: ChoiceModel) -> OfferTable:
     """Tabulate a model over every offer set, as its columns give them."""
-    check_guard(model.n, guard)
+    check_guard(model.n, GUARD)
     columns = model.columns(model.n)
     return OfferTable(model, model.n, columns, column_sums(columns, model.n))
 

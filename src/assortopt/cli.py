@@ -33,7 +33,6 @@ from .axioms import check_axioms
 from .errors import GroundSetTooLarge, InvalidParams, RegularityViolation, SearchSpaceTooLarge
 from .generators import generate
 from .io import dumps, instance_from_dict, instance_to_dict, loads
-from .models import GUARD
 from .multiperiod import (
     MultiPeriodInstance,
     check_lstar_order,
@@ -105,7 +104,10 @@ def _cmd_gen(args) -> int:
         raise SystemExit(f"invalid --params: {error}")
     if not isinstance(params, dict):
         raise SystemExit(f"invalid --params: expected a JSON object, got {args.params}")
-    seed = args.seed if args.seed is not None else int(os.environ.get("ASSORT_SEED", "0"))
+    try:
+        seed = args.seed if args.seed is not None else int(os.environ.get("ASSORT_SEED", "0"))
+    except ValueError as error:
+        raise SystemExit(f"invalid ASSORT_SEED: {error}")
     try:
         data = generate(args.kind, args.family, params, seed)
     except InvalidParams as error:
@@ -113,8 +115,11 @@ def _cmd_gen(args) -> int:
         return USAGE_ERROR
     text = dumps(data)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as error:
+            raise SystemExit(f"cannot write {args.output}: {error}")
     else:
         sys.stdout.write(text)
     return 0
@@ -128,7 +133,7 @@ def _solve_assortment(instance: AssortmentInstance, args) -> dict:
         report["revord_assortment"] = sorted(heuristic.solution.assortment)
     optimum = None
     if args.method in ("brute", "both"):
-        optimum = brute_force_optimum(instance, guard=args.guard_n)
+        optimum = brute_force_optimum(instance)
         report["opt"] = float(optimum.revenue)
         report["opt_assortment"] = sorted(optimum.assortment)
     if args.method == "both":
@@ -147,7 +152,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bounds(args) -> int:
     instance = _load(args.file, "assortment")
-    optimum = brute_force_optimum(instance, guard=args.guard_n) if args.with_optimal else None
+    optimum = brute_force_optimum(instance) if args.with_optimal else None
     _emit({"bounds": _bounds_dict(compute_bounds(instance, optimal=optimum))}, args.json)
     return 0
 
@@ -172,9 +177,9 @@ def _cmd_pricing(args) -> int:
         return 0
     try:  # refuses an instance beyond a guard, or one whose reduced revenues overflow a float
         if args.action == "reduce":
-            sys.stdout.write(dumps(instance_to_dict(reduce_pricing(instance, guard=args.guard_n))))
+            sys.stdout.write(dumps(instance_to_dict(reduce_pricing(instance))))
             return 0
-        report = verify_reduction(instance, guard=args.guard_n)
+        report = verify_reduction(instance)
     except ValueError as error:
         raise SystemExit(f"cannot {args.action} {args.file}: {error}")
     _emit(
@@ -215,7 +220,7 @@ def _cmd_multiperiod(args) -> int:
             )
     except ValueError as error:
         raise SystemExit(f"cannot build the multiperiod instance: {error}")
-    table = solve_dp(instance, guard=args.guard_n)
+    table = solve_dp(instance)
     report: dict = {
         "horizon": table.horizon,
         "capacity": table.capacity,
@@ -232,7 +237,7 @@ def _cmd_multiperiod(args) -> int:
     return 0 if passed else 1
 
 
-def _suite_check_file(path: str, checks: list[str], guard: int) -> dict:
+def _suite_check_file(path: str, checks: list[str]) -> dict:
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
@@ -272,12 +277,12 @@ def _suite_check_file(path: str, checks: list[str], guard: int) -> dict:
         record["passed"] = record["passed"] and ok
 
     if isinstance(instance, AssortmentInstance):
-        run("axioms", lambda: check_axioms(instance.table_within(guard)).passed)
-        run("guarantees", lambda: verify_guarantee(instance, guard=guard).passed)
+        run("axioms", lambda: check_axioms(instance.table).passed)
+        run("guarantees", lambda: verify_guarantee(instance).passed)
     elif isinstance(instance, (UdpMinInstance, UdpRankInstance, StackelbergInstance)):
-        run("reduction", lambda: verify_reduction(instance, guard=guard).passed)
+        run("reduction", lambda: verify_reduction(instance).passed)
     elif isinstance(instance, MultiPeriodInstance):
-        run("monotonicity", lambda: all(_dp_checks(solve_dp(instance, guard=guard)).values()))
+        run("monotonicity", lambda: all(_dp_checks(solve_dp(instance)).values()))
     return record
 
 
@@ -291,7 +296,7 @@ def _cmd_suite(args) -> int:
     checks = [c for c in (args.checks.split(",") if args.checks else []) if c]
     all_passed = True
     for path in paths:
-        record = _suite_check_file(path, checks, args.guard_n)
+        record = _suite_check_file(path, checks)
         all_passed = all_passed and record["passed"]
         print(json.dumps(record, sort_keys=True))
     return 0 if all_passed else 1
@@ -303,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="assort",
         description="Assortment optimisation under regular discrete choice models.",
     )
-    parser.add_argument("--guard-n", type=int, default=GUARD, help="enumeration guard on ground-set size")
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a random instance file")

@@ -40,7 +40,7 @@ _RATIONAL = re.compile(r"(-?[0-9]+)/([0-9]+)")
 
 def model_to_dict(model: ChoiceModel) -> dict:
     """Serialise a model to its JSON descriptor; a table over all 2^n offer
-    sets is not guarded here, as n was bounded where the model was built."""
+    sets refuses an n above ``GUARD``, as reading the file back would."""
     if isinstance(model, MnlModel):
         return {"type": "mnl", "mean_utilities": list(model.mean_utilities)}
     if isinstance(model, MixedMnlModel):
@@ -74,7 +74,7 @@ def model_to_dict(model: ChoiceModel) -> dict:
             encoded = {
                 "kind": "table",
                 "values": [
-                    [list(s), capacity.value(s)] for s in enumerate_subsets(capacity.n, capacity.n)
+                    [list(s), capacity.value(s)] for s in enumerate_subsets(capacity.n)
                 ],
             }
         else:
@@ -83,7 +83,7 @@ def model_to_dict(model: ChoiceModel) -> dict:
     if isinstance(model, TightExampleModel):
         return {"type": "tight_example", "k": model.k, "epsilon": model.epsilon}
     # Anything else (including the lazy reduction models) ships as a table.
-    rows = [[list(S), list(map(_encode_probability, row))] for S, row in probability_rows(model, model.n)]
+    rows = [[list(S), list(map(_encode_probability, row))] for S, row in probability_rows(model)]
     return {"type": "tabular", "n": model.n, "rows": rows}
 
 

@@ -109,13 +109,13 @@ def distribution(weights: Iterable, noun: str) -> tuple[float, ...]:
     return weights
 
 
-def enumerate_subsets(n: int, guard: int = GUARD) -> list[tuple[int, ...]]:
+def enumerate_subsets(n: int) -> list[tuple[int, ...]]:
     """All subsets of {1..n} as sorted tuples, by cardinality then lexicographic.
 
     This is the canonical enumeration order used by every checker, so that
     "first violation found" witnesses are reproducible.
     """
-    check_guard(n, guard)
+    check_guard(n, GUARD)
     return [subset for size in range(n + 1) for subset in itertools.combinations(range(1, n + 1), size)]
 
 
@@ -257,10 +257,10 @@ def as_probabilities(row: tuple, denominator: int | None) -> tuple:
     return row if denominator is None else tuple(Fraction(p, denominator) for p in row)
 
 
-def probability_rows(model: "ChoiceModel", guard: int = GUARD):
+def probability_rows(model: "ChoiceModel"):
     """Yield (S, P(x, S) for each x of S, as ``evaluate`` returns them) for
     every offer set S in canonical order, read from ``model.columns(n)``."""
-    check_guard(model.n, guard)
+    check_guard(model.n, GUARD)
     # Each column lists its offer sets in ascending order of mask, so the
     # rows of all masks, in that order, take the next entry of each column.
     entries = [iter(column).__next__ for column in model.columns(model.n)]
@@ -701,7 +701,8 @@ class TableCapacity(CapacityFunction):
     def __init__(self, n: int, values: Mapping[Iterable[int], float]):
         self._n = n
         table = {frozenset(k): float(v) for k, v in values.items()}
-        for subset in enumerate_subsets(n, CAPACITY_GUARD):
+        check_guard(n, CAPACITY_GUARD)
+        for subset in enumerate_subsets(n):
             if frozenset(subset) not in table:
                 raise ValueError(f"capacity table is missing subset {list(subset)}")
         if abs(table[frozenset()]) > 1e-12:

@@ -116,12 +116,13 @@ def _best_level(lines: tuple[tuple[float, float], ...], delta: float) -> tuple[i
     raise AssertionError("the maximum is always within tolerance of itself")
 
 
-def solve_dp(instance: MultiPeriodInstance, guard: int = GUARD) -> DpTable:
+def solve_dp(instance: MultiPeriodInstance) -> DpTable:
     """Tabulate J and the least optimal thresholds.
 
     The monotonicity guarantees assume a regular model, so the table records a
     regularity verdict (a warning flag, not an error: the DP itself is well
-    defined regardless), read from the instance's cached offer table.
+    defined regardless), read from the instance's cached offer table; None,
+    with no table built, when n exceeds ``GUARD``.
 
     Cells with q >= t, where the inventory covers every remaining period,
     have delta = 0 because J_{t-1}(q) and J_{t-1}(q-1) are the same float
@@ -132,7 +133,7 @@ def solve_dp(instance: MultiPeriodInstance, guard: int = GUARD) -> DpTable:
     lines = ladder.lines
     T, Q = instance.horizon, instance.capacity
     regularity_ok: bool | None = None
-    if instance.base.n <= guard:
+    if instance.base.n <= GUARD:
         regularity_ok = check_axioms(instance.base.table).regularity.passed
 
     value = [[0.0] * (Q + 1) for _ in range(T + 1)]

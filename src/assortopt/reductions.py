@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .assortment import AssortmentInstance, brute_force_optimum, revenue_ordered
 from .axioms import check_axioms
-from .models import GUARD
 from .stackelberg import (
     StackelbergInstance,
     brute_force_stackelberg,
@@ -47,14 +46,14 @@ class ReductionReport:
         return self.opt_match and self.axioms_pass and self.uniform_equals_revenue_ordered
 
 
-def reduce_pricing(instance, guard: int = GUARD) -> AssortmentInstance:
+def reduce_pricing(instance) -> AssortmentInstance:
     """The assortment instance equivalent to a udp_min, udp_rank or Stackelberg instance."""
     if isinstance(instance, UdpMinInstance):
-        return reduce_min_to_assortment(instance, guard=guard)
+        return reduce_min_to_assortment(instance)
     if isinstance(instance, UdpRankInstance):
-        return reduce_rank_to_assortment(instance, guard=guard)
+        return reduce_rank_to_assortment(instance)
     if isinstance(instance, StackelbergInstance):
-        return reduce_to_assortment(instance, guard=guard)
+        return reduce_to_assortment(instance)
     raise TypeError(f"no pricing reduction for {type(instance).__name__}")
 
 
@@ -66,7 +65,7 @@ def solve_pricing(instance):
     return (uniform_pricing_stackelberg if stackelberg else uniform_pricing)(instance), exact
 
 
-def verify_reduction(instance, guard: int = GUARD) -> ReductionReport:
+def verify_reduction(instance) -> ReductionReport:
     """Check the reduction of a pricing instance against the pricing oracles.
 
     The exact optima must agree, the reduced model must pass `check_axioms`,
@@ -76,10 +75,10 @@ def verify_reduction(instance, guard: int = GUARD) -> ReductionReport:
     reduced catalogue) there are no thresholds, so every uniform candidate
     must earn 0 instead.
     """
-    reduced = reduce_pricing(instance, guard=guard)
+    reduced = reduce_pricing(instance)
     uniform, exact = solve_pricing(instance)
-    axioms = check_axioms(reduced.table_within(guard))
-    optimum = brute_force_optimum(reduced, guard=guard)
+    axioms = check_axioms(reduced.table)
+    optimum = brute_force_optimum(reduced)
     revenues = [revenue for _, revenue in uniform.candidates]
     if reduced.n == 0:
         pointwise = all(revenue == 0 for revenue in revenues)

@@ -18,7 +18,6 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .assortment import AssortmentInstance
 from .errors import GroundSetTooLarge
-from .models import GUARD
 from .udp import (UNPRICED, PricingSolution, UniformPricingResult, _FloorChoiceModel, _PairCatalogue,
                   best_uniform_price, grid_optimum, positive_finite, reduce_pairs)
 
@@ -401,7 +400,7 @@ class StackelbergChoiceModel(_FloorChoiceModel):
         return {where: 1 for where in floor if self.pairs[where - 1] in selection}
 
 
-def reduce_to_assortment(instance: StackelbergInstance, guard: int = GUARD) -> AssortmentInstance:
+def reduce_to_assortment(instance: StackelbergInstance) -> AssortmentInstance:
     """Restate the pricing problem as an assortment problem.
 
     Products are (blue element, cost level) pairs earning |B| * level; the
@@ -409,5 +408,5 @@ def reduce_to_assortment(instance: StackelbergInstance, guard: int = GUARD) -> A
     revenue-ordered candidate at the corresponding threshold.
     """
     blue = len(instance.blue)
-    return reduce_pairs(blue, instance.cost_levels, blue, guard, ("blue elements", "cost levels"),
+    return reduce_pairs(blue, instance.cost_levels, blue, ("blue elements", "cost levels"),
                         lambda: StackelbergChoiceModel(instance))

@@ -400,23 +400,23 @@ class RankPricingChoiceModel(_FloorChoiceModel):
         return Counter(self._catalogue.index[(x, prices[x - 1])] for x in bought if x is not None)
 
 
-def reduce_pairs(count: int, levels: Sequence, buyers: int, guard: int, nouns: tuple, build: Callable):
-    """Refuse ``count`` elements x ``levels`` products beyond the guard before anything is built; then
+def reduce_pairs(count: int, levels: Sequence, buyers: int, nouns: tuple, build: Callable):
+    """Refuse ``count`` elements x ``levels`` products beyond ``GUARD`` before anything is built; then
     ``build`` the model over (element, level) pairs, and pay ``buyers`` x level for each pair."""
     products = count * len(levels)
-    if products > guard:
+    if products > GUARD:
         raise GroundSetTooLarge(f"reduction would create {count} {nouns[0]} x {len(levels)} {nouns[1]} "
-                                f"= {products} products; guard is {guard}")
+                                f"= {products} products; guard is {GUARD}")
     model = build()
     return AssortmentInstance(model, [buyers * level for (_, level) in model.pairs])
 
 
-def _reduce(instance, model_cls, guard: int) -> AssortmentInstance:
-    return reduce_pairs(instance.n, instance.valuation_levels, instance.m, guard, ("items", "valuation levels"),
+def _reduce(instance, model_cls) -> AssortmentInstance:
+    return reduce_pairs(instance.n, instance.valuation_levels, instance.m, ("items", "valuation levels"),
                         lambda: model_cls(instance, _PairCatalogue(instance.n, instance.valuation_levels)))
 
 
-def reduce_min_to_assortment(instance: UdpMinInstance, guard: int = GUARD) -> AssortmentInstance:
+def reduce_min_to_assortment(instance: UdpMinInstance) -> AssortmentInstance:
     """Restate a min-rule pricing problem as an assortment problem.
 
     Products are (item, valuation level) pairs earning m * level; offering S
@@ -424,13 +424,13 @@ def reduce_min_to_assortment(instance: UdpMinInstance, guard: int = GUARD) -> As
     revenue is preserved, and the revenue-ordered candidates coincide with
     the uniform-pricing candidates threshold by threshold.
     """
-    return _reduce(instance, MinPricingChoiceModel, guard)
+    return _reduce(instance, MinPricingChoiceModel)
 
 
-def reduce_rank_to_assortment(instance: UdpRankInstance, guard: int = GUARD) -> AssortmentInstance:
+def reduce_rank_to_assortment(instance: UdpRankInstance) -> AssortmentInstance:
     """Restate a rank-rule pricing problem as an assortment problem.
 
     Mirrors the min-rule construction with first-affordable semantics; the
     equivalence is validated against the pricing oracle on small instances.
     """
-    return _reduce(instance, RankPricingChoiceModel, guard)
+    return _reduce(instance, RankPricingChoiceModel)

@@ -6,13 +6,14 @@ import math
 
 import pytest
 
+from assortopt import assortment as assortment_module
 from assortopt import cli
 from assortopt import io as io_module
 from assortopt.cli import _emit, main
 from assortopt.io import instance_from_dict
 from assortopt.udp import UNPRICED, PricingSolution, UdpMinInstance, uniform_pricing
 from assortopt.io import dumps
-from assortopt.models import MnlModel, TabularModel, check_guard
+from assortopt.models import MnlModel, TabularModel
 from assortopt.io import instance_to_dict
 from assortopt.assortment import AssortmentInstance
 
@@ -38,6 +39,17 @@ def test_gen_env_seed(tmp_path, capsys, monkeypatch):
     out_flag = tmp_path / "flag.json"
     assert main(["gen", "udp_min", "--seed", "33", "-o", str(out_flag)]) == 0
     assert out_env.read_bytes() == out_flag.read_bytes()
+
+
+def test_gen_malformed_env_seed_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("ASSORT_SEED", "abc")
+    assert "ASSORT_SEED" in _one_line_exit_2(capsys, "gen", "udp_min")
+
+
+def test_gen_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    assert str(target) in _one_line_exit_2(capsys, "gen", "udp_min", "-o", str(target))
+    assert not target.parent.exists()
 
 
 def test_json_output_refuses_nan(capsys):
@@ -475,18 +487,22 @@ _WIDE_REDUCIBLE = {
 }
 
 
+@pytest.mark.parametrize("action", ["reduce", "verify"])
 @pytest.mark.parametrize("command", sorted(_WIDE_REDUCIBLE))
-def test_reduce_writes_what_the_guard_admitted(tmp_path, capsys, monkeypatch, command):
-    # The rows of 2^21 offer sets are stubbed out; only their guard is kept.
-    def rows(model, guard=20):
-        check_guard(model.n, guard)
-        return iter(())
+def test_reductions_past_the_guard_exit_2_before_building(tmp_path, capsys, monkeypatch, command, action):
+    def tabulate(model):
+        raise AssertionError("no reduced model may be tabulated past the guard")
 
-    monkeypatch.setattr(io_module, "probability_rows", rows)
+    monkeypatch.setattr(io_module, "probability_rows", tabulate)
+    monkeypatch.setattr(assortment_module, "offer_table", tabulate)
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(_WIDE_REDUCIBLE[command]))
-    code = main(["--guard-n", "21", command, "reduce", str(path)])
-    captured = capsys.readouterr()
-    assert (code, captured.err) == (0, "")
-    model = json.loads(captured.out)["payload"]["model"]
-    assert (model["type"], model["n"]) == ("tabular", 21)
+    assert _one_line_exit_2(capsys, command, action, str(path)).rstrip("\n").endswith("= 21 products; guard is 20")
+
+
+def test_guard_flag_is_gone(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    assert main(["gen", "assortment", "--family", "mnl", "--seed", "4", "-o", str(path)]) == 0
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--guard-n", "21", "solve", str(path)])
+    assert excinfo.value.code == 2

@@ -140,7 +140,10 @@ def check_column_sums(columns, c, factors):
 SPECIALS = [math.nan, 0.0, -0.0, math.inf, -math.inf]
 FLOATS = st.one_of(st.sampled_from(SPECIALS), st.floats(allow_nan=True, allow_infinity=True))
 INTS = st.integers(-3, 3)
-FRACTIONS = st.one_of(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-1, 2)]), st.fractions(max_denominator=12))
+# Every Fraction with denominator at most 12, as st.fractions(max_denominator=12)
+# draws them, but without the strategy that flatmap builds for each draw.
+FRACTIONS = st.one_of(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-1, 2)]),
+                      st.builds(Fraction, st.integers(), st.integers(1, 12)))
 ENTRIES = st.one_of(st.sampled_from([*SPECIALS, 0, 1, -1, Fraction(1, 3), Fraction(-1, 2)]), FLOATS, INTS, FRACTIONS)
 
 # The reflected operators of the map kernels take an int or a value of their
@@ -164,6 +167,12 @@ def _column_lengths(n, c, high):
     return [1 << c >> 1] * c + [1 << c] * len(members_of(high, n))
 
 
+def _cut(entries, lengths):
+    """``entries`` cut into consecutive lists of the given lengths."""
+    ends = list(itertools.accumulate(lengths))
+    return [entries[end - m : end] for m, end in zip(lengths, ends)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), shape=split(), kind=st.sampled_from(MNL_KINDS))
 def test_mnl_recurrence_and_quotients(data, shape, kind):
@@ -178,7 +187,10 @@ def test_mixed_mnl_mixing(data, shape, kinds, k):
     weight_kind, entry_kind = kinds
     lengths = _column_lengths(*shape)
     weights = data.draw(st.lists(weight_kind, min_size=k, max_size=k))
-    components = [[data.draw(st.lists(entry_kind, min_size=m, max_size=m)) for m in lengths] for _ in range(k)]
+    # One draw holds every entry of every component, cut into k blocks of columns.
+    size = sum(lengths)
+    entries = data.draw(st.lists(entry_kind, min_size=k * size, max_size=k * size))
+    components = [_cut(entries[i * size : (i + 1) * size], lengths) for i in range(k)]
     check_mixed(weights, components)
 
 
@@ -186,8 +198,10 @@ def test_mixed_mnl_mixing(data, shape, kinds, k):
 @given(data=st.data(), shape=split())
 def test_column_sums_with_and_without_factors(data, shape):
     n, c, high = shape
-    columns = [data.draw(st.lists(ENTRIES, min_size=m, max_size=m)) for m in _column_lengths(n, c, high)]
-    factors = data.draw(st.lists(ENTRIES, min_size=len(columns), max_size=len(columns)))
+    lengths = _column_lengths(n, c, high)
+    size = sum(lengths) + len(lengths)
+    # One draw holds every column and, after them, one factor per column.
+    *columns, factors = _cut(data.draw(st.lists(ENTRIES, min_size=size, max_size=size)), [*lengths, len(lengths)])
     check_column_sums(columns, c, factors)
 
 

@@ -216,7 +216,7 @@ def test_instance_from_dict_raises_only_documented_errors(data):
 
 
 def _rows(model):
-    return [(S, [(type(p), p) for p in row]) for S, row in probability_rows(model, model.n)]
+    return [(S, [(type(p), p) for p in row]) for S, row in probability_rows(model)]
 
 
 def test_reduced_model_rows_are_written_as_exact_fractions():
