@@ -8,12 +8,14 @@ satisfies the axioms it claims); tests re-verify this through the checkers.
 
 from __future__ import annotations
 
+import math
 from random import Random
 
 from .assortment import AssortmentInstance, generate_tight_instance
 from .errors import InvalidParams
 from .io import instance_to_dict
 from .models import (
+    GUARD,
     CoverageCapacity,
     HfamModel,
     MallowsModel,
@@ -161,6 +163,20 @@ _PARAMS = {
     "stackelberg": {"v": ("max_vertices", int), "cost_levels": ("max_cost_levels", int)},
     "multiperiod": {"n_max": ("n_max", int), "T": ("horizon_max", int), "Q": ("capacity_max", int)},
 }
+# The keys that size the catalogue, each mapped to the most products its value allows.
+_CATALOGUE = {"n_max": lambda n: n, "k": lambda k: math.comb(k + 1, 2) if k > 0 else 0}
+
+
+def _option(key: str, value, kind: type):
+    """The --params value as its keyword's type, once an int key holds a
+    JSON int (not a bool) whose catalogue fits the enumeration guard."""
+    if kind is int:
+        if type(value) is not int:
+            raise InvalidParams(f"parameter {key!r} must be an integer, got {value!r}")
+        if key in _CATALOGUE and _CATALOGUE[key](value) > GUARD:
+            raise InvalidParams(f"parameter {key!r} = {value} allows {_CATALOGUE[key](value)} products; "
+                                f"guard is {GUARD}")
+    return kind(value)
 
 
 def generate(kind: str, family: str | None, params: dict, seed: int) -> dict:
@@ -175,7 +191,7 @@ def generate(kind: str, family: str | None, params: dict, seed: int) -> dict:
     if unknown:
         raise InvalidParams(f"unknown parameter {unknown[0]!r} for {name}; accepted: {', '.join(accepted)}")
     try:
-        options = {accepted[key][0]: accepted[key][1](value) for key, value in (params or {}).items()}
+        options = {accepted[key][0]: _option(key, value, accepted[key][1]) for key, value in (params or {}).items()}
         if name == "tight":
             instance = generate_tight_instance(**options)
         elif kind == "assortment":

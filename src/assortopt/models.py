@@ -25,8 +25,8 @@ the mask with bit x-1 removed (``held_index``); a product of ``high`` is
 offered everywhere and its column lists all 2^c masks.  ``columns(n)`` is
 the whole table, and smaller c reads it in blocks.  The default builds the
 columns from one ``_choice_row`` per offer set, which Hfam and the tight
-family use; a ``TabularModel`` reads each stored row once and builds each
-column in one comprehension over the rows.  MNL, mixed MNL and
+family use; a ``TabularModel`` stores its table in this layout, so its
+columns are slices of the stored ones.  MNL, mixed MNL and
 stochastic-preference models (so Mallows, through its expansion) build them
 by recurrences over masks, and each of their entries is the same float that
 ``_choice_row`` gives.  The pricing reductions depend on an offer set only
@@ -346,9 +346,10 @@ class ChoiceModel:
         return members
 
     def to_tabular(self) -> "TabularModel":
-        """Materialise the model as an explicit table over all 2^n offer sets."""
-        table = {frozenset(S): dict(zip(S, row)) for S, row in probability_rows(self)}
-        return TabularModel(self.n, table, validate=False)
+        """Materialise the model as an explicit table over all 2^n offer sets:
+        its ``columns(n)``, kept over its own ``denominator``."""
+        check_guard(self.n, GUARD)
+        return TabularModel._from_columns(self.n, self.columns(self.n), self.denominator)
 
 
 class TabularModel(ChoiceModel):
@@ -357,6 +358,13 @@ class TabularModel(ChoiceModel):
     A full table (an entry for every offered product of every offer set of
     1..n) of int and ``Fraction`` entries, at least one a ``Fraction``, is exact:
     it declares the lcm D of their denominators and keeps each p as p * D.
+
+    The table is stored as ``columns(n)`` lays it out: one list per product
+    x, holding P(x, S) at ``held_index(mask of S, x)``, so ``columns(c, high)``
+    is one slice per product.  An unvalidated table may lack offer sets (and
+    ignores rows naming products outside 1..n, which no reader can ask for);
+    it then keeps which masks it covers, and a reader of an uncovered set
+    raises.
     """
 
     def __init__(
@@ -366,15 +374,17 @@ class TabularModel(ChoiceModel):
         validate: bool = True,
     ):
         super().__init__(n)
-        if validate:
-            check_guard(n, GUARD)  # before 2^n or the catalogue is built
-            catalogue = frozenset(self._products.indices)
-        normalised: dict[Subset, dict[int, float]] = {}
+        check_guard(n, GUARD)  # before 2^n or the catalogue is built
+        catalogue = frozenset(self._products.indices)
+        columns: list[list] = [[0.0] * (1 << n >> 1) for _ in range(n)]
+        bit_of = [0] + [1 << b for b in range(n)]  # product x's bit, 1 << (x - 1)
+        covered = bytearray(1 << n)  # 1 at the mask of each offer set with a row
         kinds: set[type] = set()  # entry types, tallied while the table may still be exact
         exact = True  # so far, every offer set has an entry per product, each an int or a Fraction
         for raw_set, probs in table.items():
             members = frozenset(raw_set)
-            if validate and not members <= catalogue:
+            inside = members <= catalogue
+            if validate and not inside:
                 raise ValueError(f"offer set {sorted(members)} names products outside 1..{n}")
             row: dict[int, float] = {}
             explicit_zero = None
@@ -387,46 +397,60 @@ class TabularModel(ChoiceModel):
                 if validate and not 0 <= p <= 1:
                     raise ValueError(f"P({x}, {sorted(members)}) = {p} outside [0, 1]")
                 row[x] = p
-            normalised[members] = row
             if exact:
                 kinds.update(map(type, row.values()))
                 exact = len(row) == len(members) and all(issubclass(t, (int, Fraction)) for t in kinds)
             if validate and explicit_zero is not None and abs(explicit_zero - (1 - sum(row.values()))) > 1e-9:
                 raise ValueError(f"explicit no-purchase probability {explicit_zero} inconsistent "
                                  f"with 1 - {sum(row.values())} on {sorted(members)}")
-        if validate and len(normalised) != 1 << n:  # every set lies in 1..n, so one is missing
-            missing = next(subset for subset in enumerate_subsets(n) if frozenset(subset) not in normalised)
+            if not inside:
+                continue
+            mask = sum(map(bit_of.__getitem__, members))
+            covered[mask] = 1
+            for x in members:  # at held_index(mask, x)
+                columns[x - 1][mask >> x << (x - 1) | mask & bit_of[x] - 1] = row.get(x, 0.0)
+        full = covered.count(0) == 0
+        if validate and not full:
+            missing = next(subset for subset, mask in offer_masks(n) if not covered[mask])
             raise ValueError(f"table is missing the offer set {list(missing)}")
-        if exact and any(issubclass(t, Fraction) for t in kinds) and len(normalised) == 1 << n:
-            self.denominator = math.lcm(*{p.denominator for row in normalised.values() for p in row.values()})
-            for row in normalised.values():
-                for x, p in row.items():
-                    row[x] = p.numerator * (self.denominator // p.denominator)
-        self._table = normalised
+        if exact and full and any(issubclass(t, Fraction) for t in kinds):
+            self.denominator = math.lcm(*{p.denominator for column in columns for p in column})
+            columns = [[p.numerator * (self.denominator // p.denominator) for p in column] for column in columns]
+        self._columns = columns
+        self._covered = None if full else bytes(covered)
+
+    @classmethod
+    def _from_columns(cls, n: int, columns: list[list], denominator: int | None) -> "TabularModel":
+        """The table of a model's ``columns(n)``, numerators over ``denominator`` if declared."""
+        model = cls.__new__(cls)
+        ChoiceModel.__init__(model, n)
+        model._columns, model._covered = columns, None
+        if denominator is not None:
+            model.denominator = denominator
+        return model
+
+    def _uncovered_in(self, start: int, stop: int) -> None:
+        """Raise the error of the first uncovered mask from start to stop."""
+        if self._covered is not None:
+            missing = self._covered.find(0, start, stop)
+            if missing >= 0:
+                raise ValueError(f"offer set {list(members_of(missing, self.n))} not covered by the table")
 
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
-        row = self._table.get(frozenset(subset))
-        if row is None:
-            raise _uncovered(subset)
-        return tuple(row.get(x, 0.0) for x in subset)
+        mask = sum(1 << (x - 1) for x in subset)
+        self._uncovered_in(mask, mask + 1)
+        return tuple(self._columns[x - 1][held_index(mask, x)] for x in subset)
 
     def columns(self, c: int, high: int = 0) -> list[list]:
-        """The default's columns, read off the stored rows: each offer set's
-        row is looked up once, and each column is one comprehension over
-        the rows that offer its product."""
-        highs = members_of(high, self.n)
-        table = self._table
-        try:
-            rows = [table[frozenset(subset + highs)] for subset in ascending_subsets(c)]
-        except KeyError as missing:
-            raise _uncovered(missing.args[0]) from None
-        columns = [[row.get(x, 0.0) for row in held(rows, 1 << (x - 1))] for x in range(1, c + 1)]
-        return columns + [[row.get(x, 0.0) for row in rows] for x in highs]
-
-
-def _uncovered(offer_set: Iterable[int]) -> ValueError:
-    """The error of a table that has no row for the offer set."""
-    return ValueError(f"offer set {sorted(offer_set)} not covered by the table")
+        """The stored columns' slices: ``high`` has no bit below c, so the
+        masks L | high of a column of x <= c run from ``high >> 1`` and those
+        of x in high from ``held_index(high, x)``, each in ascending order."""
+        size = 1 << c
+        self._uncovered_in(high, high + size)
+        start = high >> 1
+        columns = [column[start : start + (size >> 1)] for column in self._columns[:c]]
+        starts = ((x, held_index(high, x)) for x in members_of(high, self.n))
+        return columns + [self._columns[x - 1][at : at + size] for x, at in starts]
 
 
 class MnlModel(ChoiceModel):

@@ -392,6 +392,30 @@ def test_unknown_params_key_exits_2(capsys, argv, accepted):
     assert f"unknown parameter {unknown!r}" in err and f"accepted: {accepted}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["assortment", "--params", '{"n_max": 2.5}'], "parameter 'n_max' must be an integer, got 2.5"),
+        (["assortment", "--params", '{"n_max": true}'], "parameter 'n_max' must be an integer, got True"),
+        (["udp_min", "--params", '{"m_max": "3"}'], "parameter 'm_max' must be an integer, got '3'"),
+        (["assortment", "--family", "tight", "--params", '{"k": 2.0}'], "parameter 'k' must be an integer, got 2.0"),
+        (["assortment", "--params", '{"n_max": 100000000}'],
+         "parameter 'n_max' = 100000000 allows 100000000 products; guard is 20"),
+        (["multiperiod", "--params", '{"n_max": 21}'], "parameter 'n_max' = 21 allows 21 products; guard is 20"),
+        (["udp_rank", "--params", '{"n_max": 21}'], "parameter 'n_max' = 21 allows 21 products; guard is 20"),
+        (["assortment", "--family", "tight", "--params", '{"k": 6}'], "parameter 'k' = 6 allows 21 products; guard is 20"),
+    ],
+)
+def test_params_of_another_type_or_past_the_guard_exit_2(capsys, argv, message):
+    assert message in _one_line_exit_2(capsys, "gen", *argv)
+
+
+@pytest.mark.parametrize("argv", [["assortment", "--params", '{"n_max": 20}'],
+                                  ["assortment", "--family", "tight", "--params", '{"k": 5}']])
+def test_params_at_the_guard_generate(tmp_path, argv):
+    assert main(["gen", *argv, "--seed", "1", "-o", str(tmp_path / "at_guard.json")]) == 0
+
+
 def test_pricing_reduction_beyond_the_float_range_exits_2(tmp_path, capsys):
     # An int valuation is kept exact, but the reduced revenue 10^400 is no float.
     path = tmp_path / "huge.json"

@@ -4,9 +4,10 @@
 each operator in a list comprehension instead of through ``map`` and a bound
 method, ``brute_force_optimum`` passes its revenues to ``column_sums`` as
 factors instead of building an "earned" list per column, and
-``TabularModel.columns`` reads each stored row once instead of one
+``TabularModel.columns`` slices its stored columns instead of reading one
 ``_choice_row`` per offer set.  The references below are the map-based
-kernels and the default ``ChoiceModel.columns``; results must equal theirs
+kernels, the default ``ChoiceModel.columns`` and, for tables, the dict a
+table is built from; results must equal theirs
 by type and ``repr`` (or raise the same exception) on entries that mix NaN,
 signed zeros, infinities, ints and Fractions.
 
@@ -250,15 +251,16 @@ def test_brute_force_fuses_what_it_earned_then_summed(monkeypatch):
 
 
 def _sparse_table(n, rng, drop_sets=0.0):
-    """An unvalidated table whose rows each miss some entries (and, with
-    ``drop_sets``, some offer sets have no row at all)."""
-    pool = [0.25, 0.0, -0.0, math.nan, math.inf, 1, 0, Fraction(1, 3), 2.5, -1]
+    """An unvalidated table, as the dict it is built from, whose rows each
+    miss some entries (and, with ``drop_sets``, some offer sets have no row
+    at all)."""
+    pool = [0.25, 0.0, -0.0, math.nan, math.inf, -math.inf, 1, 0, Fraction(1, 3), 2.5, -1]
     table = {}
     for subset in enumerate_subsets(n):
         if subset and rng.random() < drop_sets:
             continue
-        table[subset] = {x: rng.choice(pool) for x in subset if rng.random() < 0.6}
-    return TabularModel(n, table, validate=False)
+        table[frozenset(subset)] = {x: rng.choice(pool) for x in subset if rng.random() < 0.6}
+    return table, TabularModel(n, table, validate=False)
 
 
 def _high_masks(n, c, rng):
@@ -266,10 +268,17 @@ def _high_masks(n, c, rng):
     return above + [rng.randrange(1 << n) >> c << c for _ in range(2)]
 
 
+def _stored(model, p):
+    """The entry a table stores for the given P: its numerator over the
+    declared denominator of an exact table, else p as it is."""
+    D = model.denominator
+    return p if D is None else p.numerator * (D // p.denominator)
+
+
 def test_tabular_columns_read_missing_entries_as_zero():
     rng = Random(11)
     for n in range(7):
-        model = _sparse_table(n, rng)
+        table, model = _sparse_table(n, rng)
         for c in range(n + 1):
             for high in _high_masks(n, c, rng):
                 got = model.columns(c, high)
@@ -277,9 +286,9 @@ def test_tabular_columns_read_missing_entries_as_zero():
                 for x, column in zip((*range(1, c + 1), *members_of(high, n)), got):
                     for at, entry in enumerate(column):
                         mask = at if x > c else (at >> (x - 1) << x) | 1 << (x - 1) | (at & ((1 << (x - 1)) - 1))
-                        row = model._table[frozenset(members_of(mask | high, n))]
-                        if x not in row:
-                            assert (type(entry), repr(entry)) == (float, "0.0")
+                        expected = _stored(model, table[frozenset(members_of(mask | high, n))].get(x, 0.0))
+                        assert (type(entry), repr(entry)) == (type(expected), repr(expected)), (n, c, high, x, at)
+                        assert entry == expected or entry != entry and expected != expected
 
 
 def _raised(kernel, *args):
@@ -292,11 +301,11 @@ def test_tabular_columns_name_the_first_missing_offer_set():
     rng = Random(12)
     raised = 0
     for n in range(1, 7):
-        model = _sparse_table(n, rng, drop_sets=0.2)
+        table, model = _sparse_table(n, rng, drop_sets=0.2)
         for c in range(n + 1):
             for high in _high_masks(n, c, rng):
                 lows = [members_of(mask, n) + members_of(high, n) for mask in range(1 << c)]
-                missing = [subset for subset in lows if frozenset(subset) not in model._table]
+                missing = [subset for subset in lows if frozenset(subset) not in table]
                 if not missing:
                     assert _outcome(model.columns, c, high) == _outcome(ChoiceModel.columns, model, c, high)
                     continue

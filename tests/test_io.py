@@ -260,7 +260,10 @@ def descriptor_models(draw):
         return draw(st.sampled_from(MODELS))
     if kind == "tabular":
         n = draw(st.integers(0, 3))
-        entry = st.fractions(0, 1, max_denominator=10**6) | st.floats(0, 1)
+        # Every Fraction in [0, 1] of denominator d <= 10^6: k * d // 10^6
+        # takes every numerator from 0 to d as k runs from 0 to 10^6.
+        fraction = st.builds(lambda k, d: Fraction(k * d // 10**6, d), st.integers(0, 10**6), st.integers(1, 10**6))
+        entry = fraction | st.floats(0, 1)
         rows = {}
         for subset in enumerate_subsets(n):
             shares = draw(st.lists(entry, min_size=len(subset), max_size=len(subset)))

@@ -45,7 +45,7 @@ ENTRIES = st.one_of(
     st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf, 0, 1, -1, Fraction(1, 3), Fraction(-1, 2)]),
     st.floats(allow_nan=True, allow_infinity=True),
     st.integers(-3, 3),
-    st.fractions(max_denominator=12),
+    st.builds(Fraction, st.integers(), st.integers(1, 12)),  # every Fraction of denominator <= 12
 )
 
 
@@ -78,7 +78,9 @@ ORDERED = st.one_of(
     st.sampled_from([0.0, -0.0, 0, 1, 1.0, Fraction(1), -1, Fraction(1, 3)]),
     st.floats(-1e6, 1e6, allow_nan=False),
     st.integers(-3, 3),
-    st.fractions(-10, 10, max_denominator=12),
+    # Every Fraction in [-10, 10] of denominator d <= 12: k * d // 12 takes
+    # every numerator from -10d to 10d as k runs from -120 to 120.
+    st.builds(lambda k, d: Fraction(k * d // 12, d), st.integers(-120, 120), st.integers(1, 12)),
 )
 
 
