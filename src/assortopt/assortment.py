@@ -16,12 +16,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .axioms import OfferTable, check_axioms, offer_table
+from .axioms import AxiomReport, _check_axioms
 from .errors import BoundCUnavailable, NonPositiveRevenue, RegularityViolation
 from .models import (
     GUARD,
     ChoiceModel,
     MnlModel,
+    TabularModel,
     TightExampleModel,
     as_probabilities,
     check_guard,
@@ -90,24 +91,26 @@ class AssortmentInstance:
         return revenue_ladder(self)
 
     @cached_property
-    def table(self) -> OfferTable:
-        """The model read over all 2^n offer sets, built on first use and
-        then kept for every exhaustive reader of the instance; an n above
-        ``GUARD`` raises GroundSetTooLarge and builds nothing."""
-        return offer_table(self._model)
+    def table(self) -> TabularModel:
+        """``model.to_tabular()``, the model read over all 2^n offer sets (the
+        model itself if it is a table), built on first use and then kept for
+        every exhaustive reader of the instance; an n above ``GUARD`` raises
+        GroundSetTooLarge and builds nothing."""
+        return self._model.to_tabular()
+
+    @cached_property
+    def axioms(self) -> AxiomReport:
+        """``check_axioms`` of the model, read from ``table`` on first use and
+        then kept; unavailable_zero is judged on the model, not the table."""
+        return _check_axioms(self._model, self.table)
 
 
 def _numerator_rows(instance: AssortmentInstance, offer_sets) -> list[tuple]:
     """Each offer set's row as ``model._choice_row`` gives it (numerators
     over the model's denominator, if it declares one), read from
     ``instance.table`` if it has been built, else from the model."""
-    model = instance.model
-    subsets = [tuple(sorted(model._as_subset(S))) for S in offer_sets]
-    table = vars(instance).get("table")
-    if table is None:
-        return [model._choice_row(subset) for subset in subsets]
-    masks = (sum(1 << (x - 1) for x in subset) for subset in subsets)
-    return [table.row(subset, mask) for subset, mask in zip(subsets, masks)]
+    source = vars(instance).get("table", instance.model)
+    return [source._choice_row(tuple(sorted(instance.model._as_subset(S)))) for S in offer_sets]
 
 
 def _choice_rows(instance: AssortmentInstance, offer_sets) -> list[tuple]:
@@ -220,10 +223,10 @@ def brute_force_optimum(instance: AssortmentInstance) -> AssortmentSolution:
     subset, so the result is deterministic; a NaN revenue never wins.
     ``GUARD`` is checked first, before the screen or any block.
 
-    Reads the columns of ``instance.table`` if it has been built, else asks
-    the model for them in blocks of at most 2^BLOCK_BITS offer sets (the
-    low products 1..c, under each fixed set of the others), so no caller
-    holds the whole table.  Revenues add column by column (they are the
+    Reads the columns in blocks of at most 2^BLOCK_BITS offer sets (the low
+    products 1..c, under each fixed set of the others), from
+    ``instance.table`` if it has been built, else from the model, which is
+    then never held whole.  Revenues add column by column (they are the
     factors of :func:`assortopt.models.column_sums`); integer-scaled
     columns with int revenues sum ints and divide once.
 
@@ -262,11 +265,9 @@ def brute_force_optimum(instance: AssortmentInstance) -> AssortmentSolution:
         screened = _screened_optimum(model, revenue)
         if screened is not None:
             return screened
-    if "table" in vars(instance):
-        c, blocks = n, [(0, instance.table.columns)]
-    else:
-        c = min(n, BLOCK_BITS)
-        blocks = ((high, model.columns(c, high)) for high in range(0, 1 << n, 1 << c))
+    source = vars(instance).get("table", model)
+    c = min(n, BLOCK_BITS)
+    blocks = ((high, source.columns(c, high)) for high in range(0, 1 << n, 1 << c))
     exact = scale is not None and all(isinstance(r, int) for r in revenue)
     best_key: tuple[int, ...] = ()
     best_revenue = 0  # the empty set's, in the first block
@@ -459,7 +460,7 @@ def verify_guarantee(instance: AssortmentInstance) -> GuaranteeReport:
     regularity check raises RegularityViolation.  The realized ratio
     revord/OPT is reported (1.0 when the optimum revenue is zero).
     """
-    report = check_axioms(instance.table)
+    report = instance.axioms
     if not report.regularity.passed:
         raise RegularityViolation(
             f"model violates regularity at witness {report.regularity.witness}",

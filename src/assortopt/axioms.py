@@ -1,22 +1,24 @@
 """Exhaustive checkers for the behavioural axioms of a choice model.
 
-Every checker reads an :class:`OfferTable`, the model read once through
-``ChoiceModel.columns(n)``: one column per product x, holding P(x, S) for
-the 2^(n-1) offer sets S that hold x, indexed by the bitmask of S with bit
-x-1 removed, and the purchase probability sold(S) = sum_{x in S} P(x, S)
-indexed by bitmask.  The table holds no rows.  A checker takes a model,
-tabulated afresh by :func:`offer_table`, which refuses n above ``GUARD``,
-or a table such as the cached ``AssortmentInstance.table``, which keeps
-its ``check_axioms`` report, so the checks of one instance read it once.  Conditions over all
-3^n pairs S subset of S' are decided with superset transforms on that
-table (the max form of the fast zeta transform on the subset lattice;
-Yates 1937, Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007): n sweeps
-of 2^n elements give max (or min) over S' superset of S for every S at
-once, so a check costs O(n^2 2^n) instead of O(n 3^n).  A sweep whose lower
-half already wins every pair keeps that half as it is and skips the pairwise
-pick, which on a regular model is almost every sweep.  Every superset of a
-set holding x holds x, so regularity transforms each column as it is, and
-demand submodularity transforms the gains of x over the sets without x.
+Every checker takes a model, a ``TabularModel`` included, and reads its
+table ``model.to_tabular()``, which refuses n above ``GUARD`` and is the
+model itself when it is already a table: one column per product x, holding
+P(x, S) for the 2^(n-1) offer sets S that hold x, indexed by the bitmask of
+S with bit x-1 removed (``columns(n)``).  From the columns a checker adds
+the purchase probability sold(S) = sum_{x in S} P(x, S), indexed by
+bitmask.  ``AssortmentInstance.axioms`` keeps the ``check_axioms`` report
+of its cached ``table``, so the checks of one instance read it once.
+
+Conditions over all 3^n pairs S subset of S' are decided with superset
+transforms on that table (the max form of the fast zeta transform on the
+subset lattice; Yates 1937, Bjorklund, Husfeldt, Kaski and Koivisto, STOC
+2007): n sweeps of 2^n elements give max (or min) over S' superset of S
+for every S at once, so a check costs O(n^2 2^n) instead of O(n 3^n).  A
+sweep whose lower half already wins every pair keeps that half as it is and
+skips the pairwise pick, which on a regular model is almost every sweep.
+Every superset of a set holding x holds x, so regularity transforms each
+column as it is, and demand submodularity transforms the gains of x over
+the sets without x.
 
 Rounded subtraction and addition are monotone, so the extreme value over the
 supersets of S decides the same comparison as the worst single pair, for
@@ -29,18 +31,18 @@ same witness and gap it would.  Probabilities are compared with an absolute
 tolerance of ATOL = 1e-9; strict violations beyond tolerance fail.
 
 Exactness is the model's declaration: a table is on the scale of the
-``denominator`` D its model declares (the pricing reductions and an exact
-``TabularModel`` do), and holds each entry p as the int p * D the model
-emits and 1 as D.  A test v > t on the table's values becomes the int test
-v * D > floor(t * D), which is exact for every D, and each reported gap is
-converted back, so verdicts, witnesses and gaps are those of the Fraction
-arithmetic at a fraction of its cost.  Other tables hold the model's values
-as they are.
+``denominator`` D it declares, its model's (the pricing reductions and an
+exact ``TabularModel`` declare one), and holds each entry p as the int
+p * D the model emits and 1 as D.  A test v > t on the table's values
+becomes the int test v * D > floor(t * D), which is exact for every D, and
+each reported gap is converted back, so verdicts, witnesses and gaps are
+those of the Fraction arithmetic at a fraction of its cost.  Other tables
+hold the model's values as they are.
 
 unavailable_zero holds by construction for every model that keeps
 :meth:`ChoiceModel.evaluate`, which returns 0.0 for an unoffered product;
 only a model that overrides ``evaluate`` is scanned over all (x, S) with x
-not in S.
+not in S, on the model, not on its table.
 """
 
 from __future__ import annotations
@@ -50,9 +52,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
-from .models import GUARD, ChoiceModel, check_guard, column_sums, held, held_index, offer_masks, sized_masks
+from .models import ChoiceModel, TabularModel, column_sums, held, held_index, offer_masks, sized_masks
 
 ATOL = 1e-9
 
@@ -96,38 +97,11 @@ class AxiomReport:
         )
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class OfferTable:
-    """A model read once over every offer set: ``columns``, as
-    ``model.columns(n)`` returns them (P(x, S) at
-    ``columns[x-1][held_index(mask, x)]``), and sold[mask] = sum of the row
-    of the offer set."""
-
-    model: ChoiceModel
-    n: int
-    columns: list
-    sold: list
-
-    @property
-    def scale(self) -> int | None:
-        """The model's declared denominator D of the int entries, or None."""
-        return self.model.denominator
-
-    @cached_property
-    def report(self) -> "AxiomReport":
-        """The table's ``check_axioms`` report, computed on first use."""
-        return _check_axioms(self)
-
-    def row(self, subset: tuple[int, ...], mask: int) -> tuple:
-        """The table's P(x, S) for each x of the sorted offer set S."""
-        return tuple(self.columns[x - 1][held_index(mask, x)] for x in subset)
-
-
-def offer_table(model: ChoiceModel) -> OfferTable:
-    """Tabulate a model over every offer set, as its columns give them."""
-    check_guard(model.n, GUARD)
-    columns = model.columns(model.n)
-    return OfferTable(model, model.n, columns, column_sums(columns, model.n))
+def _tabulated(table: TabularModel) -> tuple[list, list, int | None]:
+    """(columns, sold, D) of a model's table: its ``columns(n)``, the
+    purchase probability of each offer set by mask, and its denominator."""
+    columns = table.columns(table.n)
+    return columns, column_sums(columns, table.n), table.denominator
 
 
 def _threshold(value: float, scale: int | None):
@@ -206,20 +180,22 @@ def _supersets(subset: tuple[int, ...], mask: int, n: int):
         yield mask | sum(1 << (x - 1) for x in extra), members | frozenset(extra)
 
 
-def check_axioms(model: "ChoiceModel | OfferTable") -> AxiomReport:
+def check_axioms(model: ChoiceModel) -> AxiomReport:
     """Verify the four axioms of a regular discrete choice model.
 
-    Takes the model, or its :class:`OfferTable`, which keeps the report: a
-    second call on the same table returns it at once.  Witnesses are (x, S)
+    Takes any model, a table included, and keeps no report; an instance
+    keeps its own as ``AssortmentInstance.axioms``.  Witnesses are (x, S)
     for nonnegativity and availability, (S,) for the at-most-one-purchase
     axiom, and (x, S, S') for regularity.
     """
-    table = model if isinstance(model, OfferTable) else offer_table(model)
-    return table.report
+    return _check_axioms(model, model.to_tabular())
 
 
-def _check_axioms(table: OfferTable) -> AxiomReport:
-    model, n, columns, sold, scale = table.model, table.n, table.columns, table.sold, table.scale
+def _check_axioms(model: ChoiceModel, table: TabularModel) -> AxiomReport:
+    """The ``check_axioms`` report of model, read from its table
+    ``model.to_tabular()``; unavailable_zero is judged on model itself."""
+    n = table.n
+    columns, sold, scale = _tabulated(table)
     one, tol = scale or 1, _threshold(ATOL, scale)
 
     # Rounded 1 - s falls as s grows, so the least no-purchase share is
@@ -231,7 +207,7 @@ def _check_axioms(table: OfferTable) -> AxiomReport:
         entries = (
             (x, p, subset)
             for subset, mask in offer_masks(n)
-            for x, p in (*zip(subset, table.row(subset, mask)), (0, one - sold[mask]))
+            for x, p in (*zip(subset, table._choice_row(subset)), (0, one - sold[mask]))
         )
         negative = next((entry for entry in entries if entry[1] < -tol), None)
         if negative is not None:
@@ -272,7 +248,7 @@ def _check_axioms(table: OfferTable) -> AxiomReport:
     first = _first_flagged(n, flagged)
     if first is not None:
         subset, mask = first
-        row = table.row(subset, mask)
+        row = table._choice_row(subset)
 
         def drops():
             for larger_mask, larger in _supersets(subset, mask, n):
@@ -286,14 +262,14 @@ def _check_axioms(table: OfferTable) -> AxiomReport:
     return AxiomReport(nonnegativity, unavailable_zero, substochastic, regularity)
 
 
-def check_purchase_monotonicity(model: "ChoiceModel | OfferTable") -> CheckResult:
+def check_purchase_monotonicity(model: ChoiceModel) -> CheckResult:
     """Check that the purchase probability never drops when the offer grows.
 
-    Takes the model or its table.  The witness on failure is the pair
+    Takes any model, a table included.  The witness on failure is the pair
     (S, S').  Regular models always pass.
     """
-    table = model if isinstance(model, OfferTable) else offer_table(model)
-    n, sold, scale = table.n, table.sold, table.scale
+    n = model.n
+    _, sold, scale = _tabulated(model.to_tabular())
     tol = _threshold(ATOL, scale)
     least = _superset_extreme(sold, n, min)
     flagged = [total > low + tol for total, low in zip(sold, least)]
@@ -306,17 +282,17 @@ def check_purchase_monotonicity(model: "ChoiceModel | OfferTable") -> CheckResul
     return CheckResult(False, (frozenset(subset), larger), _magnitude(sold[mask] - sold[larger_mask], scale))
 
 
-def check_demand_submodularity(model: "ChoiceModel | OfferTable") -> CheckResult:
+def check_demand_submodularity(model: ChoiceModel) -> CheckResult:
     """Check submodularity of the demand f(S) = sum_{x in S} P(x, S).
 
-    Takes the model or its table.  Over every pair S subset of S' and every
+    Takes any model, a table included.  Over every pair S subset of S' and every
     product x, reports the maximal violation of f(S' + x) - f(S') <= f(S + x)
     - f(S) as the gap, witnessed by the first (S, S', x) attaining it in the
     order S, then S', then x.  Random-utility models pass; regularity alone
     does not imply a pass.
     """
-    table = model if isinstance(model, OfferTable) else offer_table(model)
-    n, sold, scale = table.n, table.sold, table.scale
+    n = model.n
+    _, sold, scale = _tabulated(model.to_tabular())
 
     # worst is kept exact; flagged marks the offer sets S whose gap reaches it.
     # Only an S without x can be flagged: at a set S' holding x the gain of x

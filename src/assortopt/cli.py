@@ -29,7 +29,6 @@ from .assortment import (
     revenue_ordered,
     verify_guarantee,
 )
-from .axioms import check_axioms
 from .errors import GroundSetTooLarge, InvalidParams, RegularityViolation, SearchSpaceTooLarge
 from .generators import generate
 from .io import dumps, instance_from_dict, instance_to_dict, loads
@@ -277,7 +276,7 @@ def _suite_check_file(path: str, checks: list[str]) -> dict:
         record["passed"] = record["passed"] and ok
 
     if isinstance(instance, AssortmentInstance):
-        run("axioms", lambda: check_axioms(instance.table).passed)
+        run("axioms", lambda: instance.axioms.passed)
         run("guarantees", lambda: verify_guarantee(instance).passed)
     elif isinstance(instance, (UdpMinInstance, UdpRankInstance, StackelbergInstance)):
         run("reduction", lambda: verify_reduction(instance).passed)

@@ -10,8 +10,9 @@ function, so instances are safe to share across threads.  A model must
 define ``_choice_row`` (P(x, S) for each x of a sorted S), which every other
 reader goes through; ``columns``, ``_no_purchase`` and MNL's
 ``_member_probability`` are the overrides that remain.  Models keep no memo
-of evaluated offer sets; exhaustive readers share one table per instance
-(``AssortmentInstance.table``).  Exactness is the model's declaration,
+of evaluated offer sets; exhaustive readers share one table per instance,
+``AssortmentInstance.table``, the ``TabularModel`` that ``to_tabular``
+gives (a table gives itself).  Exactness is the model's declaration,
 which no reader infers: a model of exact rationals (the pricing reductions,
 an exact ``TabularModel``) declares a ``denominator`` D, its ``_choice_row``
 returns the ints p * D, and ``evaluate`` and ``choice_row`` the ``Fraction`` p.
@@ -135,14 +136,6 @@ def sized_masks(n: int, size: int):
     return zip(itertools.combinations(range(1, n + 1), size), map(sum, itertools.combinations(bits, size)))
 
 
-def _spans(bits: list[int]) -> list[int]:
-    """Every mask made of some of the given bits."""
-    masks = [0]
-    for bit in bits:
-        masks += [mask | bit for mask in masks]
-    return masks
-
-
 def ascending_subsets(c: int) -> list[tuple[int, ...]]:
     """The sorted tuple of every mask over the products 1..c, indexed by mask."""
     subsets: list[tuple[int, ...]] = [()]
@@ -201,8 +194,9 @@ def subset_sums(values: Sequence, c: int, high: int = 0) -> list:
     totals = [0]
     for value in values[:c]:
         totals += _plus(totals, value)
-    for x in members_of(high, len(values)):
-        totals = _plus(totals, values[x - 1])
+    if high:  # skips members_of, which costs more than a stochastic-preference column's few sums
+        for x in members_of(high, len(values)):
+            totals = _plus(totals, values[x - 1])
     return totals
 
 
@@ -361,10 +355,11 @@ class TabularModel(ChoiceModel):
 
     The table is stored as ``columns(n)`` lays it out: one list per product
     x, holding P(x, S) at ``held_index(mask of S, x)``, so ``columns(c, high)``
-    is one slice per product.  An unvalidated table may lack offer sets (and
-    ignores rows naming products outside 1..n, which no reader can ask for);
-    it then keeps which masks it covers, and a reader of an uncovered set
-    raises.
+    is one slice per product, and ``to_tabular`` returns the table itself.
+    An unvalidated table may lack offer sets (and ignores rows naming
+    products outside 1..n, which no reader can ask for); it then keeps which
+    masks it covers, and a reader of an uncovered set raises, as
+    ``to_tabular`` does.
     """
 
     def __init__(
@@ -428,6 +423,11 @@ class TabularModel(ChoiceModel):
         if denominator is not None:
             model.denominator = denominator
         return model
+
+    def to_tabular(self) -> "TabularModel":
+        """The table itself, once it covers every offer set."""
+        self._uncovered_in(0, 1 << self.n)
+        return self
 
     def _uncovered_in(self, start: int, stop: int) -> None:
         """Raise the error of the first uncovered mask from start to stop."""
@@ -611,7 +611,7 @@ class StochasticPreferenceModel(ChoiceModel):
                     free = [1 << (y - 1) for y in range(1, c + 1) if y not in blocked]
                 else:
                     continue
-                for index in _spans(free):
+                for index in subset_sums(free, len(free)):  # distinct bits add as they OR
                     column[index] += weight
                 if x > c:
                     break  # x is offered in every set, so no later product wins

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 # revenue_ladder is re-exported for the callers that import it from here.
 from .assortment import AssortmentInstance, RevenueLadder, revenue_ladder  # noqa: F401
-from .axioms import CheckResult, check_axioms
+from .axioms import CheckResult
 from .errors import DeltaOutOfRange
 from .models import GUARD, finite
 
@@ -121,8 +121,8 @@ def solve_dp(instance: MultiPeriodInstance) -> DpTable:
 
     The monotonicity guarantees assume a regular model, so the table records a
     regularity verdict (a warning flag, not an error: the DP itself is well
-    defined regardless), read from the instance's cached offer table; None,
-    with no table built, when n exceeds ``GUARD``.
+    defined regardless), the instance's cached ``axioms`` report; None, with
+    no table built, when n exceeds ``GUARD``.
 
     Cells with q >= t, where the inventory covers every remaining period,
     have delta = 0 because J_{t-1}(q) and J_{t-1}(q-1) are the same float
@@ -134,7 +134,7 @@ def solve_dp(instance: MultiPeriodInstance) -> DpTable:
     T, Q = instance.horizon, instance.capacity
     regularity_ok: bool | None = None
     if instance.base.n <= GUARD:
-        regularity_ok = check_axioms(instance.base.table).regularity.passed
+        regularity_ok = instance.base.axioms.regularity.passed
 
     value = [[0.0] * (Q + 1) for _ in range(T + 1)]
     lstar = [[1] * (Q + 1) for _ in range(T + 1)]

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .assortment import AssortmentInstance, brute_force_optimum, revenue_ordered
-from .axioms import check_axioms
 from .stackelberg import (
     StackelbergInstance,
     brute_force_stackelberg,
@@ -68,16 +67,16 @@ def solve_pricing(instance):
 def verify_reduction(instance) -> ReductionReport:
     """Check the reduction of a pricing instance against the pricing oracles.
 
-    The exact optima must agree, the reduced model must pass `check_axioms`,
-    and the uniform-pricing candidates must earn exactly the revenue-ordered
-    candidates, threshold by threshold, all read from one ``table`` of the
-    reduced model.  With no priceable element (an empty
+    The exact optima must agree, the reduced model must pass its axiom
+    report (``reduced.axioms``), and the uniform-pricing candidates must earn
+    exactly the revenue-ordered candidates, threshold by threshold, all read
+    from one ``table`` of the reduced model.  With no priceable element (an empty
     reduced catalogue) there are no thresholds, so every uniform candidate
     must earn 0 instead.
     """
     reduced = reduce_pricing(instance)
     uniform, exact = solve_pricing(instance)
-    axioms = check_axioms(reduced.table)
+    axioms = reduced.axioms
     optimum = brute_force_optimum(reduced)
     revenues = [revenue for _, revenue in uniform.candidates]
     if reduced.n == 0:

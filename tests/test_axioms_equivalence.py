@@ -25,7 +25,7 @@ from assortopt import (
     check_demand_submodularity,
     check_purchase_monotonicity,
 )
-from assortopt.axioms import ATOL, offer_table
+from assortopt.axioms import ATOL
 from assortopt.models import enumerate_subsets
 
 
@@ -268,7 +268,7 @@ PRIMES = (999_983, 1_000_003, 1_000_033, 104_729, 7_919)
 
 
 def _scale_of(model):
-    return offer_table(model).scale
+    return model.to_tabular().denominator
 
 
 def _coprime_table(rng, n):
@@ -326,7 +326,7 @@ def test_integer_and_float_tables_are_not_scaled():
 def test_an_exact_table_declares_the_lcm_of_its_denominators():
     model = _two_products(Fraction(1, 2), Fraction(2, 3), Fraction(1, 4), 0)
     assert model.denominator == 12
-    assert offer_table(model).scale is model.denominator
+    assert _scale_of(model) is model.denominator
     # An int entry comes back as the equal Fraction.
     assert model.choice_row((1, 2)) == (Fraction(1, 4), Fraction(0))
     assert all(type(p) is Fraction for p in model.choice_row((1, 2)))
@@ -450,3 +450,11 @@ def test_evaluate_override_that_leaks_fails_unavailable_zero():
     assert report == ref_check_axioms(model)
     assert report.unavailable_zero == CheckResult(False, (2, frozenset({1})), 0.25)
     assert report.regularity.passed
+
+
+def test_an_instance_judges_unavailable_zero_on_its_model_not_its_table():
+    model = _LeakyMnl([0.2, -0.4, 1.0])
+    instance = AssortmentInstance(model, [1.0, 2.0, 3.0])
+    assert instance.axioms == check_axioms(model)
+    assert instance.axioms.unavailable_zero == CheckResult(False, (2, frozenset({1})), 0.25)
+    assert check_axioms(instance.table).unavailable_zero.passed  # a table puts nothing on an unoffered product

@@ -6,14 +6,13 @@ import math
 
 import pytest
 
-from assortopt import assortment as assortment_module
 from assortopt import cli
 from assortopt import io as io_module
 from assortopt.cli import _emit, main
 from assortopt.io import instance_from_dict
 from assortopt.udp import UNPRICED, PricingSolution, UdpMinInstance, uniform_pricing
 from assortopt.io import dumps
-from assortopt.models import MnlModel, TabularModel
+from assortopt.models import ChoiceModel, MnlModel, TabularModel
 from assortopt.io import instance_to_dict
 from assortopt.assortment import AssortmentInstance
 
@@ -518,7 +517,7 @@ def test_reductions_past_the_guard_exit_2_before_building(tmp_path, capsys, monk
         raise AssertionError("no reduced model may be tabulated past the guard")
 
     monkeypatch.setattr(io_module, "probability_rows", tabulate)
-    monkeypatch.setattr(assortment_module, "offer_table", tabulate)
+    monkeypatch.setattr(ChoiceModel, "to_tabular", tabulate)
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(_WIDE_REDUCIBLE[command]))
     assert _one_line_exit_2(capsys, command, action, str(path)).rstrip("\n").endswith("= 21 products; guard is 20")

@@ -32,8 +32,8 @@ from assortopt import (
     check_axioms,
     verify_guarantee,
 )
-from assortopt import axioms
-from assortopt.axioms import offer_table
+from assortopt import assortment
+from assortopt.axioms import _tabulated
 from assortopt.cli import main
 from assortopt.generators import generate
 from assortopt.io import instance_from_dict
@@ -202,13 +202,13 @@ def test_columns_match_one_choice_row_per_offer_set(label, model):
 @pytest.mark.parametrize("label, model", list(_all_models()), ids=lambda v: v if isinstance(v, str) else "")
 def test_offer_table_matches_the_row_loop(label, model):
     entries, sold, scale = ref_table(model)
-    table = offer_table(model)
-    assert table.scale == scale
-    assert {(x, mask): _bits(table.columns[x - 1][held_index(mask, x)]) for x, mask in entries} == {
+    columns, table_sold, table_scale = _tabulated(model.to_tabular())
+    assert table_scale == scale
+    assert {(x, mask): _bits(columns[x - 1][held_index(mask, x)]) for x, mask in entries} == {
         key: _bits(p) for key, p in entries.items()
     }
-    assert [len(column) for column in table.columns] == [1 << model.n >> 1] * model.n
-    assert list(map(_bits, table.sold)) == [_bits(sold[mask]) for mask in range(1 << model.n)]
+    assert [len(column) for column in columns] == [1 << model.n >> 1] * model.n
+    assert list(map(_bits, table_sold)) == [_bits(sold[mask]) for mask in range(1 << model.n)]
 
 
 @pytest.mark.parametrize("label, model", list(_all_models()), ids=lambda v: v if isinstance(v, str) else "")
@@ -303,18 +303,26 @@ def test_nan_revenues_never_win(n):
 def test_nan_entries_keep_their_place_in_the_table():
     model = SharedModel(4, nan_sets=[(2, 3)])
     entries, sold, _ = ref_table(model)
-    table = offer_table(model)
-    assert math.isnan(table.columns[1][held_index(0b0110, 2)])
-    assert list(map(_bits, table.sold)) == [_bits(sold[mask]) for mask in range(16)]
+    columns, table_sold, _ = _tabulated(model.to_tabular())
+    assert math.isnan(columns[1][held_index(0b0110, 2)])
+    assert list(map(_bits, table_sold)) == [_bits(sold[mask]) for mask in range(16)]
 
 
 # -------------------------------------------------------------- one axiom report
 
 
-def test_one_regularity_pass_per_assortment_record(tmp_path, monkeypatch, capsys):
+def _count_reports(monkeypatch):
+    """Record the (model, table) of each axiom report an instance computes."""
     passes = []
-    original = axioms._check_axioms
-    monkeypatch.setattr(axioms, "_check_axioms", lambda table: passes.append(table) or original(table))
+    original = assortment._check_axioms
+    monkeypatch.setattr(
+        assortment, "_check_axioms", lambda model, table: passes.append((model, table)) or original(model, table)
+    )
+    return passes
+
+
+def test_one_regularity_pass_per_assortment_record(tmp_path, monkeypatch, capsys):
+    passes = _count_reports(monkeypatch)
     for family in ("mnl", "stochastic_preference", "hfam"):
         path = tmp_path / f"{family}.json"
         assert main(["gen", "assortment", "--family", family, "--seed", "2", "-o", str(path)]) == 0
@@ -325,15 +333,15 @@ def test_one_regularity_pass_per_assortment_record(tmp_path, monkeypatch, capsys
         assert len(passes) == 1
 
 
-def test_a_table_keeps_its_report(monkeypatch):
+def test_an_instance_keeps_its_report(monkeypatch):
     instance = AssortmentInstance(MnlModel([0.4, -0.2, 1.0]), [3.0, 2.0, 1.0])
-    passes = []
-    original = axioms._check_axioms
-    monkeypatch.setattr(axioms, "_check_axioms", lambda table: passes.append(table) or original(table))
-    report = check_axioms(instance.table)
+    passes = _count_reports(monkeypatch)
     verify_guarantee(instance)
-    assert check_axioms(instance.table) is report
-    assert passes == [instance.table]
+    report = instance.axioms
+    verify_guarantee(instance)
+    assert instance.axioms is report
+    assert passes == [(instance.model, instance.table)]
+    assert check_axioms(instance.model) == report
 
 
 # ------------------------------------------------------------------ MNL overflow

@@ -17,7 +17,6 @@ import pytest
 from assortopt import GraphicMatroid, StackelbergInstance, UdpMinInstance, UdpRankInstance, verify_reduction
 from assortopt import stackelberg as stackelberg_module
 from assortopt import udp as udp_module
-from assortopt.axioms import offer_table
 from assortopt.generators import generate
 from assortopt.io import instance_from_dict
 from assortopt.models import ascending_subsets, enumerate_subsets, members_of
@@ -164,9 +163,9 @@ def test_harmonic_table_simulates_each_floor_once(monkeypatch, build, target, na
         return original(*args)
 
     monkeypatch.setattr(target, name, counted)
-    table = offer_table(model)
+    table = model.to_tabular()
     assert len(calls) == 625
-    assert all(type(p) is int for column in table.columns for p in column)
+    assert all(type(p) is int for column in table.columns(model.n) for p in column)
 
 
 @pytest.mark.parametrize("instance", [harmonic_udp(4), harmonic_stackelberg(4)], ids=["udp_min", "stackelberg"])

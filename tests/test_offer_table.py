@@ -25,11 +25,11 @@ from assortopt import (
     verify_guarantee,
     verify_reduction,
 )
-from assortopt.axioms import OfferTable, check_axioms, offer_table
+from assortopt.axioms import check_axioms
 from assortopt.cli import main
 from assortopt.generators import ASSORTMENT_FAMILIES, generate
 from assortopt.io import instance_from_dict
-from assortopt.models import ascending_subsets, enumerate_subsets, members_of, offer_masks
+from assortopt.models import TabularModel, ascending_subsets, enumerate_subsets, members_of
 from assortopt.reductions import reduce_pricing
 from assortopt.stackelberg import StackelbergChoiceModel, greedy
 from assortopt.udp import MinPricingChoiceModel, RankPricingChoiceModel
@@ -94,9 +94,39 @@ def test_verify_reduction_reads_each_offer_set_once(monkeypatch, kind, cls):
 def test_checkers_take_the_table_or_the_model():
     instance = _generated("assortment", 4, "stochastic_preference")
     table = instance.table
-    assert isinstance(table, OfferTable) and table.n == instance.n
-    assert check_axioms(table) == check_axioms(instance.model)
+    assert isinstance(table, TabularModel) and table.n == instance.n
+    assert check_axioms(table) == check_axioms(instance.model) == instance.axioms
+    assert instance.table is table and table.to_tabular() is table
+
+
+def test_a_tabular_instance_reads_its_model_as_its_table():
+    table = MnlModel([0.3, -0.4, 1.1, 0.0]).to_tabular()
+    instance = AssortmentInstance(table, [4, 2.5, 7, 1])
     assert instance.table is table
+    assert instance.axioms == check_axioms(table)
+
+
+def test_a_partial_table_refuses_to_be_an_instance_table():
+    rows = {subset: {x: 0.25 for x in subset} for subset in enumerate_subsets(3) if subset not in ((1, 3), (2, 3))}
+    model = TabularModel(3, rows, validate=False)
+    instance = AssortmentInstance(model, [1.0, 2.0, 3.0])
+    for read in (lambda: model.columns(3), model.to_tabular, lambda: instance.table, lambda: instance.axioms):
+        with pytest.raises(ValueError, match=r"^offer set \[1, 3\] not covered by the table$"):
+            read()
+    assert "table" not in vars(instance)
+
+
+def test_a_tabular_instance_table_copies_nothing():
+    rng = Random(12)
+    table = MnlModel([rng.gauss(0.0, 1.5) for _ in range(12)]).to_tabular()
+    instance = AssortmentInstance(table, [rng.uniform(0.5, 9.5) for _ in range(12)])
+    tracemalloc.start()
+    try:
+        instance.table
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**12  # a copy of the 12 * 2^11 entries would take some 200 kB
 
 
 def test_large_brute_force_streams_without_a_table():
@@ -167,12 +197,12 @@ def test_reduced_models_evaluate_to_the_same_fractions(kind):
 @pytest.mark.parametrize("kind", PRICING_KINDS)
 def test_reduced_tables_are_int_numerators_over_the_declared_denominator(kind):
     model = reduce_pricing(_generated(kind, 6)).model
-    table = offer_table(model)
-    assert table.scale == model.denominator
-    for subset, mask in offer_masks(model.n):
-        row = table.row(subset, mask)
+    table = model.to_tabular()
+    assert table.denominator == model.denominator
+    for subset in enumerate_subsets(model.n):
+        row = table._choice_row(subset)
         assert all(type(p) is int for p in row)
-        assert tuple(Fraction(p, table.scale) for p in row) == model.choice_row(subset)
+        assert tuple(Fraction(p, table.denominator) for p in row) == model.choice_row(subset)
 
 
 @pytest.mark.parametrize("kind", PRICING_KINDS)
@@ -189,7 +219,7 @@ def test_exact_optimum_is_the_fraction_sum(kind):
         streamed = brute_force_optimum(reduced)
         assert streamed.revenue == best and type(streamed.revenue) is type(best)
         assert streamed.assortment == frozenset(first)
-        check_axioms(reduced.table)
+        reduced.axioms
         assert brute_force_optimum(reduced) == streamed
 
 

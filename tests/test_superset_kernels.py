@@ -22,11 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 from assortopt import axioms
 from assortopt.axioms import CheckResult, _first_flagged, _superset_extreme, _supersets, check_demand_submodularity
-from assortopt.axioms import offer_table
 from assortopt.generators import generate
 from assortopt.io import instance_from_dict
 from assortopt.models import ChoiceModel, MnlModel, StochasticPreferenceModel, TabularModel, enumerate_subsets
-from assortopt.models import offer_masks
+from assortopt.models import column_sums, offer_masks
 from assortopt.reductions import reduce_pricing
 
 
@@ -170,7 +169,8 @@ def test_first_flagged_is_the_canonical_scan():
 
 def ref_demand_submodularity(table):
     """The whole-lattice loop: one transform of all 2^n gains per product."""
-    n, sold, scale = table.n, table.sold, table.scale
+    n, scale = table.n, table.denominator
+    sold = column_sums(table.columns(n), n)
     worst = 0
     flagged = [False] * len(sold)
     for x in range(1, n + 1):
@@ -229,7 +229,7 @@ def test_halved_submodularity_matches_the_whole_lattice(pool):
     failures = 0
     for seed in range(120):
         n = Random(seed).randint(1, 6)
-        table = offer_table(Rows(n, POOLS[pool], seed))
+        table = Rows(n, POOLS[pool], seed).to_tabular()
         got = check_demand_submodularity(table)
         expected = ref_demand_submodularity(table)
         assert repr(got) == repr(expected), seed
@@ -240,18 +240,18 @@ def test_halved_submodularity_matches_the_whole_lattice(pool):
 def _generated_tables():
     rng = Random(5)
     for n in range(1, 8):
-        yield offer_table(MnlModel([rng.gauss(0.0, 1.5) for _ in range(n)]))
+        yield MnlModel([rng.gauss(0.0, 1.5) for _ in range(n)]).to_tabular()
         orders = [list(range(n + 1)) for _ in range(3)]
         for order in orders:
             rng.shuffle(order)
-        yield offer_table(StochasticPreferenceModel(n, list(zip([0.5, 0.25, 0.25], orders))))
+        yield StochasticPreferenceModel(n, list(zip([0.5, 0.25, 0.25], orders))).to_tabular()
     for kind in ("udp_min", "udp_rank", "stackelberg"):
         for seed in range(6):
             model = reduce_pricing(instance_from_dict(generate(kind, None, {}, seed))).model
             if model.n <= 8:
-                yield offer_table(model)
+                yield model.to_tabular()
     table = {subset: {x: Fraction(1, 1 + len(subset)) for x in subset} for subset in enumerate_subsets(4)}
-    yield offer_table(TabularModel(4, table))
+    yield TabularModel(4, table)
 
 
 def test_halved_submodularity_matches_on_model_tables():
