@@ -30,6 +30,7 @@ from .models import (
     evaluate_revenue,
     finite,
     members_of,
+    ordered_sum,
 )
 
 # Offer sets per block of the streamed exact optimum: 2^12 of them.
@@ -167,8 +168,8 @@ def revenue_ladder(instance: AssortmentInstance) -> RevenueLadder:
     for members, row in zip(prefixes, rows):
         if not exact:
             row = as_probabilities(row, scale)
-        revenue = sum(p * instance.revenue_of(x) for x, p in zip(sorted(members), row))
-        total = sum(row)
+        revenue = ordered_sum(p * instance.revenue_of(x) for x, p in zip(sorted(members), row))
+        total = ordered_sum(row)
         if exact:
             revenue, total = Fraction(revenue, scale), Fraction(total, scale)
         revenues.append(revenue)
@@ -238,9 +239,9 @@ def brute_force_optimum(instance: AssortmentInstance) -> AssortmentSolution:
     N^ adds fl(w_x * float(r_x)) in ascending order from int 0.  Only the
     candidates, the sets with s >= s_max * (1 - 2 rho) - 2 alpha, get their
     revenue v^ computed, as the columns give it: p = w_x / D^, and the p * r
-    added in ascending order from int 0 in an explicit loop, so the same
-    float on every Python.  An instance where 2 n max(1, max w) max r is
-    not finite takes the column path, so that no sum can overflow.
+    added in ascending order by ``ordered_sum``, so the same float on every
+    Python.  An instance where 2 n max(1, max w) max r is not finite takes
+    the column path, so that no sum can overflow.
 
     Every set that attains v* = max v^ is a candidate.  Each of v^ and s is
     N/D times at most 2n + 2 rounding factors (1 + d), |d| <= u = 2^-53, so
@@ -315,9 +316,7 @@ def _screened_optimum(model: MnlModel, revenue: Sequence) -> AssortmentSolution 
         if s < cut:
             continue
         members = members_of(mask, n)
-        value = 0
-        for x in members:
-            value = value + weights[x] / denom * revenue[x - 1]
+        value = ordered_sum(weights[x] / denom * revenue[x - 1] for x in members)
         if value > best_revenue or (value == best_revenue and members < best_key):
             best_key, best_revenue = members, value
     return AssortmentSolution(frozenset(best_key), best_revenue, "brute-force")
@@ -360,12 +359,12 @@ def _bound_c(instance: AssortmentInstance, optimal: AssortmentSolution) -> dict:
     probs = dict(zip(sorted(S), _choice_rows(instance, [S])[0]))
     masses = []
     for level in levels:
-        masses.append(float(sum(p for x, p in probs.items() if instance.revenue_of(x) >= level)))
+        masses.append(float(ordered_sum(p for x, p in probs.items() if instance.revenue_of(x) >= level)))
     if not masses or masses[0] <= 0:
         raise BoundCUnavailable("no product sells in the supplied optimal assortment")
     ell = max(i + 1 for i in range(k) if masses[i] > 0)
     padded = masses + [0.0]
-    total = sum((padded[i] - padded[i + 1]) / padded[i] for i in range(ell))
+    total = ordered_sum((padded[i] - padded[i + 1]) / padded[i] for i in range(ell))
     nu = masses[0] / masses[ell - 1]
     return dict(
         bound_c_exact=1.0 / total,
@@ -435,7 +434,7 @@ def check_technical_bound(instance: AssortmentInstance, optimal: AssortmentSolut
     probs = dict(zip(sorted(S_star), _choice_rows(instance, [S_star])[0]))
     ladder = instance.ladder
     for level, S_i, lhs in zip(ladder.levels, ladder.prefixes, ladder.revenues):
-        rhs = level * sum(p for x, p in probs.items() if x in S_i)
+        rhs = level * ordered_sum(p for x, p in probs.items() if x in S_i)
         if lhs < rhs - RTOL * max(1.0, abs(rhs)):
             return False
     return True

@@ -98,9 +98,12 @@ class AxiomReport:
 
 
 def _tabulated(table: TabularModel) -> tuple[list, list, int | None]:
-    """(columns, sold, D) of a model's table: its ``columns(n)``, the
-    purchase probability of each offer set by mask, and its denominator."""
-    columns = table.columns(table.n)
+    """(columns, sold, D) of a model's table: its stored ``columns(n)``, the
+    purchase probability of each offer set by mask, and its denominator.
+
+    The table comes from ``to_tabular``, which refuses a partial one, so
+    its own lists are read without a copy; no checker writes to them."""
+    columns = table._columns
     return columns, column_sums(columns, table.n), table.denominator
 
 

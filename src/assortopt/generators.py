@@ -22,12 +22,17 @@ from .models import (
     MixedMnlModel,
     MnlModel,
     StochasticPreferenceModel,
+    ordered_sum,
 )
 from .multiperiod import MultiPeriodInstance
 from .stackelberg import GraphicMatroid, StackelbergInstance
 from .udp import UdpMinInstance, UdpRankInstance
 
 ASSORTMENT_FAMILIES = ("mnl", "mixed_mnl", "stochastic_preference", "mallows", "hfam", "tight")
+# Caps on the counts that the enumeration guard does not bound, so that
+# `assort suite` checks a file generated at a cap in about a second.
+MAX_CONSUMERS = 1000  # largest m_max of udp_min and udp_rank
+MAX_VERTICES = 1000  # largest v of stackelberg
 
 
 def _random_revenue(rng: Random, n: int) -> list:
@@ -39,9 +44,9 @@ def _random_revenue(rng: Random, n: int) -> list:
 
 def _random_weights(rng: Random, count: int) -> list[float]:
     raw = [rng.uniform(0.05, 1.0) for _ in range(count)]
-    total = sum(raw)
+    total = ordered_sum(raw)
     weights = [w / total for w in raw]
-    weights[-1] = 1.0 - sum(weights[:-1])
+    weights[-1] = 1.0 - ordered_sum(weights[:-1])
     return weights
 
 
@@ -76,7 +81,7 @@ def random_assortment_instance(family: str, rng: Random, n_max: int = 7) -> Asso
         n = rng.randint(1, min(6, n_max))
         points = rng.randint(2, 6)
         weights = [rng.uniform(0.05, 1.0) for _ in range(points)]
-        total = sum(weights) * rng.uniform(1.0, 1.5)
+        total = ordered_sum(weights) * rng.uniform(1.0, 1.5)
         weights = [w / total for w in weights]
         covers = [
             [p for p in range(points) if rng.random() < 0.5] for _ in range(n)
@@ -165,17 +170,23 @@ _PARAMS = {
 }
 # The keys that size the catalogue, each mapped to the most products its value allows.
 _CATALOGUE = {"n_max": lambda n: n, "k": lambda k: math.comb(k + 1, 2) if k > 0 else 0}
+# The keys that size a count, each mapped to what it counts and its cap.
+_COUNTS = {"m_max": ("consumers", MAX_CONSUMERS), "v": ("vertices", MAX_VERTICES)}
 
 
 def _option(key: str, value, kind: type):
     """The --params value as its keyword's type, once an int key holds a
-    JSON int (not a bool) whose catalogue fits the enumeration guard."""
+    JSON int (not a bool) whose catalogue fits the enumeration guard and
+    whose count fits its cap."""
     if kind is int:
         if type(value) is not int:
             raise InvalidParams(f"parameter {key!r} must be an integer, got {value!r}")
         if key in _CATALOGUE and _CATALOGUE[key](value) > GUARD:
             raise InvalidParams(f"parameter {key!r} = {value} allows {_CATALOGUE[key](value)} products; "
                                 f"guard is {GUARD}")
+        noun, cap = _COUNTS.get(key, (None, math.inf))
+        if value > cap:
+            raise InvalidParams(f"parameter {key!r} = {value} exceeds the cap {cap} on {noun}")
     return kind(value)
 
 

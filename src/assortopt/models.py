@@ -34,8 +34,9 @@ by recurrences over masks, and each of their entries is the same float that
 through its floor, the cheapest offered level of each element, so they
 simulate each distinct floor once and look every entry up by its floor
 (``udp._FloorChoiceModel``).  ``column_sums`` adds columns into one
-total per offer set, in column order from int 0, as ``sum`` adds a row,
-each entry optionally times a factor of its column (brute force's revenues).
+total per offer set, in column order from int 0, as ``ordered_sum`` adds
+a row, each entry optionally times a factor of its column (brute force's
+revenues).
 MNL's denominators come from ``subset_sums``, and ``MnlModel.screen``
 scores every offer set for the exact optimum from the same sums, one block
 from the next (``block_sums``), without building columns.
@@ -98,6 +99,20 @@ def finite(value) -> bool:
         return False
 
 
+def ordered_sum(values: Iterable):
+    """The values added one at a time, left to right, from int 0.
+
+    Every float sum in the library goes through here, so each total is the
+    same float on every supported Python: it is what ``sum`` gives before
+    3.12, from which ``sum`` compensates float additions.  Int and
+    ``Fraction`` sums are exact in any order and keep ``sum``.
+    """
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
 def distribution(weights: Iterable, noun: str) -> tuple[float, ...]:
     """The weights as floats, once they are finite, nonnegative and sum to 1 within 1e-9."""
     weights = tuple(map(float, weights))
@@ -105,8 +120,9 @@ def distribution(weights: Iterable, noun: str) -> tuple[float, ...]:
         raise ValueError(f"{noun} weights must be finite, got {weights}")
     if any(w < 0 for w in weights):
         raise ValueError(f"{noun} weights must be nonnegative")
-    if abs(sum(weights) - 1.0) > 1e-9:
-        raise ValueError(f"{noun} weights sum to {sum(weights)}, expected 1")
+    total = ordered_sum(weights)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"{noun} weights sum to {total}, expected 1")
     return weights
 
 
@@ -224,9 +240,9 @@ def column_sums(columns: Iterable[list], c: int, factors: Sequence | None = None
     ``factors``, each entry p of the i-th column adds as p * factors[i].
 
     A column of a product x <= c is in its bit-removed layout and adds only
-    at the masks holding x, so each total is the ``sum`` of its offer set's
-    row (of p * r, with revenues as factors, as ``evaluate_revenue`` adds
-    it).  Any later column holds all 2^c masks.
+    at the masks holding x, so each total is the ``ordered_sum`` of its
+    offer set's row (of p * r, with revenues as factors, as
+    ``evaluate_revenue`` adds it).  Any later column holds all 2^c masks.
     """
     size = 1 << c
     total = [0] * size
@@ -301,7 +317,7 @@ class ChoiceModel:
 
     def _no_purchase(self, S: Subset):
         """Probability of choosing nothing from S."""
-        return 1 - sum(self.choice_row(S))
+        return 1 - ordered_sum(self.choice_row(S))
 
     def _member_probability(self, x: int, S: Subset):
         """Probability of x in S, for x guaranteed to be a member of S."""
@@ -395,9 +411,9 @@ class TabularModel(ChoiceModel):
             if exact:
                 kinds.update(map(type, row.values()))
                 exact = len(row) == len(members) and all(issubclass(t, (int, Fraction)) for t in kinds)
-            if validate and explicit_zero is not None and abs(explicit_zero - (1 - sum(row.values()))) > 1e-9:
+            if validate and explicit_zero is not None and abs(explicit_zero - (1 - ordered_sum(row.values()))) > 1e-9:
                 raise ValueError(f"explicit no-purchase probability {explicit_zero} inconsistent "
-                                 f"with 1 - {sum(row.values())} on {sorted(members)}")
+                                 f"with 1 - {ordered_sum(row.values())} on {sorted(members)}")
             if not inside:
                 continue
             mask = sum(map(bit_of.__getitem__, members))
@@ -484,19 +500,19 @@ class MnlModel(ChoiceModel):
         return self._utilities
 
     def _member_probability(self, x: int, S: Subset) -> float:
-        denom = self._outside + sum(self._weight_of[y] for y in sorted(S))
+        denom = self._outside + ordered_sum(self._weight_of[y] for y in sorted(S))
         return self._weight_of[x] / denom
 
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
         # One denominator per offer set, summed in the same ascending order
         # as _member_probability, so every probability is the same float.
         weights = tuple(map(self._weight_of.__getitem__, subset))
-        denom = self._outside + sum(weights)
+        denom = self._outside + ordered_sum(weights)
         return tuple(map(denom.__rtruediv__, weights))
 
     def columns(self, c: int, high: int = 0) -> list[list]:
         # Each denominator is outside + the weights of its offer set added in
-        # ascending order from int 0, as sum() in _choice_row does before 3.12.
+        # ascending order from int 0, as ordered_sum in _choice_row adds them.
         weight_of = self._weight_of
         outside = self._outside
         denoms = [outside + p for p in subset_sums(weight_of[1:], c, high)]
@@ -541,11 +557,11 @@ class MixedMnlModel(ChoiceModel):
 
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
         rows = [m._choice_row(subset) for m in self._models]
-        return tuple(sum(map(operator.mul, self._weights, column)) for column in zip(*rows))
+        return tuple(ordered_sum(map(operator.mul, self._weights, column)) for column in zip(*rows))
 
     def columns(self, c: int, high: int = 0) -> list[list]:
-        # Every entry adds weight * P in component order from int 0, as sum
-        # does in _choice_row; repeat(0) stands for the first totals.
+        # Every entry adds weight * P in component order from int 0, as
+        # ordered_sum does in _choice_row; repeat(0) stands for the first totals.
         mixed = itertools.repeat(itertools.repeat(0))
         for weight, model in zip(self._weights, self._models):
             columns = model.columns(c, high)
@@ -697,7 +713,7 @@ def expand_ranking_model(model: "MallowsModel | Sequence[tuple[float, MallowsMod
     weights = [0.0] * len(rankings)
     for mixture_weight, component in components:
         raw = [math.exp(-component.theta * kendall_distance(r, component.central_ranking)) for r in rankings]
-        normaliser = sum(raw)
+        normaliser = ordered_sum(raw)
         for i, value in enumerate(raw):
             weights[i] += mixture_weight * value / normaliser
     return StochasticPreferenceModel(n, list(zip(weights, rankings)))
@@ -772,7 +788,7 @@ class CoverageCapacity(CapacityFunction):
             raise ValueError(f"point weights must be finite, got {weights}")
         if any(w < 0 for w in weights):
             raise ValueError("point weights must be nonnegative")
-        if sum(weights) > 1.0 + 1e-9:
+        if ordered_sum(weights) > 1.0 + 1e-9:
             raise ValueError("point weights must sum to at most 1")
         cover_sets = []
         for cover in covers:
@@ -800,7 +816,7 @@ class CoverageCapacity(CapacityFunction):
         covered: set[int] = set()
         for x in S:
             covered |= self._covers[x - 1]
-        return sum(self._weights[p] for p in sorted(covered))
+        return ordered_sum(self._weights[p] for p in sorted(covered))
 
 
 class HfamModel(ChoiceModel):
@@ -901,9 +917,9 @@ def evaluate_revenue(model: ChoiceModel, revenue: Sequence[float], S: Iterable[i
         if not r > 0:
             raise NonPositiveRevenue(f"revenue of product {x} is {r}; must be > 0")
     members = sorted(frozenset(S))
-    return sum(p * revenue[x - 1] for x, p in zip(members, model.choice_row(members)))
+    return ordered_sum(p * revenue[x - 1] for x, p in zip(members, model.choice_row(members)))
 
 
 def demand(model: ChoiceModel, S: Iterable[int]):
     """Purchase probability sum_{x in S} P(x, S) of the offer set S."""
-    return sum(model.choice_row(S))
+    return ordered_sum(model.choice_row(S))

@@ -18,6 +18,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .assortment import AssortmentInstance
 from .errors import GroundSetTooLarge
+from .models import ordered_sum
 from .udp import (UNPRICED, PricingSolution, UniformPricingResult, _FloorChoiceModel, _PairCatalogue,
                   best_uniform_price, grid_optimum, positive_finite, reduce_pairs)
 
@@ -272,7 +273,7 @@ def _purchase(instance: StackelbergInstance, prices: Mapping[Element, float], or
     """The follower's greedy base in ``order`` and what its blue elements earn.  The reds
     hold a base and precede every UNPRICED element, so none of those is bought."""
     bought = greedy(instance.matroid, instance.matroid.ground, order) & instance.blue
-    return StackelbergOutcome(sum(sorted(prices[e] for e in bought)), bought)
+    return StackelbergOutcome(ordered_sum(sorted(prices[e] for e in bought)), bought)
 
 
 def check_tiebreak_independence(

@@ -7,7 +7,9 @@ probability is read through ``evaluate``.  They are kept here only as the
 specification the fast code must reproduce, verdict, witness and gap alike.
 """
 
+import functools
 import itertools
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -27,6 +29,12 @@ from assortopt import (
 )
 from assortopt.axioms import ATOL
 from assortopt.models import enumerate_subsets
+
+
+def _fold(values):
+    """The values added left to right from int 0, the one order in which the
+    library adds floats on every Python (``sum`` compensates from 3.12)."""
+    return functools.reduce(operator.add, values, 0)
 
 
 def _ref_tabulate(model):
@@ -54,7 +62,7 @@ def ref_check_axioms(model, atol=ATOL):
                 nonnegativity = CheckResult(False, (x, S), float(-p))
                 break
         else:
-            p0 = 1 - sum(probs[S].values())
+            p0 = 1 - _fold(probs[S].values())
             if p0 < -atol:
                 nonnegativity = CheckResult(False, (0, S), float(-p0))
         if not nonnegativity.passed:
@@ -74,13 +82,13 @@ def ref_check_axioms(model, atol=ATOL):
 
     substochastic = CheckResult(True)
     for S in subsets:
-        total = sum(probs[S].values())
+        total = _fold(probs[S].values())
         if total > 1 + atol:
             substochastic = CheckResult(False, (S,), float(total - 1))
             break
 
     regularity = CheckResult(True)
-    sold = {S: sum(probs[S].values()) for S in subsets}
+    sold = {S: _fold(probs[S].values()) for S in subsets}
     for S, larger in _ref_superset_pairs(model.n, subsets):
         for x in sorted(S):
             drop = probs[larger][x] - probs[S][x]
@@ -99,7 +107,7 @@ def ref_check_axioms(model, atol=ATOL):
 
 def ref_purchase_monotonicity(model, atol=ATOL):
     subsets, probs = _ref_tabulate(model)
-    sold = {S: sum(probs[S].values()) for S in subsets}
+    sold = {S: _fold(probs[S].values()) for S in subsets}
     for S, larger in _ref_superset_pairs(model.n, subsets):
         if sold[S] > sold[larger] + atol:
             return CheckResult(False, (S, larger), float(sold[S] - sold[larger]))
@@ -109,7 +117,7 @@ def ref_purchase_monotonicity(model, atol=ATOL):
 def ref_demand_submodularity(model, atol=ATOL):
     """The pair scan with its running maximum kept exact."""
     subsets, probs = _ref_tabulate(model)
-    sold = {S: sum(probs[S].values()) for S in subsets}
+    sold = {S: _fold(probs[S].values()) for S in subsets}
     worst_gap, witness = 0, None
     for S, larger in _ref_superset_pairs(model.n, subsets):
         for x in range(1, model.n + 1):

@@ -403,6 +403,9 @@ def test_unknown_params_key_exits_2(capsys, argv, accepted):
         (["multiperiod", "--params", '{"n_max": 21}'], "parameter 'n_max' = 21 allows 21 products; guard is 20"),
         (["udp_rank", "--params", '{"n_max": 21}'], "parameter 'n_max' = 21 allows 21 products; guard is 20"),
         (["assortment", "--family", "tight", "--params", '{"k": 6}'], "parameter 'k' = 6 allows 21 products; guard is 20"),
+        (["udp_min", "--params", '{"m_max": 1001}'], "parameter 'm_max' = 1001 exceeds the cap 1000 on consumers"),
+        (["udp_rank", "--params", '{"m_max": 1001}'], "parameter 'm_max' = 1001 exceeds the cap 1000 on consumers"),
+        (["stackelberg", "--params", '{"v": 1001}'], "parameter 'v' = 1001 exceeds the cap 1000 on vertices"),
     ],
 )
 def test_params_of_another_type_or_past_the_guard_exit_2(capsys, argv, message):
@@ -410,7 +413,9 @@ def test_params_of_another_type_or_past_the_guard_exit_2(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv", [["assortment", "--params", '{"n_max": 20}'],
-                                  ["assortment", "--family", "tight", "--params", '{"k": 5}']])
+                                  ["assortment", "--family", "tight", "--params", '{"k": 5}'],
+                                  ["udp_rank", "--params", '{"m_max": 1000}'],
+                                  ["stackelberg", "--params", '{"v": 1000}']])
 def test_params_at_the_guard_generate(tmp_path, argv):
     assert main(["gen", *argv, "--seed", "1", "-o", str(tmp_path / "at_guard.json")]) == 0
 

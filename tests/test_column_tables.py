@@ -5,14 +5,16 @@ optimum summed from it in blocks.
 the products 1..c; MNL, mixed MNL, stochastic-preference and Mallows models
 build it by recurrences over masks instead of one ``_choice_row`` per offer
 set.  The reference functions below are the per-offer-set loops those
-recurrences replace: one ``_choice_row`` per offer set, ``sum`` of the row
-for the purchase probability, and the exact optimum as one revenue ``sum``
-per offer set in canonical order.  Entries, sums and revenues must match
-them bit for bit, type included.
+recurrences replace: one ``_choice_row`` per offer set, the row added left
+to right from int 0 for the purchase probability, and the exact optimum as
+one revenue added that way per offer set in canonical order.  Entries, sums
+and revenues must match them bit for bit, type included.
 """
 
+import functools
 import json
 import math
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -51,6 +53,12 @@ def _mask(subset):
     return sum(1 << (x - 1) for x in subset)
 
 
+def _fold(values):
+    """The values added left to right from int 0, the one order in which the
+    library adds floats on every Python (``sum`` compensates from 3.12)."""
+    return functools.reduce(operator.add, values, 0)
+
+
 # ------------------------------------------------------------------ references
 
 
@@ -75,7 +83,7 @@ def ref_table(model):
         scale = math.lcm(*(Fraction(p).denominator for p in values))
         rows = {S: tuple(int(Fraction(p) * scale) for p in row) for S, row in rows.items()}
     entries = {(x, _mask(S)): p for S, row in rows.items() for x, p in zip(S, row)}
-    sold = {_mask(S): sum(row) for S, row in rows.items()}
+    sold = {_mask(S): _fold(row) for S, row in rows.items()}
     return entries, sold, scale
 
 
@@ -91,7 +99,7 @@ def ref_brute_force(instance):
         row = model._choice_row(subset)
         if scale is not None and not exact:
             row = tuple(Fraction(p, scale) for p in row)
-        value = sum(p * revenue[x - 1] for x, p in zip(subset, row)) if subset else 0
+        value = _fold(p * revenue[x - 1] for x, p in zip(subset, row)) if subset else 0
         if value > best_revenue or (value == best_revenue and subset < best_key):
             best_key, best_revenue = subset, value
     if exact and best_key:

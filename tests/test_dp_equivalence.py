@@ -12,7 +12,7 @@ once, the verdict and witness of the per-cell loop ``_ref_check_marginal_value``
 
 The ``check_*`` functions take plain values, so they can be driven without
 hypothesis too.  Both sides of every comparison read the same floats and
-apply the same operations, never ``sum()``, so this file holds on every
+apply the same operations in the same order, so this file holds on every
 supported Python.
 """
 

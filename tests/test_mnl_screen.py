@@ -5,8 +5,9 @@ computes the revenue only of the sets whose score can tie the best.  The
 reference below computes every offer set's revenue as the column path does:
 D = outside + the weights added in ascending order from int 0, p = w / D,
 and the p * r added in ascending order from int 0, each in an explicit loop
-(never ``sum()``, which compensates float sums from Python 3.12 on).  The
-set and the revenue, by type and ``repr``, must be the reference's.
+of its own, in the one order the library adds floats in
+(``models.ordered_sum``).  The set and the revenue, by type and ``repr``,
+must be the reference's.
 """
 
 import math
@@ -81,7 +82,8 @@ def screened(monkeypatch):
 
 @pytest.mark.parametrize("c, high", [(0, 0), (3, 0), (2, 0b11000), (5, 0)])
 def test_reference_is_the_column_path(c, high):
-    # column_sums and columns use no sum(), so this holds on every Python.
+    # column_sums and columns add left to right from int 0, as the reference
+    # does, so this holds on every Python.
     rng = Random(c * 31 + high)
     model = MnlModel([rng.gauss(0.0, 2.0) for _ in range(5)])
     revenue = [rng.choice([rng.uniform(0.1, 9.0), rng.randint(1, 9), Fraction(rng.randint(1, 99), 7)]) for _ in range(5)]

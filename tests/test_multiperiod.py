@@ -22,6 +22,7 @@ from assortopt import (
     revenue_ordered,
     solve_dp,
 )
+from assortopt import axioms
 from assortopt.cli import main
 from assortopt.generators import random_multiperiod
 from assortopt.io import dumps, instance_to_dict
@@ -360,15 +361,16 @@ class TestLstarOrder:
         assert json.loads(capsys.readouterr().out)["checks"] == {"monotonicity": False}
 
     def test_two_solves_read_the_columns_once(self, monkeypatch):
+        # The axiom checkers read a table's stored columns through _tabulated.
         reads = []
-        original = TabularModel.columns
+        original = axioms._tabulated
 
-        def counted(self, c, high=0):
-            reads.append((c, high))
-            return original(self, c, high)
+        def counted(table):
+            reads.append(table.n)
+            return original(table)
 
-        monkeypatch.setattr(TabularModel, "columns", counted)
+        monkeypatch.setattr(axioms, "_tabulated", counted)
         instance = non_regular_instance()
         first, second = solve_dp(instance), solve_dp(instance)
         assert first == second and first.regularity_ok is False
-        assert reads == [(3, 0)]
+        assert reads == [3]
