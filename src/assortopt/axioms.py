@@ -101,8 +101,8 @@ def _tabulated(table: TabularModel) -> tuple[list, list, int | None]:
     """(columns, sold, D) of a model's table: its stored ``columns(n)``, the
     purchase probability of each offer set by mask, and its denominator.
 
-    The table comes from ``to_tabular``, which refuses a partial one, so
-    its own lists are read without a copy; no checker writes to them."""
+    Every table is whole, so its own lists are read without a copy; no
+    checker writes to them."""
     columns = table._columns
     return columns, column_sums(columns, table.n), table.denominator
 

@@ -18,7 +18,7 @@ class InvalidEpsilon(ValueError):
 
 
 class SearchSpaceTooLarge(ValueError):
-    """Raised when a brute-force price grid exceeds its enumeration guard."""
+    """Raised when a brute-force price grid or the capacity DP's cells exceed their guard."""
 
 
 class DeltaOutOfRange(ValueError):

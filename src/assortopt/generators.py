@@ -15,6 +15,7 @@ from .assortment import AssortmentInstance, generate_tight_instance
 from .errors import InvalidParams
 from .io import instance_to_dict
 from .models import (
+    CELL_GUARD,
     GUARD,
     CoverageCapacity,
     HfamModel,
@@ -33,6 +34,7 @@ ASSORTMENT_FAMILIES = ("mnl", "mixed_mnl", "stochastic_preference", "mallows", "
 # `assort suite` checks a file generated at a cap in about a second.
 MAX_CONSUMERS = 1000  # largest m_max of udp_min and udp_rank
 MAX_VERTICES = 1000  # largest v of stackelberg
+MAX_HORIZON = MAX_CAPACITY = math.isqrt(CELL_GUARD)  # largest T and Q of multiperiod, whose T x Q the DP solves
 
 
 def _random_revenue(rng: Random, n: int) -> list:
@@ -171,7 +173,8 @@ _PARAMS = {
 # The keys that size the catalogue, each mapped to the most products its value allows.
 _CATALOGUE = {"n_max": lambda n: n, "k": lambda k: math.comb(k + 1, 2) if k > 0 else 0}
 # The keys that size a count, each mapped to what it counts and its cap.
-_COUNTS = {"m_max": ("consumers", MAX_CONSUMERS), "v": ("vertices", MAX_VERTICES)}
+_COUNTS = {"m_max": ("consumers", MAX_CONSUMERS), "v": ("vertices", MAX_VERTICES),
+           "T": ("periods", MAX_HORIZON), "Q": ("capacity units", MAX_CAPACITY)}
 
 
 def _option(key: str, value, kind: type):

@@ -59,6 +59,7 @@ Subset = frozenset[int]
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows beyond this
 GUARD = 20  # largest n whose 2^n offer sets an exhaustive reader enumerates
+CELL_GUARD = 10**6  # most horizon x capacity cells the capacity DP tabulates
 EXPANSION_GUARD = 7  # largest n whose (n+1)! rankings expand_ranking_model enumerates
 CAPACITY_GUARD = 16  # largest n of a TableCapacity, whose check reads all 2^n subsets
 
@@ -365,25 +366,21 @@ class ChoiceModel:
 class TabularModel(ChoiceModel):
     """Explicit probability table, one entry per (x, S) pair; a missing entry reads as 0.0.
 
-    A full table (an entry for every offered product of every offer set of
-    1..n) of int and ``Fraction`` entries, at least one a ``Fraction``, is exact:
-    it declares the lcm D of their denominators and keeps each p as p * D.
+    The table is whole: it has a row for every offer set of 1..n, names no
+    product outside 1..n, and holds each entry in [0, 1] (so none is NaN or
+    infinite), with any explicit no-purchase entry within 1e-9 of 1 minus
+    the row's sum.  A table of int and ``Fraction`` entries, one for every
+    offered product and at least one a ``Fraction``, is exact: it declares
+    the lcm D of their denominators and keeps each p as p * D.
 
     The table is stored as ``columns(n)`` lays it out: one list per product
     x, holding P(x, S) at ``held_index(mask of S, x)``, so ``columns(c, high)``
     is one slice per product, and ``to_tabular`` returns the table itself.
-    An unvalidated table may lack offer sets (and ignores rows naming
-    products outside 1..n, which no reader can ask for); it then keeps which
-    masks it covers, and a reader of an uncovered set raises, as
-    ``to_tabular`` does.
+    ``to_tabular`` of any other model keeps that model's own entries, as
+    they are, so a checker can still judge a model that emits NaN.
     """
 
-    def __init__(
-        self,
-        n: int,
-        table: Mapping[Iterable[int], Mapping[int, float]],
-        validate: bool = True,
-    ):
+    def __init__(self, n: int, table: Mapping[Iterable[int], Mapping[int, float]]):
         super().__init__(n)
         check_guard(n, GUARD)  # before 2^n or the catalogue is built
         catalogue = frozenset(self._products.indices)
@@ -394,8 +391,7 @@ class TabularModel(ChoiceModel):
         exact = True  # so far, every offer set has an entry per product, each an int or a Fraction
         for raw_set, probs in table.items():
             members = frozenset(raw_set)
-            inside = members <= catalogue
-            if validate and not inside:
+            if not members <= catalogue:
                 raise ValueError(f"offer set {sorted(members)} names products outside 1..{n}")
             row: dict[int, float] = {}
             explicit_zero = None
@@ -405,56 +401,43 @@ class TabularModel(ChoiceModel):
                     continue
                 if x not in members:
                     raise ValueError(f"table assigns P({x}, {sorted(members)}) but {x} is not offered")
-                if validate and not 0 <= p <= 1:
+                if not 0 <= p <= 1:
                     raise ValueError(f"P({x}, {sorted(members)}) = {p} outside [0, 1]")
                 row[x] = p
             if exact:
                 kinds.update(map(type, row.values()))
                 exact = len(row) == len(members) and all(issubclass(t, (int, Fraction)) for t in kinds)
-            if validate and explicit_zero is not None and abs(explicit_zero - (1 - ordered_sum(row.values()))) > 1e-9:
+            if explicit_zero is not None and abs(explicit_zero - (1 - ordered_sum(row.values()))) > 1e-9:
                 raise ValueError(f"explicit no-purchase probability {explicit_zero} inconsistent "
                                  f"with 1 - {ordered_sum(row.values())} on {sorted(members)}")
-            if not inside:
-                continue
             mask = sum(map(bit_of.__getitem__, members))
             covered[mask] = 1
             for x in members:  # at held_index(mask, x)
                 columns[x - 1][mask >> x << (x - 1) | mask & bit_of[x] - 1] = row.get(x, 0.0)
-        full = covered.count(0) == 0
-        if validate and not full:
+        if 0 in covered:
             missing = next(subset for subset, mask in offer_masks(n) if not covered[mask])
             raise ValueError(f"table is missing the offer set {list(missing)}")
-        if exact and full and any(issubclass(t, Fraction) for t in kinds):
+        if exact and any(issubclass(t, Fraction) for t in kinds):
             self.denominator = math.lcm(*{p.denominator for column in columns for p in column})
             columns = [[p.numerator * (self.denominator // p.denominator) for p in column] for column in columns]
         self._columns = columns
-        self._covered = None if full else bytes(covered)
 
     @classmethod
     def _from_columns(cls, n: int, columns: list[list], denominator: int | None) -> "TabularModel":
         """The table of a model's ``columns(n)``, numerators over ``denominator`` if declared."""
         model = cls.__new__(cls)
         ChoiceModel.__init__(model, n)
-        model._columns, model._covered = columns, None
+        model._columns = columns
         if denominator is not None:
             model.denominator = denominator
         return model
 
     def to_tabular(self) -> "TabularModel":
-        """The table itself, once it covers every offer set."""
-        self._uncovered_in(0, 1 << self.n)
+        """The table itself."""
         return self
-
-    def _uncovered_in(self, start: int, stop: int) -> None:
-        """Raise the error of the first uncovered mask from start to stop."""
-        if self._covered is not None:
-            missing = self._covered.find(0, start, stop)
-            if missing >= 0:
-                raise ValueError(f"offer set {list(members_of(missing, self.n))} not covered by the table")
 
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
         mask = sum(1 << (x - 1) for x in subset)
-        self._uncovered_in(mask, mask + 1)
         return tuple(self._columns[x - 1][held_index(mask, x)] for x in subset)
 
     def columns(self, c: int, high: int = 0) -> list[list]:
@@ -462,7 +445,6 @@ class TabularModel(ChoiceModel):
         masks L | high of a column of x <= c run from ``high >> 1`` and those
         of x in high from ``held_index(high, x)``, each in ascending order."""
         size = 1 << c
-        self._uncovered_in(high, high + size)
         start = high >> 1
         columns = [column[start : start + (size >> 1)] for column in self._columns[:c]]
         starts = ((x, held_index(high, x)) for x in members_of(high, self.n))

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 # revenue_ladder is re-exported for the callers that import it from here.
 from .assortment import AssortmentInstance, RevenueLadder, revenue_ladder  # noqa: F401
 from .axioms import CheckResult
-from .errors import DeltaOutOfRange
-from .models import GUARD, finite
+from .errors import DeltaOutOfRange, SearchSpaceTooLarge
+from .models import CELL_GUARD, GUARD, finite
 
 RTOL = 1e-9
 
@@ -119,19 +119,23 @@ def _best_level(lines: tuple[tuple[float, float], ...], delta: float) -> tuple[i
 def solve_dp(instance: MultiPeriodInstance) -> DpTable:
     """Tabulate J and the least optimal thresholds.
 
-    The monotonicity guarantees assume a regular model, so the table records a
-    regularity verdict (a warning flag, not an error: the DP itself is well
-    defined regardless), the instance's cached ``axioms`` report; None, with
-    no table built, when n exceeds ``GUARD``.
+    A horizon x capacity above ``CELL_GUARD`` raises SearchSpaceTooLarge
+    before anything is read or built.  The monotonicity guarantees assume a
+    regular model, so the table records a regularity verdict (a warning
+    flag, not an error: the DP itself is well defined regardless), the
+    instance's cached ``axioms`` report; None, with no table built, when n
+    exceeds ``GUARD``.
 
     Cells with q >= t, where the inventory covers every remaining period,
     have delta = 0 because J_{t-1}(q) and J_{t-1}(q-1) are the same float
     there (see the module docstring).  They are filled from one scoring at
     delta = 0; only cells with q < t are searched one by one.
     """
+    T, Q = instance.horizon, instance.capacity
+    if T * Q > CELL_GUARD:
+        raise SearchSpaceTooLarge(f"T x Q = {T} x {Q} cells exceed the DP guard {CELL_GUARD}")
     ladder = instance.ladder
     lines = ladder.lines
-    T, Q = instance.horizon, instance.capacity
     regularity_ok: bool | None = None
     if instance.base.n <= GUARD:
         regularity_ok = instance.base.axioms.regularity.passed

@@ -47,7 +47,7 @@ class Matroid:
 
 class FunctionMatroid(Matroid):
     """Independence supplied as a callable; also hosts non-matroid sentinels
-    used to validate the property-checking harnesses."""
+    used to test the property-checking harnesses."""
 
     def __init__(self, ground: Iterable[Element], predicate: Callable[[frozenset], bool]):
         super().__init__(ground)
@@ -61,7 +61,9 @@ class GraphicMatroid(Matroid):
     """Forests of an undirected multigraph; elements are edge indices.
 
     Parallel edges are allowed (two of them already form a cycle) and a
-    self-loop is dependent on its own.
+    self-loop is dependent on its own.  The vertices that edges touch are
+    numbered once, so the union-find of ``is_independent`` is sized by them,
+    not by ``n_vertices``.
     """
 
     def __init__(self, n_vertices: int, edges: Sequence[tuple[int, int]]):
@@ -73,6 +75,10 @@ class GraphicMatroid(Matroid):
         super().__init__(range(len(edges)))
         self._n_vertices = n_vertices
         self._edges = tuple((u, v) for u, v in edges)
+        number: dict[int, int] = {}  # each touched vertex, numbered in order of first touch
+        self._ends = tuple((number.setdefault(u, len(number)), number.setdefault(v, len(number)))
+                           for u, v in self._edges)
+        self._touched = len(number)
 
     @property
     def n_vertices(self) -> int:
@@ -83,7 +89,7 @@ class GraphicMatroid(Matroid):
         return self._edges
 
     def is_independent(self, subset: Iterable[Element]) -> bool:
-        parent = list(range(self._n_vertices))
+        parent = list(range(self._touched))
 
         def find(a: int) -> int:
             while parent[a] != a:
@@ -92,7 +98,7 @@ class GraphicMatroid(Matroid):
             return a
 
         for index in subset:
-            u, v = self._edges[index]
+            u, v = self._ends[index]
             root_u, root_v = find(u), find(v)
             if root_u == root_v:
                 return False

@@ -9,6 +9,7 @@ specification the fast code must reproduce, verdict, witness and gap alike.
 
 import functools
 import itertools
+import math
 import operator
 from fractions import Fraction
 from random import Random
@@ -20,6 +21,7 @@ from assortopt import (
     AssortmentSolution,
     AxiomReport,
     CheckResult,
+    ChoiceModel,
     MnlModel,
     TabularModel,
     brute_force_optimum,
@@ -140,6 +142,26 @@ def ref_brute_force(instance):
     return AssortmentSolution(best_set, best_revenue, "brute-force")
 
 
+class _Rows(ChoiceModel):
+    """A model that emits its rows as given, so an entry may lie outside
+    [0, 1], which a ``TabularModel`` refuses; a missing entry reads as 0.0.
+    Rows whose every entry is an int or a ``Fraction``, at least one a
+    ``Fraction``, declare the lcm D of the denominators and emit the ints
+    p * D, as an exact ``TabularModel`` does."""
+
+    def __init__(self, n, rows):
+        super().__init__(n)
+        self._rows = {tuple(sorted(subset)): row for subset, row in rows.items()}
+        entries = [row.get(x, 0.0) for subset, row in self._rows.items() for x in subset]
+        if all(type(p) in (int, Fraction) for p in entries) and any(type(p) is Fraction for p in entries):
+            self.denominator = math.lcm(*{p.denominator for p in entries})
+
+    def _choice_row(self, subset):
+        row = [self._rows[subset].get(x, 0.0) for x in subset]
+        D = self.denominator
+        return tuple(row if D is None else (p.numerator * (D // p.denominator) for p in row))
+
+
 def _perturbed_table(rng, n, exact, scale=60):
     """An MNL-like table on a coarse grid with a few entries nudged, so that
     regularity, monotonicity and submodularity fail often, ties are common,
@@ -160,7 +182,7 @@ def _perturbed_table(rng, n, exact, scale=60):
                 units = rng.choice((-2, scale + 3))
             row[x] = Fraction(units, scale) if exact else units / scale
         rows[subset] = row
-    return TabularModel(n, rows, validate=False)
+    return _Rows(n, rows).to_tabular()
 
 
 def _same(a, b):
@@ -262,7 +284,7 @@ def test_regularity_witness_at_second_to_last_offer_set(exact):
     }
     tail, full = tuple(range(2, n + 1)), tuple(range(1, n + 1))
     rows[full][2] = rows[tail][2] + one / 1000
-    model = TabularModel(n, rows, validate=False)
+    model = TabularModel(n, rows)
     assert enumerate_subsets(n)[-2] == tail
     report = check_axioms(model)
     assert report == ref_check_axioms(model)
@@ -295,7 +317,7 @@ def _coprime_table(rng, n):
                 units += rng.choice((-q // 50, -1, 1, q // 40))
             row[x] = Fraction(units, q)
         rows[subset] = row
-    return TabularModel(n, rows, validate=False)
+    return _Rows(n, rows).to_tabular()
 
 
 def test_coprime_denominator_tables_match_pair_scans():
@@ -319,14 +341,14 @@ def test_coprime_denominator_tables_match_pair_scans():
 def _two_products(p1, p2, p12_1, p12_2):
     """The table P(1, {1}) = p1, P(2, {2}) = p2, P(., {1, 2}) = (p12_1, p12_2)."""
     rows = {(): {}, (1,): {1: p1}, (2,): {2: p2}, (1, 2): {1: p12_1, 2: p12_2}}
-    return TabularModel(2, rows, validate=False)
+    return _Rows(2, rows).to_tabular()
 
 
 def test_integer_and_float_tables_are_not_scaled():
     assert _scale_of(_two_products(1, 0, 1, 0)) is None
     assert _scale_of(_two_products(0.5, 0.5, 0.25, 0.25)) is None
     assert _scale_of(_two_products(Fraction(1, 2), 0.25, 0, 0)) is None
-    # P(2, {1, 2}) is left to the 0.0 default, so the table is not full.
+    # P(2, {1, 2}) is left to the 0.0 default, a float, so the table is not exact.
     rows = {(): {}, (1,): {1: Fraction(1, 2)}, (2,): {2: Fraction(1, 3)}, (1, 2): {1: Fraction(1, 4)}}
     assert _scale_of(TabularModel(2, rows)) is None
 
@@ -417,7 +439,7 @@ def test_exact_monotonicity_witness():
         (2, 3): {2: Fraction(1, 2), 3: fifth},
         (1, 2, 3): {1: fifth, 2: fifth, 3: Fraction(1, 30)},
     }
-    model = TabularModel(3, rows, validate=False)
+    model = TabularModel(3, rows)
     result = check_purchase_monotonicity(model)
     assert result == ref_purchase_monotonicity(model)
     assert result == CheckResult(False, (frozenset({2}), frozenset({1, 2, 3})), float(Fraction(1, 15)))
@@ -436,7 +458,7 @@ def test_exact_submodularity_witness():
         (2, 3): {2: Fraction(1, 5), 3: Fraction(1, 7)},
         (1, 2, 3): {1: Fraction(1, 5), 2: Fraction(1, 5), 3: Fraction(1, 7) + Fraction(2, 11)},
     }
-    model = TabularModel(3, rows, validate=False)
+    model = TabularModel(3, rows)
     result = check_demand_submodularity(model)
     assert result == ref_demand_submodularity(model)
     assert result == CheckResult(False, (frozenset(), frozenset({1, 2}), 3), float(Fraction(2, 11)))

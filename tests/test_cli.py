@@ -406,6 +406,10 @@ def test_unknown_params_key_exits_2(capsys, argv, accepted):
         (["udp_min", "--params", '{"m_max": 1001}'], "parameter 'm_max' = 1001 exceeds the cap 1000 on consumers"),
         (["udp_rank", "--params", '{"m_max": 1001}'], "parameter 'm_max' = 1001 exceeds the cap 1000 on consumers"),
         (["stackelberg", "--params", '{"v": 1001}'], "parameter 'v' = 1001 exceeds the cap 1000 on vertices"),
+        (["multiperiod", "--params", '{"T": 1001}'], "parameter 'T' = 1001 exceeds the cap 1000 on periods"),
+        (["multiperiod", "--params", '{"Q": 1001}'], "parameter 'Q' = 1001 exceeds the cap 1000 on capacity units"),
+        (["multiperiod", "--params", '{"T": 1000000000, "Q": 1000000000}'],
+         "parameter 'T' = 1000000000 exceeds the cap 1000 on periods"),
     ],
 )
 def test_params_of_another_type_or_past_the_guard_exit_2(capsys, argv, message):
@@ -415,7 +419,8 @@ def test_params_of_another_type_or_past_the_guard_exit_2(capsys, argv, message):
 @pytest.mark.parametrize("argv", [["assortment", "--params", '{"n_max": 20}'],
                                   ["assortment", "--family", "tight", "--params", '{"k": 5}'],
                                   ["udp_rank", "--params", '{"m_max": 1000}'],
-                                  ["stackelberg", "--params", '{"v": 1000}']])
+                                  ["stackelberg", "--params", '{"v": 1000}'],
+                                  ["multiperiod", "--params", '{"T": 1000, "Q": 1000}']])
 def test_params_at_the_guard_generate(tmp_path, argv):
     assert main(["gen", *argv, "--seed", "1", "-o", str(tmp_path / "at_guard.json")]) == 0
 

@@ -9,7 +9,8 @@ factors instead of building an "earned" list per column, and
 kernels, the default ``ChoiceModel.columns`` and, for tables, the dict a
 table is built from; results must equal theirs
 by type and ``repr`` (or raise the same exception) on entries that mix NaN,
-signed zeros, infinities, ints and Fractions.
+signed zeros, infinities, ints and Fractions (for tables, the ones a table
+accepts: signed zeros, floats, ints and Fractions).
 
 The ``check_*`` functions take plain values, so they can be driven without
 hypothesis too.
@@ -250,17 +251,13 @@ def test_brute_force_fuses_what_it_earned_then_summed(monkeypatch):
 # -------------------------------------------------------------- tabular rows
 
 
-def _sparse_table(n, rng, drop_sets=0.0):
-    """An unvalidated table, as the dict it is built from, whose rows each
-    miss some entries (and, with ``drop_sets``, some offer sets have no row
-    at all)."""
-    pool = [0.25, 0.0, -0.0, math.nan, math.inf, -math.inf, 1, 0, Fraction(1, 3), 2.5, -1]
-    table = {}
-    for subset in enumerate_subsets(n):
-        if subset and rng.random() < drop_sets:
-            continue
-        table[frozenset(subset)] = {x: rng.choice(pool) for x in subset if rng.random() < 0.6}
-    return table, TabularModel(n, table, validate=False)
+def _sparse_table(n, rng):
+    """A table, as the dict it is built from, whose rows each miss some
+    entries, of signed zeros, ints and Fractions as well as floats."""
+    pool = [0.25, 0.0, -0.0, 1, 0, Fraction(1, 3)]
+    table = {frozenset(subset): {x: rng.choice(pool) for x in subset if rng.random() < 0.6}
+             for subset in enumerate_subsets(n)}
+    return table, TabularModel(n, table)
 
 
 def _high_masks(n, c, rng):
@@ -288,29 +285,4 @@ def test_tabular_columns_read_missing_entries_as_zero():
                         mask = at if x > c else (at >> (x - 1) << x) | 1 << (x - 1) | (at & ((1 << (x - 1)) - 1))
                         expected = _stored(model, table[frozenset(members_of(mask | high, n))].get(x, 0.0))
                         assert (type(entry), repr(entry)) == (type(expected), repr(expected)), (n, c, high, x, at)
-                        assert entry == expected or entry != entry and expected != expected
-
-
-def _raised(kernel, *args):
-    with pytest.raises(ValueError) as raised:
-        kernel(*args)
-    return str(raised.value)
-
-
-def test_tabular_columns_name_the_first_missing_offer_set():
-    rng = Random(12)
-    raised = 0
-    for n in range(1, 7):
-        table, model = _sparse_table(n, rng, drop_sets=0.2)
-        for c in range(n + 1):
-            for high in _high_masks(n, c, rng):
-                lows = [members_of(mask, n) + members_of(high, n) for mask in range(1 << c)]
-                missing = [subset for subset in lows if frozenset(subset) not in table]
-                if not missing:
-                    assert _outcome(model.columns, c, high) == _outcome(ChoiceModel.columns, model, c, high)
-                    continue
-                message = _raised(model._choice_row, missing[0])
-                assert message == f"offer set {list(missing[0])} not covered by the table"
-                assert _raised(model.columns, c, high) == message == _raised(ChoiceModel.columns, model, c, high)
-                raised += 1
-    assert raised > 20
+                        assert entry == expected

@@ -1,6 +1,7 @@
 """Model family evaluation against closed forms and hand-computed oracles."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -273,6 +274,24 @@ class TestTightExample:
 
 
 class TestTabular:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ({(1,): {1: math.nan}}, "P(1, [1]) = nan outside [0, 1]"),
+            ({(1,): {1: math.inf}}, "P(1, [1]) = inf outside [0, 1]"),
+            ({(1,): {1: -math.inf}}, "P(1, [1]) = -inf outside [0, 1]"),
+            ({(1,): {1: 1.5}}, "P(1, [1]) = 1.5 outside [0, 1]"),
+            ({(1,): {1: -0.25}}, "P(1, [1]) = -0.25 outside [0, 1]"),
+            ({(1,): {1: 0.5}, (1, 2): {1: 0.25}}, "offer set [1, 2] names products outside 1..1"),
+            ({}, "table is missing the offer set [1]"),
+            ({(1,): {0: 0.9, 1: 0.5}}, "explicit no-purchase probability 0.9 inconsistent with 1 - 0.5 on [1]"),
+        ],
+        ids=["nan", "inf", "-inf", "above_one", "negative", "product_n_plus_1", "missing_set", "no_purchase"],
+    )
+    def test_refusals_name_what_is_wrong(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TabularModel(1, {(): {}, **rows})
+
     def test_explicit_no_purchase_consistency(self):
         with pytest.raises(ValueError):
             TabularModel(1, {(): {}, (1,): {0: 0.9, 1: 0.5}})
@@ -308,9 +327,7 @@ def test_demand_is_purchase_probability():
 
 def test_fraction_probabilities_flow_through():
     # Reduction models return exact rationals; the evaluators must keep them.
-    table = TabularModel(
-        1, {(): {}, (1,): {1: Fraction(1, 3)}}, validate=False
-    )
+    table = TabularModel(1, {(): {}, (1,): {1: Fraction(1, 3)}})
     assert evaluate_revenue(table, [3], {1}) == Fraction(1, 1)
 
 

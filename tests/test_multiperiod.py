@@ -22,7 +22,7 @@ from assortopt import (
     revenue_ordered,
     solve_dp,
 )
-from assortopt import axioms
+from assortopt import SearchSpaceTooLarge, axioms, multiperiod
 from assortopt.cli import main
 from assortopt.generators import random_multiperiod
 from assortopt.io import dumps, instance_to_dict
@@ -302,6 +302,42 @@ def test_values_beyond_the_float_range_are_refused():
     with pytest.raises(ValueError, match="overflows a float"):
         MultiPeriodInstance(base, 6, 6)
     assert solve_dp(MultiPeriodInstance(base, 1, 6)).value[1][6] < float("inf")
+
+
+def _unread_ladder(monkeypatch):
+    """Fail at once if the DP reads the ladder: a DP past the cell guard must
+    refuse before it reads or builds anything."""
+    monkeypatch.setattr(MultiPeriodInstance, "ladder", property(lambda self: pytest.fail("the ladder was read")))
+
+
+def test_the_dp_refuses_more_cells_than_its_guard_before_building_any(monkeypatch):
+    instance = MultiPeriodInstance(mnl_instance(), 10**9, 10**9)
+    _unread_ladder(monkeypatch)
+    with pytest.raises(SearchSpaceTooLarge, match=r"^T x Q = 1000000000 x 1000000000 cells exceed the DP guard 1000000$"):
+        solve_dp(instance)
+
+
+def test_the_cell_guard_admits_its_own_count(monkeypatch):
+    monkeypatch.setattr(multiperiod, "CELL_GUARD", 6)
+    assert solve_dp(MultiPeriodInstance(mnl_instance(), 3, 2)).value[3][2] > 0
+    with pytest.raises(SearchSpaceTooLarge, match="T x Q = 7 x 1 cells exceed the DP guard 6"):
+        solve_dp(MultiPeriodInstance(mnl_instance(), 7, 1))
+
+
+def test_a_dp_past_the_cell_guard_exits_2_and_suite_records_it(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "mp.json"
+    assert main(["gen", "multiperiod", "--seed", "5", "-o", str(path)]) == 0
+    _unread_ladder(monkeypatch)
+    capsys.readouterr()
+    assert main(["multiperiod", str(path), "--T", "1000000000", "--Q", "1000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "T x Q = 1000000000 x 1000000000 cells exceed the DP guard 1000000\n"
+    data = json.loads(path.read_text())
+    data["payload"].update(horizon=10**9, capacity=10**9)
+    path.write_text(json.dumps(data))
+    assert main(["suite", str(path)]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["checks"] == {"monotonicity": "error: T x Q = 1000000000 x 1000000000 cells exceed the DP guard 1000000"}
 
 
 def test_the_table_checks_return_check_results():

@@ -106,16 +106,6 @@ def test_a_tabular_instance_reads_its_model_as_its_table():
     assert instance.axioms == check_axioms(table)
 
 
-def test_a_partial_table_refuses_to_be_an_instance_table():
-    rows = {subset: {x: 0.25 for x in subset} for subset in enumerate_subsets(3) if subset not in ((1, 3), (2, 3))}
-    model = TabularModel(3, rows, validate=False)
-    instance = AssortmentInstance(model, [1.0, 2.0, 3.0])
-    for read in (lambda: model.columns(3), model.to_tabular, lambda: instance.table, lambda: instance.axioms):
-        with pytest.raises(ValueError, match=r"^offer set \[1, 3\] not covered by the table$"):
-            read()
-    assert "table" not in vars(instance)
-
-
 def test_a_tabular_instance_table_copies_nothing():
     rng = Random(12)
     table = MnlModel([rng.gauss(0.0, 1.5) for _ in range(12)]).to_tabular()

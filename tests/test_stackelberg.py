@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from random import Random
 
 import pytest
@@ -60,6 +61,37 @@ class TestGraphicMatroid:
     def test_axioms_hold(self):
         assert check_matroid_axioms(triangle())
         assert check_matroid_axioms(GraphicMatroid(4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]))
+
+    def test_verdicts_match_a_union_find_over_every_vertex(self):
+        def ref_independent(n_vertices, edges, subset):
+            component = list(range(n_vertices))
+            for index in subset:
+                u, v = (component[w] for w in edges[index])
+                if u == v:
+                    return False
+                component = [u if c == v else c for c in component]
+            return True
+
+        rng = Random(31)
+        for _ in range(40):
+            n_vertices = rng.randint(1, 40)
+            edges = [(rng.randrange(n_vertices), rng.randrange(n_vertices)) for _ in range(rng.randint(0, 6))]
+            g = GraphicMatroid(n_vertices, edges)
+            for size in range(len(edges) + 1):
+                for subset in itertools.combinations(range(len(edges)), size):
+                    assert g.is_independent(subset) == ref_independent(n_vertices, edges, subset)
+
+    def test_vertices_no_edge_touches_cost_nothing(self):
+        far = 99_999
+        g = GraphicMatroid(far + 1, [(0, 1), (far, 0), (1, far)])
+        tracemalloc.start()
+        try:
+            verdicts = g.is_independent({0, 1}), g.is_independent({0, 1, 2})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdicts == (True, False)
+        assert peak < 2**12  # a union-find over all 10^5 vertices takes some 800 kB
 
 
 class TestGreedy:
