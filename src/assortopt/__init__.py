@@ -38,7 +38,6 @@ from .models import (
     MallowsModel,
     MixedMnlModel,
     MnlModel,
-    ProductSet,
     StochasticPreferenceModel,
     TableCapacity,
     TabularModel,

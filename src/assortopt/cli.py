@@ -1,8 +1,10 @@
 """Command-line surface: generate, solve, verify, and batch-check instances.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad usage or a bad
-flag value, an instance file that is unreadable, malformed, invalid or of the wrong
-kind, or an instance beyond an enumeration guard or the float range (one line on stderr).
+flag value (``suite --checks`` takes only the names in ``SUITE_CHECKS``), an
+instance file that is unreadable, malformed (JSON nested too deeply to parse
+included), invalid or of the wrong kind, bounds asked of an empty catalogue, or
+an instance beyond an enumeration guard or the float range (one line on stderr).
 
 ``main`` parses with one parser per process, built on its first call, so a
 process that calls ``main`` many times (the tests, ``perfbench``) builds the
@@ -44,6 +46,7 @@ from .stackelberg import StackelbergInstance
 from .udp import UNPRICED, UdpMinInstance, UdpRankInstance
 
 USAGE_ERROR = 2
+SUITE_CHECKS = ("axioms", "guarantees", "reduction", "monotonicity")
 
 
 def _emit(data: dict, as_json: bool) -> None:
@@ -64,7 +67,7 @@ def _load(path: str, *kinds: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = loads(handle.read())
-    except (OSError, ValueError) as error:
+    except (OSError, ValueError, RecursionError) as error:
         raise SystemExit(f"cannot read {path}: {error}")
     try:
         instance = instance_from_dict(data)
@@ -84,7 +87,11 @@ def _price(p):
     return "inf" if p == UNPRICED else p
 
 
-def _bounds_dict(report) -> dict:
+def _bounds_dict(instance: AssortmentInstance, optimum, path: str) -> dict:
+    try:
+        report = compute_bounds(instance, optimal=optimum)
+    except ValueError as error:  # an empty catalogue has no bounds
+        raise SystemExit(f"cannot bound {path}: {error}")
     return {
         "A": report.bound_a,
         "B_exact": report.bound_b_exact,
@@ -139,7 +146,7 @@ def _solve_assortment(instance: AssortmentInstance, args) -> dict:
         opt_value = float(optimum.revenue)
         report["ratio"] = float(heuristic.solution.revenue) / opt_value if opt_value > 0 else 1.0
     if args.bounds:
-        report["bounds"] = _bounds_dict(compute_bounds(instance, optimal=optimum))
+        report["bounds"] = _bounds_dict(instance, optimum, args.file)
     return report
 
 
@@ -152,7 +159,7 @@ def _cmd_solve(args) -> int:
 def _cmd_bounds(args) -> int:
     instance = _load(args.file, "assortment")
     optimum = brute_force_optimum(instance) if args.with_optimal else None
-    _emit({"bounds": _bounds_dict(compute_bounds(instance, optimal=optimum))}, args.json)
+    _emit({"bounds": _bounds_dict(instance, optimum, args.file)}, args.json)
     return 0
 
 
@@ -293,6 +300,9 @@ def _cmd_suite(args) -> int:
         else:
             paths.append(pattern)
     checks = [c for c in (args.checks.split(",") if args.checks else []) if c]
+    unknown = [c for c in checks if c not in SUITE_CHECKS]
+    if unknown:
+        raise SystemExit(f"unknown --checks {', '.join(map(repr, unknown))}; accepted: {', '.join(SUITE_CHECKS)}")
     all_passed = True
     for path in paths:
         record = _suite_check_file(path, checks)
@@ -348,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     suite = sub.add_parser("suite", help="run verifications over instance files (JSON-lines output)")
     suite.add_argument("files", nargs="*", help="instance files or glob patterns")
-    suite.add_argument("--checks", default=None, help="comma-separated subset of checks to run")
+    suite.add_argument("--checks", default=None, help=f"comma-separated subset of {', '.join(SUITE_CHECKS)} (default: all)")
     suite.set_defaults(func=_cmd_suite)
     return parser
 

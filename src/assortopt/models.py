@@ -8,9 +8,10 @@ probability ``evaluate(x, S)`` that a customer picks x from S, with
 All model types are immutable after construction and ``evaluate`` is a pure
 function, so instances are safe to share across threads.  A model must
 define ``_choice_row`` (P(x, S) for each x of a sorted S), which every other
-reader goes through; ``columns``, ``_no_purchase`` and MNL's
-``_member_probability`` are the overrides that remain.  Models keep no memo
-of evaluated offer sets; exhaustive readers share one table per instance,
+reader goes through, ``evaluate(0, S)`` (1 minus the ``ordered_sum`` of
+the row) included; ``columns`` and MNL's ``_member_probability`` are the
+overrides that remain.  Models keep no memo of evaluated offer sets;
+exhaustive readers share one table per instance,
 ``AssortmentInstance.table``, the ``TabularModel`` that ``to_tabular``
 gives (a table gives itself).  Exactness is the model's declaration,
 which no reader infers: a model of exact rationals (the pricing reductions,
@@ -49,7 +50,6 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -62,28 +62,6 @@ GUARD = 20  # largest n whose 2^n offer sets an exhaustive reader enumerates
 CELL_GUARD = 10**6  # most horizon x capacity cells the capacity DP tabulates
 EXPANSION_GUARD = 7  # largest n whose (n+1)! rankings expand_ranking_model enumerates
 CAPACITY_GUARD = 16  # largest n of a TableCapacity, whose check reads all 2^n subsets
-
-
-@dataclass(frozen=True)
-class ProductSet:
-    """The catalogue {1, ..., n}; 0 always denotes the no-purchase option.
-
-    n may be zero: degenerate catalogues arise from pricing reductions with
-    no priceable element.
-    """
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"product count must be >= 0, got {self.n}")
-
-    @property
-    def indices(self) -> range:
-        return range(1, self.n + 1)
-
-    def __contains__(self, x: int) -> bool:
-        return 1 <= x <= self.n
 
 
 def check_guard(n: int, guard: int) -> None:
@@ -281,32 +259,33 @@ def probability_rows(model: "ChoiceModel"):
 
 
 class ChoiceModel:
-    """Base class: a system of choice probabilities over ProductSet(n)."""
+    """Base class: a system of choice probabilities over the products 1..n;
+    n may be zero (a pricing reduction with no priceable element)."""
 
     denominator: int | None = None  # see the module docstring
 
     def __init__(self, n: int):
-        self._products = ProductSet(n)
-
-    @property
-    def products(self) -> ProductSet:
-        return self._products
+        if n < 0:
+            raise ValueError(f"product count must be >= 0, got {n}")
+        self._n = n
 
     @property
     def n(self) -> int:
-        return self._products.n
+        return self._n
 
     def evaluate(self, x: int, S: Iterable[int]):
         """Probability of choosing x (a product or 0) from the offer set S.
 
-        Subclasses define _choice_row, and may override _member_probability,
-        _no_purchase and ``columns``, rather than this method, so that an
-        unoffered product always gets 0.0; check_axioms relies on that.
+        P(0, S) is 1 minus the ``ordered_sum`` of ``choice_row(S)``, for
+        every model, as ``check_axioms`` judges it.  Subclasses define
+        _choice_row, and may override _member_probability and ``columns``,
+        rather than this method, so that an unoffered product always gets
+        0.0; check_axioms relies on that.
         """
         members = self._as_subset(S)
         if x == 0:
-            return self._no_purchase(members)
-        if x not in self._products:
+            return 1 - ordered_sum(self.choice_row(members))
+        if not 1 <= x <= self.n:
             raise ValueError(f"product {x} outside catalogue 1..{self.n}")
         if x not in members:
             return 0.0
@@ -315,10 +294,6 @@ class ChoiceModel:
     def choice_row(self, S: Iterable[int]) -> tuple:
         """P(x, S) for each x of S in ascending order, as ``evaluate`` returns them."""
         return as_probabilities(self._choice_row(tuple(sorted(self._as_subset(S)))), self.denominator)
-
-    def _no_purchase(self, S: Subset):
-        """Probability of choosing nothing from S."""
-        return 1 - ordered_sum(self.choice_row(S))
 
     def _member_probability(self, x: int, S: Subset):
         """Probability of x in S, for x guaranteed to be a member of S."""
@@ -351,7 +326,7 @@ class ChoiceModel:
 
     def _as_subset(self, S: Iterable[int]) -> Subset:
         members = frozenset(S)
-        bad = [x for x in members if x not in self._products]
+        bad = [x for x in members if not 1 <= x <= self.n]
         if bad:
             raise ValueError(f"offer set contains unknown products {sorted(bad)}")
         return members
@@ -383,7 +358,7 @@ class TabularModel(ChoiceModel):
     def __init__(self, n: int, table: Mapping[Iterable[int], Mapping[int, float]]):
         super().__init__(n)
         check_guard(n, GUARD)  # before 2^n or the catalogue is built
-        catalogue = frozenset(self._products.indices)
+        catalogue = frozenset(range(1, n + 1))
         columns: list[list] = [[0.0] * (1 << n >> 1) for _ in range(n)]
         bit_of = [0] + [1 << b for b in range(n)]  # product x's bit, 1 << (x - 1)
         covered = bytearray(1 << n)  # 1 at the mask of each offer set with a row
@@ -578,23 +553,18 @@ class StochasticPreferenceModel(ChoiceModel):
     def rankings(self) -> tuple[tuple[float, tuple[int, ...]], ...]:
         return tuple(zip(self._weights, self._orders))
 
-    def _winner_weights(self, S: Iterable[int]) -> dict[int, float]:
-        options = {0, *S}
-        totals: dict[int, float] = {}
-        for weight, order in zip(self._weights, self._orders):
-            first = next(x for x in order if x in options)
-            totals[first] = totals.get(first, 0.0) + weight
-        return totals
-
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
-        winners = self._winner_weights(subset)
-        return tuple(winners.get(x, 0.0) for x in subset)
+        # Each ranking's weight goes to the first of its options offered.
+        winners = dict.fromkeys((0, *subset), 0.0)
+        for weight, order in zip(self._weights, self._orders):
+            winners[next(x for x in order if x in winners)] += weight
+        return tuple(map(winners.__getitem__, subset))
 
     def columns(self, c: int, high: int = 0) -> list[list]:
         # Walking a ranking down to 0, x wins exactly at the offer sets that
         # hold x and none of the products ranked before it; each entry adds
         # the weights of its winning rankings in ranking order from 0.0, as
-        # _winner_weights does.
+        # _choice_row does.
         highs = members_of(high, self.n)
         size = 1 << c
         columns = [[0.0] * (size >> 1) for _ in range(c)] + [[0.0] * size for _ in highs]
@@ -615,9 +585,6 @@ class StochasticPreferenceModel(ChoiceModel):
                     break  # x is offered in every set, so no later product wins
                 blocked.add(x)
         return columns
-
-    def _no_purchase(self, S: Subset) -> float:
-        return self._winner_weights(S).get(0, 0.0)
 
 
 def kendall_distance(a: Sequence[int], b: Sequence[int]) -> int:
@@ -667,9 +634,6 @@ class MallowsModel(ChoiceModel):
 
     def columns(self, c: int, high: int = 0) -> list[list]:
         return self._expansion.columns(c, high)
-
-    def _no_purchase(self, S: Subset):
-        return self._expansion._no_purchase(S)
 
 
 def expand_ranking_model(model: "MallowsModel | Sequence[tuple[float, MallowsModel]]") -> StochasticPreferenceModel:

@@ -185,6 +185,31 @@ def test_unreadable_file_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["solve"], ["bounds"], ["udp", "solve"], ["multiperiod"]], ids=" ".join)
+def test_json_nested_too_deeply_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)  # json.loads raises RecursionError, not ValueError
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot read {path}: ") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["bounds"], ["solve", "--bounds"]], ids=" ".join)
+def test_bounds_of_an_empty_catalogue_exit_2(tmp_path, capsys, command):
+    # A lone blue self-loop leaves no priceable element: the reduction has n = 0.
+    loop = tmp_path / "loop.json"
+    loop.write_text(json.dumps({"kind": "stackelberg", "payload": {"vertices": 1, "edges": [{"u": 0, "v": 0, "color": "blue"}]}}))
+    code, out = run(capsys, "stackelberg", "reduce", str(loop))
+    path = tmp_path / "empty.json"
+    path.write_text(out)
+    assert code == 0 and instance_from_dict(json.loads(out)).n == 0
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot bound {path}: bounds are undefined for an empty catalogue\n"
+
+
 def test_bad_usage_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
@@ -491,6 +516,12 @@ class TestSharedParser:
         code, out = run(capsys, "suite", "--checks", "axioms", str(path))
         assert code == 0 and set(json.loads(out)["checks"]) == {"axioms"}
         code, out = run(capsys, "suite", str(path))
+        assert code == 0 and set(json.loads(out)["checks"]) == {"axioms", "guarantees"}
+        # A misspelt name runs no check, so it is refused rather than passed.
+        assert main(["suite", "--checks", "axiom", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "unknown --checks 'axiom'; accepted: axioms, guarantees, reduction, monotonicity\n"
+        code, out = run(capsys, "suite", "--checks", ",", str(path))
         assert code == 0 and set(json.loads(out)["checks"]) == {"axioms", "guarantees"}
 
     def test_usage_error_then_valid_call(self, tmp_path, capsys):

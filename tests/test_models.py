@@ -16,7 +16,6 @@ from assortopt import (
     MixedMnlModel,
     MnlModel,
     NonPositiveRevenue,
-    ProductSet,
     StochasticPreferenceModel,
     TableCapacity,
     TabularModel,
@@ -26,15 +25,47 @@ from assortopt import (
     expand_ranking_model,
     kendall_distance,
 )
-from assortopt.models import enumerate_subsets
+from assortopt.generators import ASSORTMENT_FAMILIES, generate
+from assortopt.io import instance_from_dict
+from assortopt.models import enumerate_subsets, ordered_sum
+from assortopt.reductions import reduce_pricing
 
 
 def test_product_set_bounds():
-    assert 1 in ProductSet(3) and 3 in ProductSet(3)
-    assert 0 not in ProductSet(3) and 4 not in ProductSet(3)
-    assert ProductSet(0).indices == range(1, 1)
-    with pytest.raises(ValueError):
-        ProductSet(-1)
+    model = MnlModel([0.0, 0.0, 0.0])
+    for x in (1, 3):
+        assert model.evaluate(x, {x}) == 0.5 and model.choice_row({x}) == (0.5,)
+    with pytest.raises(ValueError, match="product 4 outside catalogue 1..3"):
+        model.evaluate(4, {1})
+    for bad in (0, 4):
+        with pytest.raises(ValueError, match=rf"unknown products \[{bad}\]"):
+            model.evaluate(1, {1, bad})
+        with pytest.raises(ValueError, match=rf"unknown products \[{bad}\]"):
+            model.choice_row({bad})
+    empty = MnlModel([])
+    assert empty.n == 0 and empty.evaluate(0, ()) == 1 and empty.choice_row(()) == ()
+    with pytest.raises(ValueError, match="product 1 outside catalogue 1..0"):
+        empty.evaluate(1, ())
+    with pytest.raises(ValueError, match=re.escape("product count must be >= 0, got -1")):
+        ChoiceModel(-1)
+
+
+@pytest.mark.parametrize(
+    "kind, family",
+    [("assortment", family) for family in ASSORTMENT_FAMILIES] + [(kind, None) for kind in ("udp_min", "udp_rank", "stackelberg")],
+)
+def test_evaluate_reads_the_choice_row(kind, family):
+    # One read rule for every model, bit for bit: P(x, S) is x's entry of
+    # choice_row(S), and P(0, S) is 1 minus that row's ordered_sum, the
+    # no-purchase probability check_axioms judges.
+    for seed in range(30):
+        params = {"k": seed % 3 + 1} if family == "tight" else {}
+        instance = instance_from_dict(generate(kind, family, params, seed))
+        model = instance.model if family else reduce_pricing(instance).model
+        for subset in enumerate_subsets(model.n):
+            row = model.choice_row(subset)
+            assert repr(model.evaluate(0, subset)) == repr(1 - ordered_sum(row)), (seed, subset)
+            assert [repr(model.evaluate(x, subset)) for x in subset] == list(map(repr, row)), (seed, subset)
 
 
 def test_enumerate_subsets_order():
