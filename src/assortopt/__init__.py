@@ -10,7 +10,6 @@ from .assortment import (
     check_technical_bound,
     compute_bounds,
     generate_tight_instance,
-    require_optimal_bound,
     revenue_ordered,
     verify_guarantee,
 )
@@ -22,7 +21,6 @@ from .axioms import (
     check_purchase_monotonicity,
 )
 from .errors import (
-    BoundCUnavailable,
     DeltaOutOfRange,
     GroundSetTooLarge,
     InvalidEpsilon,

@@ -17,7 +17,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .axioms import AxiomReport, _check_axioms
-from .errors import BoundCUnavailable, NonPositiveRevenue, RegularityViolation
+from .errors import NonPositiveRevenue, RegularityViolation
 from .models import (
     GUARD,
     ChoiceModel,
@@ -37,7 +37,7 @@ from .models import (
 BLOCK_BITS = 12
 
 # The MNL screen's cut (see brute_force_optimum): a relative slack rho, and
-# an absolute one alpha = (n + 1) * max(1, max r, 1 / w_0) * SCREEN_ATOL.
+# an absolute one alpha = (n + 1) * max(1, max f, 1 / w_0) * SCREEN_ATOL.
 SCREEN_RTOL = 1e-12
 SCREEN_ATOL = 2.0**-1068
 
@@ -240,22 +240,27 @@ def brute_force_optimum(instance: AssortmentInstance) -> AssortmentSolution:
     candidates, the sets with s >= s_max * (1 - 2 rho) - 2 alpha, get their
     revenue v^ computed, as the columns give it: p = w_x / D^, and the p * r
     added in ascending order by ``ordered_sum``, so the same float on every
-    Python.  An instance where 2 n max(1, max w) max r is not finite takes
-    the column path, so that no sum can overflow.
+    Python.  So that no sum can overflow, the scores weigh each product by
+    f_x = float(r_x) * 2^-e instead of float(r_x), with e the least e >= 0
+    for which 2 n max(1, max w) max f is finite; e is 0 wherever that holds
+    of the revenues themselves, and scaling by a power of two is exact
+    unless f_x is subnormal.  The revenue v^ stays unscaled.
 
     Every set that attains v* = max v^ is a candidate.  Each of v^ and s is
     N/D times at most 2n + 2 rounding factors (1 + d), |d| <= u = 2^-53, so
     its relative error is at most gamma = (2n+2)u / (1 - (2n+2)u), below
-    5e-15 at n <= 20.  On top of that come underflow errors, multiples of
-    eta = 2^-1074: at most a_v = 2.1 n eta max(1, max r) for v^ (p,
-    float(r) and each p * r may underflow) and a_s = 1.1 (n + 1) eta / w_0
-    for s (each underflowed w_x * r_x, over D >= w_0).  With
+    5e-15 at n <= 20.  Measured in the scores' units (v^ times 2^-e), on top
+    of that come underflow errors, multiples of eta = 2^-1074: at most
+    a_v = 2.1 n eta max(1, max f) for v^ (p, float(r) and each p * r may
+    underflow) and a_s = (1.1 (n + 1) / w_0 + n / 2) eta for s (each
+    underflowed w_x * f_x, over D >= w_0, and each subnormal f_x, whose
+    error of at most eta / 2 adds at most that to N / D as w_x <= D).  With
     q = (1 - gamma) / (1 + gamma), a set S with v^(S) = v* has
     s(S) >= q (v* - a_v) - a_s, while s_max <= (v* + a_v) / q + a_s.  So
     s(S) clears the cut once q^2 >= 1 - 2 rho, which rho >= 2 gamma gives
     (rho = SCREEN_RTOL = 1e-12, a hundred times that), and
     alpha >= 1.01 a_v + a_s, which
-    alpha = (n + 1) max(1, max r, 1 / w_0) SCREEN_ATOL covers sixteen times
+    alpha = (n + 1) max(1, max f, 1 / w_0) SCREEN_ATOL covers sixteen times
     (SCREEN_ATOL = 2^-1068 = 64 eta).  The cut's own roundings fall far
     inside both margins.  All tied sets, so the smallest key among them,
     and the empty set's int 0 are therefore those of the full enumeration.
@@ -263,9 +268,7 @@ def brute_force_optimum(instance: AssortmentInstance) -> AssortmentSolution:
     n, model, revenue, scale = instance.n, instance.model, instance.revenue, instance.model.denominator
     check_guard(n, GUARD)
     if isinstance(model, MnlModel):
-        screened = _screened_optimum(model, revenue)
-        if screened is not None:
-            return screened
+        return _screened_optimum(model, revenue)
     source = vars(instance).get("table", model)
     c = min(n, BLOCK_BITS)
     blocks = ((high, source.columns(c, high)) for high in range(0, 1 << n, 1 << c))
@@ -291,15 +294,19 @@ def brute_force_optimum(instance: AssortmentInstance) -> AssortmentSolution:
     return AssortmentSolution(frozenset(best_key), best_revenue, "brute-force")
 
 
-def _screened_optimum(model: MnlModel, revenue: Sequence) -> AssortmentSolution | None:
+def _screened_optimum(model: MnlModel, revenue: Sequence) -> AssortmentSolution:
     """The MNL optimum of :func:`brute_force_optimum`, by the screen its
-    docstring derives; None when the weighted revenues could overflow."""
+    docstring derives, on the revenues scaled by the least 2^-e that keeps
+    every weighted sum finite."""
     n, weights, outside = model.n, model._weight_of, model._outside
-    factors = [float(r) for r in revenue]
-    top_revenue = max(factors, default=0.0)
-    if not finite(2 * n * max(1.0, max(weights)) * top_revenue):
-        return None
-    slack = 2 * (n + 1) * max(SCREEN_ATOL * max(1.0, top_revenue), SCREEN_ATOL / outside)
+    reach = 2 * n * max(1.0, max(weights))  # finite: the weights leave room for n + 1 of them
+    top = max(map(float, revenue), default=0.0)
+    # reach * top >= 2^(a + b - 2) for their frexp exponents a and b, so every smaller e overflows.
+    e = max(0, math.frexp(reach)[1] + math.frexp(top)[1] - 1025)
+    while not finite(reach * math.ldexp(top, -e)):
+        e += 1
+    factors = [math.ldexp(float(r), -e) for r in revenue]
+    slack = 2 * (n + 1) * max(SCREEN_ATOL * max(1.0, math.ldexp(top, -e)), SCREEN_ATOL / outside)
     keep = 1 - 2 * SCREEN_RTOL
     best_score = cut = -math.inf
     candidates = []  # (score, mask, D^) of every set that might clear the final cut
@@ -326,8 +333,12 @@ def _screened_optimum(model: MnlModel, revenue: Sequence) -> AssortmentSolution 
 class BoundReport:
     """The three lower bounds on the revenue-ordered approximation ratio.
 
+    At k = 0 (an empty catalogue) no level loses any revenue, so bounds
+    A and B are 1.0 and lambda_tilde is 0.0.
+
     bound_a: 1/k for k distinct revenue levels.
-    bound_b_exact: 1 / sum_i (r_i - r_{i-1}) / r_i, with r_0 = 0.
+    bound_b_exact: 1 / sum_i (r_i - r_{i-1}) / r_i, with r_0 = 0; a
+        ``Fraction`` when the levels are.
     bound_b_log: 1 / (1 + ln rho), rho = r_k / r_1; never above bound_b_exact.
     bound_c_*: analogous bounds from the purchase masses N_i inside a
         supplied optimal assortment; None when no optimum was supplied or
@@ -340,7 +351,7 @@ class BoundReport:
 
     n_levels: int
     bound_a: float
-    bound_b_exact: float
+    bound_b_exact: float | Fraction
     bound_b_log: float
     lambda_tilde: float
     bound_c_exact: float | None = None
@@ -352,7 +363,7 @@ class BoundReport:
 
 def _bound_c(instance: AssortmentInstance, optimal: AssortmentSolution) -> dict:
     """The BoundReport fields of the purchase-mass bound w.r.t. an optimal
-    assortment; raises if nothing sells."""
+    assortment; none if nothing sells."""
     levels = instance.levels
     k = len(levels)
     S = optimal.assortment
@@ -361,7 +372,7 @@ def _bound_c(instance: AssortmentInstance, optimal: AssortmentSolution) -> dict:
     for level in levels:
         masses.append(float(ordered_sum(p for x, p in probs.items() if instance.revenue_of(x) >= level)))
     if not masses or masses[0] <= 0:
-        raise BoundCUnavailable("no product sells in the supplied optimal assortment")
+        return {}
     ell = max(i + 1 for i in range(k) if masses[i] > 0)
     padded = masses + [0.0]
     total = ordered_sum((padded[i] - padded[i + 1]) / padded[i] for i in range(ell))
@@ -387,15 +398,15 @@ def compute_bounds(instance: AssortmentInstance, optimal: AssortmentSolution | N
     """Compute the approximation-ratio bounds for an instance.
 
     The purchase-mass bound needs an optimal assortment; its fields stay
-    None when none is supplied or when nothing sells in it (the latter can
-    be surfaced as an error via require_optimal_bound).
+    None when none is supplied or when nothing sells in it.
     """
     levels = instance.levels
     k = len(levels)
     if k == 0:
-        raise ValueError("bounds are undefined for an empty catalogue")
-    ratio_sum = 0.0
-    previous = 0  # an int, so an exact level below the float range divides exactly
+        return BoundReport(n_levels=0, bound_a=1.0, bound_b_exact=1.0, bound_b_log=1.0, lambda_tilde=0.0)
+    # Both start at int 0, so exact levels (below the float range too) sum
+    # exactly, and float levels to the floats a 0.0 start gives.
+    ratio_sum = previous = 0
     for level in levels:
         ratio_sum += (level - previous) / level
         previous = level
@@ -406,22 +417,11 @@ def compute_bounds(instance: AssortmentInstance, optimal: AssortmentSolution | N
     report = BoundReport(
         n_levels=k,
         bound_a=1.0 / k,
-        bound_b_exact=1.0 / ratio_sum,
+        bound_b_exact=1 / ratio_sum,
         bound_b_log=1.0 / (1.0 + log_rho),
         lambda_tilde=lambda_tilde,
     )
-    if optimal is None:
-        return report
-    try:
-        return replace(report, **_bound_c(instance, optimal))
-    except BoundCUnavailable:
-        return report
-
-
-def require_optimal_bound(instance: AssortmentInstance, optimal: AssortmentSolution):
-    """As compute_bounds with an optimum, but BoundCUnavailable propagates."""
-    bound_c = _bound_c(instance, optimal)
-    return replace(compute_bounds(instance), **bound_c)
+    return report if optimal is None else replace(report, **_bound_c(instance, optimal))
 
 
 def check_technical_bound(instance: AssortmentInstance, optimal: AssortmentSolution) -> bool:
@@ -470,7 +470,7 @@ def verify_guarantee(instance: AssortmentInstance) -> GuaranteeReport:
     bounds = compute_bounds(instance, optimal=optimum)
     opt_value = float(optimum.revenue)
     heuristic_value = float(heuristic.revenue)
-    applicable = [("A", bounds.bound_a), ("B", bounds.bound_b_exact)]
+    applicable = [("A", bounds.bound_a), ("B", float(bounds.bound_b_exact))]
     if bounds.bound_c_exact is not None:
         applicable.append(("C", bounds.bound_c_exact))
     failures = tuple(

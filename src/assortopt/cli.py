@@ -3,8 +3,8 @@
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad usage or a bad
 flag value (``suite --checks`` takes only the names in ``SUITE_CHECKS``), an
 instance file that is unreadable, malformed (JSON nested too deeply to parse
-included), invalid or of the wrong kind, bounds asked of an empty catalogue, or
-an instance beyond an enumeration guard or the float range (one line on stderr).
+included), invalid or of the wrong kind, or an instance beyond an enumeration
+guard or the float range (one line on stderr).
 
 ``main`` parses with one parser per process, built on its first call, so a
 process that calls ``main`` many times (the tests, ``perfbench``) builds the
@@ -42,8 +42,7 @@ from .multiperiod import (
     solve_dp,
 )
 from .reductions import reduce_pricing, solve_pricing, verify_reduction
-from .stackelberg import StackelbergInstance
-from .udp import UNPRICED, UdpMinInstance, UdpRankInstance
+from .udp import UNPRICED
 
 USAGE_ERROR = 2
 SUITE_CHECKS = ("axioms", "guarantees", "reduction", "monotonicity")
@@ -87,14 +86,11 @@ def _price(p):
     return "inf" if p == UNPRICED else p
 
 
-def _bounds_dict(instance: AssortmentInstance, optimum, path: str) -> dict:
-    try:
-        report = compute_bounds(instance, optimal=optimum)
-    except ValueError as error:  # an empty catalogue has no bounds
-        raise SystemExit(f"cannot bound {path}: {error}")
+def _bounds_dict(instance: AssortmentInstance, optimum) -> dict:
+    report = compute_bounds(instance, optimal=optimum)
     return {
         "A": report.bound_a,
-        "B_exact": report.bound_b_exact,
+        "B_exact": float(report.bound_b_exact),
         "B_log": report.bound_b_log,
         "C_exact": report.bound_c_exact,
         "C_log": report.bound_c_log,
@@ -146,7 +142,7 @@ def _solve_assortment(instance: AssortmentInstance, args) -> dict:
         opt_value = float(optimum.revenue)
         report["ratio"] = float(heuristic.solution.revenue) / opt_value if opt_value > 0 else 1.0
     if args.bounds:
-        report["bounds"] = _bounds_dict(instance, optimum, args.file)
+        report["bounds"] = _bounds_dict(instance, optimum)
     return report
 
 
@@ -159,7 +155,7 @@ def _cmd_solve(args) -> int:
 def _cmd_bounds(args) -> int:
     instance = _load(args.file, "assortment")
     optimum = brute_force_optimum(instance) if args.with_optimal else None
-    _emit({"bounds": _bounds_dict(instance, optimum, args.file)}, args.json)
+    _emit({"bounds": _bounds_dict(instance, optimum)}, args.json)
     return 0
 
 
@@ -266,8 +262,6 @@ def _suite_check_file(path: str, checks: list[str]) -> dict:
     record["kind"] = data.get("kind")
 
     def run(name: str, thunk) -> None:
-        if checks and name not in checks:
-            return
         started = time.perf_counter()
         try:
             ok = bool(thunk())
@@ -283,12 +277,18 @@ def _suite_check_file(path: str, checks: list[str]) -> dict:
         record["passed"] = record["passed"] and ok
 
     if isinstance(instance, AssortmentInstance):
-        run("axioms", lambda: instance.axioms.passed)
-        run("guarantees", lambda: verify_guarantee(instance).passed)
-    elif isinstance(instance, (UdpMinInstance, UdpRankInstance, StackelbergInstance)):
-        run("reduction", lambda: verify_reduction(instance).passed)
+        applicable = {"axioms": lambda: instance.axioms.passed,
+                      "guarantees": lambda: verify_guarantee(instance).passed}
     elif isinstance(instance, MultiPeriodInstance):
-        run("monotonicity", lambda: all(_dp_checks(solve_dp(instance)).values()))
+        applicable = {"monotonicity": lambda: all(_dp_checks(solve_dp(instance)).values())}
+    else:  # a pricing instance
+        applicable = {"reduction": lambda: verify_reduction(instance).passed}
+    chosen = [name for name in applicable if not checks or name in checks]
+    if not chosen:  # a record that runs nothing must not pass
+        record["error"] = f"no requested check applies to a {record['kind']} file; its checks: {', '.join(applicable)}"
+        record["passed"] = False
+    for name in chosen:
+        run(name, applicable[name])
     return record
 
 

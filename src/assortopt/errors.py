@@ -9,10 +9,6 @@ class NonPositiveRevenue(ValueError):
     """Raised when a revenue (or price/cost) that must be positive is not."""
 
 
-class BoundCUnavailable(ValueError):
-    """Raised when the optimal-assortment bound is requested but no product sells."""
-
-
 class InvalidEpsilon(ValueError):
     """Raised when the tight-family scale parameter is outside (0, 1/2]."""
 

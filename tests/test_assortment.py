@@ -1,15 +1,17 @@
 """Revenue-ordered heuristic, exact oracle, bounds, and the tight family."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from assortopt import assortment
 from assortopt import (
     AssortmentInstance,
     AssortmentSolution,
-    BoundCUnavailable,
+    BoundReport,
     GroundSetTooLarge,
     MnlModel,
     NonPositiveRevenue,
@@ -20,7 +22,6 @@ from assortopt import (
     check_technical_bound,
     compute_bounds,
     generate_tight_instance,
-    require_optimal_bound,
     revenue_ordered,
     verify_guarantee,
 )
@@ -157,9 +158,11 @@ class TestBounds:
         # Fraction(1, 10**400) is positive, but its float is 0.0.
         instance = AssortmentInstance(MnlModel([0.0, 0.0]), [Fraction(1, 10**400), 1])
         report = compute_bounds(instance, brute_force_optimum(instance))
-        assert (report.bound_a, report.bound_b_exact) == (0.5, 0.5)
+        # The levels are exact, so bound B is too; its float is 0.5.
+        assert report.bound_b_exact == 1 / (2 - Fraction(1, 10**400))
+        assert (report.bound_a, float(report.bound_b_exact)) == (0.5, 0.5)
         assert report.bound_b_log == pytest.approx(1.0 / (1.0 + 400 * math.log(10)))
-        fields = [report.bound_a, report.bound_b_exact, report.bound_b_log, report.lambda_tilde]
+        fields = [report.bound_a, report.bound_b_log, report.lambda_tilde]
         fields += [report.bound_c_exact, report.bound_c_log, report.nu, *report.n_masses]
         assert all(type(value) is float for value in fields)
 
@@ -189,9 +192,24 @@ class TestBounds:
         instance = AssortmentInstance(dead, [1.0])
         solution = AssortmentSolution(frozenset({1}), 0.0, "brute-force")
         report = compute_bounds(instance, solution)
-        assert report.bound_c_exact is None
-        with pytest.raises(BoundCUnavailable):
-            require_optimal_bound(instance, solution)
+        assert report == compute_bounds(instance) and report.bound_c_exact is None
+
+    def test_an_empty_catalogue_loses_nothing(self):
+        instance = AssortmentInstance(TabularModel(0, {(): {}}), [])
+        optimum = brute_force_optimum(instance)
+        expected = BoundReport(n_levels=0, bound_a=1.0, bound_b_exact=1.0, bound_b_log=1.0, lambda_tilde=0.0)
+        assert compute_bounds(instance) == compute_bounds(instance, optimum) == expected
+        assert verify_guarantee(instance).passed
+
+    @pytest.mark.parametrize("kind", [Fraction, int])
+    def test_exact_bound_b_of_harmonic_levels(self, kind):
+        # Levels L/i for L = 12 and i = 4, 3, 2, 1: the sum is H_4 = 25/12.
+        instance = AssortmentInstance(MnlModel([0.0] * 4), [kind(r) for r in (3, 4, 6, 12)])
+        report = compute_bounds(instance)
+        if kind is Fraction:
+            assert 1 / report.bound_b_exact == Fraction(25, 12)
+        else:  # the float a 0.0 start gives
+            assert repr(report.bound_b_exact) == "0.4800000000000001"
 
     def test_bounds_in_unit_interval(self):
         rng = Random(99)
@@ -219,6 +237,16 @@ class TestVerifyGuarantee:
         expected = (1 + eps + eps**2 + eps**3) / k
         assert report.ratio == pytest.approx(expected, rel=1e-9)
         assert abs(report.ratio - 0.25) <= 2 * eps * k
+
+    def test_a_bound_above_the_ratio_fails_with_its_numbers(self, monkeypatch):
+        instance = generate_tight_instance(2, 0.1)
+        bounds = compute_bounds(instance)
+        monkeypatch.setattr(assortment, "compute_bounds", lambda *args, **kwargs: replace(bounds, bound_a=1.0))
+        report = verify_guarantee(instance)
+        heuristic, optimum = float(report.heuristic.revenue), float(report.optimum.revenue)
+        assert heuristic < optimum
+        assert not report.passed
+        assert report.failures == (f"bound A: revord {heuristic} < 1.0 * OPT {optimum}",)
 
     def test_mnl_ratio_is_one(self):
         rng = Random(10)
@@ -255,6 +283,20 @@ class TestTechnicalBound:
     def test_holds_on_tight_family(self):
         instance = generate_tight_instance(4, 0.1)
         assert check_technical_bound(instance, brute_force_optimum(instance))
+
+    def test_fails_without_the_product_half_of_regularity(self):
+        # A decoy: offering 3 makes 1 certain, and offering everything
+        # makes 3 certain; every other entry is 1/1000.
+        rows = {S: dict.fromkeys(S, Fraction(1, 1000)) for S in [(1,), (2,), (3,), (1, 2), (2, 3)]}
+        rows.update({(): {}, (1, 3): {1: Fraction(1), 3: Fraction(0)}, (1, 2, 3): {1: 0, 2: 0, 3: Fraction(1)}})
+        instance = AssortmentInstance(TabularModel(3, rows), [Fraction(1), Fraction(1, 2), Fraction(1, 100)])
+        optimum = brute_force_optimum(instance)
+        assert not check_technical_bound(instance, optimum)
+        regularity = instance.axioms.regularity
+        assert (regularity.witness, regularity.gap) == ((1, frozenset({1}), frozenset({1, 3})), 0.999)
+        assert revenue_ordered(instance).solution.revenue / optimum.revenue == Fraction(1, 100)
+        with pytest.raises(RegularityViolation):
+            verify_guarantee(instance)
 
 
 class TestTightInstance:

@@ -117,6 +117,17 @@ def test_multiperiod_check(tmp_path, capsys):
     assert report["nesting_monotonicity"] and report["marginal_value"] and report["lstar_agreement"]
 
 
+@pytest.mark.parametrize("command", [["solve", "--bounds"], ["bounds", "--with-optimal"]], ids=" ".join)
+def test_assortment_commands_read_a_multiperiod_files_base(tmp_path, capsys, command):
+    path = tmp_path / "mp.json"
+    assert main(["gen", "multiperiod", "--seed", "5", "-o", str(path)]) == 0
+    base = tmp_path / "base.json"
+    base.write_text(dumps(instance_to_dict(instance_from_dict(json.loads(path.read_text())).base)))
+    code, out = run(capsys, *command, str(path), "--json")
+    assert code == 0 and "bounds" in json.loads(out)
+    assert run(capsys, *command, str(base), "--json") == (0, out)
+
+
 def test_multiperiod_accepts_assortment_plus_flags(tmp_path, capsys):
     path = tmp_path / "a.json"
     main(["gen", "assortment", "--family", "mnl", "--seed", "4", "-o", str(path)])
@@ -167,6 +178,17 @@ class TestSuite:
         assert record["passed"] is False
         assert "regularity" in str(record["checks"]["guarantees"])
 
+    def test_a_file_no_requested_check_applies_to_fails(self, tmp_path, capsys):
+        path = tmp_path / "mp.json"
+        assert main(["gen", "multiperiod", "--seed", "5", "-o", str(path)]) == 0
+        code, out = run(capsys, "suite", "--checks", "reduction", str(path))
+        assert code == 1
+        record = json.loads(out)
+        assert (record["passed"], record["checks"]) == (False, {})
+        assert record["error"] == "no requested check applies to a multiperiod file; its checks: monotonicity"
+        code, out = run(capsys, "suite", "--checks", "reduction,monotonicity", str(path))
+        assert code == 0 and "error" not in json.loads(out)
+
     def test_malformed_file_collected_not_fatal(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -195,8 +217,7 @@ def test_json_nested_too_deeply_exits_2(tmp_path, capsys, command):
     assert captured.err.startswith(f"cannot read {path}: ") and len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("command", [["bounds"], ["solve", "--bounds"]], ids=" ".join)
-def test_bounds_of_an_empty_catalogue_exit_2(tmp_path, capsys, command):
+def _empty_catalogue(tmp_path, capsys):
     # A lone blue self-loop leaves no priceable element: the reduction has n = 0.
     loop = tmp_path / "loop.json"
     loop.write_text(json.dumps({"kind": "stackelberg", "payload": {"vertices": 1, "edges": [{"u": 0, "v": 0, "color": "blue"}]}}))
@@ -204,10 +225,24 @@ def test_bounds_of_an_empty_catalogue_exit_2(tmp_path, capsys, command):
     path = tmp_path / "empty.json"
     path.write_text(out)
     assert code == 0 and instance_from_dict(json.loads(out)).n == 0
-    assert main([*command, str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"cannot bound {path}: bounds are undefined for an empty catalogue\n"
+    return path
+
+
+@pytest.mark.parametrize("command", [["bounds"], ["bounds", "--with-optimal"], ["solve", "--bounds"]], ids=" ".join)
+def test_bounds_of_an_empty_catalogue_lose_nothing(tmp_path, capsys, command):
+    path = _empty_catalogue(tmp_path, capsys)
+    code, out = run(capsys, *command, str(path), "--json")
+    assert code == 0
+    bounds = json.loads(out)["bounds"]
+    assert bounds == {"A": 1.0, "B_exact": 1.0, "B_log": 1.0, "C_exact": None, "C_log": None, "nu": None, "lambda_tilde": 0.0}
+
+
+def test_suite_passes_an_empty_catalogue(tmp_path, capsys):
+    path = _empty_catalogue(tmp_path, capsys)
+    code, out = run(capsys, "suite", str(path))
+    assert code == 0
+    record = json.loads(out)
+    assert record["passed"] is True and record["checks"] == {"axioms": True, "guarantees": True}
 
 
 def test_bad_usage_exit_code():

@@ -125,14 +125,18 @@ def test_a_built_table_is_screened_too(monkeypatch, n):
     check(model, revenue, instance)
 
 
-@pytest.mark.parametrize("n", [2, 6, 12])
+@pytest.mark.parametrize("n", [2, 6, 12, 16])
 def test_utilities_above_709_shift_the_weights(screened, n):
     rng = Random(n)
     model = MnlModel([800.0 + rng.uniform(-3.0, 3.0) for _ in range(n)])
     assert model._outside < 1e-40
     # The largest weight is near the float maximum / e(n + 1), so revenues
-    # above about 1.3 would overflow the scores and take the column path.
+    # above about 1.3 overflow unscaled scores: those are screened on
+    # revenues scaled by a power of two.
     check(model, [rng.uniform(0.1, 0.6) for _ in range(n)])
+    revenue = [rng.uniform(1.0, 9.5) for _ in range(n)]
+    assert math.isinf(2 * n * max(model._weight_of) * max(revenue))
+    check(model, revenue)
     # One product far above the rest makes the outside weight w_0 = w_2
     # subnormal.  Product 2 alone earns 1e-10 / 2, the most, yet its score
     # w_2 * 1e-10 underflows to 0 below product 1's 1e-300: only the cut's
@@ -227,22 +231,25 @@ def test_ties_across_many_small_blocks(screened, monkeypatch):
         check(MnlModel(utilities), revenue)
 
 
-def test_overflowing_products_take_the_column_path(monkeypatch):
-    # w * r near 1e304 * 1e10 overflows, so the screen is not used.
+def test_overflowing_products_are_screened_on_scaled_revenues(screened):
+    # w * r near 1e304 * 1e10 overflows, so the scores weigh the revenues
+    # scaled by a power of two; each candidate's revenue stays unscaled.
     model = MnlModel([700.0, 699.0, 1.0])
     revenue = [1e10, 2e10, 3.0]
     assert math.isinf(model._weight_of[1] * revenue[0])
-    reads = []
-    original = MnlModel.columns
-
-    def counted(self, c, high=0):
-        reads.append((c, high))
-        return original(self, c, high)
-
-    def refused(self, factors, c):
-        raise AssertionError("an overflowing product was screened")
-
-    monkeypatch.setattr(MnlModel, "columns", counted)
-    monkeypatch.setattr(MnlModel, "screen", refused)
     check(model, revenue)
-    assert reads == [(3, 0)]
+    # Scaled by 2^-1013, 1e-10 turns subnormal: the cut's absolute slack
+    # absorbs its rounding.
+    check(model, [1.7e308, 1e-10, 3.0])
+    check(MnlModel([706.0, 0.0, -700.0]), [Fraction(10**308, 1), 9, 1e300])
+
+
+def test_extreme_utilities_and_revenues(screened):
+    rng = Random(24)
+    centres = [800.0, 1450.0, -800.0, 690.0, 700.0, 712.0, 0.0]
+    revenues = [5e-324, 1e-300, 1e-10, 1.0, 3, 1e10, 1e300, 1.7e308, 10**300, Fraction(10**307, 3), Fraction(1, 10**400)]
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        # Jitter only downwards: above about 1450 even the outside weight underflows.
+        utilities = [rng.choice(centres) - rng.choice([0.0, rng.uniform(0.0, 4.0)]) for _ in range(n)]
+        check(MnlModel(utilities), [rng.choice(revenues) for _ in range(n)])

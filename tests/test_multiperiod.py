@@ -11,6 +11,7 @@ from assortopt import (
     AssortmentInstance,
     CheckResult,
     DeltaOutOfRange,
+    DpTable,
     MnlModel,
     MultiPeriodInstance,
     TabularModel,
@@ -146,6 +147,11 @@ class TestNestingMonotonicity:
         table = solve_dp(MultiPeriodInstance(base, 4, 3))
         assert all(l == 1 for row in table.lstar for l in row)
         assert check_nesting_monotonicity(table).passed
+
+    def test_a_threshold_that_shrinks_with_time_is_a_time_witness(self):
+        # No row rises with capacity, but l*_2(1) = 1 < l*_1(1) = 2.
+        table = DpTable(2, 1, 2, ((0.0, 0.0),) * 3, ((1, 1), (1, 2), (1, 1)), True)
+        assert check_nesting_monotonicity(table) == CheckResult(False, ("time", 2, 1))
 
     def test_irregular_model_violations_logged_not_asserted(self):
         # A model violating regularity may or may not break the nesting

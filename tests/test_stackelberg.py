@@ -129,6 +129,11 @@ class TestGreedyNesting:
         assert not report.passed
         assert report.failures
 
+    # Nothing is independent, or {1, 2} is but neither of its singletons.
+    @pytest.mark.parametrize("predicate", [lambda S: False, lambda S: len(S) != 1], ids=["dependent empty set", "not hereditary"])
+    def test_a_family_failing_the_first_two_axioms_is_not_a_matroid(self, predicate):
+        assert not check_matroid_axioms(FunctionMatroid([1, 2], predicate))
+
     def test_single_excluded_pair_is_still_a_matroid(self):
         # "At most two elements except {1,2}" satisfies exchange after all:
         # it is the graphic matroid of two parallel edges plus a third edge.
@@ -170,7 +175,23 @@ class TestRevenueOfPrices:
             assert is_cost_compatible(order, instance.effective_costs(prices), instance.blue)
 
 
+class TestCostCompatibility:
+    def test_a_dearer_element_or_a_red_tie_first_is_refused(self):
+        assert not is_cost_compatible([2, 1], {1: 1.0, 2: 2.0}, frozenset())
+        assert not is_cost_compatible([1, 2], {1: 1.0, 2: 1.0}, frozenset({2}))
+        assert is_cost_compatible([2, 1], {1: 1.0, 2: 1.0}, frozenset({2}))
+
+
 class TestTiebreakIndependence:
+    def test_a_sentinel_whose_greedy_depends_on_the_tie_order_fails(self):
+        # Blues 1, 2, 3 tie at price 1; beyond singletons only {2, 3} is
+        # independent, so greedy buys one blue when 1 comes first, else two.
+        sentinel = FunctionMatroid([1, 2, 3, 4], lambda S: len(S) <= 1 or S == frozenset({2, 3}))
+        instance = StackelbergInstance(sentinel, {4: 5.0}, [1, 2, 3])
+        prices = dict.fromkeys([1, 2, 3], 1.0)
+        assert revenue_of_prices(instance, prices).bought_blue == frozenset({1})
+        assert not check_tiebreak_independence(instance, prices, 20, Random(0))
+
     def test_distinct_costs_single_ordering(self):
         matroid = GraphicMatroid(3, [(0, 1), (1, 2), (0, 2)])
         instance = StackelbergInstance(matroid, {0: 1.0, 1: 2.0}, [2])
