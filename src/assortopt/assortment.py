@@ -150,6 +150,62 @@ class RevenueLadder:
     def lines(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.expected_revenue, self.purchase_probability))
 
+    @cached_property
+    def screen(self) -> tuple[list[float], list[tuple[float, int, float, float]]]:
+        """The shifts delta at which one level's score is the clear maximum.
+
+        Level w owns the closed float interval [start, end] of delta on
+        which, for every other line l, (R_w - R_l) + (P_w - P_l) * delta >=
+        T0 = 4 RTOL max(1, M + 1), evaluated as written, and |delta| <= D.
+        Here D = 2 max|R| + 1 and M = max|R| + max|P| D, so every score at
+        such a delta is at most M in size.  The result is the sorted starts,
+        and per interval its end, its level and the line (R_w, P_w).  A line
+        equal to an earlier one has no interval (the earlier one wins every
+        tie), and a later line equal to w's is no competitor, since it
+        scores the same float.  With a non-finite line, M or T0 there are
+        no intervals.
+
+        On an interval, the score R_w + P_w * delta is the float maximum,
+        and every earlier level misses the tie slack RTOL max(1, |max|) of
+        the full scan, so the scan would return that level and that float.
+        Each float score is within about 3u M of its exact value (u =
+        2^-53; underflow adds multiples of 2^-1074), and rounding the
+        endpoints moves the exact gap at an endpoint by about 30u M.  Both
+        are about 10^6 times smaller than the factor-2 reserve of T0 over
+        twice the slack, so every float gap exceeds the slack.  For the same
+        reason the intervals are disjoint, and a delta falls in at most the
+        one whose start is the largest not above it.
+        """
+        lines = self.lines
+        if not all(finite(r) and finite(p) for r, p in lines):
+            return [], []
+        top = max((abs(r) for r, _ in lines), default=0.0)
+        reach = 2 * top + 1
+        size = top + max((abs(p) for _, p in lines), default=0.0) * reach
+        if not finite(size):  # nor then are D and T0
+            return [], []
+        margin = 4 * RTOL * max(1.0, size + 1)
+        spans = []
+        for w, line in enumerate(lines):
+            if line in lines[:w]:
+                continue
+            r, p = line
+            start, end = -reach, reach
+            for other in lines:
+                # The half-line (r - R_l) + (p - P_l) * delta >= margin.
+                need = margin - (r - other[0])
+                slope = p - other[1]
+                if slope > 0:
+                    start = max(start, need / slope)
+                elif slope < 0:
+                    end = min(end, need / slope)
+                elif need > 0 and other != line:
+                    end = -math.inf
+            if start <= end:
+                spans.append((start, end, w + 1, r, p))
+        spans.sort()
+        return [span[0] for span in spans], [span[1:] for span in spans]
+
 
 def revenue_ladder(instance: AssortmentInstance) -> RevenueLadder:
     """Precompute the nested revenue-ordered assortments of an instance.

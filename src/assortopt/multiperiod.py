@@ -16,9 +16,22 @@ tolerance at that scale, and sets J_t(q) = J_{t-1}(q) + max_l (R_l + P_l *
 delta).  That is the static problem with every revenue shifted by delta,
 which ``lstar_delta`` solves with the same function.  For regular models l*
 is monotone in both state variables and never rises with delta (nesting by
-fare order); ``check_lstar_order`` reads that last order off the table.
-The three table checks return an ``axioms.CheckResult`` with gap 0.0 and
-the first violating cell as its witness.
+fare order); ``check_lstar_order`` reads that last order off the table in
+one pass over each level's least and greatest delta, and sorts the cells
+for the witness only when it fails.  The three table checks return an
+``axioms.CheckResult`` with gap 0.0 and the first violating cell as its
+witness.
+
+The maximum of R_l + P_l * delta is the upper envelope of the ladder's
+lines, so one level wins on whole intervals of delta.  The ladder's
+``screen`` holds, per level w, the float interval on which w's score beats
+every other line by at least T0 = 4 RTOL max(1, M + 1), M bounding every
+score for |delta| <= D = 2 max|R| + 1.  Rounding moves a score or a gap by
+some 30u M at most (u = 2^-53), about 10^6 times less than T0's factor-2
+reserve over twice the tie slack, so on such an interval the scan would
+pick w and the float R_w + P_w * delta.  The kernel bisects delta into the
+sorted interval starts and returns that pair when delta lies in one; any
+other delta, NaN and infinities included, is scanned as before.
 
 Capacity cannot bind while it covers the rest of the horizon (q >= t).  By
 induction from J_0 = 0, row t-1 holds the one float J_{t-1}(t-1) at every
@@ -30,15 +43,16 @@ solve, fills those cells from it, and searches cell by cell only for q < t.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
+from math import isfinite
 
 # revenue_ladder is re-exported for the callers that import it from here.
-from .assortment import AssortmentInstance, RevenueLadder, revenue_ladder  # noqa: F401
+from .assortment import RTOL, AssortmentInstance, RevenueLadder, revenue_ladder  # noqa: F401
 from .axioms import CheckResult
 from .errors import DeltaOutOfRange, SearchSpaceTooLarge
 from .models import CELL_GUARD, GUARD, finite
-
-RTOL = 1e-9
 
 
 class MultiPeriodInstance:
@@ -98,9 +112,22 @@ class DpTable:
         return self.value[t][q] - self.value[t][q - 1]
 
 
-def _best_level(lines: tuple[tuple[float, float], ...], delta: float) -> tuple[int, float]:
+def _best_level(ladder: RevenueLadder, delta: float) -> tuple[int, float]:
     """The least level maximising R_l + P_l * delta within tolerance, and
-    that maximum; lines is the ladder's (R_l, P_l) pairs."""
+    that maximum: read off the ladder's screen when delta lies in a level's
+    interval, where that level's score is the same float the scan takes as
+    the maximum, else by the scan.  A NaN or infinite delta lies in none."""
+    starts, spans = ladder.screen
+    i = bisect_right(starts, delta)
+    if i:
+        end, level, r, p = spans[i - 1]
+        if delta <= end:
+            return level, r + p * delta
+    return _scan_levels(ladder.lines, delta)
+
+
+def _scan_levels(lines: tuple[tuple[float, float], ...], delta: float) -> tuple[int, float]:
+    """``_best_level`` by scoring every line; lines is the ladder's (R_l, P_l) pairs."""
     scores = [r + p * delta for r, p in lines]
     best = max(scores)
     # Relative tolerance with a unit floor: near-zero values would otherwise
@@ -135,19 +162,18 @@ def solve_dp(instance: MultiPeriodInstance) -> DpTable:
     if T * Q > CELL_GUARD:
         raise SearchSpaceTooLarge(f"T x Q = {T} x {Q} cells exceed the DP guard {CELL_GUARD}")
     ladder = instance.ladder
-    lines = ladder.lines
     regularity_ok: bool | None = None
     if instance.base.n <= GUARD:
         regularity_ok = instance.base.axioms.regularity.passed
 
     value = [[0.0] * (Q + 1) for _ in range(T + 1)]
     lstar = [[1] * (Q + 1) for _ in range(T + 1)]
-    level0, best0 = _best_level(lines, 0.0)
+    level0, best0 = _best_level(ladder, 0.0)
     for t in range(1, T + 1):
         previous, row, choice = value[t - 1], value[t], lstar[t]
         for q in range(1, min(t, Q + 1)):
             # The same float DpTable.marginal(t - 1, q) returns, negated.
-            choice[q], best = _best_level(lines, -(previous[q] - previous[q - 1]))
+            choice[q], best = _best_level(ladder, -(previous[q] - previous[q - 1]))
             row[q] = previous[q] + best
         if t <= Q:
             row[t:] = [previous[t - 1] + best0] * (Q + 1 - t)
@@ -210,7 +236,12 @@ def _first_drop(lower: list[float], upper: list[float], slack: float) -> int | N
 def check_lstar_order(table: DpTable) -> CheckResult:
     """l*_t(q) never rises as delta = -marginal(t-1, q) grows.  The cells are
     sorted by (delta, l*), so equal deltas need equal thresholds; the witness
-    is the first cell whose l* exceeds its predecessor's."""
+    is the first cell whose l* exceeds its predecessor's.  That order holds
+    iff each occurring level's deltas all lie below those of the next lower
+    occurring level, which one pass over the table reads off each level's
+    least and greatest delta; the cells are sorted only when it fails."""
+    if _levels_ordered(table):
+        return CheckResult(True)
     cells = sorted(
         (-table.marginal(t - 1, q), table.lstar[t][q], t, q)
         for t in range(1, table.horizon + 1)
@@ -218,6 +249,32 @@ def check_lstar_order(table: DpTable) -> CheckResult:
     )
     rise = next((cell for before, cell in zip(cells, cells[1:]) if cell[1] > before[1]), None)
     return CheckResult(True) if rise is None else CheckResult(False, ("delta", *rise[2:]))
+
+
+def _levels_ordered(table: DpTable) -> bool:
+    """Whether, for consecutive occurring levels l < l', every cell of l' has
+    a greater marginal (so a smaller delta) than every cell of l.  False for
+    a table whose deltas may not be finite, whose sort this cannot follow."""
+    low: dict[int, float] = {}  # per level, the least and greatest marginal(t-1, q) of its cells
+    high: dict[int, float] = {}
+    for t in range(1, table.horizon + 1):
+        previous = table.value[t - 1]
+        try:
+            if not all(map(isfinite, previous)):
+                return False
+        except OverflowError:  # an int or Fraction beyond the float range
+            return False
+        marginals = [b - a for a, b in zip(previous, previous[1:])]
+        q = 0
+        for level, run in groupby(table.lstar[t][1:]):
+            end = q + len(tuple(run))
+            least, greatest = min(marginals[q:end]), max(marginals[q:end])
+            if level in low:
+                least, greatest = min(least, low[level]), max(greatest, high[level])
+            low[level], high[level] = least, greatest
+            q = end
+    levels = sorted(low)
+    return all(low[upper] > high[lower] for lower, upper in zip(levels, levels[1:]))
 
 
 def lstar_delta(instance: AssortmentInstance, delta: float) -> int:
@@ -236,4 +293,4 @@ def lstar_delta(instance: AssortmentInstance, delta: float) -> int:
     top = ladder.levels[-1]
     if not finite(delta) or not top + delta >= -RTOL * max(1.0, top):
         raise DeltaOutOfRange(f"shift {delta} is not finite or drives the top revenue {top} negative")
-    return _best_level(ladder.lines, delta)[0]
+    return _best_level(ladder, delta)[0]

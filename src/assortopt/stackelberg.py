@@ -41,6 +41,20 @@ class Matroid:
     def is_independent(self, subset: Iterable[Element]) -> bool:
         raise NotImplementedError
 
+    def extender(self) -> Callable[[Element], bool]:
+        """A fresh independence test for one greedy scan: each call says
+        whether the element, added to every element the test has accepted so
+        far, is independent, and accepts it if so."""
+        accepted: list[Element] = []
+
+        def extend(element: Element) -> bool:
+            if self.is_independent(accepted + [element]):
+                accepted.append(element)
+                return True
+            return False
+
+        return extend
+
     def rank(self) -> int:
         return len(greedy(self, self._ground, self._ground))
 
@@ -89,6 +103,12 @@ class GraphicMatroid(Matroid):
         return self._edges
 
     def is_independent(self, subset: Iterable[Element]) -> bool:
+        extend = self.extender()
+        return all(extend(index) for index in subset)
+
+    def extender(self) -> Callable[[Element], bool]:
+        """One union-find kept across the scan: an edge is accepted when its
+        ends lie in different trees of the accepted forest."""
         parent = list(range(self._touched))
 
         def find(a: int) -> int:
@@ -97,13 +117,15 @@ class GraphicMatroid(Matroid):
                 a = parent[a]
             return a
 
-        for index in subset:
+        def extend(index: Element) -> bool:
             u, v = self._ends[index]
             root_u, root_v = find(u), find(v)
             if root_u == root_v:
                 return False
             parent[root_u] = root_v
-        return True
+            return True
+
+        return extend
 
 
 def greedy(matroid: Matroid, F: Iterable[Element], order: Sequence[Element]) -> frozenset:
@@ -112,13 +134,8 @@ def greedy(matroid: Matroid, F: Iterable[Element], order: Sequence[Element]) -> 
     Returns the canonical greedy set, a maximal independent subset of F.
     """
     chosen_f = frozenset(F)
-    selected: list[Element] = []
-    for element in order:
-        if element not in chosen_f:
-            continue
-        if matroid.is_independent(selected + [element]):
-            selected.append(element)
-    return frozenset(selected)
+    extend = matroid.extender()
+    return frozenset(element for element in order if element in chosen_f and extend(element))
 
 
 def check_matroid_axioms(matroid: Matroid) -> bool:
@@ -366,6 +383,23 @@ class PricedCopyMatroid(Matroid):
         if len(chosen_blue) != len(set(chosen_blue)):
             return False
         return self._base.is_independent(reds | set(chosen_blue))
+
+    def extender(self) -> Callable[[Element], bool]:
+        """The base's test on the projection: a red element as itself, a
+        copy as its blue element unless a copy of that one was accepted."""
+        extend_base = self._base.extender()
+        taken: set[Element] = set()
+
+        def extend(element: Element) -> bool:
+            if element in self._reds:
+                return extend_base(element)
+            blue = element[0]
+            if blue in taken or not extend_base(blue):
+                return False
+            taken.add(blue)
+            return True
+
+        return extend
 
 
 class StackelbergChoiceModel(_FloorChoiceModel):

@@ -6,9 +6,12 @@ The reference below is the straightforward implementation: every cell
 (t, q) is scored on R_l + P_l * delta with its own delta, and l* is the
 least level within the relative tolerance of the maximum.  It is kept here
 only as the specification ``solve_dp`` must reproduce, float for float.
-``_best_level`` must return what ``_ref_best_level`` does on the ladder's
-lines, and ``check_marginal_value``, which scans each row's marginals at
-once, the verdict and witness of the per-cell loop ``_ref_check_marginal_value``.
+``_best_level``, which reads most answers off the ladder's screen, must
+return what ``_ref_best_level`` does on the ladder's lines;
+``check_marginal_value``, which scans each row's marginals at once, the
+verdict and witness of the per-cell loop ``_ref_check_marginal_value``; and
+``check_lstar_order``, which sorts the cells only when its one pass fails,
+those of the plain sort ``_ref_check_lstar_order``.
 
 The ``check_*`` functions take plain values, so they can be driven without
 hypothesis too.  Both sides of every comparison read the same floats and
@@ -16,9 +19,10 @@ apply the same operations in the same order, so this file holds on every
 supported Python.
 """
 
+import itertools
 import math
+from fractions import Fraction
 from random import Random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,11 +32,14 @@ from assortopt import (
     MnlModel,
     MultiPeriodInstance,
     TabularModel,
+    multiperiod,
     solve_dp,
 )
+from assortopt.assortment import RevenueLadder
 from assortopt.axioms import CheckResult
 from assortopt.generators import ASSORTMENT_FAMILIES, random_assortment_instance
-from assortopt.multiperiod import RTOL, DpTable, _best_level, check_marginal_value
+from assortopt.models import enumerate_subsets
+from assortopt.multiperiod import RTOL, DpTable, _best_level, check_lstar_order, check_marginal_value
 
 
 def _ref_argmin_level(values, best, rtol):
@@ -85,6 +92,12 @@ def test_long_horizons_both_ways():
         _assert_same(MultiPeriodInstance(base, rng.randint(1, 60), rng.randint(1, 60)))
 
 
+@pytest.mark.parametrize("family", ASSORTMENT_FAMILIES)
+def test_two_hundred_periods_and_units(family):
+    base = random_assortment_instance(family, Random(f"long-{family}"), n_max=6)
+    _assert_same(MultiPeriodInstance(base, 200, 200))
+
+
 def test_single_level_ladder():
     base = AssortmentInstance(MnlModel([0.0, 0.3]), [2.0, 2.0])
     assert base.ladder.k == 1
@@ -115,12 +128,15 @@ def _outcome(kernel, *args):
         return type(error)
 
 
+def _ladder(lines):
+    """A ladder whose (R_l, P_l) lines are these; the kernel reads nothing else."""
+    levels = tuple(range(1, len(lines) + 1))
+    return RevenueLadder(levels, levels, (), (), (), tuple(r for r, _ in lines), tuple(p for _, p in lines))
+
+
 def check_best_level(lines, delta):
-    lines = tuple(lines)
-    ladder = SimpleNamespace(
-        expected_revenue=tuple(r for r, _ in lines), purchase_probability=tuple(p for _, p in lines)
-    )
-    assert _outcome(_best_level, lines, delta) == _outcome(_ref_best_level, ladder, delta, RTOL)
+    ladder = _ladder(tuple(lines))
+    assert _outcome(_best_level, ladder, delta) == _outcome(_ref_best_level, ladder, delta, RTOL)
 
 
 # Both sides of the unit floor of the slack, signed zeros, and magnitudes
@@ -157,6 +173,116 @@ def test_best_level_on_fixed_lines():
         slack = RTOL * max(1.0, abs(top))
         for gap in _GAPS:
             check_best_level([(top - gap * slack, 0.5), (top, 0.5)], 0.0)
+
+
+# ------------------------------------------------------------ the level screen
+
+
+def _steps(x, count):
+    """x moved count ulps up (count > 0) or down."""
+    for _ in range(abs(count)):
+        x = math.nextafter(x, math.copysign(math.inf, count))
+    return x
+
+
+def _band(lines):
+    """The screen's margin T0, as its docstring defines it."""
+    top = max(abs(r) for r, _ in lines)
+    size = top + max(abs(p) for _, p in lines) * (2 * top + 1)
+    return 4 * RTOL * max(1.0, size + 1)
+
+
+_R = st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, -0.0, 1.0, 1e-300, 1e300, -1e300]))
+_P = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 0.5, 1.0, 5e-324, -0.25]))
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@st.composite
+def _screen_cases(draw):
+    """Lines with parallel, duplicate and all-equal members, k = 1 and
+    non-finite entries, and deltas where the screen decides: at each pairwise
+    crossing and each interval end, a few ulps either side, and one and two
+    band widths either side of each crossing."""
+    k = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["free", "parallel", "duplicates", "equal"]))
+    if shape == "equal":
+        lines = [(draw(_R), draw(_P))] * k
+    elif shape == "duplicates":
+        pool = [(draw(_R), draw(_P)) for _ in range(2)]
+        lines = [draw(st.sampled_from(pool)) for _ in range(k)]
+    elif shape == "parallel":
+        slope = draw(_P)
+        lines = [(draw(_R), slope) for _ in range(k)]
+    else:
+        lines = [(draw(_R), draw(_P)) for _ in range(k)]
+    if draw(st.integers(0, 9)) == 0:
+        where, side = draw(st.integers(0, k - 1)), draw(st.integers(0, 1))
+        line = list(lines[where])
+        line[side] = draw(st.sampled_from(_NON_FINITE))
+        lines[where] = tuple(line)
+    lines = tuple(lines)
+    deltas = list(_NON_FINITE) + [0.0, -0.0]
+    if all(map(math.isfinite, itertools.chain(*lines))):
+        band = _band(lines)
+        for (r, p), (r2, p2) in itertools.combinations(lines, 2):
+            if p != p2:
+                crossing = (r2 - r) / (p - p2)
+                width = band / abs(p - p2)
+                deltas += [crossing + m * width for m in (-2, -1, 1, 2)]
+                deltas += [_steps(crossing, m) for m in range(-3, 4)]
+        starts, spans = _ladder(lines).screen
+        ends = [span[0] for span in spans]
+        deltas += [_steps(end, m) for end in starts + ends for m in range(-3, 4)]
+    deltas = [d for d in deltas if not math.isfinite(d) or abs(d) < 1e308]
+    return lines, draw(st.lists(st.sampled_from(deltas), min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_screen_cases())
+def test_screened_kernel_matches_reference(case):
+    lines, deltas = case
+    for delta in deltas:
+        check_best_level(lines, delta)
+
+
+def test_screen_of_equal_and_non_finite_lines():
+    starts, spans = _ladder(((1.5, 0.5),) * 3).screen
+    assert (starts, spans) == ([-2 * 1.5 - 1], [(2 * 1.5 + 1, 1, 1.5, 0.5)])
+    # A later copy of an earlier line never wins, so only the first of the pair can.
+    assert {level for _, level, _, _ in _ladder(((1.0, 0.25), (2.0, 0.5), (1.0, 0.25))).screen[1]} <= {1, 2}
+    for bad in _NON_FINITE:
+        assert _ladder(((1.0, 0.25), (bad, 0.5))).screen == ([], [])
+        assert _ladder(((1.0, bad), (2.0, 0.5))).screen == ([], [])
+    # M overflows: no intervals, so every delta is scanned.
+    assert _ladder(((1e308, 1.0), (-1e308, 0.5))).screen == ([], [])
+
+
+def _all_equal_instance():
+    """Only the top product sells, so every prefix has the line (1.5, 0.5)."""
+    rows = {S: ({1: 0.5} if 1 in S else {}) for S in enumerate_subsets(3)}
+    return AssortmentInstance(TabularModel(3, rows), [3.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "base",
+    [random_assortment_instance("mnl", Random(5), n_max=6), _all_equal_instance()],
+    ids=["mnl", "all-equal-lines"],
+)
+def test_the_screen_answers_most_cells(base, monkeypatch):
+    calls = {"kernel": 0, "scan": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(multiperiod, "_best_level", counted("kernel", multiperiod._best_level))
+    monkeypatch.setattr(multiperiod, "_scan_levels", counted("scan", multiperiod._scan_levels))
+    solve_dp(MultiPeriodInstance(base, 100, 100))
+    assert calls["kernel"] == 1 + 99 * 100 // 2
+    assert calls["scan"] <= 0.1 * calls["kernel"]
 
 
 # ------------------------------------------------------- the marginal-value scan
@@ -243,3 +369,80 @@ def test_marginal_scan_on_perturbed_tables(seed, horizon, capacity, bumps):
     base = random_assortment_instance(family, Random(seed), n_max=5)
     table = solve_dp(MultiPeriodInstance(base, horizon, capacity))
     check_marginal_scan(_perturbed(table, [(t % (horizon + 1), q % (capacity + 1), a) for t, q, a in bumps]))
+
+
+# ------------------------------------------------------------ the l* order check
+
+
+def _ref_check_lstar_order(table):
+    cells = sorted(
+        (-table.marginal(t - 1, q), table.lstar[t][q], t, q)
+        for t in range(1, table.horizon + 1)
+        for q in range(1, table.capacity + 1)
+    )
+    rise = next((cell for before, cell in zip(cells, cells[1:]) if cell[1] > before[1]), None)
+    return CheckResult(True) if rise is None else CheckResult(False, ("delta", *rise[2:]))
+
+
+def check_lstar_sort(table):
+    assert repr(check_lstar_order(table)) == repr(_ref_check_lstar_order(table))
+
+
+def _edited(table, bumps=(), levels=()):
+    """The table with value[t][q] raised by each (t, q, amount) of bumps and
+    lstar[t][q] set by each (t, q, level) of levels."""
+    value = [list(row) for row in table.value]
+    for t, q, amount in bumps:
+        value[t][q] += amount
+    lstar = [list(row) for row in table.lstar]
+    for t, q, level in levels:
+        lstar[t][q] = level
+    return DpTable(table.horizon, table.capacity, table.k, tuple(map(tuple, value)), tuple(map(tuple, lstar)), None)
+
+
+def _rows(value, lstar):
+    return DpTable(len(value) - 1, len(value[0]) - 1, 3, value, lstar, None)
+
+
+@pytest.mark.parametrize(
+    "table, witness",
+    [
+        # Row 0 is all zero, so row 1 has delta -0.0 everywhere: equal deltas need equal levels.
+        (_rows(((0.0, 0.0, 0.0),) * 2, ((1, 1, 1), (1, 2, 2))), None),
+        (_rows(((0.0, 0.0, 0.0),) * 2, ((1, 1, 1), (1, 2, 1))), ("delta", 1, 1)),
+        # Row 1's marginals 2 and 1 give deltas -2 < -1 for levels 2 and 3 at t = 2.
+        (_rows(((0.0,) * 3, (0.0, 2.0, 3.0), (0.0,) * 3), ((1,) * 3, (1, 1, 1), (1, 3, 2))), None),
+        (_rows(((0.0,) * 3, (0.0, 2.0, 3.0), (0.0,) * 3), ((1,) * 3, (1, 1, 1), (1, 2, 3))), ("delta", 2, 2)),
+        # Non-finite, int and Fraction values take the sort.  Level 3's deltas
+        # are NaN and -1: min and max would skip the NaN, but the sort does not.
+        (
+            _rows(((0.0, 0.0), (math.nan, 3.0), (2.0, 3.0), (1.0, 2.0)), ((1, 1), (1, 1), (3, 3), (1, 3))),
+            ("delta", 2, 1),
+        ),
+        (_rows(((0.0,) * 3, (0.0, math.nan, 3.0), (0.0,) * 3), ((1,) * 3, (1, 1, 1), (1, 2, 3))), ("delta", 2, 1)),
+        (_rows(((0.0,) * 3, (0.0, math.inf, 3.0), (0.0,) * 3), ((1,) * 3, (1, 1, 1), (1, 3, 2))), ("delta", 2, 2)),
+        (_rows(((0,) * 3, (0, 10**400, 3), (0,) * 3), ((1,) * 3, (1, 1, 1), (1, 2, 3))), ("delta", 2, 2)),
+        (_rows(((0,) * 3, (0, Fraction(1, 3), 3), (0,) * 3), ((1,) * 3, (1, 1, 1), (1, 1, 1))), None),
+    ],
+)
+def test_lstar_order_witness(table, witness):
+    check_lstar_sort(table)
+    assert check_lstar_order(table).witness == witness
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12), st.sampled_from([-1.0, -1e-9, 0.5, 2.0])), max_size=2),
+    st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 7)), max_size=3),
+)
+def test_lstar_order_on_random_tables(seed, horizon, capacity, bumps, levels):
+    family = ASSORTMENT_FAMILIES[seed % len(ASSORTMENT_FAMILIES)]
+    base = random_assortment_instance(family, Random(seed), n_max=6)
+    table = solve_dp(MultiPeriodInstance(base, horizon, capacity))
+    check_lstar_sort(table)
+    bumps = [(t % (horizon + 1), q % (capacity + 1), a) for t, q, a in bumps]
+    levels = [((t - 1) % horizon + 1, (q - 1) % capacity + 1, level) for t, q, level in levels]
+    check_lstar_sort(_edited(table, bumps, levels))

@@ -106,6 +106,45 @@ class TestGreedy:
     def test_empty_input(self):
         assert greedy(triangle(), set(), [0, 1, 2]) == frozenset()
 
+    def test_incremental_scans_match_rebuilt_tests(self):
+        def ref_greedy(matroid, F, order):
+            selected = []
+            for element in order:
+                if element in F and matroid.is_independent(selected + [element]):
+                    selected.append(element)
+            return frozenset(selected)
+
+        rng = Random(41)
+        for _ in range(60):
+            n_vertices = rng.randint(1, 7)
+            edges = [(rng.randrange(n_vertices), rng.randrange(n_vertices)) for _ in range(rng.randint(0, 9))]
+            graphic = GraphicMatroid(n_vertices, edges)
+            blue = frozenset(e for e in graphic.ground if rng.random() < 0.5)
+            levels = sorted(rng.sample(range(1, 6), rng.randint(1, 3)))
+            matroids = [
+                graphic,
+                PricedCopyMatroid(graphic, blue, levels),
+                PricedCopyMatroid(FunctionMatroid(graphic.ground, graphic.is_independent), blue, levels),
+                PricedCopyMatroid(non_matroid_sentinel(), frozenset({2, 3}), levels),
+            ]
+            for matroid in matroids:
+                ground = list(matroid.ground)
+                for _ in range(4):
+                    # Repeated elements too: a kept one is never kept twice.
+                    order = ground + rng.sample(ground, min(3, len(ground)))
+                    rng.shuffle(order)
+                    F = frozenset(e for e in ground if rng.random() < 0.7)
+                    assert greedy(matroid, F, order) == ref_greedy(matroid, F, order)
+
+    def test_a_graphic_scan_keeps_one_union_find(self, monkeypatch):
+        def rebuilt(self, subset):
+            raise AssertionError("the scan rebuilt a union-find")
+
+        monkeypatch.setattr(GraphicMatroid, "is_independent", rebuilt)
+        aux = PricedCopyMatroid(triangle(), frozenset({1}), [1, 2])
+        assert greedy(triangle(), {0, 1, 2}, [2, 0, 1]) == frozenset({2, 0})
+        assert greedy(aux, aux.ground, [(1, 2), (1, 1), 0, 2]) == frozenset({(1, 2), 0})
+
 
 class TestGreedyNesting:
     def test_graphic_matroids_pass(self):
