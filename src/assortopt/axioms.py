@@ -15,10 +15,11 @@ subset lattice; Yates 1937, Bjorklund, Husfeldt, Kaski and Koivisto, STOC
 2007): n sweeps of 2^n elements give max (or min) over S' superset of S
 for every S at once, so a check costs O(n^2 2^n) instead of O(n 3^n).  A
 sweep whose lower half already wins every pair keeps that half as it is and
-skips the pairwise pick, which on a regular model is almost every sweep.
-Every superset of a set holding x holds x, so regularity transforms each
-column as it is, and demand submodularity transforms the gains of x over
-the sets without x.
+skips the pairwise pick, which on a regular model is almost every sweep.  A
+transform that moves nothing returns its input, so the checkers skip the
+difference pass, which could flag nothing.  Every superset of a set holding
+x holds x, so regularity transforms each column as it is, and demand
+submodularity transforms the gains of x over the sets without x.
 
 Rounded subtraction and addition are monotone, so the extreme value over the
 supersets of S decides the same comparison as the worst single pair, for
@@ -145,15 +146,17 @@ def _superset_extreme(values: list, n: int, pick) -> list:
     max and min by the same comparison.  A sweep whose every low entry
     already wins (l >= h for max, l <= h for min) keeps the low half as it
     is, since the pick would return each l itself; a NaN fails the test, so
-    its sweep is picked as before.
+    its sweep is picked as before.  A full transform whose every sweep kept
+    its low half returns values itself; a partial one, its rotated list.
     """
     keep = operator.ge if pick is max else operator.le
+    out, moved = values, False
     for _ in range(n):
-        low, high = values[0::2], values[1::2]
+        low, high = out[0::2], out[1::2]
         if not all(map(keep, low, high)):
-            low = _pick(pick, low, high)
-        values = low + high
-    return values
+            low, moved = _pick(pick, low, high), True
+        out = low + high
+    return out if moved or len(values) != 1 << n else values
 
 
 def _rotated(values: list, k: int) -> list:
@@ -238,9 +241,15 @@ def _check_axioms(model: ChoiceModel, table: TabularModel) -> AxiomReport:
     # beyond tolerance, or the no-purchase share rises at min_{S'} sold(S').
     # Every superset of a set holding x holds x, so P(x, .) is transformed
     # over x's column, the 2^(n-1) masks with bit x set, with bit x removed.
-    flagged = [(one - low) - (one - total) > tol for low, total in zip(_superset_extreme(sold, n, min), sold)]
+    # A transform that returns its input moved nothing: every rise is 0 (NaN
+    # at an infinity), so its difference pass is skipped.
+    flagged = [False] * len(sold)
+    if (least := _superset_extreme(sold, n, min)) is not sold:
+        flagged = [(one - low) - (one - total) > tol for low, total in zip(least, sold)]
     for x, held in enumerate(columns, start=1):
-        rises = list(map(operator.sub, _superset_extreme(held, n - 1, max), held))
+        if (top := _superset_extreme(held, n - 1, max)) is held:
+            continue
+        rises = list(map(operator.sub, top, held))
         if not max(rises, default=0) <= tol:  # a NaN first would hide the rest from max
             width = 1 << (x - 1)
             for c, rise in enumerate(rises):
@@ -275,6 +284,8 @@ def check_purchase_monotonicity(model: ChoiceModel) -> CheckResult:
     _, sold, scale = _tabulated(model.to_tabular())
     tol = _threshold(ATOL, scale)
     least = _superset_extreme(sold, n, min)
+    if least is sold:  # no sweep moved, so no total exceeds its least superset's
+        return CheckResult(True)
     flagged = [total > low + tol for total, low in zip(sold, least)]
     first = _first_flagged(n, flagged)
     if first is None:
@@ -305,15 +316,21 @@ def check_demand_submodularity(model: ChoiceModel) -> CheckResult:
     # lattice's sweep x would pair each S with S + x while the value there is
     # still that zero; the same entries are merged in at the same sweep, which
     # keeps every value the whole transform gives S, NaN and -inf included.
+    # With no gain below zero those zeros pick nothing, so one transform does;
+    # if it returns the gains, every gap is 0 (NaN at an infinity).
     worst = 0
     flagged = [False] * len(sold)
     for x in range(1, n + 1):
         bit = 1 << (x - 1)
         with_x = held(sold, bit)
         gains = list(map(operator.sub, with_x, held(sold, bit, clear=True)))
-        top = _superset_extreme(gains, x - 1, max)
-        top = _pick(max, top, _rotated(list(map(operator.sub, with_x, with_x)), x - 1))
-        top = _superset_extreme(top, n - x, max)
+        if min(gains) >= 0:  # a NaN first fails this, and a later one is passed over
+            if (top := _superset_extreme(gains, n - 1, max)) is gains:
+                continue
+        else:
+            top = _superset_extreme(gains, x - 1, max)
+            top = _pick(max, top, _rotated(list(map(operator.sub, with_x, with_x)), x - 1))
+            top = _superset_extreme(top, n - x, max)
         gaps = list(map(operator.sub, top, gains))
         most = max(gaps)
         if most > worst:

@@ -207,20 +207,20 @@ def check_marginal_value(table: DpTable) -> CheckResult:
 
     These hold for any choice model (regular or not); the tolerance only
     absorbs floating-point noise.  Each row's marginals are formed once, as
-    the floats ``DpTable.marginal`` returns, and scanned concavity first.
+    the floats ``DpTable.marginal`` returns, in one pass over two rows; the
+    first time drop is returned once every row is concave, as if scanned last.
     """
     slack = RTOL * max(1.0, table.value[table.horizon][table.capacity])
-    # marginals[t][q - 1] is marginal(t, q).
-    marginals = [[b - a for a, b in zip(row, row[1:])] for row in table.value]
-    for t, row in enumerate(marginals):
+    drop = previous = None
+    for t, values in enumerate(table.value):
+        row = [b - a for a, b in zip(values, values[1:])]  # row[q - 1] is marginal(t, q)
         q = _first_drop(row, row[1:], slack)
         if q is not None:
             return CheckResult(False, ("concavity", t, q + 2))
-    for t in range(1, table.horizon + 1):
-        q = _first_drop(marginals[t], marginals[t - 1], slack)
-        if q is not None:
-            return CheckResult(False, ("time", t, q + 1))
-    return CheckResult(True)
+        if drop is None and t and (q := _first_drop(row, previous, slack)) is not None:
+            drop = CheckResult(False, ("time", t, q + 1))
+        previous = row
+    return CheckResult(True) if drop is None else drop
 
 
 def _first_drop(lower: list[float], upper: list[float], slack: float) -> int | None:

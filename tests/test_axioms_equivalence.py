@@ -13,6 +13,7 @@ import math
 import operator
 from fractions import Fraction
 from random import Random
+from unittest import mock
 
 import pytest
 
@@ -29,6 +30,7 @@ from assortopt import (
     check_demand_submodularity,
     check_purchase_monotonicity,
 )
+from assortopt import axioms
 from assortopt.axioms import ATOL
 from assortopt.models import enumerate_subsets
 
@@ -488,3 +490,68 @@ def test_an_instance_judges_unavailable_zero_on_its_model_not_its_table():
     assert instance.axioms == check_axioms(model)
     assert instance.axioms.unavailable_zero == CheckResult(False, (2, frozenset({1})), 0.25)
     assert check_axioms(instance.table).unavailable_zero.passed  # a table puts nothing on an unoffered product
+
+
+# Tables on which most transforms move nothing, so the checkers skip their
+# difference passes: the one breach must still be found where it sits.
+
+
+def _constant_rows(n, share):
+    """Every offered product is bought with probability ``share``, whatever else is offered."""
+    return {subset: {x: share for x in subset} for subset in enumerate_subsets(n)}
+
+
+def _picks():
+    return mock.patch.object(axioms, "_pick", wraps=axioms._pick)
+
+
+@pytest.mark.parametrize("one", [1.0, Fraction(1)], ids=["float", "fraction"])
+def test_a_breach_only_in_the_last_sweep_of_the_last_column(one):
+    # P(n, .) rises from {n} to {n - 1, n}: the pair that x = n's column
+    # compares at its last sweep, the one over product n - 1.  sold of
+    # {n - 1, n} grows by 1/16, which stays at most sold of its supersets.
+    n = 4
+    rows = _constant_rows(n, one / 8)
+    rows[(n - 1, n)][n] += one / 16
+    model = _Rows(n, rows).to_tabular()
+    with _picks() as picks:
+        report = check_axioms(model)
+    assert [len(call.args[1]) for call in picks.call_args_list] == [1 << (n - 2)]
+    assert report == ref_check_axioms(model)
+    assert report.regularity == CheckResult(False, (n, frozenset({n}), frozenset({n - 1, n})), 1 / 16)
+    assert check_purchase_monotonicity(model) == ref_purchase_monotonicity(model) == CheckResult(True)
+
+
+@pytest.mark.parametrize("one", [1.0, Fraction(1)], ids=["float", "fraction"])
+def test_a_breach_only_in_the_no_purchase_half(one):
+    # Every share halves when the whole catalogue is offered, so no column
+    # rises, but sold falls from 1/2 on any pair to 3/8 on {1, 2, 3}.
+    rows = _constant_rows(3, one / 4)
+    rows[(1, 2, 3)] = {x: one / 8 for x in (1, 2, 3)}
+    model = _Rows(3, rows).to_tabular()
+    with _picks() as picks:
+        report = check_axioms(model)
+    assert {len(call.args[1]) for call in picks.call_args_list} == {4}  # sold's sweeps, no column's
+    assert report == ref_check_axioms(model)
+    assert report.regularity == CheckResult(False, (0, frozenset({1, 2}), frozenset({1, 2, 3})), 1 / 8)
+    assert check_purchase_monotonicity(model) == ref_purchase_monotonicity(model)
+
+
+@pytest.mark.parametrize("rise", [0.0, 0.25], ids=["nan_alone", "nan_and_a_rise"])
+def test_a_nan_after_a_columns_first_entry(rise):
+    # P(1, {1, 2}) is NaN, the second entry of product 1's column, so max
+    # passes over its rise; with rise > 0, P(1, {1, 2, 3}) also rises above
+    # P(1, {1}), and that pair is the witness, as in the pair scan.
+    rows = _constant_rows(3, 0.25)
+    rows[(1, 2)][1] = math.nan
+    rows[(1, 2, 3)][1] += rise
+    model = _Rows(3, rows).to_tabular()
+    assert model.columns(3)[0][0] == 0.25 and math.isnan(model.columns(3)[0][1])
+    report = check_axioms(model)
+    assert report == ref_check_axioms(model)
+    if rise:
+        assert report.regularity == CheckResult(False, (1, frozenset({1}), frozenset({1, 2, 3})), 0.25)
+    else:
+        assert report.regularity.passed
+    assert check_purchase_monotonicity(model) == ref_purchase_monotonicity(model)
+    assert check_demand_submodularity(model) == ref_demand_submodularity(model)

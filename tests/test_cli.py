@@ -31,6 +31,12 @@ def test_gen_is_byte_identical(tmp_path, capsys):
     assert one.read_bytes() == two.read_bytes()
 
 
+def test_gen_without_output_writes_the_file_text_to_stdout(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    assert main(["gen", "udp_min", "--seed", "4", "-o", str(path)]) == 0
+    assert run(capsys, "gen", "udp_min", "--seed", "4") == (0, path.read_text(encoding="utf-8"))
+
+
 def test_gen_env_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ASSORT_SEED", "33")
     out_env = tmp_path / "env.json"
@@ -128,6 +134,14 @@ def test_assortment_commands_read_a_multiperiod_files_base(tmp_path, capsys, com
     assert run(capsys, *command, str(base), "--json") == (0, out)
 
 
+@pytest.mark.parametrize("flags", [[], ["--T", "3"], ["--Q", "2"]], ids=" ".join)
+def test_multiperiod_on_an_assortment_file_needs_both_flags(tmp_path, capsys, flags):
+    path = tmp_path / "a.json"
+    assert main(["gen", "assortment", "--family", "mnl", "--seed", "4", "-o", str(path)]) == 0
+    message = _one_line_exit_2(capsys, "multiperiod", str(path), *flags)
+    assert message.strip() == "an assortment instance needs --T and --Q"
+
+
 def test_multiperiod_accepts_assortment_plus_flags(tmp_path, capsys):
     path = tmp_path / "a.json"
     main(["gen", "assortment", "--family", "mnl", "--seed", "4", "-o", str(path)])
@@ -188,6 +202,14 @@ class TestSuite:
         assert record["error"] == "no requested check applies to a multiperiod file; its checks: monotonicity"
         code, out = run(capsys, "suite", "--checks", "reduction,monotonicity", str(path))
         assert code == 0 and "error" not in json.loads(out)
+
+    def test_a_missing_file_is_recorded_as_an_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        code, out = run(capsys, "suite", str(missing))
+        assert code == 1
+        record = json.loads(out)
+        assert (record["file"], record["passed"], record["checks"]) == (str(missing), False, {})
+        assert "nope.json" in record["error"]
 
     def test_malformed_file_collected_not_fatal(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

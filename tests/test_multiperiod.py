@@ -153,6 +153,21 @@ class TestNestingMonotonicity:
         table = DpTable(2, 1, 2, ((0.0, 0.0),) * 3, ((1, 1), (1, 2), (1, 1)), True)
         assert check_nesting_monotonicity(table) == CheckResult(False, ("time", 2, 1))
 
+    @pytest.mark.parametrize(
+        "lstar, witness",
+        [
+            # The one capacity rise is in the last row (t = T), then in the last column (q = Q).
+            (((1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 2, 2)), ("capacity", 3, 2)),
+            (((1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 1, 2), (1, 1, 1, 2)), ("capacity", 1, 3)),
+            # The one time drop is in the last row, then in the last column.
+            (((1, 1, 1, 1), (1, 2, 2, 2), (1, 2, 2, 2), (1, 1, 1, 1)), ("time", 3, 1)),
+            (((1, 1, 1, 1), (1, 2, 2, 2), (1, 2, 2, 1), (1, 2, 2, 1)), ("time", 2, 3)),
+        ],
+    )
+    def test_a_violation_in_the_last_row_or_column_is_found(self, lstar, witness):
+        table = DpTable(3, 3, 2, ((0.0,) * 4,) * 4, lstar, True)
+        assert check_nesting_monotonicity(table) == CheckResult(False, witness)
+
     def test_irregular_model_violations_logged_not_asserted(self):
         # A model violating regularity may or may not break the nesting
         # property; the checker reports it either way instead of raising.
@@ -211,6 +226,15 @@ class TestLstarDelta:
     def test_shift_range_guard(self):
         with pytest.raises(DeltaOutOfRange):
             lstar_delta(mnl_instance(), -4.5)
+
+    def test_shift_past_the_top_revenue_within_tolerance(self):
+        # top + delta may fall to -RTOL * max(1, top) = -4e-9, and no further;
+        # there, offering the top product alone (the last level) is best.
+        instance = mnl_instance()
+        top = max(instance.revenue)
+        assert lstar_delta(instance, -top - 2e-9) == revenue_ladder(instance).k
+        with pytest.raises(DeltaOutOfRange):
+            lstar_delta(instance, -top - 6e-9)
 
     def test_nan_shift_is_out_of_range(self):
         with pytest.raises(DeltaOutOfRange):
@@ -290,6 +314,17 @@ def test_ladder_is_built_once_per_instance():
                 lstar_delta(base, -table.marginal(t - 1, q))
         counts.append(model.calls)
     assert counts[0] == counts[1] > 0
+
+
+def test_the_dp_records_a_regularity_verdict_up_to_the_guard(monkeypatch):
+    monkeypatch.setattr(multiperiod, "GUARD", 3)
+
+    def verdict(n):
+        base = AssortmentInstance(MnlModel([0.1 * x for x in range(n)]), [1.0 + x for x in range(n)])
+        return solve_dp(MultiPeriodInstance(base, 2, 2)).regularity_ok
+
+    assert verdict(3) is True
+    assert verdict(4) is None
 
 
 def test_multiperiod_instance_validation():

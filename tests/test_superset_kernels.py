@@ -1,14 +1,16 @@
 """The superset transforms' kernels against the loops they replace.
 
 ``axioms._superset_extreme`` combines pairs with a comparison comprehension
-instead of ``map(max | min, ...)``, and keeps a sweep's low half as it is
-when every low entry already wins; ``check_demand_submodularity`` transforms
-only the offer sets without x; ``axioms._first_flagged`` scans only the
-offer sets of the smallest flagged size instead of every offer set.  The
-references below are the map-based sweep, the whole-lattice submodularity
-loop and the canonical scan; results must equal theirs by type and ``repr``
-(and be the very objects the sweep would return), on entries that mix NaN,
-signed zeros, infinities, ints and Fractions.
+instead of ``map(max | min, ...)``, keeps a sweep's low half as it is when
+every low entry already wins, and returns its input when a full transform
+moves nothing; ``check_demand_submodularity`` transforms only the offer sets
+without x, in one transform when no gain is below zero;
+``axioms._first_flagged`` scans only the offer sets of the smallest flagged
+size instead of every offer set.  The references below are the map-based
+sweep, the whole-lattice submodularity loop and the canonical scan; results
+must equal theirs by type and ``repr`` (and be the very objects the sweep
+would return), on entries that mix NaN, signed zeros, infinities, ints and
+Fractions.
 """
 
 import math
@@ -257,3 +259,71 @@ def _generated_tables():
 def test_halved_submodularity_matches_on_model_tables():
     for table in _generated_tables():
         assert repr(check_demand_submodularity(table)) == repr(ref_demand_submodularity(table))
+
+
+# -------------------------------------------------- a transform that moves nothing
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(0, 6), pick=st.sampled_from([max, min]), ordered=st.booleans())
+def test_a_full_transform_returns_its_input_exactly_when_no_sweep_picks(data, n, pick, ordered):
+    values = data.draw(st.lists(ORDERED if ordered else st.one_of(ORDERED, TIES), min_size=1 << n, max_size=1 << n))
+    if ordered:
+        values = _ordered(values, pick)
+    with _picks() as picks:
+        got = _superset_extreme(values, n, pick)
+    assert (got is values) is (not picks.called)
+    assert not ordered or got is values
+    assert _bits(got) == _bits(ref_superset_extreme(values, n, pick))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 6), pick=st.sampled_from([max, min]), k=st.integers(1, 5))
+def test_a_partial_transform_never_returns_its_input(data, n, pick, k):
+    # k < n sweeps over 2^n values leave them rotated by k, even when no sweep picks.
+    k = 1 + k % (n - 1)
+    values = _ordered(data.draw(st.lists(ORDERED, min_size=1 << n, max_size=1 << n)), pick)
+    with _picks() as picks:
+        got = _superset_extreme(values, k, pick)
+    assert got is not values and not picks.called
+    assert _bits(got) == _bits(axioms._rotated(values, k))
+
+
+def _int_table(n, choose):
+    """A table of int entries 0 and 1: choose(S) is the product bought from S, or None."""
+    return TabularModel(n, {S: {x: int(x == choose(S)) for x in S} for S in enumerate_subsets(n)})
+
+
+def _cannibal(one):
+    """Product 3 shrinks every share it joins: the gain of 3 is below zero at
+    {1}, {2} and {1, 2}, so the zeros of the sets holding 3 are merged in."""
+    rows = {}
+    for S in enumerate_subsets(3):
+        rows[S] = {x: one / 4 for x in S} if 3 not in S else {x: one / 8 if x != 3 else one / 16 for x in S}
+    return TabularModel(3, rows)
+
+
+SHORTCUT_TABLES = {
+    "mnl_exact": TabularModel(
+        4, {S: {x: Fraction(x, 1 + sum(S)) for x in S} for S in enumerate_subsets(4)}
+    ),  # MNL with weights 1..4: submodular, so every x returns its gains
+    "cannibal_float": _cannibal(1.0),
+    "cannibal_exact": _cannibal(Fraction(1)),
+    "int_first_member": _int_table(4, lambda S: min(S, default=None)),  # sold is 1 on every S but {}
+    "int_pairs_only": _int_table(4, lambda S: min(S) if len(S) >= 2 else None),  # supermodular at a pair
+    "int_no_sale_with_3": _int_table(3, lambda S: None if 3 in S else min(S, default=None)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORTCUT_TABLES))
+def test_submodularity_with_and_without_the_zero_merge(name):
+    table = SHORTCUT_TABLES[name]
+    with mock.patch.object(axioms, "_rotated", wraps=axioms._rotated) as merges, _picks() as picks:
+        got = check_demand_submodularity(table)
+    assert repr(got) == repr(ref_demand_submodularity(table))
+    merged = name.startswith("cannibal") or name == "int_no_sale_with_3"  # some gain is below zero
+    assert merges.called is merged
+    assert got.passed is (name in ("mnl_exact", "int_first_member"))
+    assert picks.called is not got.passed  # on the two that pass, every transform returns its gains
+    if name == "mnl_exact":
+        assert table.denominator is not None and all(type(p) is int for p in table.columns(4)[0])
