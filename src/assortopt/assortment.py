@@ -14,13 +14,14 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .axioms import AxiomReport, _check_axioms
 from .errors import NonPositiveRevenue, RegularityViolation
 from .models import (
     GUARD,
     ChoiceModel,
+    MixedMnlModel,
     MnlModel,
     TabularModel,
     TightExampleModel,
@@ -31,14 +32,16 @@ from .models import (
     finite,
     members_of,
     ordered_sum,
+    subset_sums,
 )
 
-# Offer sets per block of the streamed exact optimum: 2^12 of them.
+# Offer sets per block of the exact optimum, screened or read from columns: 2^12 of them.
 BLOCK_BITS = 12
 
-# The MNL screen's cut (see brute_force_optimum): a relative slack rho, and
-# an absolute one alpha = (n + 1) * max(1, max f, 1 / w_0) * SCREEN_ATOL.
-SCREEN_RTOL = 1e-12
+# The screen's cut (see brute_force_optimum): a relative slack rho = m *
+# SCREEN_RTOL for m = 2n + K + 2 rounding factors, and an absolute one
+# alpha = (n + 1) * (K + 1) * (max(1, max f) + sum_k 1 / w_k0) * SCREEN_ATOL.
+SCREEN_RTOL = 2.0**-46
 SCREEN_ATOL = 2.0**-1068
 
 RTOL = 1e-9
@@ -280,109 +283,144 @@ def brute_force_optimum(instance: AssortmentInstance) -> AssortmentSolution:
     subset, so the result is deterministic; a NaN revenue never wins.
     ``GUARD`` is checked first, before the screen or any block.
 
-    Reads the columns in blocks of at most 2^BLOCK_BITS offer sets (the low
-    products 1..c, under each fixed set of the others), from
-    ``instance.table`` if it has been built, else from the model, which is
-    then never held whole.  Revenues add column by column (they are the
-    factors of :func:`assortopt.models.column_sums`); integer-scaled
-    columns with int revenues sum ints and divide once.
+    Offer sets come in blocks of at most 2^BLOCK_BITS (the low products
+    1..c, under each fixed set ``high`` of the others), each block as a list
+    of scores.  A block's candidates are its sets whose score is at least
+    keep * (the best score so far) - slack; each gets its revenue at once,
+    and the best revenue so far, with its key, is kept.  The cut only rises,
+    so every set that clears the final cut is evaluated.
 
-    An MNL model is screened instead, table or not, at O(1) work per offer
-    set.  With weights w_x and outside weight w_0 the revenue of S is
-    N(S) / D(S), N = sum w_x * r_x and D = w_0 + sum w_x over x in S.
-    :meth:`MnlModel.screen` scores every set s = fl(N^ / D^) over the same
-    blocks, where D^ is the denominator the model's columns divide by and
-    N^ adds fl(w_x * float(r_x)) in ascending order from int 0.  Only the
-    candidates, the sets with s >= s_max * (1 - 2 rho) - 2 alpha, get their
-    revenue v^ computed, as the columns give it: p = w_x / D^, and the p * r
-    added in ascending order by ``ordered_sum``, so the same float on every
-    Python.  So that no sum can overflow, the scores weigh each product by
-    f_x = float(r_x) * 2^-e instead of float(r_x), with e the least e >= 0
-    for which 2 n max(1, max w) max f is finite; e is 0 wherever that holds
-    of the revenues themselves, and scaling by a power of two is exact
-    unless f_x is subnormal.  The revenue v^ stays unscaled.
+    A model other than MNL is read from its columns, from ``instance.table``
+    if it has been built, else from the model, which is then never held
+    whole.  A set's score is its revenue, added column by column (the
+    revenues are the factors of :func:`assortopt.models.column_sums`;
+    integer-scaled columns with int revenues sum ints and divide once), and
+    keep = 1 and slack = 0, so the candidates tie at the best revenue.
 
-    Every set that attains v* = max v^ is a candidate.  Each of v^ and s is
-    N/D times at most 2n + 2 rounding factors (1 + d), |d| <= u = 2^-53, so
-    its relative error is at most gamma = (2n+2)u / (1 - (2n+2)u), below
-    5e-15 at n <= 20.  Measured in the scores' units (v^ times 2^-e), on top
-    of that come underflow errors, multiples of eta = 2^-1074: at most
-    a_v = 2.1 n eta max(1, max f) for v^ (p, float(r) and each p * r may
-    underflow) and a_s = (1.1 (n + 1) / w_0 + n / 2) eta for s (each
-    underflowed w_x * f_x, over D >= w_0, and each subnormal f_x, whose
-    error of at most eta / 2 adds at most that to N / D as w_x <= D).  With
+    An MNL model, or a mixture of K MNL classes, is screened instead, table
+    or not, at O(K) work per offer set; MNL is the mixture of one class of
+    weight 1.0.  Class k has weights w_kx, outside weight w_k0 and mixture
+    weight a_k, and the revenue of S is V(S) = sum_k a_k N_k(S) / D_k(S),
+    with N_k = sum w_kx r_x and D_k = w_k0 + sum w_kx over x in S.  Each
+    class's sums of w_kx and of a_k * (w_kx * f_x) over every mask L of the
+    products 1..c are built once (``subset_sums``).  A block adds to them
+    the sums over its products in high, so it scores every set in one
+    comprehension per class, s = sum_k (N_k[L] + N_k(high)) / (D_k[L] +
+    (w_k0 + D_k(high))), and a / (w_k0 + d) in the first block.  The cut is
+    s_max (1 - 2 rho) - 2 alpha, and a candidate's revenue v^ is computed as
+    the columns give it, through ``_choice_row``: D^ = w_k0 + the
+    ``ordered_sum`` of the members' weights, p_kx = w_kx / D^, P_x the
+    a_k * p_kx added in class order from int 0, and the P_x * r_x added in
+    ascending order by ``ordered_sum``, so the same float on every Python.
+    So that no sum can overflow, the scores weigh each product by
+    f_x = float(r_x) * 2^-e instead of float(r_x), with e = max(0, a + b -
+    1023) for the ``frexp`` exponents a of 2 n max(1, max w) and b of
+    max float(r), so that 2 n max(1, max w) max f < 2^1023 is finite; e is
+    0 wherever 2 n max(1, max w) max r < 2^1022, and scaling by a power of
+    two is exact unless f_x is subnormal.  The revenue v^ stays unscaled.
+
+    Every set that attains v* = max v^ is a candidate.  Every term is
+    nonnegative, so each of v^ and s is V times at most m = 2n + K + 2
+    rounding factors (1 + d), |d| <= u = 2^-53, per term.  For v^ these are
+    |S| for D^, one each for p, a_k p, float(r) and P r, K - 1 for the sum
+    over classes and |S| - 1 for the sum over products; for s, one each for
+    float(r), w f and a_k (w f), |S| - 1 for N, |S| for D, one for the
+    quotient and K - 1 for the sum over classes.  So the relative error of
+    each is at most gamma = m u / (1 - m u).  Measured in the scores' units
+    (v^ times 2^-e), on top of that come underflow errors, multiples of
+    eta = 2^-1074: at most a_v = 1.02 n (K + 1) eta M for v^, with
+    M = max(1, max f) (p and a_k p may underflow in each class, and
+    float(r) and P r once per product), and a_s = 1.03 eta (n sum_k 1 / w_k0
+    + (n + K) / 2) for s (each underflowed w f and a_k (w f), over
+    D_k >= w_k0, each subnormal f_x, whose error of at most eta / 2 adds at
+    most a_k eta / 2 to N_k / D_k as w_kx <= D_k, and each quotient).  With
     q = (1 - gamma) / (1 + gamma), a set S with v^(S) = v* has
     s(S) >= q (v* - a_v) - a_s, while s_max <= (v* + a_v) / q + a_s.  So
-    s(S) clears the cut once q^2 >= 1 - 2 rho, which rho >= 2 gamma gives
-    (rho = SCREEN_RTOL = 1e-12, a hundred times that), and
-    alpha >= 1.01 a_v + a_s, which
-    alpha = (n + 1) max(1, max f, 1 / w_0) SCREEN_ATOL covers sixteen times
-    (SCREEN_ATOL = 2^-1068 = 64 eta).  The cut's own roundings fall far
-    inside both margins.  All tied sets, so the smallest key among them,
-    and the empty set's int 0 are therefore those of the full enumeration.
+    s(S) clears the cut once q^2 >= 1 - 2 rho, which rho >= 2 gamma gives,
+    and alpha >= 1.01 a_v + a_s.  rho = m SCREEN_RTOL = 128 m u is at
+    least 2 gamma while m u <= 63/64, so for every K; a fixed rho of 1e-12,
+    as MNL once had, would cover 2 gamma only while m <= 4503, which at
+    n = GUARD is K <= 4459.  And alpha = (n + 1) (K + 1) (M + sum_k 1 /
+    w_k0) SCREEN_ATOL covers 1.01 a_v + a_s forty times (SCREEN_ATOL =
+    2^-1068 = 64 eta).  The cut's own roundings fall far inside both
+    margins.  All tied sets, so the smallest key among them, and the empty
+    set's int 0 are therefore those of the full enumeration.
     """
     n, model, revenue, scale = instance.n, instance.model, instance.revenue, instance.model.denominator
     check_guard(n, GUARD)
-    if isinstance(model, MnlModel):
-        return _screened_optimum(model, revenue)
-    source = vars(instance).get("table", model)
     c = min(n, BLOCK_BITS)
-    blocks = ((high, source.columns(c, high)) for high in range(0, 1 << n, 1 << c))
     exact = scale is not None and all(isinstance(r, int) for r in revenue)
+    screened = isinstance(model, (MnlModel, MixedMnlModel))
+    source = vars(instance).get("table", model)
+    blocks, keep, slack = _screen(model, revenue, c) if screened else (_revenue_blocks(source, revenue, c, exact), 1, 0)
     best_key: tuple[int, ...] = ()
-    best_revenue = 0  # the empty set's, in the first block
-    for high, columns in blocks:
-        products = (*range(1, c + 1), *members_of(high, n))
-        if scale is not None and not exact:
-            columns = ([Fraction(p, scale) for p in column] for column in columns)
-        values = column_sums(columns, c, [revenue[x - 1] for x in products])
-        top = max(values)  # only a NaN first hides the rest from max
+    best_revenue = 0  # the empty set's
+    cut = -math.inf
+    for high, scores in blocks:
+        top = max(scores)  # only a NaN first hides the rest from max
         if top != top:
-            top = max((value for value in values if value == value), default=top)
-        if not top >= best_revenue:  # an all-NaN block fails too
+            top = max((s for s in scores if s == s), default=top)
+        if not top >= cut:  # an all-NaN block fails too
             continue
-        tied = [values.index(top)] if values.count(top) == 1 else [m for m, value in enumerate(values) if value == top]
-        key, mask = min((members_of(m | high, n), m) for m in tied)
-        if top > best_revenue or key < best_key:
-            best_key, best_revenue = key, values[mask]
+        cut = max(cut, top * keep - slack)
+        for m in [m for m, s in enumerate(scores) if s >= cut]:
+            members = members_of(high | m, n)
+            value = scores[m] if not screened else ordered_sum(  # as evaluate_revenue adds it
+                p * revenue[x - 1] for x, p in zip(members, model._choice_row(members)))
+            if value > best_revenue or (value == best_revenue and members < best_key):
+                best_key, best_revenue = members, value
     if exact and best_key:
         best_revenue = Fraction(best_revenue, scale)
     return AssortmentSolution(frozenset(best_key), best_revenue, "brute-force")
 
 
-def _screened_optimum(model: MnlModel, revenue: Sequence) -> AssortmentSolution:
-    """The MNL optimum of :func:`brute_force_optimum`, by the screen its
-    docstring derives, on the revenues scaled by the least 2^-e that keeps
-    every weighted sum finite."""
-    n, weights, outside = model.n, model._weight_of, model._outside
-    reach = 2 * n * max(1.0, max(weights))  # finite: the weights leave room for n + 1 of them
+def _revenue_blocks(source: ChoiceModel, revenue: Sequence, c: int, exact: bool) -> Iterator[tuple[int, list]]:
+    """(high, the revenue of L | high for every mask L of the products 1..c)
+    for every mask high of the others, summed from ``source.columns``: a
+    declared denominator's numerators are kept when ``exact`` and read as
+    ``Fraction``s otherwise."""
+    n, scale = source.n, source.denominator
+    for high in range(0, 1 << n, 1 << c):
+        columns = source.columns(c, high)
+        if scale is not None and not exact:
+            columns = ([Fraction(p, scale) for p in column] for column in columns)
+        yield high, column_sums(columns, c, [revenue[x - 1] for x in (*range(1, c + 1), *members_of(high, n))])
+
+
+def _screen(model: MnlModel | MixedMnlModel, revenue: Sequence, c: int) -> tuple[Iterator, float, float]:
+    """(blocks, keep, slack) of the screen :func:`brute_force_optimum`
+    derives, on the revenues scaled by 2^-e: blocks yields (high, the score of
+    L | high for every mask L of the products 1..c) for every mask high of
+    the others, and a set whose score is below keep * the best score so far
+    - slack cannot be optimal."""
+    classes = tuple(zip(model._weights, model._models)) if isinstance(model, MixedMnlModel) else ((1.0, model),)
+    n, k = len(revenue), len(classes)
+    reach = 2 * n * max(1.0, *(max(mnl._weight_of) for _, mnl in classes))  # finite: n + 1 weights sum
     top = max(map(float, revenue), default=0.0)
-    # reach * top >= 2^(a + b - 2) for their frexp exponents a and b, so every smaller e overflows.
-    e = max(0, math.frexp(reach)[1] + math.frexp(top)[1] - 1025)
-    while not finite(reach * math.ldexp(top, -e)):
-        e += 1
+    # reach * top < 2^(a + b) for their frexp exponents a and b, so this e leaves it below 2^1023.
+    e = max(0, math.frexp(reach)[1] + math.frexp(top)[1] - 1023)
     factors = [math.ldexp(float(r), -e) for r in revenue]
-    slack = 2 * (n + 1) * max(SCREEN_ATOL * max(1.0, math.ldexp(top, -e)), SCREEN_ATOL / outside)
-    keep = 1 - 2 * SCREEN_RTOL
-    best_score = cut = -math.inf
-    candidates = []  # (score, mask, D^) of every set that might clear the final cut
-    for high, partial, scores in model.screen(factors, min(n, BLOCK_BITS)):
-        top = max(scores)
-        if top < cut:
-            continue
-        if top > best_score:
-            best_score, cut = top, top * keep - slack
-        candidates += [(s, high | m, outside + partial[m]) for m, s in enumerate(scores) if s >= cut]
-    best_key: tuple[int, ...] = ()
-    best_revenue = 0  # the empty set's
-    for s, mask, denom in candidates:
-        if s < cut:
-            continue
-        members = members_of(mask, n)
-        value = ordered_sum(weights[x] / denom * revenue[x - 1] for x in members)
-        if value > best_revenue or (value == best_revenue and members < best_key):
-            best_key, best_revenue = members, value
-    return AssortmentSolution(frozenset(best_key), best_revenue, "brute-force")
+    sums = []  # per class: w_k0, the w_kx, the a_k (w_kx f_x), and both sums over every mask of 1..c
+    for weight, mnl in classes:
+        weights = mnl._weight_of[1:]
+        numerators = [weight * (w * f) for w, f in zip(weights, factors)]
+        sums.append((mnl._outside, weights, numerators, subset_sums(numerators, c), subset_sums(weights, c)))
+    atol = ordered_sum(SCREEN_ATOL / mnl._outside for _, mnl in classes) + SCREEN_ATOL * max(1.0, math.ldexp(top, -e))
+
+    def blocks():
+        for high in range(0, 1 << n, 1 << c):
+            scores = None
+            for outside, weights, numerators, low_numerators, low_weights in sums:
+                if high:  # the sums over the products of high
+                    a0, d0 = subset_sums(numerators, 0, high)[0], outside + subset_sums(weights, 0, high)[0]
+                    scores = ([(a + a0) / (d + d0) for a, d in zip(low_numerators, low_weights)] if scores is None else
+                              [s + (a + a0) / (d + d0) for s, a, d in zip(scores, low_numerators, low_weights)])
+                else:
+                    scores = ([a / (outside + d) for a, d in zip(low_numerators, low_weights)] if scores is None else
+                              [s + a / (outside + d) for s, a, d in zip(scores, low_numerators, low_weights)])
+            yield high, scores
+
+    return blocks(), 1 - 2 * (2 * n + k + 2) * SCREEN_RTOL, 2 * (n + 1) * (k + 1) * atol
 
 
 @dataclass(frozen=True)

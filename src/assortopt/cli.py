@@ -49,10 +49,25 @@ SUITE_CHECKS = ("axioms", "guarantees", "reduction", "monotonicity")
 
 
 def _emit(data: dict, as_json: bool) -> None:
+    """Print a report as ``json.dumps`` of it, or as one ``key: value`` line
+    per entry, in the same bytes but written piece by piece, so a long table
+    (the capacity DP's rows) is never held as one string.  A NaN or infinite
+    float refuses the JSON before any byte is written: each entry, row by
+    row, goes first through the encoder ``json.dumps`` uses, in its order,
+    which raises its error."""
     if as_json:
-        print(json.dumps(data, sort_keys=True, allow_nan=False))
-    else:
-        for key, value in data.items():
+        for key in sorted(data):
+            for item in data[key] if isinstance(data[key], list) else [data[key]]:
+                json.dumps(item, sort_keys=True, allow_nan=False)
+        json.dump(data, sys.stdout, sort_keys=True, allow_nan=False)
+        print()
+        return
+    for key, value in data.items():
+        if isinstance(value, list):  # its str, one item at a time
+            print(f"{key}: [", end="")
+            sys.stdout.writelines(f"{', ' * bool(i)}{item!r}" for i, item in enumerate(value))
+            print("]")
+        else:
             print(f"{key}: {value}")
 
 

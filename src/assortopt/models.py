@@ -38,9 +38,11 @@ simulate each distinct floor once and look every entry up by its floor
 total per offer set, in column order from int 0, as ``ordered_sum`` adds
 a row, each entry optionally times a factor of its column (brute force's
 revenues).
-MNL's denominators come from ``subset_sums``, and ``MnlModel.screen``
-scores every offer set for the exact optimum from the same sums, one block
-from the next (``block_sums``), without building columns.
+MNL's denominators come from ``subset_sums``, and a mixture divides each
+class's weights by the same denominators.  The exact optimum reads no
+column of either: it screens every offer set from each class's
+``subset_sums`` (``assortment.brute_force_optimum``), MNL being the mixture
+of one class of weight 1.0.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import math
 import operator
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import GroundSetTooLarge, InvalidEpsilon, NonPositiveRevenue
 
@@ -173,12 +175,6 @@ def held_index(mask: int, x: int) -> int:
     return (mask >> x << (x - 1)) | (mask & low)
 
 
-def _plus(totals: list, value) -> list:
-    """Each total plus value: one step total[S | bit x] = total[S] + v_x
-    of the recurrence below, for every S of ``totals``."""
-    return [t + value for t in totals]
-
-
 def subset_sums(values: Sequence, c: int, high: int = 0) -> list:
     """total[L] = values[x - 1] over the products x of L | high, added in
     ascending order of x from int 0, for every mask L of the products 1..c.
@@ -188,29 +184,11 @@ def subset_sums(values: Sequence, c: int, high: int = 0) -> list:
     product of ``high`` adds to every entry."""
     totals = [0]
     for value in values[:c]:
-        totals += _plus(totals, value)
+        totals += [t + value for t in totals]
     if high:  # skips members_of, which costs more than a stochastic-preference column's few sums
-        for x in members_of(high, len(values)):
-            totals = _plus(totals, values[x - 1])
+        for value in [values[x - 1] for x in members_of(high, len(values))]:
+            totals = [t + value for t in totals]
     return totals
-
-
-def block_sums(values: Sequence, c: int) -> Iterator[tuple[int, list]]:
-    """Yield (high, ``subset_sums(values, c, high)``) for every mask high of
-    the products above c.
-
-    The block of high is the block of high without its top product plus
-    that product's value, one add per offer set, and the sums over the
-    products 1..c are built once.  Blocks come depth first, each before its
-    extensions by larger products, so at most n - c + 1 are held at once."""
-    n = len(values)
-
-    def extensions(high: int, totals: list, top: int):
-        yield high, totals
-        for x in range(top + 1, n + 1):
-            yield from extensions(high | 1 << (x - 1), _plus(totals, values[x - 1]), x)
-
-    yield from extensions(0, subset_sums(values, c), c)
 
 
 def column_sums(columns: Iterable[list], c: int, factors: Sequence | None = None) -> list:
@@ -467,31 +445,18 @@ class MnlModel(ChoiceModel):
         denom = self._outside + ordered_sum(weights)
         return tuple(map(denom.__rtruediv__, weights))
 
-    def columns(self, c: int, high: int = 0) -> list[list]:
-        # Each denominator is outside + the weights of its offer set added in
-        # ascending order from int 0, as ordered_sum in _choice_row adds them.
+    def _divisors(self, c: int, high: int = 0) -> list[tuple[float, list]]:
+        """(w_x, the denominators of x's column) for each column of
+        ``columns(c, high)``: each denominator is outside + the weights of its
+        offer set added in ascending order from int 0, as ordered_sum in
+        _choice_row adds them."""
         weight_of = self._weight_of
-        outside = self._outside
-        denoms = [outside + p for p in subset_sums(weight_of[1:], c, high)]
-        columns = [[w / d for d in held(denoms, 1 << (x - 1))] for x, w in enumerate(weight_of[1 : c + 1], start=1)]
-        return columns + [[w / d for d in denoms] for w in (weight_of[x] for x in members_of(high, self.n))]
+        denoms = [self._outside + p for p in subset_sums(weight_of[1:], c, high)]
+        low = [(w, held(denoms, 1 << (x - 1))) for x, w in enumerate(weight_of[1 : c + 1], start=1)]
+        return low + [(weight_of[x], denoms) for x in members_of(high, self.n)]
 
-    def screen(self, factors: Sequence[float], c: int) -> Iterator[tuple[int, list, list]]:
-        """Yield (high, partial, scores) for every mask high of the products
-        above c, one block of the 2^c masks L of the products 1..c at a time.
-
-        outside + partial[L] is the denominator D of L | high that
-        ``columns(c, high)`` divides by, and scores[L] = N / D, where N adds
-        w_x * factors[x - 1] over the products of L | high in ascending
-        order from int 0.  Both sums come from :func:`block_sums`, so a
-        block costs one add per offer set for each, plus one add and one
-        division for the score.
-        """
-        outside = self._outside
-        weights = self._weight_of[1:]
-        numerators = [w * f for w, f in zip(weights, factors)]
-        for (high, partial), (_, numerator) in zip(block_sums(weights, c), block_sums(numerators, c)):
-            yield high, partial, [a / (outside + p) for a, p in zip(numerator, partial)]
+    def columns(self, c: int, high: int = 0) -> list[list]:
+        return [[w / d for d in denoms] for w, denoms in self._divisors(c, high)]
 
 
 class MixedMnlModel(ChoiceModel):
@@ -517,12 +482,12 @@ class MixedMnlModel(ChoiceModel):
         return tuple(ordered_sum(map(operator.mul, self._weights, column)) for column in zip(*rows))
 
     def columns(self, c: int, high: int = 0) -> list[list]:
-        # Every entry adds weight * P in component order from int 0, as
+        # Every entry adds weight * (w / d) in class order from int 0, as
         # ordered_sum does in _choice_row; repeat(0) stands for the first totals.
         mixed = itertools.repeat(itertools.repeat(0))
         for weight, model in zip(self._weights, self._models):
-            columns = model.columns(c, high)
-            mixed = [[t + weight * p for t, p in zip(total, column)] for total, column in zip(mixed, columns)]
+            mixed = [[t + weight * (w / d) for t, d in zip(total, denoms)]
+                     for total, (w, denoms) in zip(mixed, model._divisors(c, high))]
         return mixed
 
 

@@ -286,15 +286,37 @@ class TestTechnicalBound:
 
     def test_fails_without_the_product_half_of_regularity(self):
         # A decoy: offering 3 makes 1 certain, and offering everything
-        # makes 3 certain; every other entry is 1/1000.
+        # makes 3 certain; every other entry is 1/1000.  RO/OPT is delta,
+        # the revenue of 3, for every delta down to 3/2000.
         rows = {S: dict.fromkeys(S, Fraction(1, 1000)) for S in [(1,), (2,), (3,), (1, 2), (2, 3)]}
         rows.update({(): {}, (1, 3): {1: Fraction(1), 3: Fraction(0)}, (1, 2, 3): {1: 0, 2: 0, 3: Fraction(1)}})
-        instance = AssortmentInstance(TabularModel(3, rows), [Fraction(1), Fraction(1, 2), Fraction(1, 100)])
+        for delta in (Fraction(1, 10), Fraction(1, 100), Fraction(1, 500)):
+            instance = AssortmentInstance(TabularModel(3, rows), [Fraction(1), Fraction(1, 2), delta])
+            optimum = brute_force_optimum(instance)
+            assert not check_technical_bound(instance, optimum)
+            regularity = instance.axioms.regularity
+            assert (regularity.witness, regularity.gap) == ((1, frozenset({1}), frozenset({1, 3})), 0.999)
+            assert revenue_ordered(instance).solution.revenue / optimum.revenue == delta
+            with pytest.raises(RegularityViolation):
+                verify_guarantee(instance)
+
+    @pytest.mark.parametrize("epsilon", [Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10**6)], ids=str)
+    def test_fails_without_the_no_purchase_half_of_regularity(self, epsilon):
+        # No product's share ever rises, but offering 1 next to 2 turns 2's
+        # certain sale into 2 epsilon: the no-purchase share rises from 0.
+        # OPT is {2} at 1/2, RO/OPT is 3 epsilon, against bound A = 1/2.
+        rows = {(): {}, (1,): {1: epsilon}, (2,): {2: Fraction(1)}, (1, 2): {1: epsilon, 2: epsilon}}
+        instance = AssortmentInstance(TabularModel(2, rows), [Fraction(1), Fraction(1, 2)])
+        report = instance.axioms
+        assert [name for name in ("nonnegativity", "unavailable_zero", "substochastic", "regularity")
+                if not getattr(report, name).passed] == ["regularity"]
+        assert report.regularity.witness == (0, frozenset({2}), frozenset({1, 2}))
+        assert report.regularity.gap == float(1 - 2 * epsilon)
         optimum = brute_force_optimum(instance)
+        assert (optimum.assortment, optimum.revenue) == (frozenset({2}), Fraction(1, 2))
+        ratio = revenue_ordered(instance).solution.revenue / optimum.revenue
+        assert type(ratio) is Fraction and ratio == 3 * epsilon
         assert not check_technical_bound(instance, optimum)
-        regularity = instance.axioms.regularity
-        assert (regularity.witness, regularity.gap) == ((1, frozenset({1}), frozenset({1, 3})), 0.999)
-        assert revenue_ordered(instance).solution.revenue / optimum.revenue == Fraction(1, 100)
         with pytest.raises(RegularityViolation):
             verify_guarantee(instance)
 

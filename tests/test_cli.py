@@ -64,6 +64,48 @@ def test_json_output_refuses_nan(capsys):
     assert capsys.readouterr().out == ""
 
 
+def _ref_emit(data, as_json):
+    """What _emit printed when it built the JSON, or each line, as one string."""
+    if as_json:
+        return json.dumps(data, sort_keys=True, allow_nan=False) + "\n"
+    return "".join(f"{key}: {value}\n" for key, value in data.items())
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_emit_writes_the_bytes_of_one_string(capsys, as_json):
+    data = {"b": [[0.1, -0.0, 1e300], [], [2, 3]], "a": ["x'y", 'z"'], "c": {"k": [1, 2.5]}, "d": None,
+            "e": True, "f": [], "g": 1.5, "h": [{"p": 1}, [None, False]], "t": (1, [2])}
+    if not as_json:
+        data["i"] = [math.inf, -math.inf, math.nan]  # text prints them
+    _emit(data, as_json)
+    assert capsys.readouterr().out == _ref_emit(data, as_json)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_multiperiod_report_is_the_one_string_it_was(tmp_path, capsys, monkeypatch, as_json):
+    path = tmp_path / "mp.json"
+    assert main(["gen", "multiperiod", "--seed", "3", "-o", str(path)]) == 0
+    reports = []
+    monkeypatch.setattr(cli, "_emit", lambda data, flag: (reports.append(data), _emit(data, flag)))
+    code, out = run(capsys, "multiperiod", str(path), "--T", "40", "--Q", "30", "--check", *["--json"] * as_json)
+    assert code == 0 and len(reports[0]["value"]) == 41
+    assert out == _ref_emit(reports[0], as_json)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_refuses_a_non_finite_value_before_writing(capsys, bad):
+    # The bad value sits in the last row, after everything a stream would
+    # already have written, and in a tuple inside a dict.
+    for data in ({"a": 1, "value": [[0.5] * 3 for _ in range(50)] + [[0.5, bad]], "z": "last"},
+                 {"a": [1], "bounds": {"n": (2.0, bad)}}):
+        with pytest.raises(ValueError) as expected:
+            json.dumps(data, sort_keys=True, allow_nan=False)
+        with pytest.raises(ValueError) as raised:
+            _emit(data, True)
+        assert str(raised.value) == str(expected.value)
+        assert capsys.readouterr().out == ""
+
+
 def test_solve_reports_opt_revord_ratio_bounds(tmp_path, capsys):
     path = tmp_path / "inst.json"
     assert main(["gen", "assortment", "--family", "mnl", "--seed", "4", "-o", str(path)]) == 0

@@ -1,8 +1,9 @@
 """The column kernels against the map-based kernels they replace.
 
-``MnlModel.columns``, ``MixedMnlModel.columns`` and ``column_sums`` apply
-each operator in a list comprehension instead of through ``map`` and a bound
-method, ``brute_force_optimum`` passes its revenues to ``column_sums`` as
+``MnlModel.columns``, ``MixedMnlModel.columns`` (each entry t + a * (w / d),
+divided from its classes' weights) and ``column_sums`` apply each operator
+in a list comprehension instead of through ``map`` and a bound method,
+``brute_force_optimum`` passes its revenues to ``column_sums`` as
 factors instead of building an "earned" list per column, and
 ``TabularModel.columns`` slices its stored columns instead of reading one
 ``_choice_row`` per offer set.  The references below are the map-based
@@ -47,7 +48,8 @@ def _outcome(kernel, *args):
 # ------------------------------------------------------------------ references
 
 
-def ref_mnl_columns(model, c, high):
+def ref_mnl_divisors(model, c, high):
+    """(w_x, the denominators of x's column) for each column, as the map-based kernel builds them."""
     weight_of = model._weight_of
     partial = [0]
     for x in range(1, c + 1):
@@ -56,18 +58,31 @@ def ref_mnl_columns(model, c, high):
     for x in highs:
         partial = list(map(weight_of[x].__radd__, partial))
     denoms = list(map(model._outside.__add__, partial))
-    columns = [list(map(weight_of[x].__truediv__, held(denoms, 1 << (x - 1)))) for x in range(1, c + 1)]
-    return columns + [list(map(weight_of[x].__truediv__, denoms)) for x in highs]
+    low = [(weight_of[x], held(denoms, 1 << (x - 1))) for x in range(1, c + 1)]
+    return low + [(weight_of[x], denoms) for x in highs]
+
+
+def ref_mnl_columns(model, c, high):
+    return [list(map(w.__truediv__, denoms)) for w, denoms in ref_mnl_divisors(model, c, high)]
 
 
 def ref_mixed_columns(weights, component_columns):
+    # operator.mul, not weight.__mul__: an int weight scales the float quotients of its class.
     mixed = itertools.repeat(itertools.repeat(0))
     for weight, columns in zip(weights, component_columns):
         mixed = [
-            list(map(operator.add, total, map(weight.__mul__, column)))
+            list(map(operator.add, total, map(operator.mul, itertools.repeat(weight), column)))
             for total, column in zip(mixed, columns)
         ]
     return mixed
+
+
+def ref_mixed_mnl_columns(weights, models, c, high):
+    """The mixture's columns from each class's lazy quotients, so every entry
+    divides, scales and adds in turn, class by class, as the kernel does, and
+    an arithmetic error is raised at the same entry."""
+    lazy = ([map(w.__truediv__, denoms) for w, denoms in ref_mnl_divisors(model, c, high)] for model in models)
+    return ref_mixed_columns(weights, lazy)
 
 
 def ref_column_sums(columns, c):
@@ -98,32 +113,30 @@ def _assert_defined(outcome):
     )
 
 
-def check_mnl(weights, outside, c, high):
+def _mnl(weights, outside):
+    """An MNL model with the given weights and no-purchase weight injected."""
     model = MnlModel([0.0] * len(weights))
     model._weight_of = (0.0, *weights)
     model._outside = outside
+    return model
+
+
+def check_mnl(weights, outside, c, high):
+    model = _mnl(weights, outside)
     expected = _outcome(ref_mnl_columns, model, c, high)
     _assert_defined(expected)
     assert _outcome(model.columns, c, high) == expected
 
 
-class _Fixed:
-    """A mixture component whose columns are given."""
-
-    def __init__(self, columns):
-        self._columns = columns
-
-    def columns(self, c, high=0):
-        return self._columns
-
-
-def check_mixed(weights, component_columns):
-    model = MixedMnlModel([(1.0, [])])
+def check_mixed(weights, classes, c, high):
+    """``classes`` holds each class's (weights, no-purchase weight)."""
+    models = [_mnl(*params) for params in classes]
+    model = MixedMnlModel([(1.0, [0.0] * models[0].n)])
     model._weights = tuple(weights)
-    model._models = tuple(map(_Fixed, component_columns))
-    expected = _outcome(ref_mixed_columns, weights, component_columns)
+    model._models = tuple(models)
+    expected = _outcome(ref_mixed_mnl_columns, weights, models, c, high)
     _assert_defined(expected)
-    assert _outcome(model.columns, 0) == expected
+    assert _outcome(model.columns, c, high) == expected
 
 
 def check_column_sums(columns, c, factors):
@@ -150,10 +163,10 @@ ENTRIES = st.one_of(st.sampled_from([*SPECIALS, 0, 1, -1, Fraction(1, 3), Fracti
 
 # The reflected operators of the map kernels take an int or a value of their
 # own type, and a float or a Fraction takes an int: so the MNL weights and
-# the no-purchase weight share one kind, and a mixture weight that is not a
-# Fraction scales only floats and ints.
+# the no-purchase weight of a class share one kind.  A mixture weight that is
+# not a Fraction scales only classes of floats and ints.
 MNL_KINDS = [FLOATS, INTS, FRACTIONS]
-MIXING = [(FRACTIONS, ENTRIES), (FLOATS, st.one_of(FLOATS, INTS)), (INTS, INTS)]
+MIXING = [(FRACTIONS, MNL_KINDS), (FLOATS, [FLOATS, INTS]), (INTS, [INTS])]
 
 
 @st.composite
@@ -186,14 +199,14 @@ def test_mnl_recurrence_and_quotients(data, shape, kind):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), shape=split(), kinds=st.sampled_from(MIXING), k=st.integers(1, 3))
 def test_mixed_mnl_mixing(data, shape, kinds, k):
-    weight_kind, entry_kind = kinds
-    lengths = _column_lengths(*shape)
+    weight_kind, class_kinds = kinds
+    n, c, high = shape
     weights = data.draw(st.lists(weight_kind, min_size=k, max_size=k))
-    # One draw holds every entry of every component, cut into k blocks of columns.
-    size = sum(lengths)
-    entries = data.draw(st.lists(entry_kind, min_size=k * size, max_size=k * size))
-    components = [_cut(entries[i * size : (i + 1) * size], lengths) for i in range(k)]
-    check_mixed(weights, components)
+    classes = []
+    for _ in range(k):
+        kind = data.draw(st.sampled_from(class_kinds))
+        classes.append((data.draw(st.lists(kind, min_size=n, max_size=n)), data.draw(kind)))
+    check_mixed(weights, classes, c, high)
 
 
 @settings(max_examples=200, deadline=None)

@@ -39,7 +39,7 @@ from assortopt.axioms import _tabulated
 from assortopt.cli import main
 from assortopt.generators import generate
 from assortopt.io import instance_from_dict
-from assortopt.models import ChoiceModel, ascending_subsets, enumerate_subsets, held_index, members_of
+from assortopt.models import ChoiceModel, ascending_subsets, enumerate_subsets, held_index, members_of, subset_sums
 from assortopt.reductions import reduce_pricing
 
 
@@ -244,38 +244,51 @@ def test_mnl_brute_force_across_the_block_edge(n):
     assert _bits(optimum.revenue) == _bits(expected_revenue)
 
 
+def _screened_blocks(monkeypatch, model, revenue):
+    """Brute force on a screened model, reading no column: returns the
+    length of every list of subset sums it builds (each class's sums over
+    the low products, and a one-entry list per block above the first for
+    each sum over the block's fixed products), and of each block's scores
+    (the one list ``max`` reads per block)."""
+    sums, blocks = [], []
+
+    def summed(values, c, high=0):
+        totals = subset_sums(values, c, high)
+        sums.append(len(totals))
+        return totals
+
+    def top(*args, **kwargs):
+        if len(args) == 1 and isinstance(args[0], list):
+            blocks.append(len(args[0]))
+        return max(*args, **kwargs)
+
+    for kind, name in ((MnlModel, "columns"), (MnlModel, "_divisors"), (MixedMnlModel, "columns")):
+        monkeypatch.setattr(kind, name, None)  # no column is read
+    monkeypatch.setattr(assortment, "subset_sums", summed)
+    monkeypatch.setattr(assortment, "max", top, raising=False)
+    brute_force_optimum(AssortmentInstance(model, revenue))
+    return sums, blocks
+
+
 @pytest.mark.parametrize("n, reads", [(11, [(11, 0)]), (12, [(12, 0)]), (13, [(12, 0), (12, 1 << 12)])])
 def test_streamed_blocks_hold_at_most_4096_offer_sets(monkeypatch, n, reads):
-    # Mixed MNL streams columns; MNL screens instead (the test below).
-    calls = []
-    original = MixedMnlModel.columns
-
-    def counted(self, c, high=0):
-        calls.append((c, high))
-        return original(self, c, high)
-
-    monkeypatch.setattr(MixedMnlModel, "columns", counted)
+    # Mixed MNL is screened as MNL is (the test below), one class at a time:
+    # reads lists the (c, high) of each block.
     utilities = [0.1 * x for x in range(n)]
-    model = MixedMnlModel([(0.5, utilities), (0.5, utilities[::-1])])
-    brute_force_optimum(AssortmentInstance(model, [1.0] * n))
-    assert calls == reads
+    model = MixedMnlModel([(0.5, utilities), (0.25, utilities[::-1]), (0.25, [0.0] * n)])
+    sums, blocks = _screened_blocks(monkeypatch, model, [1.0] * n)
+    # The weights and the weighted revenues of each class, and both sums
+    # over the fixed products of each block after the first.
+    assert sorted(sums) == [1] * 6 * (len(reads) - 1) + [1 << reads[0][0]] * 6
+    assert blocks == [1 << c for c, _ in reads]
 
 
 @pytest.mark.parametrize("n, blocks", [(11, [0]), (12, [0]), (13, [0, 1 << 12])])
 def test_screened_blocks_hold_at_most_4096_offer_sets(monkeypatch, n, blocks):
-    seen = []
-    original = MnlModel.screen
-
-    def counted(self, factors, c):
-        for high, partial, scores in original(self, factors, c):
-            seen.append((high, len(partial), len(scores)))
-            yield high, partial, scores
-
-    monkeypatch.setattr(MnlModel, "screen", counted)
-    monkeypatch.setattr(MnlModel, "columns", None)  # no column is read
-    brute_force_optimum(AssortmentInstance(MnlModel([0.1 * x for x in range(n)]), [1.0] * n))
     size = 1 << min(n, 12)
-    assert seen == [(high, size, size) for high in blocks]
+    sums, seen = _screened_blocks(monkeypatch, MnlModel([0.1 * x for x in range(n)]), [1.0] * n)
+    assert sorted(sums) == [1] * 2 * (len(blocks) - 1) + [size, size]
+    assert seen == [size for _ in blocks]
 
 
 # ------------------------------------------------------------------ ties and NaN

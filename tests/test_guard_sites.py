@@ -8,7 +8,7 @@ would fail here rather than run for 2^21 offer sets.
 
 import pytest
 
-from assortopt import models
+from assortopt import assortment, models
 from assortopt.assortment import AssortmentInstance, brute_force_optimum
 from assortopt.errors import GroundSetTooLarge
 from assortopt.models import GUARD, MixedMnlModel, MnlModel, TableCapacity
@@ -39,7 +39,7 @@ def test_solve_dp_past_the_guard_reports_no_verdict_and_builds_no_table(monkeypa
 
 @pytest.mark.parametrize("model", [MnlModel([0.0] * WIDE), MixedMnlModel([(1.0, [0.0] * WIDE)])])
 def test_brute_force_refuses_before_screen_or_blocks(monkeypatch, model):
-    monkeypatch.setattr(MnlModel, "screen", _refuse)
+    monkeypatch.setattr(assortment, "subset_sums", _refuse)  # the screen's first work
     monkeypatch.setattr(type(model), "columns", _refuse)
     with pytest.raises(GroundSetTooLarge, match=f"exceeds the enumeration guard {GUARD}"):
         brute_force_optimum(AssortmentInstance(model, [1.0] * WIDE))

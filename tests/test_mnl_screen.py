@@ -1,10 +1,12 @@
-"""The screened MNL optimum against a left-to-right reference.
+"""The screened MNL and mixed-MNL optimum against a left-to-right reference.
 
-``brute_force_optimum`` scores every offer set of an MNL model by N/D and
-computes the revenue only of the sets whose score can tie the best.  The
-reference below computes every offer set's revenue as the column path does:
-D = outside + the weights added in ascending order from int 0, p = w / D,
-and the p * r added in ascending order from int 0, each in an explicit loop
+``brute_force_optimum`` scores every offer set of an MNL model, or of a
+mixture of MNL classes, by sum_k a_k N_k / D_k and computes the revenue only
+of the sets whose score can tie the best.  The reference below computes
+every offer set's revenue as the column path does: per class,
+D = outside + the weights added in ascending order from int 0 and
+p = w / D; for a mixture, P = the a_k * p added in class order from int 0;
+and the P * r added in ascending order from int 0, each in an explicit loop
 of its own, in the one order the library adds floats in
 (``models.ordered_sum``).  The set and the revenue, by type and ``repr``,
 must be the reference's.
@@ -19,12 +21,11 @@ import pytest
 from assortopt import assortment
 from assortopt.assortment import AssortmentInstance, brute_force_optimum
 from assortopt.models import (
+    MixedMnlModel,
     MnlModel,
-    block_sums,
     column_sums,
     enumerate_subsets,
     members_of,
-    subset_sums,
 )
 
 
@@ -32,15 +33,27 @@ def _bits(value):
     return type(value), repr(value)
 
 
-def ref_revenue(model, revenue, subset):
+def ref_probabilities(model, subset):
+    """P(x, S) of an MNL model for each x of the sorted subset S."""
     weights, outside = model._weight_of, model._outside
     partial = 0
     for x in subset:
         partial = partial + weights[x]
     denom = outside + partial
+    return [weights[x] / denom for x in subset]
+
+
+def ref_revenue(model, revenue, subset):
+    if isinstance(model, MixedMnlModel):
+        probabilities = [0] * len(subset)
+        for weight, component in zip(model._weights, model._models):
+            for i, p in enumerate(ref_probabilities(component, subset)):
+                probabilities[i] = probabilities[i] + weight * p
+    else:
+        probabilities = ref_probabilities(model, subset)
     value = 0
-    for x in subset:
-        value = value + weights[x] / denom * revenue[x - 1]
+    for x, p in zip(subset, probabilities):
+        value = value + p * revenue[x - 1]
     return value
 
 
@@ -67,14 +80,21 @@ def check(model, revenue, instance=None):
     return ties
 
 
+def mixture(utilities, weights=None):
+    """A mixed MNL model of the given classes, equally weighted unless weights are given."""
+    weights = weights or [1 / len(utilities)] * len(utilities)
+    return MixedMnlModel(list(zip(weights, utilities)))
+
+
 def _refused(self, c, high=0):
     raise AssertionError("the screened optimum read columns")
 
 
 @pytest.fixture
 def screened(monkeypatch):
-    """Fails the test if brute force reads MNL columns instead of screening."""
+    """Fails the test if brute force reads MNL or mixed-MNL columns instead of screening."""
     monkeypatch.setattr(MnlModel, "columns", _refused)
+    monkeypatch.setattr(MixedMnlModel, "columns", _refused)
 
 
 # ------------------------------------------------------------ the reference
@@ -85,22 +105,16 @@ def test_reference_is_the_column_path(c, high):
     # column_sums and columns add left to right from int 0, as the reference
     # does, so this holds on every Python.
     rng = Random(c * 31 + high)
-    model = MnlModel([rng.gauss(0.0, 2.0) for _ in range(5)])
+    mnl = MnlModel([rng.gauss(0.0, 2.0) for _ in range(5)])
+    classes = [[rng.gauss(0.0, 2.0) for _ in range(5)] for _ in range(3)]
+    classes[1][2] = 800.0  # one class shifts its weights
+    mixed = mixture(classes, [0.25, 0.75, 0.0])
     revenue = [rng.choice([rng.uniform(0.1, 9.0), rng.randint(1, 9), Fraction(rng.randint(1, 99), 7)]) for _ in range(5)]
     products = (*range(1, c + 1), *members_of(high, 5))
-    values = column_sums(model.columns(c, high), c, [revenue[x - 1] for x in products])
-    for low in range(1 << c):
-        assert _bits(values[low]) == _bits(ref_revenue(model, revenue, members_of(low | high, 5)))
-
-
-@pytest.mark.parametrize("n, c", [(0, 0), (4, 0), (5, 2), (7, 3), (6, 6)])
-def test_block_sums_are_subset_sums(n, c):
-    rng = Random(n + c)
-    values = [rng.choice([rng.random(), 0.0, 1e-300, 3]) for _ in range(n)]
-    blocks = list(block_sums(values, c))
-    assert sorted(high for high, _ in blocks) == list(range(0, 1 << n, 1 << c))
-    for high, totals in blocks:
-        assert [_bits(t) for t in totals] == [_bits(t) for t in subset_sums(values, c, high)]
+    for model in (mnl, mixed):
+        values = column_sums(model.columns(c, high), c, [revenue[x - 1] for x in products])
+        for low in range(1 << c):
+            assert _bits(values[low]) == _bits(ref_revenue(model, revenue, members_of(low | high, 5)))
 
 
 # ------------------------------------------------------------- the optimum
@@ -229,6 +243,7 @@ def test_ties_across_many_small_blocks(screened, monkeypatch):
         utilities = [rng.choice([-800.0, 0.0, 0.5]) for _ in range(8)]
         revenue = [rng.choice([1, 2, Fraction(3, 2), 1.0, 2.0]) for _ in range(8)]
         check(MnlModel(utilities), revenue)
+        check(mixture([utilities, utilities[::-1], [rng.choice([0.0, 0.5]) for _ in range(8)]]), revenue)
 
 
 def test_overflowing_products_are_screened_on_scaled_revenues(screened):
@@ -253,3 +268,161 @@ def test_extreme_utilities_and_revenues(screened):
         # Jitter only downwards: above about 1450 even the outside weight underflows.
         utilities = [rng.choice(centres) - rng.choice([0.0, rng.uniform(0.0, 4.0)]) for _ in range(n)]
         check(MnlModel(utilities), [rng.choice(revenues) for _ in range(n)])
+
+
+# ----------------------------------------------------------- mixed MNL
+
+
+@pytest.mark.parametrize("n", [1, 5, 12, 13])
+@pytest.mark.parametrize("k", [2, 4])
+def test_random_mixtures(screened, n, k):
+    rng = Random(100 * n + k)
+    for _ in range(1 if n > 12 else 3):
+        weights = [rng.uniform(0.1, 1.0) for _ in range(k)]
+        weights = [w / sum(weights) for w in weights]
+        model = mixture([[rng.gauss(0.0, 1.5) for _ in range(n)] for _ in range(k)], weights)
+        check(model, [rng.uniform(0.5, 9.5) for _ in range(n)])
+
+
+def test_a_built_mixture_table_is_screened_too(monkeypatch):
+    rng = Random(7)
+    model = mixture([[rng.gauss(0.0, 1.0) for _ in range(9)] for _ in range(3)])
+    revenue = [rng.uniform(1.0, 4.0) for _ in range(9)]
+    instance = AssortmentInstance(model, revenue)
+    instance.table  # read from the columns
+    monkeypatch.setattr(MixedMnlModel, "columns", _refused)
+    check(model, revenue, instance)
+
+
+def test_ties_across_classes(screened):
+    # Mirrored classes over mirrored revenues: a set and its mirror earn the
+    # same exact revenue, but add their classes' shares in the other order,
+    # so their floats tie or differ by rounding alone.
+    for n in (4, 7, 12):
+        utilities = [0.25 * x for x in range(n)]
+        revenue = [1.0 + abs(x - (n - 1) / 2) for x in range(n)]
+        check(mixture([utilities, utilities[::-1]]), revenue)
+        check(mixture([utilities, utilities[::-1], [0.5] * n]), [2.0] * n)
+    # Identical classes tie every product of equal utility and revenue.
+    check(mixture([[0.0, 1.0, 1.0, 0.0]] * 3), [3.0, 1.0, 1.0, 3.0])
+    rng = Random(5)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        classes = [[rng.choice([0.0, 0.5, 1.0, -1.0, 0.1]) for _ in range(n)] for _ in range(rng.randint(2, 3))]
+        check(mixture(classes), [rng.choice([1.0, 2.0, 3.0, 0.5, 1.5, 0.1, 0.3]) for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [3, 13])
+def test_a_class_of_weight_zero(screened, n):
+    # 0 + 1.0 p + 0.0 p' is p: the mixture earns what its one weighted class does.
+    rng = Random(n)
+    utilities = [rng.gauss(0.0, 1.0) for _ in range(n)]
+    revenue = [rng.uniform(1.0, 5.0) for _ in range(n)]
+    model = mixture([utilities, [800.0] * n], [1.0, 0.0])
+    check(model, revenue)
+    mixed = brute_force_optimum(AssortmentInstance(model, revenue))
+    alone = brute_force_optimum(AssortmentInstance(MnlModel(utilities), revenue))
+    assert (mixed.assortment, _bits(mixed.revenue)) == (alone.assortment, _bits(alone.revenue))
+
+
+@pytest.mark.parametrize("n", [2, 6, 13])
+def test_utilities_above_709_in_one_class_only(screened, n):
+    rng = Random(n)
+    high = [800.0 + rng.uniform(-3.0, 3.0) for _ in range(n)]
+    low = [rng.gauss(0.0, 1.0) for _ in range(n)]
+    model = mixture([low, high], [0.6, 0.4])
+    assert model._models[1]._outside < 1e-40 and model._models[0]._outside == 1.0
+    check(model, [rng.uniform(0.1, 0.6) for _ in range(n)])
+    # The shifted class's weights are near the float maximum / e(n + 1), so
+    # these revenues are screened scaled by a power of two.
+    revenue = [rng.uniform(1.0, 9.5) for _ in range(n)]
+    assert math.isinf(2 * n * max(model._models[1]._weight_of) * max(revenue))
+    check(model, revenue)
+    # One product far above the rest of its class leaves the others' weights
+    # near the shifted outside weight, which then decides their share.
+    lifted = mixture([low, [800.0] + [rng.uniform(-1.0, 1.0) for _ in range(n - 1)]], [0.1, 0.9])
+    check(lifted, [1e-3] + [rng.uniform(1.0, 9.5) for _ in range(n - 1)])
+    # A subnormal outside weight in the first class or a later one.  Without
+    # product 1 every weighted revenue of that class underflows to 0, so its
+    # scores are 0 where it earns the most: only the cut's absolute slack,
+    # which grows as the sum of 1 / w_k0, keeps those sets candidates.
+    shifted = [1450.0, 0.0] + [rng.uniform(-1.0, 1.0) for _ in range(n - 2)]
+    revenue = [1e-300, 1e-10] + [1e-11] * (n - 2)
+    for weights, classes in (([0.5, 0.5], [shifted, low]), ([0.01, 0.99], [[0.0, -30.0] + [2.0] * (n - 2), shifted])):
+        model = mixture(classes, weights)
+        tiny = model._models[classes.index(shifted)]
+        assert 0 < tiny._outside < 2.0**-1070 and tiny._weight_of[2] * revenue[1] == 0.0
+        check(model, revenue)
+
+
+@pytest.mark.parametrize("n", [3, 13])
+def test_a_shifted_class_whose_outside_weight_decides(screened, n):
+    # The shifted class's weights of products 2..n equal its outside weight,
+    # near 1e-41, so that weight decides their shares, and it outweighs the
+    # other class, which prefers another product: a score that took any
+    # other outside weight for it would miss the optimum.  First the
+    # favoured product n earns least; then it earns most, and at n = 13 it
+    # sits in the second block.  The shifted class comes second, then first.
+    shifted = [800.0] + [0.0] * (n - 1)
+    cheap = [1e-3] + [5.0 - 0.25 * x for x in range(n - 2)] + [1.0]
+    dear = cheap[:-1] + [6.0]
+    for order in (1, -1):
+        check(mixture([[0.0] + [-3.0] * (n - 2) + [3.0], shifted][::order], [0.05, 0.95][::order]), cheap)
+        model = mixture([[0.0] + [-3.0] * (n - 3) + [3.0, -3.0], shifted][::order], [0.05, 0.95][::order])
+        check(model, dear)
+        assert n in brute_force_optimum(AssortmentInstance(model, dear)).assortment
+
+
+def test_an_overflowing_class_is_screened_on_scaled_revenues(screened):
+    # In the shifted class w_1 * 10 overflows, so unscaled scores would put
+    # {1} and {1, 2} at inf above the optimum {2}, whose w_2 * 1e20 is
+    # finite: the scale must come from the largest weight of every class.
+    shifted, plain = [800.0, 750.0], [0.0, 0.0]
+    for classes in ([shifted, plain], [plain, shifted]):
+        model = mixture(classes)
+        assert math.isinf(max(model._models[classes.index(shifted)]._weight_of) * 10.0)
+        assert check(model, [10.0, 1e20]) == 1
+        assert brute_force_optimum(AssortmentInstance(model, [10.0, 1e20])).assortment == {2}
+
+
+@pytest.mark.parametrize("n", [2, 9, 13])
+def test_mixture_revenues_from_1e_minus_300_to_1e300(screened, n):
+    rng = Random(n)
+    exponents = [-300 + 600 * x // max(n - 1, 1) for x in range(n)]
+    rng.shuffle(exponents)
+    model = mixture([[rng.gauss(0.0, 2.0) for _ in range(n)] for _ in range(3)])
+    check(model, [10.0**e for e in exponents])
+    check(model, [rng.uniform(1.0, 2.0) * 1e-300 for _ in range(n)])
+    check(model, [1.7e308] + [rng.uniform(1.0, 2.0) * 1e300 for _ in range(n - 1)])
+
+
+@pytest.mark.parametrize("n", [4, 12, 13])
+def test_mixture_int_and_fraction_revenues(screened, n):
+    rng = Random(n)
+    model = mixture([[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(2)], [0.3, 0.7])
+    check(model, [rng.randint(1, 50) for _ in range(n)])
+    check(model, [Fraction(rng.randint(1, 500), rng.randint(1, 30)) for _ in range(n)])
+    check(model, [Fraction(1, 10**400)] * (n - 1) + [Fraction(3, 2)])
+    check(model, [Fraction(1, 10**400)] * n)
+
+
+def test_extreme_mixtures(screened):
+    rng = Random(42)
+    centres = [800.0, 1450.0, -800.0, 690.0, 712.0, 0.0]
+    revenues = [5e-324, 1e-300, 1.0, 3, 1e300, 1.7e308, 10**300, Fraction(1, 10**400)]
+    for _ in range(100):
+        n, k = rng.randint(1, 6), rng.randint(2, 4)
+        classes = [[rng.choice(centres) - rng.choice([0.0, rng.uniform(0.0, 4.0)]) for _ in range(n)] for _ in range(k)]
+        check(mixture(classes), [rng.choice(revenues) for _ in range(n)])
+
+
+def test_more_classes_than_a_fixed_slack_covers(screened):
+    # A relative slack of 1e-12 covers the screen's 2 gamma only up to
+    # m = 2n + K + 2 = 4503 rounding factors, K = 4459 at n = 20; the cut's
+    # slack grows with m instead.  4460 classes of a few utilities each tie
+    # many sets exactly or up to rounding.
+    rng = Random(4460)
+    for n in (3, 5):
+        classes = [[rng.choice([0.0, 0.5, 1.0]) for _ in range(n)] for _ in range(4460)]
+        check(mixture(classes), [rng.choice([1.0, 2.0, 1.5, 3]) for _ in range(n)])
+        check(mixture(classes), [2.0] * n)

@@ -341,6 +341,37 @@ class TestTabular:
                 assert table.evaluate(x, subset) == source.evaluate(x, subset)
 
 
+def _coverage(n, weights=(0.5,), covers=None):
+    return CoverageCapacity(n, list(weights), [{0}] * n if covers is None else covers)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MixedMnlModel([]), "a mixture needs at least one component"),
+        (lambda: MixedMnlModel([(0.5, [0.0]), (0.5, [0.0, 1.0])]),
+         "all mixture components must share the product count"),
+        (lambda: expand_ranking_model([]), "empty mixture"),
+        (lambda: expand_ranking_model([(0.5, MallowsModel((0, 1), 1.0)), (0.5, MallowsModel((1, 0, 2), 1.0))]),
+         "all mixture components must share the product count"),
+        (lambda: MallowsModel((0, 1, 2), -0.5), "theta must be nonnegative"),
+        (lambda: _coverage(2, covers=[{0}]), "one cover set per product is required"),
+        (lambda: _coverage(1, weights=(0.5, -0.25)), "point weights must be nonnegative"),
+        (lambda: _coverage(1, weights=(0.75, 0.5)), "point weights must sum to at most 1"),
+        (lambda: _coverage(1, covers=[{1}]), "cover sets must reference ground points 0..len(weights)-1"),
+        (lambda: _coverage(1, covers=[{-1}]), "cover sets must reference ground points 0..len(weights)-1"),
+        (lambda: HfamModel((1, 1), _coverage(2)), "(1, 1) is not a permutation of 1..2"),
+        (lambda: HfamModel((2, 1), _coverage(3)), "capacity and preference must cover the same products"),
+    ],
+    ids=["mixture_empty", "mixture_counts", "expansion_empty", "expansion_counts", "mallows_theta",
+         "cover_count", "point_weight_negative", "point_weights_above_one", "cover_point_above", "cover_point_below",
+         "hfam_permutation", "hfam_capacity"],
+)
+def test_constructor_refusals_name_what_is_wrong(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_evaluate_revenue_rejects_nonpositive():
     model = MnlModel([0.0])
     with pytest.raises(NonPositiveRevenue):
