@@ -10,11 +10,12 @@ the distribution of purchases inside an optimal assortment.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .axioms import AxiomReport, _check_axioms
 from .errors import NonPositiveRevenue, RegularityViolation
@@ -288,7 +289,9 @@ def brute_force_optimum(instance: AssortmentInstance) -> AssortmentSolution:
     of scores.  A block's candidates are its sets whose score is at least
     keep * (the best score so far) - slack; each gets its revenue at once,
     and the best revenue so far, with its key, is kept.  The cut only rises,
-    so every set that clears the final cut is evaluated.
+    so every set that clears the final cut is evaluated; the blocks of the
+    screen below come best first, and are skipped once they cannot reach
+    the cut.
 
     A model other than MNL is read from its columns, from ``instance.table``
     if it has been built, else from the model, which is then never held
@@ -345,6 +348,40 @@ def brute_force_optimum(instance: AssortmentInstance) -> AssortmentSolution:
     2^-1068 = 64 eta).  The cut's own roundings fall far inside both
     margins.  All tied sets, so the smallest key among them, and the empty
     set's int 0 are therefore those of the full enumeration.
+
+    With more than one block, each block is bounded before it is scored,
+    and the blocks are scored in descending order of the bound U, ties by
+    high ascending.  For class k, let A_k and D_k be the sums a block's
+    scores add over its products in high (a_k (w_kx f_x), and w_k0 plus
+    w_kx), and order the products 1..c of positive weight by the exact
+    ratio n_kx / w_kx of their floats n_kx = a_k (w_kx f_x) and w_kx, the
+    largest first (a product of weight 0.0 has n_kx = 0.0 and changes no
+    score).  For nonnegative numbers with D > 0, (A + sum_L n_x) / (D +
+    sum_L w_x) is largest over all L at a prefix of that order: at its
+    maximum lambda, the set of the x with n_x > lambda w_x, a prefix, also
+    maximises A - lambda D + sum_L (n_x - lambda w_x), which is 0 there, so
+    its own ratio is lambda (the threshold lemma of fractional
+    programming).  So U_k, the largest of the c + 1 prefix ratios, empty
+    prefix included, is at least the exact class-k term of every set of
+    the block, and U = sum_k U_k at least the exact sum of its terms, a sum
+    of maxima being at least the maximum of the sum.  A prefix ratio is
+    computed as (A_k + P_j) / (D_k + Q_j) from the float sums P_j and Q_j
+    of its first j n_kx and w_kx, added from int 0: 2j + 1 rounding
+    factors, and K - 1 for the sum over classes, at most m, as for s; and
+    each quotient of a prefix ratio or of s may underflow by eta / 2.  So
+    every score of the block is at most U (1 + gamma) / (1 - gamma) +
+    1.01 K eta, which the ceiling U (1 + 2 rho) + 2 alpha exceeds:
+    (1 + gamma) / (1 - gamma) = 1 + 2 m u / (1 - 2 m u) is at most
+    1 + 4 m u while m u <= 1/4, far below 1 + 2 rho = 1 + 256 m u even
+    after the ceiling's own two roundings, and 2 alpha >= 128 (K + 1) eta.
+    The first block whose ceiling is below the cut is skipped with every
+    block after it, as rounding keeps their ceilings no larger and the cut
+    only rises; none of their scores reaches the cut, so none of their sets
+    clears the final cut.  The winner is the largest v^ of the evaluated
+    sets, the smallest key among ties, and every set with v^ = v* clears
+    every cut and is evaluated, so neither the order of the blocks nor the
+    skipping changes the set or the float.  With one block (n <= c) no
+    bound is computed.
     """
     n, model, revenue, scale = instance.n, instance.model, instance.revenue, instance.model.denominator
     check_guard(n, GUARD)
@@ -352,11 +389,14 @@ def brute_force_optimum(instance: AssortmentInstance) -> AssortmentSolution:
     exact = scale is not None and all(isinstance(r, int) for r in revenue)
     screened = isinstance(model, (MnlModel, MixedMnlModel))
     source = vars(instance).get("table", model)
-    blocks, keep, slack = _screen(model, revenue, c) if screened else (_revenue_blocks(source, revenue, c, exact), 1, 0)
+    blocks, score, keep, slack = _screen(model, revenue, c) if screened else _revenue_blocks(source, revenue, c, exact)
     best_key: tuple[int, ...] = ()
     best_revenue = 0  # the empty set's
     cut = -math.inf
-    for high, scores in blocks:
+    for high, ceiling in blocks:
+        if ceiling < cut:  # and so is every later block's ceiling
+            break
+        scores = score(high)
         top = max(scores)  # only a NaN first hides the rest from max
         if top != top:
             top = max((s for s in scores if s == s), default=top)
@@ -374,25 +414,31 @@ def brute_force_optimum(instance: AssortmentInstance) -> AssortmentSolution:
     return AssortmentSolution(frozenset(best_key), best_revenue, "brute-force")
 
 
-def _revenue_blocks(source: ChoiceModel, revenue: Sequence, c: int, exact: bool) -> Iterator[tuple[int, list]]:
-    """(high, the revenue of L | high for every mask L of the products 1..c)
-    for every mask high of the others, summed from ``source.columns``: a
-    declared denominator's numerators are kept when ``exact`` and read as
-    ``Fraction``s otherwise."""
+def _revenue_blocks(source: ChoiceModel, revenue: Sequence, c: int, exact: bool) -> tuple[list, Callable, int, int]:
+    """(blocks, score, 1, 0) of the column path: blocks lists (high, inf)
+    for every mask high of the products above c, in ascending order, and
+    score(high) is the revenue of L | high for every mask L of the products
+    1..c, summed from ``source.columns``: a declared denominator's
+    numerators are kept when ``exact`` and read as ``Fraction``s otherwise."""
     n, scale = source.n, source.denominator
-    for high in range(0, 1 << n, 1 << c):
+
+    def score(high):
         columns = source.columns(c, high)
         if scale is not None and not exact:
             columns = ([Fraction(p, scale) for p in column] for column in columns)
-        yield high, column_sums(columns, c, [revenue[x - 1] for x in (*range(1, c + 1), *members_of(high, n))])
+        return column_sums(columns, c, [revenue[x - 1] for x in (*range(1, c + 1), *members_of(high, n))])
+
+    return [(high, math.inf) for high in range(0, 1 << n, 1 << c)], score, 1, 0
 
 
-def _screen(model: MnlModel | MixedMnlModel, revenue: Sequence, c: int) -> tuple[Iterator, float, float]:
-    """(blocks, keep, slack) of the screen :func:`brute_force_optimum`
-    derives, on the revenues scaled by 2^-e: blocks yields (high, the score of
-    L | high for every mask L of the products 1..c) for every mask high of
-    the others, and a set whose score is below keep * the best score so far
-    - slack cannot be optimal."""
+def _screen(model: MnlModel | MixedMnlModel, revenue: Sequence, c: int) -> tuple[list, Callable, float, float]:
+    """(blocks, score, keep, slack) of the screen :func:`brute_force_optimum`
+    derives, on the revenues scaled by 2^-e: score(high) is the score of
+    L | high for every mask L of the products 1..c; blocks lists (high, a
+    ceiling on its block's scores) for every mask high of the others, in
+    descending order of the bound U(high), ties by high, or (0, inf) alone
+    if there is one block; and a set whose score is below keep * the best
+    score so far - slack cannot be optimal."""
     classes = tuple(zip(model._weights, model._models)) if isinstance(model, MixedMnlModel) else ((1.0, model),)
     n, k = len(revenue), len(classes)
     reach = 2 * n * max(1.0, *(max(mnl._weight_of) for _, mnl in classes))  # finite: n + 1 weights sum
@@ -400,27 +446,44 @@ def _screen(model: MnlModel | MixedMnlModel, revenue: Sequence, c: int) -> tuple
     # reach * top < 2^(a + b) for their frexp exponents a and b, so this e leaves it below 2^1023.
     e = max(0, math.frexp(reach)[1] + math.frexp(top)[1] - 1023)
     factors = [math.ldexp(float(r), -e) for r in revenue]
-    sums = []  # per class: w_k0, the w_kx, the a_k (w_kx f_x), and both sums over every mask of 1..c
+    # Per class: the sums of a_k (w_kx f_x) and of w_kx over every mask of
+    # 1..c; A_k and D_k, the sums of a_k (w_kx f_x) and of w_kx plus w_k0 over
+    # every mask of the others, which a block's bound and its scores share;
+    # and, if there is more than one block, the sums of both over each prefix
+    # of the low products of positive weight in descending order of their
+    # exact ratio, the empty prefix first.
+    sums = []
     for weight, mnl in classes:
         weights = mnl._weight_of[1:]
         numerators = [weight * (w * f) for w, f in zip(weights, factors)]
-        sums.append((mnl._outside, weights, numerators, subset_sums(numerators, c), subset_sums(weights, c)))
+        ladder = sorted(((Fraction(a) / Fraction(w), a, w) for a, w in zip(numerators[:c], weights) if w), reverse=True) if n > c else []
+        sums.append((subset_sums(numerators, c), subset_sums(weights, c), subset_sums(numerators[c:], n - c),
+                     [mnl._outside + d for d in subset_sums(weights[c:], n - c)],
+                     list(zip(itertools.accumulate((a for _, a, _ in ladder), initial=0),
+                              itertools.accumulate((w for _, _, w in ladder), initial=0)))))
     atol = ordered_sum(SCREEN_ATOL / mnl._outside for _, mnl in classes) + SCREEN_ATOL * max(1.0, math.ldexp(top, -e))
+    keep, slack = 1 - 2 * (2 * n + k + 2) * SCREEN_RTOL, 2 * (n + 1) * (k + 1) * atol
 
-    def blocks():
-        for high in range(0, 1 << n, 1 << c):
-            scores = None
-            for outside, weights, numerators, low_numerators, low_weights in sums:
-                if high:  # the sums over the products of high
-                    a0, d0 = subset_sums(numerators, 0, high)[0], outside + subset_sums(weights, 0, high)[0]
-                    scores = ([(a + a0) / (d + d0) for a, d in zip(low_numerators, low_weights)] if scores is None else
-                              [s + (a + a0) / (d + d0) for s, a, d in zip(scores, low_numerators, low_weights)])
-                else:
-                    scores = ([a / (outside + d) for a, d in zip(low_numerators, low_weights)] if scores is None else
-                              [s + a / (outside + d) for s, a, d in zip(scores, low_numerators, low_weights)])
-            yield high, scores
+    def score(high):
+        scores, h = None, high >> c
+        for low_numerators, low_weights, high_numerators, high_weights, _ in sums:
+            a0, d0 = high_numerators[h], high_weights[h]
+            if high:
+                scores = ([(a + a0) / (d + d0) for a, d in zip(low_numerators, low_weights)] if scores is None else
+                          [s + (a + a0) / (d + d0) for s, a, d in zip(scores, low_numerators, low_weights)])
+            else:
+                scores = ([a / (d0 + d) for a, d in zip(low_numerators, low_weights)] if scores is None else
+                          [s + a / (d0 + d) for s, a, d in zip(scores, low_numerators, low_weights)])
+        return scores
 
-    return blocks(), 1 - 2 * (2 * n + k + 2) * SCREEN_RTOL, 2 * (n + 1) * (k + 1) * atol
+    if n == c:
+        return [(0, math.inf)], score, keep, slack
+    bounds = itertools.repeat(0)  # U of every block: per class its largest prefix ratio, added in class order
+    for _, _, high_numerators, high_weights, prefixes in sums:
+        ratios = [[(a0 + a) / (d0 + d) for a0, d0 in zip(high_numerators, high_weights)] for a, d in prefixes]
+        bounds = [u + max(column) for u, column in zip(bounds, zip(*ratios))]
+    order = sorted(range(len(bounds)), key=lambda h: (-bounds[h], h))
+    return [(h << c, bounds[h] * (2 - keep) + slack) for h in order], score, keep, slack
 
 
 @dataclass(frozen=True)

@@ -51,16 +51,27 @@ SUITE_CHECKS = ("axioms", "guarantees", "reduction", "monotonicity")
 def _emit(data: dict, as_json: bool) -> None:
     """Print a report as ``json.dumps`` of it, or as one ``key: value`` line
     per entry, in the same bytes but written piece by piece, so a long table
-    (the capacity DP's rows) is never held as one string.  A NaN or infinite
+    (the capacity DP's rows) is never held as one string.  In JSON the
+    braces, keys and separators are written by hand, and each value, or
+    each row of a list value, is one ``json.dumps``.  A NaN or infinite
     float refuses the JSON before any byte is written: each entry, row by
-    row, goes first through the encoder ``json.dumps`` uses, in its order,
-    which raises its error."""
+    row, goes first through that encoder, in its order, which raises the
+    error ``json.dumps`` of the whole report raises."""
     if as_json:
+        encode = functools.partial(json.dumps, sort_keys=True, allow_nan=False)
         for key in sorted(data):
             for item in data[key] if isinstance(data[key], list) else [data[key]]:
-                json.dumps(item, sort_keys=True, allow_nan=False)
-        json.dump(data, sys.stdout, sort_keys=True, allow_nan=False)
-        print()
+                encode(item)
+        sys.stdout.write("{")
+        for i, key in enumerate(sorted(data)):
+            sys.stdout.write(f"{', ' * bool(i)}{json.dumps(key)}: ")
+            if isinstance(data[key], list):
+                sys.stdout.write("[")
+                sys.stdout.writelines(f"{', ' * bool(j)}{encode(item)}" for j, item in enumerate(data[key]))
+                sys.stdout.write("]")
+            else:
+                sys.stdout.write(encode(data[key]))
+        print("}")
         return
     for key, value in data.items():
         if isinstance(value, list):  # its str, one item at a time

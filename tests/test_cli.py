@@ -82,6 +82,18 @@ def test_emit_writes_the_bytes_of_one_string(capsys, as_json):
 
 
 @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_emit_writes_nested_rows_as_one_string(capsys, as_json):
+    # Each row of a list is encoded on its own: rows that are lists or
+    # tuples of lists and tuples, empty ones, and dicts whose keys sort.
+    data = {"rows": [[(1, 2.5), [3, (4,)]], ([],), [[[]]], (0.1, [-0.0]), [{"z": (1,), "a": [()]}], ()],
+            "keys": [(), [()], ["\u00e9", ("\n",)]], "one": [[1, [2, (3, [4])]]]}
+    _emit(data, as_json)
+    assert capsys.readouterr().out == _ref_emit(data, as_json)
+    _emit({}, as_json)
+    assert capsys.readouterr().out == _ref_emit({}, as_json)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
 def test_multiperiod_report_is_the_one_string_it_was(tmp_path, capsys, monkeypatch, as_json):
     path = tmp_path / "mp.json"
     assert main(["gen", "multiperiod", "--seed", "3", "-o", str(path)]) == 0

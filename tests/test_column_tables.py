@@ -247,25 +247,30 @@ def test_mnl_brute_force_across_the_block_edge(n):
 def _screened_blocks(monkeypatch, model, revenue):
     """Brute force on a screened model, reading no column: returns the
     length of every list of subset sums it builds (each class's sums over
-    the low products, and a one-entry list per block above the first for
-    each sum over the block's fixed products), and of each block's scores
-    (the one list ``max`` reads per block)."""
+    the low products and over the products above them), and the (length,
+    high) of each block it scores, in the order it scores them."""
     sums, blocks = [], []
+    screen = assortment._screen
 
     def summed(values, c, high=0):
         totals = subset_sums(values, c, high)
         sums.append(len(totals))
         return totals
 
-    def top(*args, **kwargs):
-        if len(args) == 1 and isinstance(args[0], list):
-            blocks.append(len(args[0]))
-        return max(*args, **kwargs)
+    def ranked(*args):
+        order, score, keep, slack = screen(*args)
+
+        def scored(high):
+            scores = score(high)
+            blocks.append((len(scores), high))
+            return scores
+
+        return order, scored, keep, slack
 
     for kind, name in ((MnlModel, "columns"), (MnlModel, "_divisors"), (MixedMnlModel, "columns")):
         monkeypatch.setattr(kind, name, None)  # no column is read
     monkeypatch.setattr(assortment, "subset_sums", summed)
-    monkeypatch.setattr(assortment, "max", top, raising=False)
+    monkeypatch.setattr(assortment, "_screen", ranked)
     brute_force_optimum(AssortmentInstance(model, revenue))
     return sums, blocks
 
@@ -273,22 +278,39 @@ def _screened_blocks(monkeypatch, model, revenue):
 @pytest.mark.parametrize("n, reads", [(11, [(11, 0)]), (12, [(12, 0)]), (13, [(12, 0), (12, 1 << 12)])])
 def test_streamed_blocks_hold_at_most_4096_offer_sets(monkeypatch, n, reads):
     # Mixed MNL is screened as MNL is (the test below), one class at a time:
-    # reads lists the (c, high) of each block.
+    # reads lists the (c, high) of each block.  At equal revenues the whole
+    # set is the clear optimum, so the last block is ranked first, and it is
+    # the only one scored: no other block's bound reaches its cut.
     utilities = [0.1 * x for x in range(n)]
     model = MixedMnlModel([(0.5, utilities), (0.25, utilities[::-1]), (0.25, [0.0] * n)])
     sums, blocks = _screened_blocks(monkeypatch, model, [1.0] * n)
-    # The weights and the weighted revenues of each class, and both sums
-    # over the fixed products of each block after the first.
-    assert sorted(sums) == [1] * 6 * (len(reads) - 1) + [1 << reads[0][0]] * 6
-    assert blocks == [1 << c for c, _ in reads]
+    assert max(sums) == 1 << reads[0][0] <= 1 << 12
+    assert blocks == [(1 << c, high) for c, high in reads[-1:]]
 
 
 @pytest.mark.parametrize("n, blocks", [(11, [0]), (12, [0]), (13, [0, 1 << 12])])
 def test_screened_blocks_hold_at_most_4096_offer_sets(monkeypatch, n, blocks):
     size = 1 << min(n, 12)
     sums, seen = _screened_blocks(monkeypatch, MnlModel([0.1 * x for x in range(n)]), [1.0] * n)
-    assert sorted(sums) == [1] * 2 * (len(blocks) - 1) + [size, size]
-    assert seen == [size for _ in blocks]
+    assert max(sums) == size <= 1 << 12
+    assert seen == [(size, blocks[-1])]
+
+
+@pytest.mark.parametrize("n", [13, 16])
+@pytest.mark.parametrize("k", [1, 3])
+def test_only_the_block_of_a_clear_optimum_is_scored(monkeypatch, n, k):
+    # Revenue x + 1 for product x: the optimum holds every product above 12,
+    # so it lies in the last block.  Scored in ascending order of high, the
+    # first block would come first.
+    classes = [[0.0] * n, [0.1 * x for x in range(n)], [0.2 - 0.05 * x for x in range(n)]][:k]
+    model = MnlModel(classes[0]) if k == 1 else MixedMnlModel([(1 / k, utilities) for utilities in classes])
+    revenue = [float(x + 2) for x in range(n)]
+    optimum = brute_force_optimum(AssortmentInstance(model, revenue)).assortment
+    last = (1 << n) - (1 << 12)
+    assert set(members_of(last, n)) <= optimum
+    sums, blocks = _screened_blocks(monkeypatch, model, revenue)
+    assert max(sums) == 1 << 12
+    assert blocks == [(1 << 12, last)]
 
 
 # ------------------------------------------------------------------ ties and NaN

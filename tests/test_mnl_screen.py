@@ -1,8 +1,9 @@
 """The screened MNL and mixed-MNL optimum against a left-to-right reference.
 
-``brute_force_optimum`` scores every offer set of an MNL model, or of a
-mixture of MNL classes, by sum_k a_k N_k / D_k and computes the revenue only
-of the sets whose score can tie the best.  The reference below computes
+``brute_force_optimum`` scores the offer sets of an MNL model, or of a
+mixture of MNL classes, by sum_k a_k N_k / D_k, block by block, best bound
+first, skipping the blocks whose bound cannot reach the cut, and computes
+the revenue only of the sets whose score can tie the best.  The reference below computes
 every offer set's revenue as the column path does: per class,
 D = outside + the weights added in ascending order from int 0 and
 p = w / D; for a mixture, P = the a_k * p added in class order from int 0;
@@ -17,6 +18,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from assortopt import assortment
 from assortopt.assortment import AssortmentInstance, brute_force_optimum
@@ -426,3 +428,141 @@ def test_more_classes_than_a_fixed_slack_covers(screened):
         classes = [[rng.choice([0.0, 0.5, 1.0]) for _ in range(n)] for _ in range(4460)]
         check(mixture(classes), [rng.choice([1.0, 2.0, 1.5, 3]) for _ in range(n)])
         check(mixture(classes), [2.0] * n)
+
+
+# ------------------------------------------------------- bounded blocks
+
+
+def ceilings(model, revenue, c):
+    """(ceiling, largest score, high) of each block of the screen over the
+    products 1..c, in the order brute force scores them."""
+    blocks, score, _, _ = assortment._screen(model, revenue, c)
+    return [(ceiling, max(score(high)), high) for high, ceiling in blocks]
+
+
+UTILITIES = [0.0, 0.5, -1.0, 1.0, -800.0]
+REVENUES = [1.0, 2.0, 2.5, 1e-300, 1e300, 1.7e308, 5e-324, 3, 7, Fraction(3, 2), Fraction(1, 10**400), Fraction(10**307, 3)]
+
+
+@st.composite
+def screened_instances(draw):
+    """(model, revenue, c): one to four classes over c + 1 to c + 3 products,
+    c <= 6, drawing ties in utility and revenue, weights of 0.0 (utility
+    -800), classes of mixture weight 0, classes shifted past utility 709
+    (one of them with a subnormal outside weight), and float, int and
+    ``Fraction`` revenues up to 1.7e308."""
+    c = draw(st.integers(0, 6))
+    n = c + draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    utility = st.one_of(st.sampled_from(UTILITIES), st.floats(-3.0, 3.0))
+    classes = []
+    for _ in range(k):
+        utilities = draw(st.lists(utility, min_size=n, max_size=n))
+        shift = draw(st.sampled_from([0.0, 0.0, 800.0, 1450.0]))
+        if shift == 1450.0:  # one product far above the rest: a subnormal outside weight
+            utilities[draw(st.integers(0, n - 1))] = shift
+        else:
+            utilities = [u + shift for u in utilities]
+        classes.append(utilities)
+    weights = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=k, max_size=k).filter(any))
+    weights = [w / sum(weights) for w in weights]
+    model = MnlModel(classes[0]) if k == 1 and weights[0] == 1.0 else mixture(classes, weights)
+    revenue = draw(st.lists(st.one_of(st.sampled_from(REVENUES), st.floats(0.5, 9.5)), min_size=n, max_size=n))
+    return model, revenue, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(screened_instances())
+def test_a_ceiling_bounds_every_score_of_its_block(instance):
+    model, revenue, c = instance
+    blocks = ceilings(model, revenue, c)
+    assert sorted(high for _, _, high in blocks) == list(range(0, 1 << len(revenue), 1 << c))
+    for ceiling, top, high in blocks:
+        assert top <= ceiling
+    assert [ceiling for ceiling, _, _ in blocks] == sorted((ceiling for ceiling, _, _ in blocks), reverse=True)
+
+
+def test_a_ceiling_counts_the_empty_prefix_and_the_fixed_products():
+    # Products 1 and 2 earn little, so the best set of the block of product
+    # 3 is {3} alone: only the sums over the fixed product 3 plus the empty
+    # prefix of the low products reach its score.  That block comes first.
+    revenue = [1.0, 1.5, 9.0]
+    for model in (MnlModel([0.0, 0.0, 0.0]), mixture([[0.0, 0.0, 0.0], [1.0, -1.0, 0.5]])):
+        blocks, score, _, _ = assortment._screen(model, revenue, 2)
+        scores = score(0b100)
+        assert max(scores) == scores[0]
+        assert blocks[0][0] == 0b100 and blocks[0][1] >= scores[0]
+
+
+def test_a_ceiling_covers_the_rounding_of_the_scores():
+    # A set's score adds its low products in ascending order, its prefix
+    # ratio in descending order of ratio, so the score may round above the
+    # bound: the ceiling's relative margin covers that.
+    rng = Random(41)
+    for _ in range(300):
+        c = rng.randint(0, 4)
+        n, k = c + rng.randint(1, 3), rng.randint(1, 2)
+        classes = [[rng.choice([0.0, 0.5, -1.0, 1.0, rng.uniform(-3.0, 3.0)]) for _ in range(n)] for _ in range(k)]
+        revenue = [rng.choice([1.0, 2.0, 2.5, 3, rng.uniform(0.5, 9.5)]) for _ in range(n)]
+        for ceiling, top, _ in ceilings(MnlModel(classes[0]) if k == 1 else mixture(classes), revenue, c):
+            assert top <= ceiling
+
+
+def test_a_ceiling_covers_a_subnormal_quotient_that_rounds_up():
+    # Products 1 to 3 each have n_x = 5e-324 (3 * 5e-324 times a weight near
+    # 1/3), so {1, 2, 3} scores 3 * 5e-324 / (1 + w_1 + w_2 + w_3).  Added in
+    # ascending order, the denominator is 2.0 and the score rounds half-even
+    # up to 1e-323; added in ratio order it is 2.0000000000000004 and the
+    # prefix ratio rounds down to 5e-324.  No relative margin lifts a bound
+    # of 5e-324; the ceiling's absolute margin does.
+    model = MnlModel([-0.9518245986635809, -1.2569227734481545, -1.110373961527303, -50.0])
+    revenue = [1.5e-323] * 3 + [5e-324]
+    for ceiling, top, _ in ceilings(model, revenue, 3):
+        assert top == 1e-323 and top <= ceiling
+    check(model, revenue)
+
+
+@pytest.mark.parametrize("bits", [2, 3])
+def test_ranked_blocks_match_the_reference(screened, monkeypatch, bits):
+    # Many small blocks, scored best bound first and skipped below the cut.
+    monkeypatch.setattr(assortment, "BLOCK_BITS", bits)
+    rng = Random(bits)
+    for n in range(5, 13):
+        for k in range(1, 5):
+            for _ in range(2 if n < 10 else 1):
+                classes = [[rng.choice([0.0, 0.5, 1.0, -1.0, rng.gauss(0.0, 1.5)]) for _ in range(n)] for _ in range(k)]
+                revenue = [rng.choice([1.0, 2.0, 3, Fraction(3, 2), rng.uniform(0.5, 9.5)]) for _ in range(n)]
+                check(MnlModel(classes[0]) if k == 1 else mixture(classes), revenue)
+
+
+@pytest.mark.parametrize("bits", [2, 3])
+@pytest.mark.parametrize("n", [5, 9, 12])
+def test_ties_across_ranked_blocks(screened, monkeypatch, bits, n):
+    monkeypatch.setattr(assortment, "BLOCK_BITS", bits)
+    # Products 1 and n earn 3 at utility 0, so {1, n} earns 2.  Product 2, a
+    # low product, and product n - 1, a high one, earn 2 at utility 1: adding
+    # either leaves the exact revenue at 2, so those sets' floats tie or
+    # differ by rounding alone, and {1, 2, n} and {1, n - 1, n}, in two
+    # blocks, add the same floats in the same order and tie bit for bit.
+    utilities = [0.0, 1.0] + [-1.0] * (n - 4) + [1.0, 0.0]
+    revenue = [3.0, 2.0] + [1.0] * (n - 4) + [2.0, 3.0]
+    assert ref_revenue(MnlModel(utilities), revenue, (1, 2, n)) == ref_revenue(MnlModel(utilities), revenue, (1, n - 1, n))
+    check(MnlModel(utilities), revenue)
+    check(mixture([utilities] * 3), revenue)
+    check(mixture([utilities, [-1.0] * n], [0.75, 0.25]), revenue)
+
+
+@pytest.mark.parametrize("bits", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_an_optimum_without_low_products(screened, monkeypatch, bits, k):
+    # The low products earn 1e-3 and the others 5 to 9, so the optimum holds
+    # no low product, and its block's bound is its empty prefix.
+    monkeypatch.setattr(assortment, "BLOCK_BITS", bits)
+    rng = Random(10 * bits + k)
+    n = 8
+    classes = [[rng.gauss(0.0, 1.0) for _ in range(n)] for _ in range(k)]
+    model = MnlModel(classes[0]) if k == 1 else mixture(classes)
+    revenue = [1e-3] * bits + [rng.uniform(5.0, 9.0) for _ in range(n - bits)]
+    check(model, revenue)
+    optimum = brute_force_optimum(AssortmentInstance(model, revenue)).assortment
+    assert optimum and min(optimum) > bits
