@@ -7,7 +7,6 @@ from .assortment import (
     GuaranteeReport,
     RevenueOrderedResult,
     brute_force_optimum,
-    check_technical_bound,
     compute_bounds,
     generate_tight_instance,
     revenue_ordered,
@@ -57,25 +56,19 @@ from .multiperiod import (
 )
 from .reductions import ReductionReport, verify_reduction
 from .stackelberg import (
-    FunctionMatroid,
     GraphicMatroid,
     Matroid,
     PricedCopyMatroid,
     StackelbergInstance,
     brute_force_stackelberg,
-    check_greedy_nesting,
-    check_matroid_axioms,
-    check_tiebreak_independence,
     cost_compatible_ordering,
     greedy,
-    is_cost_compatible,
     reduce_to_assortment,
     revenue_of_prices,
     uniform_pricing_stackelberg,
 )
 from .udp import (
     UNPRICED,
-    PriceLadder,
     UdpMinInstance,
     UdpRankInstance,
     brute_force_pricing,

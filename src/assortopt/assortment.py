@@ -581,22 +581,6 @@ def compute_bounds(instance: AssortmentInstance, optimal: AssortmentSolution | N
     return report if optimal is None else replace(report, **_bound_c(instance, optimal))
 
 
-def check_technical_bound(instance: AssortmentInstance, optimal: AssortmentSolution) -> bool:
-    """revenue(S_i) >= r_i * sum_{x in S* and S_i} P(x, S*), for every level i.
-
-    The workhorse inequality behind all three guarantees; exposed so it can
-    be verified on its own.
-    """
-    S_star = optimal.assortment
-    probs = dict(zip(sorted(S_star), _choice_rows(instance, [S_star])[0]))
-    ladder = instance.ladder
-    for level, S_i, lhs in zip(ladder.levels, ladder.prefixes, ladder.revenues):
-        rhs = level * ordered_sum(p for x, p in probs.items() if x in S_i)
-        if lhs < rhs - RTOL * max(1.0, abs(rhs)):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class GuaranteeReport:
     """Outcome of checking the revenue-ordered guarantees on one instance."""

@@ -1,10 +1,11 @@
 """Command-line surface: generate, solve, verify, and batch-check instances.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad usage or a bad
-flag value (``suite --checks`` takes only the names in ``SUITE_CHECKS``), an
-instance file that is unreadable, malformed (JSON nested too deeply to parse
-included), invalid or of the wrong kind, or an instance beyond an enumeration
-guard or the float range (one line on stderr).
+flag value (``suite --checks`` takes only the names in ``SUITE_CHECKS``), a
+``suite`` given no file or a glob pattern that matches none, an instance
+file that is unreadable, malformed (JSON nested too deeply to parse
+included), invalid or of the wrong kind, or an instance beyond an
+enumeration guard or the float range (one line on stderr).
 
 ``main`` parses with one parser per process, built on its first call, so a
 process that calls ``main`` many times (the tests, ``perfbench``) builds the
@@ -20,6 +21,7 @@ import functools
 import glob
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -48,6 +50,18 @@ USAGE_ERROR = 2
 SUITE_CHECKS = ("axioms", "guarantees", "reduction", "monotonicity")
 
 
+def _finite_numbers(row) -> bool:
+    """Whether ``row`` is a list or tuple of ints and finite floats, which the
+    JSON encoder always takes, told without encoding it.  An int past the
+    float range overflows ``math.isfinite`` and is left to the encoder."""
+    if type(row) not in (list, tuple) or not set(map(type, row)) <= {int, float}:
+        return False
+    try:
+        return all(map(math.isfinite, row))
+    except OverflowError:
+        return False
+
+
 def _emit(data: dict, as_json: bool) -> None:
     """Print a report as ``json.dumps`` of it, or as one ``key: value`` line
     per entry, in the same bytes but written piece by piece, so a long table
@@ -55,13 +69,15 @@ def _emit(data: dict, as_json: bool) -> None:
     braces, keys and separators are written by hand, and each value, or
     each row of a list value, is one ``json.dumps``.  A NaN or infinite
     float refuses the JSON before any byte is written: each entry, row by
-    row, goes first through that encoder, in its order, which raises the
-    error ``json.dumps`` of the whole report raises."""
+    row, in its order, is either a row of finite numbers or goes first
+    through that encoder, which raises the error ``json.dumps`` of the
+    whole report raises."""
     if as_json:
         encode = functools.partial(json.dumps, sort_keys=True, allow_nan=False)
         for key in sorted(data):
             for item in data[key] if isinstance(data[key], list) else [data[key]]:
-                encode(item)
+                if not _finite_numbers(item):
+                    encode(item)
         sys.stdout.write("{")
         for i, key in enumerate(sorted(data)):
             sys.stdout.write(f"{', ' * bool(i)}{json.dumps(key)}: ")
@@ -319,10 +335,15 @@ def _suite_check_file(path: str, checks: list[str]) -> dict:
 
 
 def _cmd_suite(args) -> int:
+    if not args.files:
+        raise SystemExit("suite got no instance file or glob pattern")
     paths: list[str] = []
     for pattern in args.files:
         if any(c in pattern for c in "*?["):
-            paths.extend(sorted(glob.glob(pattern)))
+            matched = sorted(glob.glob(pattern))
+            if not matched:  # a run that checks nothing must not pass
+                raise SystemExit(f"no file matches the pattern {pattern!r}")
+            paths.extend(matched)
         else:
             paths.append(pattern)
     checks = [c for c in (args.checks.split(",") if args.checks else []) if c]

@@ -10,20 +10,15 @@ the reduction are thin callers of the pricing layer in `udp`.
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
-from random import Random
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .assortment import AssortmentInstance
-from .errors import GroundSetTooLarge
 from .models import ordered_sum
 from .udp import (UNPRICED, PricingSolution, UniformPricingResult, _FloorChoiceModel, _PairCatalogue,
                   best_uniform_price, grid_optimum, positive_finite, reduce_pairs)
 
 Element = Hashable
-MATROID_GUARD = 8  # largest ground set whose 2^n subsets check_matroid_axioms pairs up
 
 
 class Matroid:
@@ -57,18 +52,6 @@ class Matroid:
 
     def rank(self) -> int:
         return len(greedy(self, self._ground, self._ground))
-
-
-class FunctionMatroid(Matroid):
-    """Independence supplied as a callable; also hosts non-matroid sentinels
-    used to test the property-checking harnesses."""
-
-    def __init__(self, ground: Iterable[Element], predicate: Callable[[frozenset], bool]):
-        super().__init__(ground)
-        self._predicate = predicate
-
-    def is_independent(self, subset: Iterable[Element]) -> bool:
-        return self._predicate(frozenset(subset))
 
 
 class GraphicMatroid(Matroid):
@@ -138,60 +121,6 @@ def greedy(matroid: Matroid, F: Iterable[Element], order: Sequence[Element]) -> 
     return frozenset(element for element in order if element in chosen_f and extend(element))
 
 
-def check_matroid_axioms(matroid: Matroid) -> bool:
-    """Exhaustively verify the three matroid axioms on a small ground set."""
-    ground = matroid.ground
-    if len(ground) > MATROID_GUARD:
-        raise GroundSetTooLarge(f"{len(ground)} elements exceed the axiom-check guard {MATROID_GUARD}")
-    subsets = [frozenset(c) for size in range(len(ground) + 1) for c in itertools.combinations(ground, size)]
-    independent = {S for S in subsets if matroid.is_independent(S)}
-    if frozenset() not in independent:
-        return False
-    for S in independent:
-        if any(S - {e} not in independent for e in S):
-            return False
-    for small in independent:
-        for big in independent:
-            if len(small) < len(big):
-                if not any(small | {e} in independent for e in big - small):
-                    return False
-    return True
-
-
-@dataclass(frozen=True)
-class GreedyNestingReport:
-    """Randomised check of the two nesting properties of matroid greedy:
-    growing F never shrinks the greedy set, and elements of F selected from
-    the larger set are also selected from F itself."""
-
-    passed: bool
-    trials: int
-    failures: tuple[tuple, ...]
-
-
-def check_greedy_nesting(matroid: Matroid, trials: int, rng: Random | None = None) -> GreedyNestingReport:
-    """Sample random F within F' and random orders; report any counterexample.
-
-    A genuine matroid always passes; a non-matroid independence system is
-    expected to fail, which validates the harness itself.
-    """
-    rng = rng or Random(0)
-    ground = list(matroid.ground)
-    failures: list[tuple] = []
-    for _ in range(trials):
-        order = ground[:]
-        rng.shuffle(order)
-        larger = frozenset(e for e in ground if rng.random() < 0.7)
-        smaller = frozenset(e for e in larger if rng.random() < 0.6)
-        from_larger = greedy(matroid, larger, order)
-        from_smaller = greedy(matroid, smaller, order)
-        if len(from_larger) < len(from_smaller):
-            failures.append(("cardinality", tuple(order), smaller, larger))
-        if not (smaller & from_larger) <= from_smaller:
-            failures.append(("containment", tuple(order), smaller, larger))
-    return GreedyNestingReport(not failures, trials, tuple(failures))
-
-
 class StackelbergInstance:
     """A matroid with fixed-cost red elements and leader-priced blue ones.
 
@@ -257,21 +186,6 @@ def cost_compatible_ordering(instance: StackelbergInstance, prices: Mapping[Elem
     return tuple(sorted(instance.matroid.ground, key=key))
 
 
-def is_cost_compatible(
-    order: Sequence[Element], costs: Mapping[Element, float], blue: frozenset
-) -> bool:
-    """Check the two follower-ordering constraints: cheaper first, and blue
-    before red when costs tie."""
-    position = {element: where for where, element in enumerate(order)}
-    for e in order:
-        for f in order:
-            if costs[e] < costs[f] and not position[e] < position[f]:
-                return False
-            if costs[e] == costs[f] and e in blue and f not in blue and not position[e] < position[f]:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class StackelbergOutcome:
     revenue: float
@@ -289,50 +203,10 @@ def revenue_of_prices(instance: StackelbergInstance, prices: Mapping[Element, fl
         price = prices[element]
         if not (price > 0 or price == UNPRICED):
             raise ValueError(f"price of blue element {element!r} must be positive or UNPRICED")
-    return _purchase(instance, prices, cost_compatible_ordering(instance, prices))
-
-
-def _purchase(instance: StackelbergInstance, prices: Mapping[Element, float], order: Sequence) -> StackelbergOutcome:
-    """The follower's greedy base in ``order`` and what its blue elements earn.  The reds
-    hold a base and precede every UNPRICED element, so none of those is bought."""
+    # The reds hold a base and precede every UNPRICED element, so none of those is bought.
+    order = cost_compatible_ordering(instance, prices)
     bought = greedy(instance.matroid, instance.matroid.ground, order) & instance.blue
     return StackelbergOutcome(ordered_sum(sorted(prices[e] for e in bought)), bought)
-
-
-def check_tiebreak_independence(
-    instance: StackelbergInstance,
-    prices: Mapping[Element, float],
-    trials: int,
-    rng: Random | None = None,
-) -> bool:
-    """Sample random cost-compatible orderings and confirm the revenue and
-    the per-price-level count of bought blue elements never change."""
-    rng = rng or Random(0)
-    costs = instance.effective_costs(prices)
-    blue = instance.blue
-
-    def level_counts(bought: frozenset) -> Counter:
-        return Counter(prices[e] for e in bought)
-
-    reference = revenue_of_prices(instance, prices)
-    reference_counts = level_counts(reference.bought_blue)
-
-    blocks: dict[tuple, list] = {}
-    for element in instance.matroid.ground:
-        block = (costs[element], 0 if element in blue else 1)
-        blocks.setdefault(block, []).append(element)
-    block_keys = sorted(blocks)
-
-    for _ in range(trials):
-        order: list = []
-        for block in block_keys:
-            members = blocks[block][:]
-            rng.shuffle(members)
-            order.extend(members)
-        outcome = _purchase(instance, prices, order)
-        if outcome.revenue != reference.revenue or level_counts(outcome.bought_blue) != reference_counts:
-            return False
-    return True
 
 
 def uniform_pricing_stackelberg(instance: StackelbergInstance) -> UniformPricingResult:

@@ -20,6 +20,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .assortment import AssortmentInstance
@@ -119,22 +120,6 @@ class UdpRankInstance(_PricingInstance):
 
 
 @dataclass(frozen=True)
-class PriceLadder:
-    """A required price ordering: prices must be non-decreasing along psi."""
-
-    psi: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.psi)
-        if frozenset(self.psi) != frozenset(range(1, n + 1)):
-            raise ValueError(f"{self.psi} is not a permutation of 1..{n}")
-
-    def is_feasible(self, prices: Sequence) -> bool:
-        ordered = [prices[x - 1] for x in self.psi]
-        return all(a <= b for a, b in zip(ordered, ordered[1:]))
-
-
-@dataclass(frozen=True)
 class PurchaseOutcome:
     """Item bought by each consumer (None for no purchase) and total revenue."""
 
@@ -218,9 +203,7 @@ def best_uniform_price(levels: Iterable, revenue_at: Callable) -> UniformPricing
 def uniform_pricing(instance: UdpMinInstance | UdpRankInstance) -> UniformPricingResult:
     """Try one common price per distinct valuation and keep the best.
 
-    Ties are broken toward the highest price.  A uniform assignment is
-    feasible for every price ladder, so the result is unaffected by ladder
-    constraints.
+    Ties are broken toward the highest price.
     """
     return best_uniform_price(instance.valuation_levels, lambda v: _simulate(instance, (v,) * instance.n).revenue)
 
@@ -231,37 +214,27 @@ class PricingSolution:
     revenue: float
 
 
-def grid_optimum(levels: Sequence, count: int, revenue_of: Callable,
-                 feasible: Callable | None = None) -> PricingSolution | None:
-    """After the check against GRID_GUARD, the first strictly best feasible assignment
-    of ``levels`` plus UNPRICED to ``count`` elements in ``itertools.product`` order
-    (ties go to the lexicographically smallest), or None."""
+def grid_optimum(levels: Sequence, count: int, revenue_of: Callable) -> PricingSolution:
+    """After the check against GRID_GUARD, the first strictly best assignment of
+    ``levels`` plus UNPRICED to ``count`` elements in ``itertools.product`` order
+    (ties go to the lexicographically smallest)."""
     grid, guard = list(levels) + [UNPRICED], GRID_GUARD
     # Logarithms are compared first, so a huge power is never computed.
     if count * math.log(len(grid)) > math.log(guard) + 1e-9 or len(grid) ** count > guard:
         raise SearchSpaceTooLarge(f"{len(grid)}^{count} price assignments exceed the guard {guard}")
-    best = None
-    for assignment in itertools.product(grid, repeat=count):
-        if feasible is None or feasible(assignment):
-            revenue = revenue_of(assignment)
-            if best is None or revenue > best.revenue:
-                best = PricingSolution(assignment, revenue)
-    return best
+    # The grid always holds at least one assignment, and max keeps the first of equal revenues.
+    revenue, prices = max(((revenue_of(a), a) for a in itertools.product(grid, repeat=count)), key=itemgetter(0))
+    return PricingSolution(prices, revenue)
 
 
-def brute_force_pricing(instance: UdpMinInstance | UdpRankInstance, ladder: PriceLadder | None = None) -> PricingSolution:
+def brute_force_pricing(instance: UdpMinInstance | UdpRankInstance) -> PricingSolution:
     """Exact optimum over the grid of valuation levels plus UNPRICED per item.
 
     Restricting prices to valuations loses nothing, and UNPRICED covers
-    never-affordable items.  With a ladder, only ladder-feasible assignments
-    compete; leaving every item UNPRICED satisfies every ladder, so one
-    always does.  Ties go to the lexicographically smallest price vector.
-    The ladder must order exactly the instance's n items.
+    never-affordable items.  Ties go to the lexicographically smallest
+    price vector.
     """
-    if ladder is not None and len(ladder.psi) != instance.n:
-        raise ValueError(f"the ladder orders {len(ladder.psi)} items but the instance has {instance.n}")
-    feasible = None if ladder is None else ladder.is_feasible
-    return grid_optimum(instance.valuation_levels, instance.n, lambda p: _simulate(instance, p).revenue, feasible)
+    return grid_optimum(instance.valuation_levels, instance.n, lambda p: _simulate(instance, p).revenue)
 
 
 class _PairCatalogue:

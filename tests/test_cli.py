@@ -118,6 +118,24 @@ def test_json_refuses_a_non_finite_value_before_writing(capsys, bad):
         assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("last", [[1, 0.5, math.nan], (2, -math.inf), [10**5000]],
+                         ids=["nan", "inf_in_a_tuple", "int_past_the_digit_limit"])
+def test_json_refuses_a_bad_last_row_of_numbers_before_writing(capsys, last):
+    data = {"lstar": [[1, 2, 3]] * 20, "value": [[0.5, 1, 2.5]] * 20 + [last]}
+    with pytest.raises(ValueError) as expected:
+        json.dumps(data, sort_keys=True, allow_nan=False)
+    with pytest.raises(ValueError) as raised:
+        _emit(data, True)
+    assert str(raised.value) == str(expected.value)
+    assert capsys.readouterr().out == ""
+
+
+def test_json_writes_a_row_holding_an_int_past_the_float_range(capsys):
+    data = {"value": [[0.5, 1], [2.5, 10**400, -(10**400)], (3, 0.25)]}
+    _emit(data, True)
+    assert capsys.readouterr().out == _ref_emit(data, True)
+
+
 def test_solve_reports_opt_revord_ratio_bounds(tmp_path, capsys):
     path = tmp_path / "inst.json"
     assert main(["gen", "assortment", "--family", "mnl", "--seed", "4", "-o", str(path)]) == 0
@@ -205,10 +223,14 @@ def test_multiperiod_accepts_assortment_plus_flags(tmp_path, capsys):
 
 
 class TestSuite:
-    def test_empty_file_list_exits_zero(self, capsys):
-        code, out = run(capsys, "suite")
-        assert code == 0
-        assert out == ""
+    def test_empty_file_list_exits_2(self, capsys):
+        # A run that checks no file must not pass.
+        assert _one_line_exit_2(capsys, "suite").strip() == "suite got no instance file or glob pattern"
+
+    def test_a_pattern_that_matches_nothing_exits_2(self, tmp_path, capsys):
+        main(["gen", "udp_min", "--seed", "1", "-o", str(tmp_path / "a.json")])
+        pattern = str(tmp_path / "nothing" / "*.json")
+        assert pattern in _one_line_exit_2(capsys, "suite", str(tmp_path / "*.json"), pattern)
 
     def test_passing_corpus_exits_zero(self, tmp_path, capsys):
         for seed, kind in enumerate(["assortment", "udp_min", "stackelberg", "multiperiod"]):

@@ -27,7 +27,6 @@ from assortopt.stackelberg import (
 )
 from assortopt.udp import (
     UNPRICED,
-    PriceLadder,
     PricingSolution,
     UdpMinInstance,
     UdpRankInstance,
@@ -39,6 +38,7 @@ from assortopt.udp import (
     reduce_min_to_assortment,
     uniform_pricing,
 )
+from test_udp import PriceLadder, ladder_optimum
 
 PRICING_KINDS = ("udp_min", "udp_rank", "stackelberg")
 
@@ -62,8 +62,7 @@ def _pricing_lines(kind, seed, path):
         command = "stackelberg"
     else:
         uniform = uniform_pricing(instance)
-        ladder = PriceLadder(tuple(range(1, instance.n + 1)))
-        exact = [brute_force_pricing(instance), brute_force_pricing(instance, ladder=ladder)]
+        exact = [brute_force_pricing(instance), ladder_optimum(instance, PriceLadder(tuple(range(1, instance.n + 1))))]
         command = "udp"
     lines = [repr((uniform.price, uniform.revenue, uniform.candidates))]
     lines += [repr((best.prices, best.revenue)) for best in exact]
@@ -97,13 +96,16 @@ def test_grid_search_keeps_the_first_strictly_best_feasible_assignment(monkeypat
 
     def revenue_of(assignment):
         seen.append(assignment)
+        if assignment[0] > assignment[1]:  # infeasible
+            return -math.inf
         return sum(p for p in assignment if p != UNPRICED) % 3
 
     monkeypatch.setattr("assortopt.udp.GRID_GUARD", 9)
-    best = grid_optimum([1, 2], 2, revenue_of, feasible=lambda a: a[0] <= a[1])
-    assert seen == [(1, 1), (1, 2), (1, UNPRICED), (2, 2), (2, UNPRICED), (UNPRICED, UNPRICED)]
+    best = grid_optimum([1, 2], 2, revenue_of)
+    assert seen == [(1, 1), (1, 2), (1, UNPRICED), (2, 1), (2, 2), (2, UNPRICED), (UNPRICED, 1), (UNPRICED, 2),
+                    (UNPRICED, UNPRICED)]
     assert best == PricingSolution((1, 1), 2)
-    assert grid_optimum([1, 2], 2, revenue_of, feasible=lambda a: False) is None
+    assert grid_optimum([1, 2], 2, lambda a: 0) == PricingSolution((1, 1), 0)
     monkeypatch.setattr("assortopt.udp.GRID_GUARD", 8)
     with pytest.raises(SearchSpaceTooLarge, match=r"3\^2 price assignments"):
         grid_optimum([1, 2], 2, revenue_of)

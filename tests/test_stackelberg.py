@@ -8,19 +8,14 @@ from random import Random
 import pytest
 
 from assortopt import (
-    FunctionMatroid,
     GraphicMatroid,
     StackelbergInstance,
     UNPRICED,
     brute_force_optimum,
     brute_force_stackelberg,
     check_axioms,
-    check_greedy_nesting,
-    check_matroid_axioms,
-    check_tiebreak_independence,
     cost_compatible_ordering,
     greedy,
-    is_cost_compatible,
     reduce_to_assortment,
     revenue_ordered,
     revenue_of_prices,
@@ -29,6 +24,13 @@ from assortopt import (
 from assortopt.generators import random_stackelberg
 from assortopt.errors import GroundSetTooLarge
 from assortopt.stackelberg import PricedCopyMatroid, StackelbergChoiceModel
+from matroid_checks import (
+    FunctionMatroid,
+    check_greedy_nesting,
+    check_matroid_axioms,
+    check_tiebreak_independence,
+    is_cost_compatible,
+)
 
 
 def triangle():
