@@ -39,7 +39,6 @@ from .models import (
     TableCapacity,
     TabularModel,
     TightExampleModel,
-    demand,
     evaluate_revenue,
     expand_ranking_model,
     kendall_distance,

@@ -82,10 +82,6 @@ class AssortmentInstance:
         """Distinct revenue values r_1 < ... < r_k (exact-equality dedup)."""
         return tuple(sorted(set(self._revenue)))
 
-    def threshold_set(self, level) -> frozenset[int]:
-        """All products with revenue at least the given level."""
-        return frozenset(x for x in range(1, self.n + 1) if self._revenue[x - 1] >= level)
-
     def assortment_revenue(self, S: Iterable[int]):
         return evaluate_revenue(self._model, self._revenue, S)
 
@@ -126,11 +122,10 @@ def _choice_rows(instance: AssortmentInstance, offer_sets) -> list[tuple]:
 
 @dataclass(frozen=True)
 class RevenueLadder:
-    """Products re-indexed by non-increasing revenue, plus the per-threshold
-    offer sets and their one-period statistics.
+    """The per-threshold offer sets and their one-period statistics.
 
     levels are the distinct revenues r_1 < ... < r_k; prefix l contains the
-    j(l) products priced at least r_l, so larger indices mean smaller sets.
+    products priced at least r_l, so larger indices mean smaller sets.
     revenues[l-1] is the exact one-period revenue of offering prefix l,
     expected_revenue[l-1] that revenue as a float, and
     purchase_probability[l-1] the float sale probability of prefix l.
@@ -138,9 +133,7 @@ class RevenueLadder:
     when every revenue is shifted by delta.
     """
 
-    order: tuple[int, ...]
     levels: tuple
-    prefix_sizes: tuple[int, ...]
     prefixes: tuple[frozenset, ...]
     revenues: tuple
     expected_revenue: tuple[float, ...]
@@ -215,10 +208,8 @@ def revenue_ladder(instance: AssortmentInstance) -> RevenueLadder:
     """Precompute the nested revenue-ordered assortments of an instance.
 
     Callers that hold an instance read the cached ``instance.ladder``."""
-    order = tuple(sorted(range(1, instance.n + 1), key=lambda x: (-instance.revenue_of(x), x)))
     levels = instance.levels
-    prefix_sizes = tuple(sum(1 for x in order if instance.revenue_of(x) >= level) for level in levels)
-    prefixes = tuple(frozenset(order[:size]) for size in prefix_sizes)
+    prefixes = tuple(frozenset(x for x, r in enumerate(instance.revenue, start=1) if r >= level) for level in levels)
     rows, scale = _numerator_rows(instance, prefixes), instance.model.denominator
     # Integer-scaled rows with int revenues sum ints and divide once, as the
     # exact optimum does: the same Fractions, and so the same floats.
@@ -235,16 +226,15 @@ def revenue_ladder(instance: AssortmentInstance) -> RevenueLadder:
         revenues.append(revenue)
         sold.append(float(total))
     expected = tuple(float(value) for value in revenues)
-    return RevenueLadder(order, levels, prefix_sizes, prefixes, tuple(revenues), expected, tuple(sold))
+    return RevenueLadder(levels, prefixes, tuple(revenues), expected, tuple(sold))
 
 
 @dataclass(frozen=True)
 class AssortmentSolution:
-    """An offer set with its expected revenue and the method that found it."""
+    """An offer set with its expected revenue."""
 
     assortment: frozenset[int]
     revenue: float
-    method: str
 
 
 @dataclass(frozen=True)
@@ -268,9 +258,9 @@ def revenue_ordered(instance: AssortmentInstance) -> RevenueOrderedResult:
     ladder = instance.ladder
     best = max(range(ladder.k), key=lambda l: (ladder.revenues[l], l), default=None)
     if best is None:
-        return RevenueOrderedResult(AssortmentSolution(frozenset(), 0.0, "revenue-ordered"), ())
+        return RevenueOrderedResult(AssortmentSolution(frozenset(), 0.0), ())
     return RevenueOrderedResult(
-        AssortmentSolution(ladder.prefixes[best], ladder.revenues[best], "revenue-ordered"),
+        AssortmentSolution(ladder.prefixes[best], ladder.revenues[best]),
         tuple(zip(ladder.levels, ladder.revenues)),
     )
 
@@ -411,7 +401,7 @@ def brute_force_optimum(instance: AssortmentInstance) -> AssortmentSolution:
                 best_key, best_revenue = members, value
     if exact and best_key:
         best_revenue = Fraction(best_revenue, scale)
-    return AssortmentSolution(frozenset(best_key), best_revenue, "brute-force")
+    return AssortmentSolution(frozenset(best_key), best_revenue)
 
 
 def _revenue_blocks(source: ChoiceModel, revenue: Sequence, c: int, exact: bool) -> tuple[list, Callable, int, int]:
@@ -491,18 +481,16 @@ class BoundReport:
     """The three lower bounds on the revenue-ordered approximation ratio.
 
     At k = 0 (an empty catalogue) no level loses any revenue, so bounds
-    A and B are 1.0 and lambda_tilde is 0.0.
+    A and B are 1.0.
 
     bound_a: 1/k for k distinct revenue levels.
     bound_b_exact: 1 / sum_i (r_i - r_{i-1}) / r_i, with r_0 = 0; a
-        ``Fraction`` when the levels are.
+        ``Fraction`` when every level is an int or a ``Fraction``.
     bound_b_log: 1 / (1 + ln rho), rho = r_k / r_1; never above bound_b_exact.
     bound_c_*: analogous bounds from the purchase masses N_i inside a
         supplied optimal assortment; None when no optimum was supplied or
         nothing sells in it.
-    nu: N_1 / N_ell.
-    lambda_tilde: purchase probability when offering only the top-revenue
-        products; on instances with an optimum supplied, nu <= 1/lambda_tilde.
+    nu: N_1 / N_ell, for the last level ell at which N_ell > 0.
     n_masses: the N_i themselves (diagnostics), None without an optimum.
     """
 
@@ -510,11 +498,9 @@ class BoundReport:
     bound_a: float
     bound_b_exact: float | Fraction
     bound_b_log: float
-    lambda_tilde: float
     bound_c_exact: float | None = None
     bound_c_log: float | None = None
     nu: float | None = None
-    ell: int | None = None
     n_masses: tuple[float, ...] | None = None
 
 
@@ -538,7 +524,6 @@ def _bound_c(instance: AssortmentInstance, optimal: AssortmentSolution) -> dict:
         bound_c_exact=1.0 / total,
         bound_c_log=1.0 / (1.0 + math.log(nu)),
         nu=nu,
-        ell=ell,
         n_masses=tuple(masses),
     )
 
@@ -560,23 +545,23 @@ def compute_bounds(instance: AssortmentInstance, optimal: AssortmentSolution | N
     levels = instance.levels
     k = len(levels)
     if k == 0:
-        return BoundReport(n_levels=0, bound_a=1.0, bound_b_exact=1.0, bound_b_log=1.0, lambda_tilde=0.0)
-    # Both start at int 0, so exact levels (below the float range too) sum
-    # exactly, and float levels to the floats a 0.0 start gives.
+        return BoundReport(n_levels=0, bound_a=1.0, bound_b_exact=1.0, bound_b_log=1.0)
+    # Both start at int 0.  Int and Fraction levels (below the float range
+    # too) sum exact Fractions; a level set with a float in it sums as the
+    # floats a 0.0 start gives.
+    exact = all(isinstance(level, (int, Fraction)) for level in levels)
     ratio_sum = previous = 0
     for level in levels:
-        ratio_sum += (level - previous) / level
+        ratio_sum += (Fraction(level - previous) if exact else level - previous) / level
         previous = level
     rho = levels[-1] / levels[0]
     # A spread too wide for one float quotient still has a finite logarithm.
     log_rho = math.log(rho) if finite(rho) else _log(levels[-1]) - _log(levels[0])
-    lambda_tilde = instance.ladder.purchase_probability[-1]
     report = BoundReport(
         n_levels=k,
         bound_a=1.0 / k,
         bound_b_exact=1 / ratio_sum,
         bound_b_log=1.0 / (1.0 + log_rho),
-        lambda_tilde=lambda_tilde,
     )
     return report if optimal is None else replace(report, **_bound_c(instance, optimal))
 

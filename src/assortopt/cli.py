@@ -22,7 +22,6 @@ import glob
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 
@@ -137,7 +136,6 @@ def _bounds_dict(instance: AssortmentInstance, optimum) -> dict:
         "C_exact": report.bound_c_exact,
         "C_log": report.bound_c_log,
         "nu": report.nu,
-        "lambda_tilde": report.lambda_tilde,
     }
 
 
@@ -149,11 +147,7 @@ def _cmd_gen(args) -> int:
     if not isinstance(params, dict):
         raise SystemExit(f"invalid --params: expected a JSON object, got {args.params}")
     try:
-        seed = args.seed if args.seed is not None else int(os.environ.get("ASSORT_SEED", "0"))
-    except ValueError as error:
-        raise SystemExit(f"invalid ASSORT_SEED: {error}")
-    try:
-        data = generate(args.kind, args.family, params, seed)
+        data = generate(args.kind, args.family, params, args.seed)
     except InvalidParams as error:
         print(f"invalid parameters: {error}", file=sys.stderr)
         return USAGE_ERROR
@@ -370,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("kind", choices=["assortment", "udp_min", "udp_rank", "stackelberg", "multiperiod"])
     gen.add_argument("--family", default=None, help="model family for assortment/multiperiod kinds")
     gen.add_argument("--params", default=None, help="family parameters as a JSON object")
-    gen.add_argument("--seed", type=int, default=None, help="defaults to $ASSORT_SEED or 0")
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("-o", "--output", default=None)
     gen.set_defaults(func=_cmd_gen)
 
@@ -424,10 +418,8 @@ def main(argv=None) -> int:
         print(error, file=sys.stderr)
         return USAGE_ERROR
     except SystemExit as error:
-        if isinstance(error.code, str):
-            print(error.code, file=sys.stderr)
-            return USAGE_ERROR
-        raise
+        print(error.code, file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -90,7 +90,7 @@ def random_assortment_instance(family: str, rng: Random, n_max: int = 7) -> Asso
         ]
         preference = list(range(1, n + 1))
         rng.shuffle(preference)
-        model = HfamModel(preference, CoverageCapacity(n, weights, covers))
+        model = HfamModel(preference, CoverageCapacity(weights, covers))
     elif family == "tight":
         return generate_tight_instance(rng.randint(1, 4), rng.choice([0.5, 0.1, 0.01]))
     else:

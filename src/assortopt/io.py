@@ -119,14 +119,11 @@ def model_from_dict(data: dict) -> ChoiceModel:
         return MallowsModel(data["central_ranking"], data["theta"])
     if kind == "hfam":
         capacity_data = data["capacity"]
-        n = len(data["preference"])
         if capacity_data["kind"] == "coverage":
-            capacity = CoverageCapacity(
-                n, capacity_data["point_weights"], capacity_data["covers"]
-            )
+            capacity = CoverageCapacity(capacity_data["point_weights"], capacity_data["covers"])
         elif capacity_data["kind"] == "table":
             capacity = TableCapacity(
-                n, {tuple(s): v for s, v in capacity_data["values"]}
+                len(data["preference"]), {tuple(s): v for s, v in capacity_data["values"]}
             )
         else:
             raise ValueError(f"unknown capacity kind {capacity_data['kind']!r}")

@@ -321,8 +321,7 @@ class TabularModel(ChoiceModel):
 
     The table is whole: it has a row for every offer set of 1..n, names no
     product outside 1..n, and holds each entry in [0, 1] (so none is NaN or
-    infinite), with any explicit no-purchase entry within 1e-9 of 1 minus
-    the row's sum.  A table of int and ``Fraction`` entries, one for every
+    infinite).  A table of int and ``Fraction`` entries, one for every
     offered product and at least one a ``Fraction``, is exact: it declares
     the lcm D of their denominators and keeps each p as p * D.
 
@@ -347,11 +346,7 @@ class TabularModel(ChoiceModel):
             if not members <= catalogue:
                 raise ValueError(f"offer set {sorted(members)} names products outside 1..{n}")
             row: dict[int, float] = {}
-            explicit_zero = None
             for x, p in probs.items():
-                if x == 0:
-                    explicit_zero = p
-                    continue
                 if x not in members:
                     raise ValueError(f"table assigns P({x}, {sorted(members)}) but {x} is not offered")
                 if not 0 <= p <= 1:
@@ -360,9 +355,6 @@ class TabularModel(ChoiceModel):
             if exact:
                 kinds.update(map(type, row.values()))
                 exact = len(row) == len(members) and all(issubclass(t, (int, Fraction)) for t in kinds)
-            if explicit_zero is not None and abs(explicit_zero - (1 - ordered_sum(row.values()))) > 1e-9:
-                raise ValueError(f"explicit no-purchase probability {explicit_zero} inconsistent "
-                                 f"with 1 - {ordered_sum(row.values())} on {sorted(members)}")
             mask = sum(map(bit_of.__getitem__, members))
             covered[mask] = 1
             for x in members:  # at held_index(mask, x)
@@ -601,33 +593,20 @@ class MallowsModel(ChoiceModel):
         return self._expansion.columns(c, high)
 
 
-def expand_ranking_model(model: "MallowsModel | Sequence[tuple[float, MallowsModel]]") -> StochasticPreferenceModel:
-    """Expand a Mallows model (or a finite mixture of them) over all rankings.
+def expand_ranking_model(model: MallowsModel) -> StochasticPreferenceModel:
+    """Expand a Mallows model over all rankings.
 
     The normalisation constant is computed by explicit summation over the
     (n+1)! rankings rather than the closed-form product, so the expansion can
     serve as its own oracle.  Output weights sum to 1 within 1e-9.
     """
-    if isinstance(model, MallowsModel):
-        components: list[tuple[float, MallowsModel]] = [(1.0, model)]
-    else:
-        if not model:
-            raise ValueError("empty mixture")
-        components = list(zip(distribution((w for w, _ in model), "mixture"), (m for _, m in model)))
-    n = components[0][1].n
-    if any(m.n != n for _, m in components):
-        raise ValueError("all mixture components must share the product count")
+    n = model.n
     if n > EXPANSION_GUARD:
         raise GroundSetTooLarge(f"cannot enumerate ({n}+1)! rankings; guard is n <= {EXPANSION_GUARD}")
-
     rankings = list(itertools.permutations(range(n + 1)))
-    weights = [0.0] * len(rankings)
-    for mixture_weight, component in components:
-        raw = [math.exp(-component.theta * kendall_distance(r, component.central_ranking)) for r in rankings]
-        normaliser = ordered_sum(raw)
-        for i, value in enumerate(raw):
-            weights[i] += mixture_weight * value / normaliser
-    return StochasticPreferenceModel(n, list(zip(weights, rankings)))
+    raw = [math.exp(-model.theta * kendall_distance(r, model.central_ranking)) for r in rankings]
+    normaliser = ordered_sum(raw)
+    return StochasticPreferenceModel(n, [(value / normaliser, r) for value, r in zip(raw, rankings)])
 
 
 class CapacityFunction:
@@ -691,9 +670,7 @@ class CoverageCapacity(CapacityFunction):
     weights must be nonnegative and sum to at most 1 so phi maps into [0,1].
     """
 
-    def __init__(self, n: int, point_weights: Sequence[float], covers: Sequence[Iterable[int]]):
-        if len(covers) != n:
-            raise ValueError("one cover set per product is required")
+    def __init__(self, point_weights: Sequence[float], covers: Sequence[Iterable[int]]):
         weights = tuple(float(w) for w in point_weights)
         if not all(map(math.isfinite, weights)):
             raise ValueError(f"point weights must be finite, got {weights}")
@@ -707,13 +684,12 @@ class CoverageCapacity(CapacityFunction):
             if any(not 0 <= p < len(weights) for p in members):
                 raise ValueError("cover sets must reference ground points 0..len(weights)-1")
             cover_sets.append(members)
-        self._n = n
         self._weights = weights
         self._covers = tuple(cover_sets)
 
     @property
     def n(self) -> int:
-        return self._n
+        return len(self._covers)
 
     @property
     def point_weights(self) -> tuple[float, ...]:
@@ -802,9 +778,6 @@ class TightExampleModel(ChoiceModel):
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return self._pairs
 
-    def pair_of(self, x: int) -> tuple[int, int]:
-        return self._pairs[x - 1]
-
     def index_of(self, i: int, j: int) -> int:
         return self._pairs.index((i, j)) + 1
 
@@ -829,8 +802,3 @@ def evaluate_revenue(model: ChoiceModel, revenue: Sequence[float], S: Iterable[i
             raise NonPositiveRevenue(f"revenue of product {x} is {r}; must be > 0")
     members = sorted(frozenset(S))
     return ordered_sum(p * revenue[x - 1] for x, p in zip(members, model.choice_row(members)))
-
-
-def demand(model: ChoiceModel, S: Iterable[int]):
-    """Purchase probability sum_{x in S} P(x, S) of the offer set S."""
-    return ordered_sum(model.choice_row(S))

@@ -60,7 +60,7 @@ def test_criterion_01_tight_family_reaches_k():
         ok &= k - 0.01 <= level_sum <= k
         model = instance.model
         diagonal = frozenset(model.index_of(i, i) for i in range(1, k + 1))
-        solution = AssortmentSolution(diagonal, instance.assortment_revenue(diagonal), "brute-force")
+        solution = AssortmentSolution(diagonal, instance.assortment_revenue(diagonal))
         mass_sum = 1.0 / compute_bounds(instance, solution).bound_c_exact
         ok &= k - 0.01 <= mass_sum <= k
     elapsed = time.perf_counter() - started

@@ -46,7 +46,7 @@ class TestInstance:
     def test_levels_are_distinct_sorted(self):
         instance = AssortmentInstance(MnlModel([0, 0, 0]), [2.0, 1.0, 2.0])
         assert instance.levels == (1.0, 2.0)
-        assert instance.threshold_set(2.0) == frozenset({1, 3})
+        assert instance.ladder.prefixes == (frozenset({1, 2, 3}), frozenset({1, 3}))
 
     def test_rejects_nonpositive_revenue(self):
         with pytest.raises(NonPositiveRevenue):
@@ -162,7 +162,7 @@ class TestBounds:
         assert report.bound_b_exact == 1 / (2 - Fraction(1, 10**400))
         assert (report.bound_a, float(report.bound_b_exact)) == (0.5, 0.5)
         assert report.bound_b_log == pytest.approx(1.0 / (1.0 + 400 * math.log(10)))
-        fields = [report.bound_a, report.bound_b_log, report.lambda_tilde]
+        fields = [report.bound_a, report.bound_b_log]
         fields += [report.bound_c_exact, report.bound_c_log, report.nu, *report.n_masses]
         assert all(type(value) is float for value in fields)
 
@@ -179,7 +179,7 @@ class TestBounds:
         instance = generate_tight_instance(k, eps)
         model = instance.model
         diagonal = frozenset(model.index_of(i, i) for i in range(1, k + 1))
-        solution = AssortmentSolution(diagonal, instance.assortment_revenue(diagonal), "brute-force")
+        solution = AssortmentSolution(diagonal, instance.assortment_revenue(diagonal))
         report = compute_bounds(instance, solution)
         for i, mass in enumerate(report.n_masses, start=1):
             assert mass == pytest.approx(sum(eps**p for p in range(i, k + 1)))
@@ -190,14 +190,14 @@ class TestBounds:
     def test_bound_c_unavailable_when_nothing_sells(self):
         dead = TabularModel(1, {(): {}, (1,): {1: 0.0}})
         instance = AssortmentInstance(dead, [1.0])
-        solution = AssortmentSolution(frozenset({1}), 0.0, "brute-force")
+        solution = AssortmentSolution(frozenset({1}), 0.0)
         report = compute_bounds(instance, solution)
         assert report == compute_bounds(instance) and report.bound_c_exact is None
 
     def test_an_empty_catalogue_loses_nothing(self):
         instance = AssortmentInstance(TabularModel(0, {(): {}}), [])
         optimum = brute_force_optimum(instance)
-        expected = BoundReport(n_levels=0, bound_a=1.0, bound_b_exact=1.0, bound_b_log=1.0, lambda_tilde=0.0)
+        expected = BoundReport(n_levels=0, bound_a=1.0, bound_b_exact=1.0, bound_b_log=1.0)
         assert compute_bounds(instance) == compute_bounds(instance, optimum) == expected
         assert verify_guarantee(instance).passed
 
@@ -206,10 +206,14 @@ class TestBounds:
         # Levels L/i for L = 12 and i = 4, 3, 2, 1: the sum is H_4 = 25/12.
         instance = AssortmentInstance(MnlModel([0.0] * 4), [kind(r) for r in (3, 4, 6, 12)])
         report = compute_bounds(instance)
-        if kind is Fraction:
-            assert 1 / report.bound_b_exact == Fraction(25, 12)
-        else:  # the float a 0.0 start gives
-            assert repr(report.bound_b_exact) == "0.4800000000000001"
+        assert report.bound_b_exact == Fraction(12, 25)
+        assert type(report.bound_b_exact) is Fraction
+
+    def test_bound_b_of_levels_with_a_float_sums_floats(self):
+        # Int levels 1 and 3 below a float level: the float sum 1.0 + 2/3 +
+        # 0.5/3.5 of a 0.0 start, not the rounded exact sum 5/3 + 0.5/3.5.
+        instance = AssortmentInstance(MnlModel([0.0] * 3), [1, 3, 3.5])
+        assert repr(compute_bounds(instance).bound_b_exact) == "0.5526315789473685"
 
     def test_bounds_in_unit_interval(self):
         rng = Random(99)

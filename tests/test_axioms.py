@@ -13,9 +13,9 @@ from assortopt import (
     check_axioms,
     check_demand_submodularity,
     check_purchase_monotonicity,
-    demand,
     generate_tight_instance,
 )
+from assortopt.models import ordered_sum
 
 # The three-product table where enlarging the offer set raises total demand
 # faster than submodularity allows, while regularity still holds.
@@ -72,7 +72,7 @@ class TestPurchaseMonotonicity:
         assert check_purchase_monotonicity(counterexample_table).passed
 
     def test_column_sum_of_full_set(self, counterexample_table):
-        assert demand(counterexample_table, {1, 2, 3}) == pytest.approx(0.75)
+        assert ordered_sum(counterexample_table.choice_row({1, 2, 3})) == pytest.approx(0.75)
 
     def test_violator_fails_with_witness(self):
         # Total demand drops from 0.3 to 0.2 when 2 joins the offer set.
@@ -174,5 +174,5 @@ def test_attention_models_satisfy_regularity():
         covers = [[p for p in range(points) if rng.random() < 0.5] for _ in range(n)]
         preference = list(range(1, n + 1))
         rng.shuffle(preference)
-        model = HfamModel(preference, CoverageCapacity(n, weights, covers))
+        model = HfamModel(preference, CoverageCapacity(weights, covers))
         assert check_axioms(model).passed

@@ -141,7 +141,7 @@ def ref_brute_force(instance):
         value = instance.assortment_revenue(subset) if subset else 0
         if first or value > best_revenue or (value == best_revenue and subset < best_key):
             best_key, best_set, best_revenue, first = subset, frozenset(subset), value, False
-    return AssortmentSolution(best_set, best_revenue, "brute-force")
+    return AssortmentSolution(best_set, best_revenue)
 
 
 class _Rows(ChoiceModel):

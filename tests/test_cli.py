@@ -37,18 +37,8 @@ def test_gen_without_output_writes_the_file_text_to_stdout(tmp_path, capsys):
     assert run(capsys, "gen", "udp_min", "--seed", "4") == (0, path.read_text(encoding="utf-8"))
 
 
-def test_gen_env_seed(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("ASSORT_SEED", "33")
-    out_env = tmp_path / "env.json"
-    assert main(["gen", "udp_min", "-o", str(out_env)]) == 0
-    out_flag = tmp_path / "flag.json"
-    assert main(["gen", "udp_min", "--seed", "33", "-o", str(out_flag)]) == 0
-    assert out_env.read_bytes() == out_flag.read_bytes()
-
-
-def test_gen_malformed_env_seed_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("ASSORT_SEED", "abc")
-    assert "ASSORT_SEED" in _one_line_exit_2(capsys, "gen", "udp_min")
+def test_gen_seed_defaults_to_zero(capsys):
+    assert run(capsys, "gen", "udp_min") == run(capsys, "gen", "udp_min", "--seed", "0")
 
 
 def test_gen_unwritable_output_exits_2(tmp_path, capsys):
@@ -143,7 +133,7 @@ def test_solve_reports_opt_revord_ratio_bounds(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert set(report) >= {"opt", "revord", "ratio", "bounds"}
-    assert set(report["bounds"]) == {"A", "B_exact", "B_log", "C_exact", "C_log", "nu", "lambda_tilde"}
+    assert set(report["bounds"]) == {"A", "B_exact", "B_log", "C_exact", "C_log", "nu"}
     assert report["ratio"] == pytest.approx(1.0)  # heuristic is optimal under MNL
 
 
@@ -332,7 +322,7 @@ def test_bounds_of_an_empty_catalogue_lose_nothing(tmp_path, capsys, command):
     code, out = run(capsys, *command, str(path), "--json")
     assert code == 0
     bounds = json.loads(out)["bounds"]
-    assert bounds == {"A": 1.0, "B_exact": 1.0, "B_log": 1.0, "C_exact": None, "C_log": None, "nu": None, "lambda_tilde": 0.0}
+    assert bounds == {"A": 1.0, "B_exact": 1.0, "B_log": 1.0, "C_exact": None, "C_log": None, "nu": None}
 
 
 def test_suite_passes_an_empty_catalogue(tmp_path, capsys):

@@ -139,7 +139,7 @@ def _hfam(rng, n):
     covers = [[p for p in range(points) if rng.random() < 0.5] for _ in range(n)]
     preference = list(range(1, n + 1))
     rng.shuffle(preference)
-    return HfamModel(preference, CoverageCapacity(n, weights, covers))
+    return HfamModel(preference, CoverageCapacity(weights, covers))
 
 
 def _rankings(rng, n, count):

@@ -131,7 +131,7 @@ def _outcome(kernel, *args):
 def _ladder(lines):
     """A ladder whose (R_l, P_l) lines are these; the kernel reads nothing else."""
     levels = tuple(range(1, len(lines) + 1))
-    return RevenueLadder(levels, levels, (), (), (), tuple(r for r, _ in lines), tuple(p for _, p in lines))
+    return RevenueLadder(levels, (), (), tuple(r for r, _ in lines), tuple(p for _, p in lines))
 
 
 def check_best_level(lines, delta):

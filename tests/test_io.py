@@ -13,8 +13,10 @@ from assortopt import (
     CoverageCapacity,
     HfamModel,
     MallowsModel,
+    Matroid,
     MixedMnlModel,
     MnlModel,
+    StackelbergInstance,
     StochasticPreferenceModel,
     TableCapacity,
     TabularModel,
@@ -36,8 +38,9 @@ from assortopt.io import (
     loads,
     model_from_dict,
     model_to_dict,
+    read_instance,
 )
-from assortopt.models import enumerate_subsets, probability_rows
+from assortopt.models import CapacityFunction, enumerate_subsets, probability_rows
 from assortopt.reductions import reduce_pricing
 
 
@@ -53,7 +56,7 @@ MODELS = [
     MixedMnlModel([(0.3, [0.0, 1.0]), (0.7, [1.0, -1.0])]),
     StochasticPreferenceModel(2, [(0.25, (0, 1, 2)), (0.75, (2, 0, 1))]),
     MallowsModel((1, 0, 2), 1.5),
-    HfamModel((2, 1), CoverageCapacity(2, [0.5, 0.25], [[0], [0, 1]])),
+    HfamModel((2, 1), CoverageCapacity([0.5, 0.25], [[0], [0, 1]])),
     HfamModel(
         (1, 2),
         TableCapacity(2, {(): 0.0, (1,): 0.4, (2,): 0.3, (1, 2): 0.6}),
@@ -72,6 +75,57 @@ def test_model_round_trip(model):
 def test_unknown_model_type_rejected():
     with pytest.raises(ValueError):
         model_from_dict({"type": "nested_logit"})
+
+
+class _HalfCapacity(CapacityFunction):
+    """A one-product capacity with no file format: phi({1}) = 1/2."""
+
+    n = 1
+
+    def value(self, S):
+        return 0.5 if S else 0.0
+
+
+class _UniformMatroid(Matroid):
+    """The rank-1 uniform matroid on {0, 1}, which is no graph's."""
+
+    def is_independent(self, subset):
+        return len(set(subset)) <= 1
+
+
+def test_a_capacity_of_another_type_is_not_serialised():
+    with pytest.raises(TypeError, match="^cannot serialise capacity _HalfCapacity$"):
+        model_to_dict(HfamModel((1,), _HalfCapacity()))
+
+
+def test_an_unknown_capacity_kind_exits_2(tmp_path, capsys):
+    model = {"type": "hfam", "preference": [1], "capacity": {"kind": "bogus"}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_assortment_file(model)))
+    with pytest.raises(ValueError, match="^unknown capacity kind 'bogus'$"):
+        model_from_dict(model)
+    assert main(["solve", str(path)]) == 2
+    assert "unknown capacity kind 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "instance, message",
+    [
+        (StackelbergInstance(_UniformMatroid((0, 1)), {0: 1.0}, [1]), "only graphic-matroid instances have a file format"),
+        (MnlModel([0.0]), "cannot serialise MnlModel"),
+    ],
+    ids=["non_graphic_stackelberg", "unknown_type"],
+)
+def test_instances_without_a_file_format_are_not_serialised(instance, message):
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        instance_to_dict(instance)
+
+
+def test_read_instance_round_trip(tmp_path):
+    data = generate("assortment", "hfam", {}, seed=2)
+    path = tmp_path / "hfam.json"
+    path.write_text(dumps(data), encoding="utf-8")
+    assert dumps(instance_to_dict(read_instance(path), seed=2)) == dumps(data)
 
 
 class TestInstanceRoundTrips:

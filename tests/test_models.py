@@ -20,7 +20,6 @@ from assortopt import (
     TableCapacity,
     TabularModel,
     TightExampleModel,
-    demand,
     evaluate_revenue,
     expand_ranking_model,
     kendall_distance,
@@ -225,15 +224,6 @@ class TestMallows:
                 expected = q ** kendall_distance(order, central) / closed
                 assert weight == pytest.approx(expected, rel=1e-12)
 
-    def test_mixture_is_average(self):
-        one = MallowsModel((0, 1, 2), 1.0)
-        two = MallowsModel((2, 1, 0), 2.0)
-        blend = expand_ranking_model([(0.5, one), (0.5, two)])
-        for subset in enumerate_subsets(2):
-            for x in subset:
-                expected = 0.5 * one.evaluate(x, subset) + 0.5 * two.evaluate(x, subset)
-                assert blend.evaluate(x, subset) == pytest.approx(expected, abs=1e-12)
-
     def test_expansion_guard(self):
         from assortopt import GroundSetTooLarge
 
@@ -243,7 +233,7 @@ class TestMallows:
 
 class TestHfam:
     def test_coverage_hand_computed(self):
-        capacity = CoverageCapacity(2, [0.3, 0.2, 0.1], [[0, 1], [1, 2]])
+        capacity = CoverageCapacity([0.3, 0.2, 0.1], [[0, 1], [1, 2]])
         front = HfamModel((1, 2), capacity)
         assert front.evaluate(1, {1, 2}) == pytest.approx(0.5)
         assert front.evaluate(2, {1, 2}) == pytest.approx(0.1)
@@ -263,10 +253,10 @@ class TestHfam:
     @pytest.mark.parametrize("weight", [math.nan, math.inf])
     def test_coverage_rejects_non_finite_point_weights(self, weight):
         with pytest.raises(ValueError, match="finite"):
-            CoverageCapacity(1, [weight], [[0]])
+            CoverageCapacity([weight], [[0]])
 
     def test_table_capacity_accepts_coverage_values(self):
-        coverage = CoverageCapacity(2, [0.4, 0.3], [[0], [0, 1]])
+        coverage = CoverageCapacity([0.4, 0.3], [[0], [0, 1]])
         values = {s: coverage.value(s) for s in enumerate_subsets(2)}
         table = TableCapacity(2, values)
         for s in enumerate_subsets(2):
@@ -277,8 +267,8 @@ class TestTightExample:
     def test_pair_layout(self):
         model = TightExampleModel(3, 0.1)
         assert model.n == 6
-        assert model.pair_of(1) == (1, 1)
-        assert model.pair_of(6) == (3, 3)
+        assert model.pairs[0] == (1, 1)
+        assert model.pairs[5] == (3, 3)
         assert model.index_of(2, 1) == 2
 
     def test_blocking_rule(self):
@@ -315,7 +305,7 @@ class TestTabular:
             ({(1,): {1: -0.25}}, "P(1, [1]) = -0.25 outside [0, 1]"),
             ({(1,): {1: 0.5}, (1, 2): {1: 0.25}}, "offer set [1, 2] names products outside 1..1"),
             ({}, "table is missing the offer set [1]"),
-            ({(1,): {0: 0.9, 1: 0.5}}, "explicit no-purchase probability 0.9 inconsistent with 1 - 0.5 on [1]"),
+            ({(1,): {0: 0.5, 1: 0.5}}, "table assigns P(0, [1]) but 0 is not offered"),
         ],
         ids=["nan", "inf", "-inf", "above_one", "negative", "product_n_plus_1", "missing_set", "no_purchase"],
     )
@@ -324,10 +314,12 @@ class TestTabular:
             TabularModel(1, {(): {}, **rows})
 
     def test_explicit_no_purchase_consistency(self):
-        with pytest.raises(ValueError):
-            TabularModel(1, {(): {}, (1,): {0: 0.9, 1: 0.5}})
-        model = TabularModel(1, {(): {}, (1,): {0: 0.5, 1: 0.5}})
+        for rows in ({(1,): {0: 0.9, 1: 0.5}}, {(1,): {0: 0.5, 1: 0.5}}):
+            with pytest.raises(ValueError):
+                TabularModel(1, {(): {}, **rows})
+        model = TabularModel(1, {(): {}, (1,): {1: 0.5}})
         assert model.evaluate(0, {1}) == 0.5
+        assert model.evaluate(0, set()) == 1.0
 
     def test_missing_subset_rejected(self):
         with pytest.raises(ValueError):
@@ -342,7 +334,7 @@ class TestTabular:
 
 
 def _coverage(n, weights=(0.5,), covers=None):
-    return CoverageCapacity(n, list(weights), [{0}] * n if covers is None else covers)
+    return CoverageCapacity(list(weights), [{0}] * n if covers is None else covers)
 
 
 @pytest.mark.parametrize(
@@ -351,11 +343,8 @@ def _coverage(n, weights=(0.5,), covers=None):
         (lambda: MixedMnlModel([]), "a mixture needs at least one component"),
         (lambda: MixedMnlModel([(0.5, [0.0]), (0.5, [0.0, 1.0])]),
          "all mixture components must share the product count"),
-        (lambda: expand_ranking_model([]), "empty mixture"),
-        (lambda: expand_ranking_model([(0.5, MallowsModel((0, 1), 1.0)), (0.5, MallowsModel((1, 0, 2), 1.0))]),
-         "all mixture components must share the product count"),
         (lambda: MallowsModel((0, 1, 2), -0.5), "theta must be nonnegative"),
-        (lambda: _coverage(2, covers=[{0}]), "one cover set per product is required"),
+        (lambda: HfamModel((1, 2), _coverage(1)), "capacity and preference must cover the same products"),
         (lambda: _coverage(1, weights=(0.5, -0.25)), "point weights must be nonnegative"),
         (lambda: _coverage(1, weights=(0.75, 0.5)), "point weights must sum to at most 1"),
         (lambda: _coverage(1, covers=[{1}]), "cover sets must reference ground points 0..len(weights)-1"),
@@ -363,7 +352,7 @@ def _coverage(n, weights=(0.5,), covers=None):
         (lambda: HfamModel((1, 1), _coverage(2)), "(1, 1) is not a permutation of 1..2"),
         (lambda: HfamModel((2, 1), _coverage(3)), "capacity and preference must cover the same products"),
     ],
-    ids=["mixture_empty", "mixture_counts", "expansion_empty", "expansion_counts", "mallows_theta",
+    ids=["mixture_empty", "mixture_counts", "mallows_theta",
          "cover_count", "point_weight_negative", "point_weights_above_one", "cover_point_above", "cover_point_below",
          "hfam_permutation", "hfam_capacity"],
 )
@@ -384,7 +373,7 @@ def test_evaluate_revenue_empty_set_is_zero():
 
 def test_demand_is_purchase_probability():
     model = MnlModel([0.0, 0.0])
-    assert demand(model, {1, 2}) == pytest.approx(2 / 3)
+    assert ordered_sum(model.choice_row({1, 2})) == pytest.approx(2 / 3)
 
 
 def test_fraction_probabilities_flow_through():

@@ -57,7 +57,6 @@ class TestLadder:
     def test_products_sorted_by_revenue(self):
         instance = AssortmentInstance(MnlModel([0.0, 0.0, 0.0]), [1.0, 5.0, 3.0])
         ladder = revenue_ladder(instance)
-        assert ladder.order == (2, 3, 1)
         assert ladder.levels == (1.0, 3.0, 5.0)
         assert ladder.prefixes == (
             frozenset({1, 2, 3}),
@@ -68,7 +67,7 @@ class TestLadder:
     def test_equal_revenues_keep_index_order(self):
         instance = AssortmentInstance(MnlModel([0.0, 0.0]), [2.0, 2.0])
         ladder = revenue_ladder(instance)
-        assert ladder.order == (1, 2)
+        assert ladder.prefixes == (frozenset({1, 2}),)
         assert ladder.k == 1
 
 

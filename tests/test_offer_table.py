@@ -242,10 +242,15 @@ def test_float_revenues_on_an_exact_model_multiply_the_float_probability():
 # ------------------------------------------------------ the ladder is the candidates
 
 
+def _threshold_set(instance, level):
+    """All products with revenue at least the given level."""
+    return frozenset(x for x in range(1, instance.n + 1) if instance.revenue_of(x) >= level)
+
+
 def _threshold_candidates(instance):
     """The revenue-ordered candidates as they were computed before the ladder:
     one threshold set and one revenue evaluation per level."""
-    return [(level, instance.assortment_revenue(instance.threshold_set(level))) for level in instance.levels]
+    return [(level, instance.assortment_revenue(_threshold_set(instance, level))) for level in instance.levels]
 
 
 def _generated_instances():
@@ -264,7 +269,7 @@ def test_revenue_ordered_candidates_match_the_threshold_sets():
         assert [repr(c) for c in result.candidates] == [repr(c) for c in expected], label
         best = max(value for _, value in expected)
         top = max(level for level, value in expected if value == best)
-        assert result.solution.assortment == instance.threshold_set(top)
+        assert result.solution.assortment == _threshold_set(instance, top)
         assert repr(result.solution.revenue) == repr(best)
 
 
