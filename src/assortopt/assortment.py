@@ -114,12 +114,6 @@ def _numerator_rows(instance: AssortmentInstance, offer_sets) -> list[tuple]:
     return [source._choice_row(tuple(sorted(instance.model._as_subset(S)))) for S in offer_sets]
 
 
-def _choice_rows(instance: AssortmentInstance, offer_sets) -> list[tuple]:
-    """``model.choice_row`` of each offer set, read from ``instance.table``
-    if it has been built, else from the model."""
-    return [as_probabilities(row, instance.model.denominator) for row in _numerator_rows(instance, offer_sets)]
-
-
 @dataclass(frozen=True)
 class RevenueLadder:
     """The per-threshold offer sets and their one-period statistics.
@@ -146,6 +140,12 @@ class RevenueLadder:
     @cached_property
     def lines(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.expected_revenue, self.purchase_probability))
+
+    @cached_property
+    def shift_floor(self) -> float:
+        """-RTOL max(1, r_k): the least value the top revenue may take after a
+        shift, below which ``lstar_delta`` refuses the shift.  Needs a level."""
+        return -RTOL * max(1.0, self.levels[-1])
 
     @cached_property
     def screen(self) -> tuple[list[float], list[tuple[float, int, float, float]]]:
@@ -489,7 +489,8 @@ class BoundReport:
     bound_b_log: 1 / (1 + ln rho), rho = r_k / r_1; never above bound_b_exact.
     bound_c_*: analogous bounds from the purchase masses N_i inside a
         supplied optimal assortment; None when no optimum was supplied or
-        nothing sells in it.
+        nothing sells in it.  bound_c_exact is a ``Fraction`` when the
+        model declares a denominator (its rows are exact).
     nu: N_1 / N_ell, for the last level ell at which N_ell > 0.
     n_masses: the N_i themselves (diagnostics), None without an optimum.
     """
@@ -498,7 +499,7 @@ class BoundReport:
     bound_a: float
     bound_b_exact: float | Fraction
     bound_b_log: float
-    bound_c_exact: float | None = None
+    bound_c_exact: float | Fraction | None = None
     bound_c_log: float | None = None
     nu: float | None = None
     n_masses: tuple[float, ...] | None = None
@@ -506,22 +507,25 @@ class BoundReport:
 
 def _bound_c(instance: AssortmentInstance, optimal: AssortmentSolution) -> dict:
     """The BoundReport fields of the purchase-mass bound w.r.t. an optimal
-    assortment; none if nothing sells."""
-    levels = instance.levels
-    k = len(levels)
+    assortment; none if nothing sells.  On an exact row (int numerators over
+    the model's denominator) the masses and the bound's terms are summed as
+    ``Fraction``s, so bound_c_exact is one; the reported masses, nu and
+    bound_c_log are floats either way."""
     S = optimal.assortment
-    probs = dict(zip(sorted(S), _choice_rows(instance, [S])[0]))
-    masses = []
-    for level in levels:
-        masses.append(float(ordered_sum(p for x, p in probs.items() if instance.revenue_of(x) >= level)))
+    scale = instance.model.denominator
+    row = dict(zip(sorted(S), _numerator_rows(instance, [S])[0]))
+    sums = [ordered_sum(p for x, p in row.items() if instance.revenue_of(x) >= level) for level in instance.levels]
+    if scale is not None:
+        sums = [Fraction(total, scale) for total in sums]
+    masses = [float(total) for total in sums]
     if not masses or masses[0] <= 0:
         return {}
-    ell = max(i + 1 for i in range(k) if masses[i] > 0)
-    padded = masses + [0.0]
+    ell = max(i + 1 for i, mass in enumerate(masses) if mass > 0)
+    padded = (masses if scale is None else sums) + [0]
     total = ordered_sum((padded[i] - padded[i + 1]) / padded[i] for i in range(ell))
     nu = masses[0] / masses[ell - 1]
     return dict(
-        bound_c_exact=1.0 / total,
+        bound_c_exact=1 / total,
         bound_c_log=1.0 / (1.0 + math.log(nu)),
         nu=nu,
         n_masses=tuple(masses),
@@ -598,7 +602,7 @@ def verify_guarantee(instance: AssortmentInstance) -> GuaranteeReport:
     heuristic_value = float(heuristic.revenue)
     applicable = [("A", bounds.bound_a), ("B", float(bounds.bound_b_exact))]
     if bounds.bound_c_exact is not None:
-        applicable.append(("C", bounds.bound_c_exact))
+        applicable.append(("C", float(bounds.bound_c_exact)))
     failures = tuple(
         f"bound {name}: revord {heuristic_value} < {factor} * OPT {opt_value}"
         for name, factor in applicable

@@ -133,7 +133,7 @@ def _bounds_dict(instance: AssortmentInstance, optimum) -> dict:
         "A": report.bound_a,
         "B_exact": float(report.bound_b_exact),
         "B_log": report.bound_b_log,
-        "C_exact": report.bound_c_exact,
+        "C_exact": None if report.bound_c_exact is None else float(report.bound_c_exact),
         "C_log": report.bound_c_log,
         "nu": report.nu,
     }

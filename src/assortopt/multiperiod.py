@@ -281,16 +281,22 @@ def lstar_delta(instance: AssortmentInstance, delta: float) -> int:
     """Least optimal threshold after shifting every revenue by delta.
 
     The shift must be finite (inf - inf is NaN, so an infinite one would tie
-    no level with the maximum) and keep the top revenue nonnegative.  As
-    delta grows the result can only decrease (larger assortments become
+    no level with the maximum) and keep the top revenue nonnegative: r_k +
+    delta >= ``RevenueLadder.shift_floor``, a constant cached on the ladder,
+    so the range check reads it and one ``_best_level`` call picks the level.
+    As delta grows the result can only decrease (larger assortments become
     optimal), which is what makes the DP thresholds monotone.  With
     delta = -marginal(t-1, q) this is the choice ``solve_dp`` makes at cell
     (t, q).
     """
     ladder = instance.ladder
-    if not ladder.levels:
+    levels = ladder.levels
+    if not levels:
         raise ValueError("l* is undefined for an empty catalogue")
-    top = ladder.levels[-1]
-    if not finite(delta) or not top + delta >= -RTOL * max(1.0, top):
-        raise DeltaOutOfRange(f"shift {delta} is not finite or drives the top revenue {top} negative")
+    try:
+        finite_shift = isfinite(delta)
+    except OverflowError:  # an int or Fraction beyond the float range
+        finite_shift = False
+    if not (finite_shift and levels[-1] + delta >= ladder.shift_floor):
+        raise DeltaOutOfRange(f"shift {delta} is not finite or drives the top revenue {levels[-1]} negative")
     return _best_level(ladder, delta)[0]

@@ -1,5 +1,6 @@
 """Revenue-ordered heuristic, exact oracle, bounds, and the tight family."""
 
+import hashlib
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -8,6 +9,7 @@ from random import Random
 import pytest
 
 from assortopt import assortment
+from assortopt.generators import ASSORTMENT_FAMILIES, random_assortment_instance
 from assortopt.models import ordered_sum
 from assortopt import (
     AssortmentInstance,
@@ -25,6 +27,8 @@ from assortopt import (
     revenue_ordered,
     verify_guarantee,
 )
+
+FLOAT_BOUNDS_SHA256 = "284bc971c1c588218c44ea47800ede1b3dd3527a2646ca06c03e7764f85ac932"
 
 
 def random_ranking_instance(rng, n_max=6):
@@ -215,6 +219,28 @@ class TestBounds:
         instance = AssortmentInstance(MnlModel([0.0] * 3), [1, 3, 3.5])
         assert repr(compute_bounds(instance).bound_b_exact) == "0.5526315789473685"
 
+    def test_bound_c_of_an_exact_table_is_a_fraction(self):
+        # The optimum {1, 2} sells N_1 = 1/2 + 1/3 and N_2 = 1/3, so the sum
+        # is (N_1 - N_2) / N_1 + 1 = 8/5 and bound C is 5/8.
+        third = Fraction(1, 3)
+        rows = {(): {}, (1,): {1: third}, (2,): {2: third}, (1, 2): {1: Fraction(1, 2), 2: third}}
+        instance = AssortmentInstance(TabularModel(2, rows), [1, 2])
+        report = compute_bounds(instance, AssortmentSolution(frozenset({1, 2}), Fraction(7, 6)))
+        assert report.bound_c_exact == Fraction(5, 8) and type(report.bound_c_exact) is Fraction
+        assert report.n_masses == (float(Fraction(5, 6)), float(third))
+        assert report.nu == float(Fraction(5, 6)) / float(third)
+        assert all(type(value) is float for value in (report.bound_c_log, report.nu, *report.n_masses))
+
+    def test_float_bounds_are_unchanged(self):
+        # sha256 of the reports below, as written while bound C summed floats
+        # on every instance: float rows keep their floats bit for bit.
+        lines = []
+        for family in ASSORTMENT_FAMILIES:
+            for seed in range(30):
+                instance = random_assortment_instance(family, Random(seed))
+                lines.append(repr(compute_bounds(instance, brute_force_optimum(instance))))
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == FLOAT_BOUNDS_SHA256
+
     def test_bounds_in_unit_interval(self):
         rng = Random(99)
         for _ in range(40):
@@ -280,7 +306,7 @@ def check_technical_bound(instance, optimal):
     """revenue(S_i) >= r_i * sum_{x in S* and S_i} P(x, S*), for every level i:
     the workhorse inequality behind all three guarantees, checked on its own."""
     S_star = optimal.assortment
-    probs = dict(zip(sorted(S_star), assortment._choice_rows(instance, [S_star])[0]))
+    probs = dict(zip(sorted(S_star), instance.model.choice_row(S_star)))
     ladder = instance.ladder
     for level, S_i, lhs in zip(ladder.levels, ladder.prefixes, ladder.revenues):
         rhs = level * ordered_sum(p for x, p in probs.items() if x in S_i)

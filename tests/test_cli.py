@@ -196,6 +196,14 @@ def test_assortment_commands_read_a_multiperiod_files_base(tmp_path, capsys, com
     assert run(capsys, *command, str(base), "--json") == (0, out)
 
 
+def test_multiperiod_refuses_an_empty_catalogue(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    payload = {"model": {"type": "mnl", "mean_utilities": []}, "revenue": [], "horizon": 2, "capacity": 2}
+    _file("multiperiod", payload)(path)
+    message = _one_line_exit_2(capsys, "multiperiod", str(path))
+    assert message == f"invalid instance file {path}: the catalogue must contain at least one product\n"
+
+
 @pytest.mark.parametrize("flags", [[], ["--T", "3"], ["--Q", "2"]], ids=" ".join)
 def test_multiperiod_on_an_assortment_file_needs_both_flags(tmp_path, capsys, flags):
     path = tmp_path / "a.json"

@@ -11,7 +11,9 @@ return what ``_ref_best_level`` does on the ladder's lines;
 ``check_marginal_value``, which scans each row's marginals at once, the
 verdict and witness of the per-cell loop ``_ref_check_marginal_value``; and
 ``check_lstar_order``, which sorts the cells only when its one pass fails,
-those of the plain sort ``_ref_check_lstar_order``.
+those of the plain sort ``_ref_check_lstar_order``; and ``lstar_delta``,
+whose range check reads a floor cached on the ladder, the level or the
+error (type and message) of ``_ref_lstar_delta``, which re-derives it.
 
 The ``check_*`` functions take plain values, so they can be driven without
 hypothesis too.  Both sides of every comparison read the same floats and
@@ -19,9 +21,11 @@ apply the same operations in the same order, so this file holds on every
 supported Python.
 """
 
+import ast
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -37,9 +41,10 @@ from assortopt import (
 )
 from assortopt.assortment import RevenueLadder
 from assortopt.axioms import CheckResult
+from assortopt.errors import DeltaOutOfRange
 from assortopt.generators import ASSORTMENT_FAMILIES, random_assortment_instance
-from assortopt.models import enumerate_subsets
-from assortopt.multiperiod import RTOL, DpTable, _best_level, check_lstar_order, check_marginal_value
+from assortopt.models import enumerate_subsets, finite
+from assortopt.multiperiod import RTOL, DpTable, _best_level, check_lstar_order, check_marginal_value, lstar_delta
 
 
 def _ref_argmin_level(values, best, rtol):
@@ -283,6 +288,117 @@ def test_the_screen_answers_most_cells(base, monkeypatch):
     solve_dp(MultiPeriodInstance(base, 100, 100))
     assert calls["kernel"] == 1 + 99 * 100 // 2
     assert calls["scan"] <= 0.1 * calls["kernel"]
+
+
+# ----------------------------------------------------- the shifted-revenue query
+
+
+def _ref_lstar_delta(instance, delta):
+    """``lstar_delta`` as it was before its range check read the ladder's
+    cached floor: the same checks, re-derived on every call."""
+    ladder = instance.ladder
+    if not ladder.levels:
+        raise ValueError("l* is undefined for an empty catalogue")
+    top = ladder.levels[-1]
+    if not finite(delta) or not top + delta >= -RTOL * max(1.0, top):
+        raise DeltaOutOfRange(f"shift {delta} is not finite or drives the top revenue {top} negative")
+    return _best_level(ladder, delta)[0]
+
+
+def _query_outcome(query, instance, delta):
+    """The level, or the type and message of what the query raised."""
+    try:
+        return query(instance, delta)
+    except Exception as error:  # the comparison is of the errors themselves
+        return type(error), str(error)
+
+
+def check_lstar_delta(instance, delta):
+    assert _query_outcome(lstar_delta, instance, delta) == _query_outcome(_ref_lstar_delta, instance, delta)
+
+
+# Revenues of each type, below 1, at 1 and above 1 (at most 10**6, or huge).
+_REVENUES = {
+    "int": {"below": st.nothing(), "at": st.just(1), "above": st.one_of(st.integers(2, 10**6), st.just(2**53 + 1))},
+    "fraction": {
+        "below": st.builds(lambda a, b: Fraction(a, a + b), st.integers(1, 10**6), st.integers(1, 10**6)),
+        "at": st.just(Fraction(1)),
+        "above": st.builds(lambda a, b: Fraction(a + b, b), st.integers(1, 10**6), st.integers(1, 10**3)),
+    },
+    "float": {
+        "below": st.one_of(st.floats(1e-6, 1.0, exclude_max=True), st.just(1.0 - 2**-53)),
+        "at": st.just(1.0),
+        "above": st.one_of(st.floats(1.0, 1e6, exclude_min=True), st.sampled_from([1.0 + 2**-52, 1e300])),
+    },
+}
+
+
+@st.composite
+def _shift_cases(draw):
+    """An instance whose top revenue lies below, at or above 1, its revenues
+    ints, Fractions and floats, and shifts of every class lstar_delta sees:
+    signed zeros, NaN, infinities, ints and Fractions past the float range,
+    ints, floats, and the floor boundary of the range check a few ulps (and
+    a tiny Fraction) either side."""
+    side = draw(st.sampled_from(["below", "at", "above"]))
+    kinds = ["fraction", "float"] if side == "below" else ["int", "fraction", "float"]
+    n = draw(st.integers(1, 4))
+    revenue = [draw(_REVENUES[draw(st.sampled_from(kinds))][side]) for _ in range(n)]
+    if side == "at":
+        # The top is 1, and every other revenue lies below it.
+        revenue[1:] = [draw(_REVENUES[draw(st.sampled_from(["fraction", "float"]))]["below"]) for _ in revenue[1:]]
+    instance = AssortmentInstance(MnlModel([draw(st.floats(-2.0, 2.0)) for _ in range(n)]), revenue)
+    top = max(revenue)
+    floor = -RTOL * max(1.0, top)
+    edge = floor - float(top)
+    deltas = [0.0, -0.0, math.nan, math.inf, -math.inf, Fraction(10**400), -Fraction(10**400), 10**400, None]
+    deltas += [draw(st.integers(-(10**6), 10**6)), draw(st.floats()), -top, -math.ceil(top) - 1]
+    deltas += [_steps(edge, m) for m in range(-2, 3)]
+    deltas += [Fraction(floor) - top + Fraction(m, 10**30) for m in (-1, 0, 1)]
+    return instance, deltas
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shift_cases())
+def test_lstar_delta_matches_the_reference(case):
+    instance, deltas = case
+    for delta in deltas:
+        check_lstar_delta(instance, delta)
+
+
+def test_lstar_delta_of_an_empty_catalogue():
+    for delta in (0.0, math.nan, Fraction(10**400)):
+        check_lstar_delta(AssortmentInstance(MnlModel([]), []), delta)
+
+
+def test_lstar_delta_calls_the_kernel_once_per_accepted_shift(monkeypatch):
+    base = random_assortment_instance("mnl", Random(5), n_max=6)
+    table = solve_dp(MultiPeriodInstance(base, 40, 40))
+    calls = []
+    kernel = multiperiod._best_level
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(multiperiod, "_best_level", counted)
+    cells = [(t, q) for t in range(1, 41) for q in range(1, 41)]
+    assert all(table.lstar[t][q] == lstar_delta(base, -table.marginal(t - 1, q)) for t, q in cells)
+    assert len(calls) == len(cells)
+    for delta in (math.nan, math.inf, -base.ladder.levels[-1] - 1.0, Fraction(10**400)):
+        with pytest.raises(DeltaOutOfRange):
+            lstar_delta(base, delta)
+    assert len(calls) == len(cells)
+
+
+def test_only_the_level_kernel_reads_the_screen():
+    readers = set()
+    for path in Path(multiperiod.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(sub, ast.Attribute) and sub.attr == "screen" for sub in ast.walk(node)):
+                    readers.add(node.name)
+    assert readers == {"_best_level"}
 
 
 # ------------------------------------------------------- the marginal-value scan

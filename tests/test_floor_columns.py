@@ -11,10 +11,20 @@ over the whole of S.  Entries must match them bit for bit, type included.
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from assortopt import GraphicMatroid, StackelbergInstance, UdpMinInstance, UdpRankInstance, verify_reduction
+from assortopt import (
+    GraphicMatroid,
+    StackelbergInstance,
+    UdpMinInstance,
+    UdpRankInstance,
+    brute_force_optimum,
+    compute_bounds,
+    revenue_ordered,
+    verify_reduction,
+)
 from assortopt import stackelberg as stackelberg_module
 from assortopt import udp as udp_module
 from assortopt.generators import generate
@@ -174,3 +184,18 @@ def test_harmonic_reductions_verify_with_the_harmonic_gap(instance):
     report = verify_reduction(instance)
     assert report.passed
     assert report.opt_assortment == 25 and report.opt_pricing == 25
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("build", [harmonic_udp, harmonic_stackelberg], ids=["udp_min", "stackelberg"])
+def test_harmonic_reductions_attain_bounds_b_and_c_exactly(build, m):
+    # Levels L/i and purchase masses (m - i + 1)/m: both sums are H_m, and
+    # revenue-ordered earns L against the optimum's L * H_m.
+    instance = reduce_pricing(build(m))
+    optimum = brute_force_optimum(instance)
+    report = compute_bounds(instance, optimum)
+    expected = 1 / sum(Fraction(1, i) for i in range(1, m + 1))
+    assert report.bound_b_exact == report.bound_c_exact == expected
+    assert type(report.bound_b_exact) is type(report.bound_c_exact) is Fraction
+    ratio = revenue_ordered(instance).solution.revenue / optimum.revenue
+    assert ratio == expected and type(ratio) is Fraction

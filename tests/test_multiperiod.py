@@ -331,6 +331,8 @@ def test_multiperiod_instance_validation():
         MultiPeriodInstance(mnl_instance(), 0, 3)
     with pytest.raises(ValueError):
         MultiPeriodInstance(mnl_instance(), 3, 0)
+    with pytest.raises(ValueError, match="^the catalogue must contain at least one product$"):
+        MultiPeriodInstance(AssortmentInstance(MnlModel([]), []), 3, 3)
 
 
 @pytest.mark.parametrize("horizon, capacity", [(2.5, 2), (2, 2.0), (True, 2), (2, False)])
