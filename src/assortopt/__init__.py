@@ -41,7 +41,6 @@ from .models import (
     TightExampleModel,
     evaluate_revenue,
     expand_ranking_model,
-    kendall_distance,
 )
 from .multiperiod import (
     DpTable,

@@ -474,9 +474,11 @@ class MixedMnlModel(ChoiceModel):
         return tuple(ordered_sum(map(operator.mul, self._weights, column)) for column in zip(*rows))
 
     def columns(self, c: int, high: int = 0) -> list[list]:
-        # Every entry adds weight * (w / d) in class order from int 0, as
-        # ordered_sum does in _choice_row; repeat(0) stands for the first totals.
-        mixed = itertools.repeat(itertools.repeat(0))
+        # Every entry adds weight * (w / d) in class order from 0.0, as
+        # ordered_sum does in _choice_row from int 0: for a float term 0.0 + x
+        # and 0 + x are the same float, -0.0 included, and a float start skips
+        # the slower int + float addition.  repeat(0.0) stands for the first totals.
+        mixed = itertools.repeat(itertools.repeat(0.0))
         for weight, model in zip(self._weights, self._models):
             mixed = [[t + weight * (w / d) for t, d in zip(total, denoms)]
                      for total, (w, denoms) in zip(mixed, model._divisors(c, high))]
@@ -518,38 +520,43 @@ class StochasticPreferenceModel(ChoiceModel):
         return tuple(map(winners.__getitem__, subset))
 
     def columns(self, c: int, high: int = 0) -> list[list]:
-        # Walking a ranking down to 0, x wins exactly at the offer sets that
-        # hold x and none of the products ranked before it; each entry adds
-        # the weights of its winning rankings in ranking order from 0.0, as
-        # _choice_row does.
+        """The table in blocks, as ``ChoiceModel.columns`` lays it out, by win sets.
+
+        Walking a ranking down to 0, x wins exactly at the offer sets that
+        hold x and none of the products ranked before it, its win set; each
+        entry adds the weights of its winning rankings in ranking order from
+        0.0, as ``_choice_row`` does.  A win set depends only on x and the
+        mask of those products, so each is listed once per call and reused
+        by every later ranking with the same pair.  Only lists of at most
+        2^(EXPANSION_GUARD - 1) masks are kept, which holds every list of a
+        Mallows expansion, so that a few rankings over many products keep no
+        long list.
+        """
         highs = members_of(high, self.n)
         size = 1 << c
         columns = [[0.0] * (size >> 1) for _ in range(c)] + [[0.0] * size for _ in highs]
+        win_sets: dict[tuple[int, int], list[int]] = {}
         for weight, order in zip(self._weights, self._orders):
-            blocked: set[int] = set()  # products 1..c ranked before x
+            blocked = 0  # the mask of the products 1..c ranked before x
             for x in order[: order.index(0)]:
                 if x <= c:
                     column = columns[x - 1]
-                    free = [1 << (y - 1 if y < x else y - 2) for y in range(1, c + 1) if y != x and y not in blocked]
                 elif high >> (x - 1) & 1:
                     column = columns[c + highs.index(x)]
-                    free = [1 << (y - 1) for y in range(1, c + 1) if y not in blocked]
                 else:
                     continue
-                for index in subset_sums(free, len(free)):  # distinct bits add as they OR
+                indices = win_sets.get((x, blocked))
+                if indices is None:  # the free bits of x's column layout, which add as they OR
+                    free = [1 << (y - 1 if y < x else y - 2) for y in range(1, c + 1) if y != x and not blocked & 1 << (y - 1)]
+                    indices = subset_sums(free, len(free))
+                    if len(free) < EXPANSION_GUARD:  # at most 2^(EXPANSION_GUARD - 1) masks
+                        win_sets[x, blocked] = indices
+                for index in indices:
                     column[index] += weight
                 if x > c:
                     break  # x is offered in every set, so no later product wins
-                blocked.add(x)
+                blocked |= 1 << (x - 1)
         return columns
-
-
-def kendall_distance(a: Sequence[int], b: Sequence[int]) -> int:
-    """Number of element pairs ordered differently by the two rankings."""
-    if frozenset(a) != frozenset(b) or len(a) != len(b):
-        raise ValueError("rankings must order the same elements")
-    pos_b = {element: where for where, element in enumerate(b)}
-    return sum(i > j for i, j in itertools.combinations([pos_b[element] for element in a], 2))
 
 
 class MallowsModel(ChoiceModel):
@@ -598,15 +605,27 @@ def expand_ranking_model(model: MallowsModel) -> StochasticPreferenceModel:
 
     The normalisation constant is computed by explicit summation over the
     (n+1)! rankings rather than the closed-form product, so the expansion can
-    serve as its own oracle.  Output weights sum to 1 within 1e-9.
+    serve as its own oracle.  Output weights sum to 1 within 1e-9.  The
+    Kendall distances of all rankings from the central one come from one
+    pass over the rankings per pair of positions, and each weight is
+    exp(-theta * d) / normaliser, computed once per distance d.
     """
     n = model.n
     if n > EXPANSION_GUARD:
         raise GroundSetTooLarge(f"cannot enumerate ({n}+1)! rankings; guard is n <= {EXPANSION_GUARD}")
     rankings = list(itertools.permutations(range(n + 1)))
-    raw = [math.exp(-model.theta * kendall_distance(r, model.central_ranking)) for r in rankings]
-    normaliser = ordered_sum(raw)
-    return StochasticPreferenceModel(n, [(value / normaliser, r) for value, r in zip(raw, rankings)])
+    where = {element: at for at, element in enumerate(model.central_ranking)}
+    # Column i holds the central position of each ranking's i-th element, a
+    # byte each; a ranking's distance is the number of position pairs i < j
+    # whose columns compare greater, one pass over all rankings per pair
+    # (the leading zeros give n = 0's one ranking its distance).
+    columns = [bytes(map(where.__getitem__, column)) for column in zip(*rankings)]
+    pairs = [map(operator.gt, a, b) for a, b in itertools.combinations(columns, 2)]
+    distances = list(map(sum, zip(itertools.repeat(0, len(rankings)), *pairs)))
+    raw = [math.exp(-model.theta * d) for d in range(len(pairs) + 1)]  # by distance
+    normaliser = ordered_sum(map(raw.__getitem__, distances))
+    weights = [value / normaliser for value in raw]
+    return StochasticPreferenceModel(n, list(zip(map(weights.__getitem__, distances), rankings)))
 
 
 class CapacityFunction:

@@ -204,6 +204,14 @@ def test_multiperiod_refuses_an_empty_catalogue(tmp_path, capsys):
     assert message == f"invalid instance file {path}: the catalogue must contain at least one product\n"
 
 
+def test_solve_refuses_a_mallows_centre_that_is_no_permutation(tmp_path, capsys):
+    path = tmp_path / "mallows.json"
+    _file("assortment", {"model": {"type": "mallows", "central_ranking": [0, 1, 1], "theta": 0.5},
+                         "revenue": [1.0, 2.0]})(path)
+    message = _one_line_exit_2(capsys, "solve", str(path))
+    assert message == f"invalid instance file {path}: (0, 1, 1) is not a permutation of 0..2\n"
+
+
 @pytest.mark.parametrize("flags", [[], ["--T", "3"], ["--Q", "2"]], ids=" ".join)
 def test_multiperiod_on_an_assortment_file_needs_both_flags(tmp_path, capsys, flags):
     path = tmp_path / "a.json"

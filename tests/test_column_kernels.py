@@ -68,7 +68,8 @@ def ref_mnl_columns(model, c, high):
 
 def ref_mixed_columns(weights, component_columns):
     # operator.mul, not weight.__mul__: an int weight scales the float quotients of its class.
-    mixed = itertools.repeat(itertools.repeat(0))
+    # The totals start from 0.0, as the kernel's do, so a class of Fractions mixes into floats.
+    mixed = itertools.repeat(itertools.repeat(0.0))
     for weight, columns in zip(weights, component_columns):
         mixed = [
             list(map(operator.add, total, map(operator.mul, itertools.repeat(weight), column)))

@@ -1,5 +1,6 @@
 """Model family evaluation against closed forms and hand-computed oracles."""
 
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -22,7 +23,6 @@ from assortopt import (
     TightExampleModel,
     evaluate_revenue,
     expand_ranking_model,
-    kendall_distance,
 )
 from assortopt.generators import ASSORTMENT_FAMILIES, generate
 from assortopt.io import instance_from_dict
@@ -171,6 +171,15 @@ class TestStochasticPreference:
         for subset in enumerate_subsets(n):
             overall = model.evaluate(0, subset) + sum(model.evaluate(x, subset) for x in subset)
             assert abs(overall - 1.0) <= 1e-12
+
+
+def kendall_distance(a, b):
+    """Number of element pairs ordered differently by the two rankings: the
+    reference that the Mallows expansion's distances are checked against."""
+    if frozenset(a) != frozenset(b) or len(a) != len(b):
+        raise ValueError("rankings must order the same elements")
+    pos_b = {element: where for where, element in enumerate(b)}
+    return sum(i > j for i, j in itertools.combinations([pos_b[element] for element in a], 2))
 
 
 class TestKendall:
@@ -344,6 +353,9 @@ def _coverage(n, weights=(0.5,), covers=None):
         (lambda: MixedMnlModel([(0.5, [0.0]), (0.5, [0.0, 1.0])]),
          "all mixture components must share the product count"),
         (lambda: MallowsModel((0, 1, 2), -0.5), "theta must be nonnegative"),
+        (lambda: MallowsModel((0, 1, 1), 0.5), "(0, 1, 1) is not a permutation of 0..2"),
+        (lambda: StochasticPreferenceModel(1, []), "at least one ranking is required"),
+        (lambda: StochasticPreferenceModel(2, [(1.0, (0, 1, 1))]), "(0, 1, 1) is not a permutation of 0..2"),
         (lambda: HfamModel((1, 2), _coverage(1)), "capacity and preference must cover the same products"),
         (lambda: _coverage(1, weights=(0.5, -0.25)), "point weights must be nonnegative"),
         (lambda: _coverage(1, weights=(0.75, 0.5)), "point weights must sum to at most 1"),
@@ -352,7 +364,8 @@ def _coverage(n, weights=(0.5,), covers=None):
         (lambda: HfamModel((1, 1), _coverage(2)), "(1, 1) is not a permutation of 1..2"),
         (lambda: HfamModel((2, 1), _coverage(3)), "capacity and preference must cover the same products"),
     ],
-    ids=["mixture_empty", "mixture_counts", "mallows_theta",
+    ids=["mixture_empty", "mixture_counts", "mallows_theta", "mallows_permutation",
+         "rankings_empty", "ranking_permutation",
          "cover_count", "point_weight_negative", "point_weights_above_one", "cover_point_above", "cover_point_below",
          "hfam_permutation", "hfam_capacity"],
 )
