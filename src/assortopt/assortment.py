@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -144,8 +145,28 @@ class RevenueLadder:
     @cached_property
     def shift_floor(self) -> float:
         """-RTOL max(1, r_k): the least value the top revenue may take after a
-        shift, below which ``lstar_delta`` refuses the shift.  Needs a level."""
+        shift.  ``lstar_delta`` checks a shift that is not a float of
+        ``shift_interval`` against it.  Needs a level."""
         return -RTOL * max(1.0, self.levels[-1])
+
+    @cached_property
+    def shift_interval(self) -> tuple[float, float]:
+        """A closed interval [low, high] of float shifts delta that all pass
+        ``lstar_delta``'s range check: delta finite and r_k + delta >=
+        ``shift_floor``, evaluated as the check writes it.  Whatever the type
+        of r_k, that sum is the float sum float(r_k) + delta, monotone in
+        delta, so once low passes every float up to high, the largest finite
+        float, passes too.  low is the first passing float at or above
+        shift_floor - float(r_k), the boundary rounded to nearest; a float
+        below low that passed would only take the full check.  An empty
+        catalogue's interval, (inf, -inf), holds no float."""
+        if not self.levels:
+            return math.inf, -math.inf
+        top, floor = self.levels[-1], self.shift_floor
+        low = floor - float(top)  # -inf when it overflows, which fails
+        while not top + low >= floor:
+            low = math.nextafter(low, math.inf)
+        return low, sys.float_info.max
 
     @cached_property
     def screen(self) -> tuple[list[float], list[tuple[float, int, float, float]]]:

@@ -47,6 +47,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
 from math import isfinite
+from operator import gt, lt
 
 # revenue_ladder is re-exported for the callers that import it from here.
 from .assortment import RTOL, AssortmentInstance, RevenueLadder, revenue_ladder  # noqa: F401
@@ -56,7 +57,13 @@ from .models import CELL_GUARD, GUARD, finite
 
 
 class MultiPeriodInstance:
-    """An assortment instance with a selling horizon and an inventory cap."""
+    """An assortment instance with a selling horizon and an inventory cap.
+
+    ``base`` (the ``AssortmentInstance``), ``horizon`` and ``capacity`` are
+    plain attributes, so the DP and its per-cell checks read them with no
+    property call.  They are set once, by the checked constructor, and
+    cannot be reassigned.
+    """
 
     def __init__(self, base: AssortmentInstance, horizon: int, capacity: int):
         if type(horizon) is not int or type(capacity) is not int:
@@ -67,25 +74,14 @@ class MultiPeriodInstance:
             raise ValueError("the catalogue must contain at least one product")
         if not finite(min(horizon, capacity) * max(base.revenue)):  # bounds every J the DP forms
             raise ValueError("min(horizon, capacity) x the top revenue overflows a float")
-        self._base = base
-        self._horizon = horizon
-        self._capacity = capacity
+        vars(self).update(base=base, horizon=horizon, capacity=capacity)
 
-    @property
-    def base(self) -> AssortmentInstance:
-        return self._base
-
-    @property
-    def horizon(self) -> int:
-        return self._horizon
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MultiPeriodInstance.{name} cannot be assigned")
 
     @property
     def ladder(self) -> RevenueLadder:
-        return self._base.ladder
+        return self.base.ladder
 
 
 @dataclass(frozen=True)
@@ -109,7 +105,8 @@ class DpTable:
 
     def marginal(self, t: int, q: int) -> float:
         """Delta J_t(q) = J_t(q) - J_t(q-1), the value of one inventory unit."""
-        return self.value[t][q] - self.value[t][q - 1]
+        row = self.value[t]
+        return row[q] - row[q - 1]
 
 
 def _best_level(ladder: RevenueLadder, delta: float) -> tuple[int, float]:
@@ -190,15 +187,17 @@ def solve_dp(instance: MultiPeriodInstance) -> DpTable:
 
 def check_nesting_monotonicity(table: DpTable) -> CheckResult:
     """l*_t(q) never grows with remaining capacity and never shrinks with
-    remaining time; the witness names the first violating cell."""
-    for t in range(1, table.horizon + 1):
-        for q in range(2, table.capacity + 1):
-            if table.lstar[t][q] > table.lstar[t][q - 1]:
-                return CheckResult(False, ("capacity", t, q))
-    for t in range(2, table.horizon + 1):
-        for q in range(1, table.capacity + 1):
-            if table.lstar[t][q] < table.lstar[t - 1][q]:
-                return CheckResult(False, ("time", t, q))
+    remaining time; the witness names the first violating cell.  Each row is
+    screened in one pass; only the first failing row is searched by index."""
+    T, Q = table.horizon, table.capacity
+    for t in range(1, T + 1):
+        row = table.lstar[t]
+        if any(map(gt, row[2 : Q + 1], row[1:Q])):
+            return CheckResult(False, ("capacity", t, next(q for q in range(2, Q + 1) if row[q] > row[q - 1])))
+    for t in range(2, T + 1):
+        row, before = table.lstar[t], table.lstar[t - 1]
+        if any(map(lt, row[1 : Q + 1], before[1 : Q + 1])):
+            return CheckResult(False, ("time", t, next(q for q in range(1, Q + 1) if row[q] < before[q])))
     return CheckResult(True)
 
 
@@ -282,21 +281,26 @@ def lstar_delta(instance: AssortmentInstance, delta: float) -> int:
 
     The shift must be finite (inf - inf is NaN, so an infinite one would tie
     no level with the maximum) and keep the top revenue nonnegative: r_k +
-    delta >= ``RevenueLadder.shift_floor``, a constant cached on the ladder,
-    so the range check reads it and one ``_best_level`` call picks the level.
-    As delta grows the result can only decrease (larger assortments become
-    optimal), which is what makes the DP thresholds monotone.  With
-    delta = -marginal(t-1, q) this is the choice ``solve_dp`` makes at cell
-    (t, q).
+    delta >= ``RevenueLadder.shift_floor``.  A float shift is accepted by two
+    comparisons with ``RevenueLadder.shift_interval``, floats that all pass
+    that check, cached on the ladder; every other shift (an int, a Fraction,
+    NaN, an infinity, a float outside the interval, any shift on an empty
+    catalogue) goes through the finite and floor checks themselves.  One
+    ``_best_level`` call then picks the level.  As delta grows the result can
+    only decrease (larger assortments become optimal), which is what makes
+    the DP thresholds monotone.  With delta = -marginal(t-1, q) this is the
+    choice ``solve_dp`` makes at cell (t, q).
     """
     ladder = instance.ladder
-    levels = ladder.levels
-    if not levels:
-        raise ValueError("l* is undefined for an empty catalogue")
-    try:
-        finite_shift = isfinite(delta)
-    except OverflowError:  # an int or Fraction beyond the float range
-        finite_shift = False
-    if not (finite_shift and levels[-1] + delta >= ladder.shift_floor):
-        raise DeltaOutOfRange(f"shift {delta} is not finite or drives the top revenue {levels[-1]} negative")
+    low, high = ladder.shift_interval
+    if type(delta) is not float or not low <= delta <= high:
+        levels = ladder.levels
+        if not levels:
+            raise ValueError("l* is undefined for an empty catalogue")
+        try:
+            finite_shift = isfinite(delta)
+        except OverflowError:  # an int or Fraction beyond the float range
+            finite_shift = False
+        if not (finite_shift and levels[-1] + delta >= ladder.shift_floor):
+            raise DeltaOutOfRange(f"shift {delta} is not finite or drives the top revenue {levels[-1]} negative")
     return _best_level(ladder, delta)[0]

@@ -3,6 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,6 +187,18 @@ def test_multiperiod_check(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["nesting_monotonicity"] and report["marginal_value"] and report["lstar_agreement"]
+
+
+def test_the_module_runs_as_a_command(tmp_path):
+    path = tmp_path / "mp.json"
+    assert main(["gen", "multiperiod", "--seed", "2", "-o", str(path)]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    command = [sys.executable, "-m", "assortopt.cli", "multiperiod", str(path), "--check", "--json"]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["nesting_monotonicity"] is report["marginal_value"] is report["lstar_agreement"] is True
 
 
 @pytest.mark.parametrize("command", [["solve", "--bounds"], ["bounds", "--with-optimal"]], ids=" ".join)

@@ -11,9 +11,12 @@ return what ``_ref_best_level`` does on the ladder's lines;
 ``check_marginal_value``, which scans each row's marginals at once, the
 verdict and witness of the per-cell loop ``_ref_check_marginal_value``; and
 ``check_lstar_order``, which sorts the cells only when its one pass fails,
-those of the plain sort ``_ref_check_lstar_order``; and ``lstar_delta``,
-whose range check reads a floor cached on the ladder, the level or the
-error (type and message) of ``_ref_lstar_delta``, which re-derives it.
+those of the plain sort ``_ref_check_lstar_order``; ``lstar_delta``,
+which accepts a float shift by comparing it with an interval cached on the
+ladder, the level or the error (type and message) of ``_ref_lstar_delta``,
+which re-derives its range check; and ``check_nesting_monotonicity``, which
+screens each row in one pass, the verdict and witness of the double loop
+``_ref_check_nesting``.
 
 The ``check_*`` functions take plain values, so they can be driven without
 hypothesis too.  Both sides of every comparison read the same floats and
@@ -24,6 +27,7 @@ supported Python.
 import ast
 import itertools
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -44,7 +48,15 @@ from assortopt.axioms import CheckResult
 from assortopt.errors import DeltaOutOfRange
 from assortopt.generators import ASSORTMENT_FAMILIES, random_assortment_instance
 from assortopt.models import enumerate_subsets, finite
-from assortopt.multiperiod import RTOL, DpTable, _best_level, check_lstar_order, check_marginal_value, lstar_delta
+from assortopt.multiperiod import (
+    RTOL,
+    DpTable,
+    _best_level,
+    check_lstar_order,
+    check_marginal_value,
+    check_nesting_monotonicity,
+    lstar_delta,
+)
 
 
 def _ref_argmin_level(values, best, rtol):
@@ -338,8 +350,10 @@ def _shift_cases(draw):
     """An instance whose top revenue lies below, at or above 1, its revenues
     ints, Fractions and floats, and shifts of every class lstar_delta sees:
     signed zeros, NaN, infinities, ints and Fractions past the float range,
-    ints, floats, and the floor boundary of the range check a few ulps (and
-    a tiny Fraction) either side."""
+    ints, floats, the floor boundary of the range check a few ulps (and a
+    tiny Fraction) either side, and the ends of the ladder's float interval:
+    its low end and two ulps either side, the least subnormal and the
+    largest finite float."""
     side = draw(st.sampled_from(["below", "at", "above"]))
     kinds = ["fraction", "float"] if side == "below" else ["int", "fraction", "float"]
     n = draw(st.integers(1, 4))
@@ -355,6 +369,8 @@ def _shift_cases(draw):
     deltas += [draw(st.integers(-(10**6), 10**6)), draw(st.floats()), -top, -math.ceil(top) - 1]
     deltas += [_steps(edge, m) for m in range(-2, 3)]
     deltas += [Fraction(floor) - top + Fraction(m, 10**30) for m in (-1, 0, 1)]
+    low = instance.ladder.shift_interval[0]
+    deltas += [_steps(low, m) for m in range(-2, 3)] + [5e-324, sys.float_info.max]
     return instance, deltas
 
 
@@ -369,6 +385,15 @@ def test_lstar_delta_matches_the_reference(case):
 def test_lstar_delta_of_an_empty_catalogue():
     for delta in (0.0, math.nan, Fraction(10**400)):
         check_lstar_delta(AssortmentInstance(MnlModel([]), []), delta)
+
+
+def test_an_empty_catalogues_interval_accepts_no_float():
+    empty = AssortmentInstance(MnlModel([]), [])
+    low, high = empty.ladder.shift_interval
+    floats = (-sys.float_info.max, -1.0, -0.0, 0.0, 5e-324, 1.0, sys.float_info.max, -math.inf, math.inf)
+    assert not any(low <= delta <= high for delta in floats)
+    for delta in floats:
+        check_lstar_delta(empty, delta)
 
 
 def test_lstar_delta_calls_the_kernel_once_per_accepted_shift(monkeypatch):
@@ -485,6 +510,48 @@ def test_marginal_scan_on_perturbed_tables(seed, horizon, capacity, bumps):
     base = random_assortment_instance(family, Random(seed), n_max=5)
     table = solve_dp(MultiPeriodInstance(base, horizon, capacity))
     check_marginal_scan(_perturbed(table, [(t % (horizon + 1), q % (capacity + 1), a) for t, q, a in bumps]))
+
+
+# -------------------------------------------------------- the nesting check
+
+
+def _ref_check_nesting(table):
+    for t in range(1, table.horizon + 1):
+        for q in range(2, table.capacity + 1):
+            if table.lstar[t][q] > table.lstar[t][q - 1]:
+                return CheckResult(False, ("capacity", t, q))
+    for t in range(2, table.horizon + 1):
+        for q in range(1, table.capacity + 1):
+            if table.lstar[t][q] < table.lstar[t - 1][q]:
+                return CheckResult(False, ("time", t, q))
+    return CheckResult(True)
+
+
+@st.composite
+def _nesting_tables(draw):
+    """A table of levels 1..4 that passes the check, non-increasing in q and
+    non-decreasing in t from row 1, with up to four cells then set to any
+    level, most of them in the first or last row (row 0 included) and the
+    first or last columns (column 0 included)."""
+    T, Q = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    lstar = [[1] * (Q + 1) for _ in range(T + 1)]
+    for t in range(1, T + 1):
+        for q in range(1, Q + 1):
+            least = lstar[t - 1][q] if t > 1 else 1
+            most = lstar[t][q - 1] if q > 1 else 4
+            lstar[t][q] = draw(st.integers(least, most))
+    rows = st.one_of(st.sampled_from([0, 1, T]), st.integers(0, T))
+    columns = st.one_of(st.sampled_from([0, 1, min(2, Q), Q]), st.integers(0, Q))
+    for t, q, level in draw(st.lists(st.tuples(rows, columns, st.integers(1, 4)), max_size=4)):
+        lstar[t][q] = level
+    value = tuple((0.0,) * (Q + 1) for _ in range(T + 1))
+    return DpTable(T, Q, 4, value, tuple(map(tuple, lstar)), None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nesting_tables())
+def test_nesting_check_matches_the_reference(table):
+    assert repr(check_nesting_monotonicity(table)) == repr(_ref_check_nesting(table))
 
 
 # ------------------------------------------------------------ the l* order check

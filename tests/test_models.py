@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from assortopt import (
     ChoiceModel,
     CoverageCapacity,
+    GraphicMatroid,
     HfamModel,
     InvalidEpsilon,
     MallowsModel,
+    Matroid,
     MixedMnlModel,
     MnlModel,
     NonPositiveRevenue,
@@ -21,6 +23,8 @@ from assortopt import (
     TableCapacity,
     TabularModel,
     TightExampleModel,
+    UdpMinInstance,
+    UdpRankInstance,
     evaluate_revenue,
     expand_ranking_model,
 )
@@ -363,11 +367,24 @@ def _coverage(n, weights=(0.5,), covers=None):
         (lambda: _coverage(1, covers=[{-1}]), "cover sets must reference ground points 0..len(weights)-1"),
         (lambda: HfamModel((1, 1), _coverage(2)), "(1, 1) is not a permutation of 1..2"),
         (lambda: HfamModel((2, 1), _coverage(3)), "capacity and preference must cover the same products"),
+        (lambda: TableCapacity(2, {(): 0.0, (1,): 0.5, (2,): 0.5}), "capacity table is missing subset [1, 2]"),
+        (lambda: TableCapacity(1, {(): 0.0, (1,): 1.5}), "capacity 1.5 outside [0, 1] on [1]"),
+        (lambda: Matroid(["a", "b", "a"]), "ground set elements must be distinct"),
+        (lambda: GraphicMatroid(0, []), "at least one vertex is required"),
+        (lambda: GraphicMatroid(2, [(0, 1), (1, 2)]), "edge (1, 2) references unknown vertices"),
+        (lambda: UdpMinInstance(0, [({1}, 1.0)]), "at least one item is required"),
+        (lambda: UdpMinInstance(1, []), "at least one consumer is required"),
+        (lambda: UdpRankInstance(0, [((), ())]), "at least one item is required"),
+        (lambda: UdpRankInstance(1, []), "at least one consumer is required"),
+        (lambda: UdpRankInstance(2, [((2, 1), (1.0,))]), "one valuation per item is required"),
     ],
     ids=["mixture_empty", "mixture_counts", "mallows_theta", "mallows_permutation",
          "rankings_empty", "ranking_permutation",
          "cover_count", "point_weight_negative", "point_weights_above_one", "cover_point_above", "cover_point_below",
-         "hfam_permutation", "hfam_capacity"],
+         "hfam_permutation", "hfam_capacity",
+         "capacity_missing_subset", "capacity_above_one", "matroid_duplicates", "graph_no_vertex",
+         "graph_unknown_vertex", "udp_min_no_item", "udp_min_no_consumer", "udp_rank_no_item",
+         "udp_rank_no_consumer", "udp_rank_valuations"],
 )
 def test_constructor_refusals_name_what_is_wrong(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -348,6 +348,14 @@ def test_values_beyond_the_float_range_are_refused():
     assert solve_dp(MultiPeriodInstance(base, 1, 6)).value[1][6] < float("inf")
 
 
+@pytest.mark.parametrize("name, value", [("capacity", 10**400), ("horizon", 1.5), ("base", None)])
+def test_the_checked_fields_cannot_be_reassigned(name, value):
+    instance = MultiPeriodInstance(mnl_instance(), 3, 3)
+    with pytest.raises(AttributeError, match=f"^MultiPeriodInstance.{name} cannot be assigned$"):
+        setattr(instance, name, value)
+    assert (instance.horizon, instance.capacity) == (3, 3)
+
+
 def _unread_ladder(monkeypatch):
     """Fail at once if the DP reads the ladder: a DP past the cell guard must
     refuse before it reads or builds anything."""
