@@ -39,7 +39,6 @@ from .models import (
     TableCapacity,
     TabularModel,
     TightExampleModel,
-    evaluate_revenue,
     expand_ranking_model,
 )
 from .multiperiod import (

@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .axioms import AxiomReport, _check_axioms
 from .errors import NonPositiveRevenue, RegularityViolation
@@ -30,7 +30,6 @@ from .models import (
     as_probabilities,
     check_guard,
     column_sums,
-    evaluate_revenue,
     finite,
     members_of,
     ordered_sum,
@@ -82,9 +81,6 @@ class AssortmentInstance:
     def levels(self) -> tuple:
         """Distinct revenue values r_1 < ... < r_k (exact-equality dedup)."""
         return tuple(sorted(set(self._revenue)))
-
-    def assortment_revenue(self, S: Iterable[int]):
-        return evaluate_revenue(self._model, self._revenue, S)
 
     @cached_property
     def ladder(self) -> "RevenueLadder":
@@ -289,8 +285,8 @@ def revenue_ordered(instance: AssortmentInstance) -> RevenueOrderedResult:
 def brute_force_optimum(instance: AssortmentInstance) -> AssortmentSolution:
     """Exact optimum by enumerating every subset (the empty set included).
 
-    Each offer set's revenue adds p * r in ascending product order from
-    int 0, the same value as :func:`assortopt.models.evaluate_revenue`.  The
+    Each offer set's revenue is the ``ordered_sum`` of p * r in ascending
+    product order, as ``column_sums`` adds it with revenues as factors.  The
     largest revenue wins, ties going to the lexicographically smallest
     subset, so the result is deterministic; a NaN revenue never wins.
     ``GUARD`` is checked first, before the screen or any block.
@@ -416,7 +412,7 @@ def brute_force_optimum(instance: AssortmentInstance) -> AssortmentSolution:
         cut = max(cut, top * keep - slack)
         for m in [m for m, s in enumerate(scores) if s >= cut]:
             members = members_of(high | m, n)
-            value = scores[m] if not screened else ordered_sum(  # as evaluate_revenue adds it
+            value = scores[m] if not screened else ordered_sum(  # as column_sums adds it
                 p * revenue[x - 1] for x, p in zip(members, model._choice_row(members)))
             if value > best_revenue or (value == best_revenue and members < best_key):
                 best_key, best_revenue = members, value

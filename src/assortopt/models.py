@@ -55,7 +55,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import GroundSetTooLarge, InvalidEpsilon, NonPositiveRevenue
+from .errors import GroundSetTooLarge, InvalidEpsilon
 
 Subset = frozenset[int]
 
@@ -198,8 +198,8 @@ def column_sums(columns: Iterable[list], c: int, factors: Sequence | None = None
 
     A column of a product x <= c is in its bit-removed layout and adds only
     at the masks holding x, so each total is the ``ordered_sum`` of its
-    offer set's row (of p * r, with revenues as factors, as
-    ``evaluate_revenue`` adds it).  Any later column holds all 2^c masks.
+    offer set's row (of p * r, with revenues as factors, in ascending
+    product order).  Any later column holds all 2^c masks.
     """
     size = 1 << c
     total = [0] * size
@@ -628,18 +628,7 @@ def expand_ranking_model(model: MallowsModel) -> StochasticPreferenceModel:
     return StochasticPreferenceModel(n, list(zip(map(weights.__getitem__, distances), rankings)))
 
 
-class CapacityFunction:
-    """Monotone submodular attention capacity phi: 2^{1..n} -> [0, 1]."""
-
-    @property
-    def n(self) -> int:
-        raise NotImplementedError
-
-    def value(self, S: Iterable[int]) -> float:
-        raise NotImplementedError
-
-
-class TableCapacity(CapacityFunction):
+class TableCapacity:
     """Capacity given as an explicit table over all subsets.
 
     Construction verifies phi(empty) = 0, monotonicity and submodularity
@@ -682,7 +671,7 @@ class TableCapacity(CapacityFunction):
         return self._table[frozenset(S)]
 
 
-class CoverageCapacity(CapacityFunction):
+class CoverageCapacity:
     """Weighted-coverage capacity: phi(S) = total weight of ground points covered by S.
 
     Coverage functions are monotone and submodular by construction; the
@@ -728,12 +717,13 @@ class CoverageCapacity(CapacityFunction):
 class HfamModel(ChoiceModel):
     """Attention model driven by a strict preference and a capacity function.
 
+    The capacity phi: 2^{1..n} -> [0, 1] is monotone and submodular.
     Walking the offer set in preference order, product x captures the
     capacity increment phi(prior + x) - phi(prior) where prior is the set of
     offered products preferred to x.
     """
 
-    def __init__(self, preference: Sequence[int], capacity: CapacityFunction):
+    def __init__(self, preference: Sequence[int], capacity: CoverageCapacity | TableCapacity):
         order = tuple(preference)
         n = len(order)
         if frozenset(order) != frozenset(range(1, n + 1)):
@@ -750,7 +740,7 @@ class HfamModel(ChoiceModel):
         return self._preference
 
     @property
-    def capacity(self) -> CapacityFunction:
+    def capacity(self) -> CoverageCapacity | TableCapacity:
         return self._capacity
 
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
@@ -797,27 +787,8 @@ class TightExampleModel(ChoiceModel):
     def pairs(self) -> tuple[tuple[int, int], ...]:
         return self._pairs
 
-    def index_of(self, i: int, j: int) -> int:
-        return self._pairs.index((i, j)) + 1
-
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
         # Pairs are indexed in row order, so the first offered pair of a row
         # is its cheapest; rows start at 1, so 0 precedes the first.
         rows = [self._pairs[x - 1][0] for x in subset]
         return tuple(0.0 if i == before else self._epsilon**i for before, i in zip((0, *rows), rows))
-
-
-def evaluate_revenue(model: ChoiceModel, revenue: Sequence[float], S: Iterable[int]):
-    """Expected revenue sum_{x in S} P(x, S) * r(x) of offering S.
-
-    Revenues are indexed by product (revenue[x-1] is the price of x) and
-    must all be positive.  Summation runs in ascending product order so the
-    result is deterministic.
-    """
-    if len(revenue) != model.n:
-        raise ValueError("one revenue per product is required")
-    for x, r in enumerate(revenue, start=1):
-        if not r > 0:
-            raise NonPositiveRevenue(f"revenue of product {x} is {r}; must be > 0")
-    members = sorted(frozenset(S))
-    return ordered_sum(p * revenue[x - 1] for x, p in zip(members, model.choice_row(members)))

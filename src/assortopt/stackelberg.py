@@ -22,7 +22,8 @@ Element = Hashable
 
 
 class Matroid:
-    """A ground set with a pure independence predicate."""
+    """A ground set with an incremental independence test, ``extender``,
+    which every matroid defines and every set test scans."""
 
     def __init__(self, ground: Iterable[Element]):
         self._ground = tuple(ground)
@@ -34,21 +35,14 @@ class Matroid:
         return self._ground
 
     def is_independent(self, subset: Iterable[Element]) -> bool:
-        raise NotImplementedError
+        """One scan of a fresh ``extender``, so an element listed twice is dependent."""
+        return all(map(self.extender(), subset))
 
     def extender(self) -> Callable[[Element], bool]:
         """A fresh independence test for one greedy scan: each call says
         whether the element, added to every element the test has accepted so
         far, is independent, and accepts it if so."""
-        accepted: list[Element] = []
-
-        def extend(element: Element) -> bool:
-            if self.is_independent(accepted + [element]):
-                accepted.append(element)
-                return True
-            return False
-
-        return extend
+        raise NotImplementedError(f"{type(self).__name__} does not define extender")
 
     def rank(self) -> int:
         return len(greedy(self, self._ground, self._ground))
@@ -59,7 +53,7 @@ class GraphicMatroid(Matroid):
 
     Parallel edges are allowed (two of them already form a cycle) and a
     self-loop is dependent on its own.  The vertices that edges touch are
-    numbered once, so the union-find of ``is_independent`` is sized by them,
+    numbered once, so the union-find of ``extender`` is sized by them,
     not by ``n_vertices``.
     """
 
@@ -84,10 +78,6 @@ class GraphicMatroid(Matroid):
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         return self._edges
-
-    def is_independent(self, subset: Iterable[Element]) -> bool:
-        extend = self.extender()
-        return all(extend(index) for index in subset)
 
     def extender(self) -> Callable[[Element], bool]:
         """One union-find kept across the scan: an edge is accepted when its
@@ -174,16 +164,15 @@ def _sort_key(element: Element) -> tuple:
     return (1, 0, repr(element))
 
 
+def _follower_order(elements: Iterable[Element], costs: Mapping[Element, float], blue: frozenset) -> tuple:
+    """The follower's tie rule: ascending cost, blue before red on ties,
+    element identity as the final (revenue-irrelevant) tie-break."""
+    return tuple(sorted(elements, key=lambda element: (costs[element], element not in blue, _sort_key(element))))
+
+
 def cost_compatible_ordering(instance: StackelbergInstance, prices: Mapping[Element, float]) -> tuple:
-    """The canonical follower ordering: ascending cost, blue before red on
-    ties, element identity as the final (revenue-irrelevant) tie-break."""
-    costs = instance.effective_costs(prices)
-    blue = instance.blue
-
-    def key(element: Element) -> tuple:
-        return (costs[element], 0 if element in blue else 1, _sort_key(element))
-
-    return tuple(sorted(instance.matroid.ground, key=key))
+    """The canonical follower ordering of the ground set under the given prices."""
+    return _follower_order(instance.matroid.ground, instance.effective_costs(prices), instance.blue)
 
 
 @dataclass(frozen=True)
@@ -249,15 +238,6 @@ class PricedCopyMatroid(Matroid):
         super().__init__(tuple(reds) + self.pairs)
         self._reds = frozenset(reds)
 
-    def is_independent(self, subset: Iterable[Element]) -> bool:
-        members = frozenset(subset)
-        reds = {e for e in members if e in self._reds}
-        copies = members - reds
-        chosen_blue = [e for e, _ in copies]
-        if len(chosen_blue) != len(set(chosen_blue)):
-            return False
-        return self._base.is_independent(reds | set(chosen_blue))
-
     def extender(self) -> Callable[[Element], bool]:
         """The base's test on the projection: a red element as itself, a
         copy as its blue element unless a copy of that one was accepted."""
@@ -291,24 +271,10 @@ class StackelbergChoiceModel(_FloorChoiceModel):
     def __init__(self, instance: StackelbergInstance):
         self._aux = PricedCopyMatroid(instance.matroid, instance.blue, instance.cost_levels)
         super().__init__(instance, self._aux.catalogue)
-        self._reds = frozenset(e for e in instance.matroid.ground if e not in instance.blue)
-        red_costs = instance.red_costs
-
-        def key(element: Element) -> tuple:
-            if element in self._reds:
-                return (red_costs[element], 1, _sort_key(element))
-            return (element[1], 0, _sort_key(element))
-
-        self._order = tuple(sorted(self._aux.ground, key=key))
+        self._reds = self._aux._reds
+        costs = {**instance.red_costs, **{pair: pair[1] for pair in self.pairs}}
+        self._order = _follower_order(self._aux.ground, costs, frozenset(self.pairs))
         self.denominator = len(instance.blue) or 1  # 1 keeps an empty catalogue's table well defined
-
-    @property
-    def auxiliary_matroid(self) -> PricedCopyMatroid:
-        return self._aux
-
-    @property
-    def reference_order(self) -> tuple:
-        return self._order
 
     def _numerators(self, floor: tuple[int, ...]) -> dict[int, int]:
         selection = greedy(self._aux, self._reds | {self.pairs[where - 1] for where in floor}, self._order)

@@ -298,13 +298,9 @@ class _FloorChoiceModel(ChoiceModel):
         self._catalogue = catalogue
         self.pairs = catalogue.pairs
 
-    @property
-    def pair_catalogue(self) -> _PairCatalogue:
-        return self._catalogue
-
     def _numerators(self, floor: tuple[int, ...]) -> Mapping[int, int]:
         """P(x, floor) * denominator for every pair x of the floor set that sells."""
-        raise NotImplementedError
+        raise NotImplementedError(f"{type(self).__name__} does not define _numerators")
 
     def _choice_row(self, subset: tuple[int, ...]) -> tuple:
         floor = self._catalogue.floor_masks(0, sum(1 << (x - 1) for x in subset))[0]

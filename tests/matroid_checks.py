@@ -24,7 +24,8 @@ MATROID_GUARD = 8  # largest ground set whose 2^n subsets check_matroid_axioms p
 
 class FunctionMatroid(Matroid):
     """Independence supplied as a callable; also hosts non-matroid sentinels
-    used to test the property checks."""
+    used to test the property checks.  Its set test is the callable itself,
+    and its scan asks the callable about each grown set anew."""
 
     def __init__(self, ground: Iterable, predicate: Callable[[frozenset], bool]):
         super().__init__(ground)
@@ -32,6 +33,17 @@ class FunctionMatroid(Matroid):
 
     def is_independent(self, subset: Iterable) -> bool:
         return self._predicate(frozenset(subset))
+
+    def extender(self) -> Callable[[object], bool]:
+        accepted: list = []
+
+        def extend(element) -> bool:
+            if self.is_independent(accepted + [element]):
+                accepted.append(element)
+                return True
+            return False
+
+        return extend
 
 
 def check_matroid_axioms(matroid: Matroid) -> bool:

@@ -41,6 +41,7 @@ from assortopt.generators import (
 )
 from assortopt.stackelberg import GraphicMatroid, PricedCopyMatroid
 from matroid_checks import FunctionMatroid, check_greedy_nesting, check_matroid_axioms, check_tiebreak_independence
+from test_models import evaluate_revenue
 
 
 def report(number: int, description: str, passed: bool) -> None:
@@ -59,8 +60,8 @@ def test_criterion_01_tight_family_reaches_k():
         level_sum = 1.0 / compute_bounds(instance).bound_b_exact
         ok &= k - 0.01 <= level_sum <= k
         model = instance.model
-        diagonal = frozenset(model.index_of(i, i) for i in range(1, k + 1))
-        solution = AssortmentSolution(diagonal, instance.assortment_revenue(diagonal))
+        diagonal = frozenset(model.pairs.index((i, i)) + 1 for i in range(1, k + 1))
+        solution = AssortmentSolution(diagonal, evaluate_revenue(model, instance.revenue, diagonal))
         mass_sum = 1.0 / compute_bounds(instance, solution).bound_c_exact
         ok &= k - 0.01 <= mass_sum <= k
     elapsed = time.perf_counter() - started

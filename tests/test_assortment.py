@@ -11,6 +11,7 @@ import pytest
 from assortopt import assortment
 from assortopt.generators import ASSORTMENT_FAMILIES, random_assortment_instance
 from assortopt.models import ordered_sum
+from test_models import evaluate_revenue
 from assortopt import (
     AssortmentInstance,
     AssortmentSolution,
@@ -114,7 +115,7 @@ class TestBruteForce:
         solution = brute_force_optimum(instance)
         assert solution.revenue == pytest.approx(3.0)
         assert solution.assortment == frozenset(
-            {model.index_of(1, 1), model.index_of(2, 2), model.index_of(3, 3)}
+            {model.pairs.index((i, i)) + 1 for i in (1, 2, 3)}
         )
 
     def test_empty_demand_yields_zero(self):
@@ -182,8 +183,8 @@ class TestBounds:
         eps, k = 0.01, 3
         instance = generate_tight_instance(k, eps)
         model = instance.model
-        diagonal = frozenset(model.index_of(i, i) for i in range(1, k + 1))
-        solution = AssortmentSolution(diagonal, instance.assortment_revenue(diagonal))
+        diagonal = frozenset(model.pairs.index((i, i)) + 1 for i in range(1, k + 1))
+        solution = AssortmentSolution(diagonal, evaluate_revenue(model, instance.revenue, diagonal))
         report = compute_bounds(instance, solution)
         for i, mass in enumerate(report.n_masses, start=1):
             assert mass == pytest.approx(sum(eps**p for p in range(i, k + 1)))

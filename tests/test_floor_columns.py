@@ -32,7 +32,8 @@ from assortopt.io import instance_from_dict
 from assortopt.models import ascending_subsets, enumerate_subsets, members_of
 from assortopt.reductions import reduce_pricing
 from assortopt.stackelberg import StackelbergChoiceModel, greedy
-from assortopt.udp import MinPricingChoiceModel, RankPricingChoiceModel, simulate_purchases_rank
+from assortopt.udp import (MinPricingChoiceModel, RankPricingChoiceModel, _FloorChoiceModel, _PairCatalogue,
+                          simulate_purchases_rank)
 
 
 def _bits(value):
@@ -46,13 +47,13 @@ def ref_row(model, subset):
     """The numerators of one offer set's row, simulated over the whole set."""
     pairs = model.pairs
     if isinstance(model, StackelbergChoiceModel):
-        chosen = greedy(model.auxiliary_matroid, model._reds | {pairs[x - 1] for x in subset}, model.reference_order)
+        chosen = greedy(model._aux, model._reds | {pairs[x - 1] for x in subset}, model._order)
         return tuple(int(pairs[x - 1] in chosen) for x in subset)
     instance = model._instance
     if isinstance(model, RankPricingChoiceModel):
-        floor = model.pair_catalogue.floor_prices(subset, instance.n)
+        floor = model._catalogue.floor_prices(subset, instance.n)
         bought = simulate_purchases_rank(instance, floor).purchases
-        totals = Counter(model.pair_catalogue.index[(x, floor[x - 1])] for x in bought if x is not None)
+        totals = Counter(model._catalogue.index[(x, floor[x - 1])] for x in bought if x is not None)
         return tuple(totals.get(x, 0) for x in subset)
     totals = {}
     for consumer in instance.consumers:
@@ -140,11 +141,20 @@ def ref_floor(pairs, mask):
     return sum(1 << (x - 1) for x in first.values())
 
 
+@pytest.mark.parametrize("read", [lambda m: m.choice_row({1}), lambda m: m.columns(1)], ids=["choice_row", "columns"])
+def test_a_floor_model_without_numerators_is_not_implemented(read):
+    class Bare(_FloorChoiceModel):
+        pass
+
+    with pytest.raises(NotImplementedError, match="^Bare does not define _numerators$"):
+        read(Bare(None, _PairCatalogue(1, (1,))))
+
+
 def test_floor_masks_keep_each_elements_lowest_pair():
     # Item 1's pairs are 1..3 (levels 2, 3, 5).  In the block c = 2 under
     # high = {3, 8}, pair 3 is item 1's floor only while pairs 1 and 2 are
     # not offered, though it is the floor of high alone.
-    catalogue = reduce_pricing(UdpMinInstance(3, [({1, 2}, 2), ({2, 3}, 3), ({1, 3}, 5)])).model.pair_catalogue
+    catalogue = reduce_pricing(UdpMinInstance(3, [({1, 2}, 2), ({2, 3}, 3), ({1, 3}, 5)])).model._catalogue
     pairs = catalogue.pairs
     assert catalogue.floor_masks(2, 0b10000100) == [0b10000100, 0b10000001, 0b10000010, 0b10000001]
     for c in range(len(pairs) + 1):

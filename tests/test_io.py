@@ -1,6 +1,7 @@
 """Serialisation round trips and generator determinism."""
 
 import copy
+import itertools
 import json
 from fractions import Fraction
 from random import Random
@@ -40,7 +41,7 @@ from assortopt.io import (
     model_to_dict,
     read_instance,
 )
-from assortopt.models import CapacityFunction, enumerate_subsets, probability_rows
+from assortopt.models import enumerate_subsets, probability_rows
 from assortopt.reductions import reduce_pricing
 
 
@@ -77,7 +78,7 @@ def test_unknown_model_type_rejected():
         model_from_dict({"type": "nested_logit"})
 
 
-class _HalfCapacity(CapacityFunction):
+class _HalfCapacity:
     """A one-product capacity with no file format: phi({1}) = 1/2."""
 
     n = 1
@@ -87,10 +88,12 @@ class _HalfCapacity(CapacityFunction):
 
 
 class _UniformMatroid(Matroid):
-    """The rank-1 uniform matroid on {0, 1}, which is no graph's."""
+    """The rank-1 uniform matroid on {0, 1}, which is no graph's: a scan
+    accepts its first element only."""
 
-    def is_independent(self, subset):
-        return len(set(subset)) <= 1
+    def extender(self):
+        scanned = itertools.count()
+        return lambda element: next(scanned) == 0
 
 
 def test_a_capacity_of_another_type_is_not_serialised():

@@ -25,13 +25,29 @@ from assortopt import (
     TightExampleModel,
     UdpMinInstance,
     UdpRankInstance,
-    evaluate_revenue,
     expand_ranking_model,
 )
 from assortopt.generators import ASSORTMENT_FAMILIES, generate
 from assortopt.io import instance_from_dict
 from assortopt.models import enumerate_subsets, ordered_sum
 from assortopt.reductions import reduce_pricing
+
+
+def evaluate_revenue(model: ChoiceModel, revenue, S):
+    """Expected revenue sum_{x in S} P(x, S) * r(x) of offering S, the
+    reference for the library's revenue sums.
+
+    Revenues are indexed by product (revenue[x-1] is the price of x) and
+    must all be positive.  Summation runs in ascending product order so the
+    result is deterministic.
+    """
+    if len(revenue) != model.n:
+        raise ValueError("one revenue per product is required")
+    for x, r in enumerate(revenue, start=1):
+        if not r > 0:
+            raise NonPositiveRevenue(f"revenue of product {x} is {r}; must be > 0")
+    members = sorted(frozenset(S))
+    return ordered_sum(p * revenue[x - 1] for x, p in zip(members, model.choice_row(members)))
 
 
 def test_product_set_bounds():
@@ -282,11 +298,14 @@ class TestTightExample:
         assert model.n == 6
         assert model.pairs[0] == (1, 1)
         assert model.pairs[5] == (3, 3)
-        assert model.index_of(2, 1) == 2
+        assert model.pairs.index((2, 1)) + 1 == 2
 
     def test_blocking_rule(self):
         model = TightExampleModel(3, 0.1)
-        coord = model.index_of
+
+        def coord(i, j):
+            return model.pairs.index((i, j)) + 1
+
         # (2, 2) sells at epsilon^2 unless (2, 1) is present.
         assert model.evaluate(coord(2, 2), {coord(2, 2)}) == pytest.approx(0.01)
         assert model.evaluate(coord(2, 2), {coord(2, 1), coord(2, 2)}) == 0.0

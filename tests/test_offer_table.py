@@ -33,6 +33,7 @@ from assortopt.models import TabularModel, ascending_subsets, enumerate_subsets,
 from assortopt.reductions import reduce_pricing
 from assortopt.stackelberg import StackelbergChoiceModel, greedy
 from assortopt.udp import MinPricingChoiceModel, RankPricingChoiceModel
+from test_models import evaluate_revenue
 
 PRICING_KINDS = ("udp_min", "udp_rank", "stackelberg")
 
@@ -143,9 +144,9 @@ def _reference_probabilities(model, S):
     Fraction share per consumer (or per selected pair)."""
     if isinstance(model, StackelbergChoiceModel):
         offered = model._reds | {model.pairs[where - 1] for where in S}
-        chosen = greedy(model.auxiliary_matroid, offered, model.reference_order)
+        chosen = greedy(model._aux, offered, model._order)
         return {x: Fraction(int(model.pairs[x - 1] in chosen), len(model._instance.blue)) for x in S}
-    instance, pairs = model._instance, model.pair_catalogue.pairs
+    instance, pairs = model._instance, model._catalogue.pairs
     totals = {x: Fraction(0) for x in S}
     for consumer in instance.consumers:
         if isinstance(model, MinPricingChoiceModel):
@@ -159,10 +160,10 @@ def _reference_probabilities(model, S):
             for where in chosen:
                 totals[where] += Fraction(1, instance.m * len(chosen))
         else:
-            floor = model.pair_catalogue.floor_prices(S, instance.n)
+            floor = model._catalogue.floor_prices(S, instance.n)
             for item in consumer.ranking:
                 if floor[item - 1] <= consumer.valuations[item - 1]:
-                    totals[model.pair_catalogue.index[(item, floor[item - 1])]] += Fraction(1, instance.m)
+                    totals[model._catalogue.index[(item, floor[item - 1])]] += Fraction(1, instance.m)
                     break
     return totals
 
@@ -250,7 +251,8 @@ def _threshold_set(instance, level):
 def _threshold_candidates(instance):
     """The revenue-ordered candidates as they were computed before the ladder:
     one threshold set and one revenue evaluation per level."""
-    return [(level, instance.assortment_revenue(_threshold_set(instance, level))) for level in instance.levels]
+    return [(level, evaluate_revenue(instance.model, instance.revenue, _threshold_set(instance, level)))
+            for level in instance.levels]
 
 
 def _generated_instances():

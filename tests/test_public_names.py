@@ -1,14 +1,16 @@
 """Every public name of the library has a caller outside the tests.
 
-A module-level function, class or UPPER_CASE constant of ``src/assortopt``
-whose name has no leading underscore must be referenced by code outside its
-own definition: in the library itself (``__init__.py``, which only
-re-exports, aside), in ``perfbench`` or in the CI workflow.  In Python
-source a reference is a name, an attribute or an import; in ``perfbench``
-a non-docstring string constant also counts, since its tracer names the
-functions it wraps as strings.  A word in a docstring or comment is no
-reference.  In the CI workflow any whole word counts.  A name only the
-tests use belongs in the tests.
+A module-level function, class or UPPER_CASE constant of ``src/assortopt``,
+or a method or property of a module-level class, whose name has no leading
+underscore must be referenced by code outside its own definition: in the
+library itself (``__init__.py``, which only re-exports, aside), in
+``perfbench`` or in the CI workflow.  In Python source a reference is a
+name, an attribute or an import; in ``perfbench`` a non-docstring string
+constant also counts, since its tracer names the functions it wraps as
+strings.  A word in a docstring or comment is no reference.  In the CI
+workflow any whole word counts.  Methods are matched by name alone, so a
+call of any class's ``extender`` counts for every ``extender``.  A name
+only the tests use belongs in the tests.
 """
 
 import ast
@@ -21,8 +23,13 @@ IDENTIFIER = re.compile(r"[A-Za-z_]\w*")
 
 
 def _public_definitions(tree: ast.Module):
-    """(name, first line, last line) of each public module-level definition."""
+    """(name, first line, last line) of each public module-level definition
+    and of each public method or property of a module-level class."""
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not member.name.startswith("_"):
+                    yield member.name, member.lineno, member.end_lineno
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -93,6 +100,12 @@ def test_every_public_name_has_a_caller():
 def test_a_public_function_nothing_calls_is_flagged():
     modules, perfbench, workflow = _sources()
     modules["udp.py"] += "\n\ndef price_nothing(instance):\n    return price_nothing(instance)\n"
+    assert uncalled(modules, perfbench, workflow) == ["price_nothing"]
+
+
+def test_a_method_nothing_calls_is_flagged():
+    modules, perfbench, workflow = _sources()
+    modules["udp.py"] += "\n\nclass _Quote:\n    def price_nothing(self):\n        return self.price_nothing()\n"
     assert uncalled(modules, perfbench, workflow) == ["price_nothing"]
 
 
